@@ -18,26 +18,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from zetacontour.contour import Rectangle, decompose, integrate_rectangle, paper_total
 from zetacontour.precision import FAST_CONFIG
+from zetacontour.reporting import ensure_table
 from zetacontour.telescope import s_n_direct
 from zetacontour.universality import SegmentK, scan
-from zetacontour.zero_finder import find_zeros_up_to, load_table, save_table
 
 ALPHA, BETA = 3.0 / 5.0, 4.0 / 5.0
 TABLE_HEIGHT = 5200.0  # tall enough for the 1/T^2 tail rule at T = 100
-
-
-def get_table(path: Path, threads: int):
-    if path.exists():
-        table = load_table(path)
-        if table.max_height >= TABLE_HEIGHT:
-            print(f"loaded {len(table.gammas)} zeros from {path}")
-            return table
-    t0 = time.perf_counter()
-    table = find_zeros_up_to(TABLE_HEIGHT, threads=threads)
-    save_table(table, path)
-    print(f"built {len(table.gammas)} zeros to {TABLE_HEIGHT} "
-          f"in {time.perf_counter() - t0:.1f}s -> {path}")
-    return table
 
 
 def main() -> int:
@@ -53,7 +39,10 @@ def main() -> int:
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    table = get_table(Path(args.zeros), args.threads)
+    t0 = time.perf_counter()
+    table = ensure_table(args.zeros, TABLE_HEIGHT, args.threads)
+    print(f"zero table {args.zeros}: {len(table.gammas)} zeros to "
+          f"{table.max_height:g} ({time.perf_counter() - t0:.1f}s)")
 
     rows = []
     for T in args.heights:

@@ -13,8 +13,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from zetacontour.contour import Rectangle
+from zetacontour.reporting import ensure_table
 from zetacontour.telescope import linearize_riccati, riccati_iterate
-from zetacontour.zero_finder import find_zeros_up_to, load_table
 
 
 def main() -> int:
@@ -24,14 +24,13 @@ def main() -> int:
     ap.add_argument("--T", type=float, default=100.0)
     ap.add_argument("--C", type=float, default=2.0)
     ap.add_argument("--N", type=int, default=2000)
-    ap.add_argument("--zeros", default=None)
+    ap.add_argument("--zeros", default=None,
+                    help="zero-table file, rebuilt and saved when it is "
+                         "shorter than max(T+50, 800)")
     ap.add_argument("--out", default="riccati_trace.csv")
     args = ap.parse_args()
 
-    if args.zeros and Path(args.zeros).exists():
-        table = load_table(args.zeros)
-    else:
-        table = find_zeros_up_to(max(args.T + 50.0, 800.0))
+    table = ensure_table(args.zeros, max(args.T + 50.0, 800.0))
     n = min(args.N, len(table.gammas))
     rect = Rectangle.paper_mode(args.alpha, args.beta, args.T)
     tr_f = riccati_iterate("f", n, rect, table)

@@ -14,12 +14,10 @@ from .precision import (
     DEFAULT_CONFIG,
     FAST_CONFIG,
     ComplexValue,
-    EulerMascheroni,
     PrecisionConfig,
 )
 from .special_functions import (
     digamma,
-    digamma_weierstrass,
     log_deriv_zeta,
     principal_log_arg,
     xi,
@@ -77,9 +75,8 @@ from .reporting import (
 __all__ = [
     "__version__",
     "errors",
-    "DEFAULT_CONFIG", "FAST_CONFIG", "ComplexValue", "EulerMascheroni",
-    "PrecisionConfig",
-    "digamma", "digamma_weierstrass", "log_deriv_zeta", "principal_log_arg",
+    "DEFAULT_CONFIG", "FAST_CONFIG", "ComplexValue", "PrecisionConfig",
+    "digamma", "log_deriv_zeta", "principal_log_arg",
     "xi", "zeta", "zeta_alternating", "zeta_prime",
     "ZeroFreeBoundReport", "ZeroTable", "count_zeros", "find_zeros_up_to",
     "hardy_z", "hardy_z_components", "load_table", "mangoldt_estimate",

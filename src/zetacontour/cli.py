@@ -21,13 +21,14 @@ from .errors import MissingTable, ZetaContourError
 from .precision import PrecisionConfig
 from .reporting import (
     RunConfig,
+    ensure_table,
     export_report,
     load_report_json,
     run_suite,
 )
 from .telescope import h_functions, riccati_iterate
 from .universality import SegmentK, scan
-from .zero_finder import ZeroTable, find_zeros_up_to, load_table, save_table
+from .zero_finder import find_zeros_up_to, save_table
 
 
 def _global_flags(p: argparse.ArgumentParser, digits_default: int):
@@ -53,19 +54,6 @@ def _precision(args) -> PrecisionConfig:
                            cutoff_N=16 if digits <= 15 else 24)
 
 
-def _load_or_build_table(args, needed_height: float) -> ZeroTable:
-    if args.zeros and Path(args.zeros).exists():
-        table = load_table(args.zeros)
-        if table.max_height >= needed_height:
-            return table
-        print(f"note: table height {table.max_height} below {needed_height}; "
-              f"rebuilding", file=sys.stderr)
-    table = find_zeros_up_to(max(needed_height, 10.0), threads=args.threads)
-    if args.zeros:
-        save_table(table, args.zeros)
-    return table
-
-
 def _rect_from_args(args) -> Rectangle:
     if getattr(args, "general", None):
         x0, x1, y0, y1 = args.general
@@ -85,7 +73,7 @@ def cmd_zeros(args) -> int:
 
 def cmd_integrate(args) -> int:
     rect = _rect_from_args(args)
-    table = _load_or_build_table(args, rect.y1 + 10.0)
+    table = ensure_table(args.zeros, rect.y1 + 10.0, args.threads)
     rep = integrate_rectangle(rect, table, _precision(args), tol=args.quad_tol)
     payload = rep.to_json_dict()
     text = json.dumps(payload, indent=2) + "\n"
@@ -101,7 +89,8 @@ def cmd_decompose(args) -> int:
     if not rect.paper:
         raise ZetaContourError("decompose requires a paper-mode rectangle")
     # the eps2 certification typically needs a table far above T
-    table = _load_or_build_table(args, max(rect.T * 52.0, rect.T + 10.0))
+    table = ensure_table(args.zeros, max(rect.T * 52.0, rect.T + 10.0),
+                         args.threads)
     cfg = _precision(args)
     contour = integrate_rectangle(rect, table, cfg, tol=args.quad_tol)
     dec = decompose(rect, table, cfg, eps2=args.eps2, quad_tol=args.quad_tol)
@@ -117,7 +106,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_telescope(args) -> int:
     rect = Rectangle.paper_mode(args.alpha, args.beta, args.T)
-    table = _load_or_build_table(args, args.T + 60.0)
+    table = ensure_table(args.zeros, args.T + 60.0, args.threads)
     n = min(args.N, len(table.gammas))
     tr_f = riccati_iterate("f", n, rect, table)
     tr_g = riccati_iterate("g", n, rect, table)
@@ -153,7 +142,8 @@ def cmd_probe(args) -> int:
     lo, hi, step = _parse_range(args.tau, 3)
     klo, khi = _parse_range(args.K, 2)
     K = SegmentK(klo, khi, t_offset=args.t_offset, samples=args.samples)
-    table = _load_or_build_table(args, abs(args.t_offset) + hi + 10.0)
+    table = ensure_table(args.zeros, abs(args.t_offset) + hi + 10.0,
+                         args.threads)
     summary = scan(lo, hi, step, K, args.U, args.V, args.eps, table,
                    _precision(args))
     out = args.out or "scan.csv"
@@ -175,7 +165,6 @@ def cmd_probe(args) -> int:
 def cmd_suite(args) -> int:
     cfg = RunConfig(precision=_precision(args),
                     zero_table_path=args.zeros,
-                    output_dir=str(Path(args.out).parent) if args.out else ".",
                     threads=args.threads)
     report = run_suite(args.name, cfg)
     if args.out:

@@ -121,21 +121,23 @@ def _segment_distance(a: complex, b: complex, p: complex) -> float:
     return abs(a + t * ab - p)
 
 
-def singularity_set(rect: Rectangle, zeros: Optional[ZeroTable],
-                    margin: float = 5.0) -> List[complex]:
+_SING_MARGIN = 5.0  # zeros this far outside the box still shape its panels
+
+
+def singularity_set(rect: Rectangle, zeros: Optional[ZeroTable]) -> List[complex]:
     """Pole s=1, nearby tabulated zeros (both half-planes), and any trivial
     zeros -2k the box x-range could reach."""
     sings = [complex(1.0, 0.0)]
     if zeros is not None:
         for g in zeros.gammas:
-            if rect.y0 - margin <= g <= rect.y1 + margin:
+            if rect.y0 - _SING_MARGIN <= g <= rect.y1 + _SING_MARGIN:
                 sings.append(complex(0.5, g))
-            if rect.y0 - margin <= -g <= rect.y1 + margin:
+            if rect.y0 - _SING_MARGIN <= -g <= rect.y1 + _SING_MARGIN:
                 sings.append(complex(0.5, -g))
     if rect.x0 < -1.5:
         k = 1
-        while -2.0 * k >= rect.x0 - margin:
-            if abs(rect.y0) <= margin or rect.y0 <= 0.0 <= rect.y1:
+        while -2.0 * k >= rect.x0 - _SING_MARGIN:
+            if abs(rect.y0) <= _SING_MARGIN or rect.y0 <= 0.0 <= rect.y1:
                 sings.append(complex(-2.0 * k, 0.0))
             k += 1
     return sings
@@ -146,13 +148,23 @@ def singularity_set(rect: Rectangle, zeros: Optional[ZeroTable],
 # ---------------------------------------------------------------------------
 
 _GL_ORDER = 16
-_GL_NODES = {}
-
-
-def _gl(order: int):
-    if order not in _GL_NODES:
-        _GL_NODES[order] = np.polynomial.legendre.leggauss(order)
-    return _GL_NODES[order]
+# numpy.polynomial.legendre.leggauss(16), written out: computing it at import
+# loads numpy.polynomial and LAPACK, which adds to every start-up.
+_GL_X = np.array([
+    -0.9894009349916499, -0.9445750230732326, -0.8656312023878318,
+    -0.755404408355003, -0.6178762444026438, -0.45801677765722737,
+    -0.2816035507792589, -0.09501250983763744, 0.09501250983763744,
+    0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326,
+    0.9894009349916499])
+_GL_W = np.array([
+    0.027152459411754176, 0.062253523938647456, 0.0951585116824926,
+    0.12462897125553407, 0.1495959888165767, 0.16915651939500265,
+    0.18260341504492364, 0.18945061045506864, 0.18945061045506864,
+    0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456,
+    0.027152459411754176])
+_MAX_WAVES = 40
 
 
 @dataclass(frozen=True)
@@ -162,8 +174,8 @@ class EdgeIntegral:
     n_evals: int
 
 
-def _presplit(a: complex, b: complex, sings: Sequence[complex],
-              exclusion: float) -> List[Tuple[complex, complex]]:
+def _presplit(a: complex, b: complex,
+              sings: Sequence[complex]) -> List[Tuple[complex, complex]]:
     out = []
     stack = [(a, b)]
     total = abs(b - a)
@@ -171,7 +183,7 @@ def _presplit(a: complex, b: complex, sings: Sequence[complex],
         pa, pb = stack.pop()
         L = abs(pb - pa)
         d = min((_segment_distance(pa, pb, p) for p in sings), default=math.inf)
-        if d < exclusion:
+        if d < EXCLUSION_RADIUS:
             raise SingularityOnPath(
                 f"segment [{pa}, {pb}] within {d:.2e} of a singularity")
         if L > 2.0 * d or L > total / 4.0 + 1e-300:
@@ -186,10 +198,7 @@ def _presplit(a: complex, b: complex, sings: Sequence[complex],
 def integrate_edge(f: Callable[[np.ndarray], np.ndarray], a: complex, b: complex,
                    cfg: PrecisionConfig = FAST_CONFIG, *,
                    tol: float = 1e-9,
-                   singularities: Sequence[complex] = (),
-                   exclusion: float = EXCLUSION_RADIUS,
-                   order: int = _GL_ORDER,
-                   max_waves: int = 40) -> EdgeIntegral:
+                   singularities: Sequence[complex] = ()) -> EdgeIntegral:
     """Adaptive composite Gauss-Legendre along the segment [a, b].
 
     ``f`` maps a complex128 array of nodes to integrand values; the whole
@@ -208,20 +217,19 @@ def integrate_edge(f: Callable[[np.ndarray], np.ndarray], a: complex, b: complex
     total_len = abs(b - a)
     if total_len == 0.0:
         return EdgeIntegral(0.0 + 0.0j, 0.0, 0)
-    x, w = _gl(order)
-    pending = _presplit(a, b, singularities, exclusion)
+    pending = _presplit(a, b, singularities)
     value = 0.0 + 0.0j
     err = 0.0
     n_evals = 0
-    for wave in range(max_waves):
+    for wave in range(_MAX_WAVES):
         if not pending:
             break
         nodes = []
         for (pa, pb) in pending:
             m = 0.5 * (pa + pb)
-            nodes.append(0.5 * (pa + pb) + 0.5 * (pb - pa) * x)
-            nodes.append(0.5 * (pa + m) + 0.5 * (m - pa) * x)
-            nodes.append(0.5 * (m + pb) + 0.5 * (pb - m) * x)
+            nodes.append(0.5 * (pa + pb) + 0.5 * (pb - pa) * _GL_X)
+            nodes.append(0.5 * (pa + m) + 0.5 * (m - pa) * _GL_X)
+            nodes.append(0.5 * (m + pb) + 0.5 * (pb - m) * _GL_X)
         allz = np.concatenate(nodes)
         n_evals += allz.size
         fv = np.asarray(f(allz), dtype=np.complex128)
@@ -229,15 +237,16 @@ def integrate_edge(f: Callable[[np.ndarray], np.ndarray], a: complex, b: complex
         k = 0
         for (pa, pb) in pending:
             m = 0.5 * (pa + pb)
-            fc = fv[k:k + order]
-            fa = fv[k + order:k + 2 * order]
-            fb = fv[k + 2 * order:k + 3 * order]
-            k += 3 * order
-            coarse = np.sum(w * fc) * (pb - pa) / 2.0
-            fine = np.sum(w * fa) * (m - pa) / 2.0 + np.sum(w * fb) * (pb - m) / 2.0
+            fc = fv[k:k + _GL_ORDER]
+            fa = fv[k + _GL_ORDER:k + 2 * _GL_ORDER]
+            fb = fv[k + 2 * _GL_ORDER:k + 3 * _GL_ORDER]
+            k += 3 * _GL_ORDER
+            coarse = np.sum(_GL_W * fc) * (pb - pa) / 2.0
+            fine = (np.sum(_GL_W * fa) * (m - pa) / 2.0
+                    + np.sum(_GL_W * fb) * (pb - m) / 2.0)
             diff = abs(fine - coarse)
-            if diff <= tol * (abs(pb - pa) / total_len) or wave == max_waves - 1:
-                if wave == max_waves - 1 and diff > tol * (abs(pb - pa) / total_len):
+            if diff <= tol * (abs(pb - pa) / total_len) or wave == _MAX_WAVES - 1:
+                if wave == _MAX_WAVES - 1 and diff > tol * (abs(pb - pa) / total_len):
                     raise ToleranceNotMet(
                         f"panel [{pa}, {pb}] stuck at diff={diff:.2e}")
                 value += fine
@@ -285,12 +294,12 @@ class ContourReport:
 
 def integrate_rectangle(rect: Rectangle, zeros: Optional[ZeroTable],
                         cfg: PrecisionConfig = FAST_CONFIG, *,
-                        tol: float = 1e-7,
-                        exclusion: float = EXCLUSION_RADIUS) -> ContourReport:
+                        tol: float = 1e-7) -> ContourReport:
     """Quadrature of zeta'/zeta around the rectangle; winding = Z - P inside.
 
-    Precondition: no tabulated zero and not the pole s=1 within ``exclusion``
-    of the boundary (audited; BoundarySingularity identifies the offender).
+    Precondition: no tabulated zero and not the pole s=1 within
+    EXCLUSION_RADIUS of the boundary (audited; BoundarySingularity
+    identifies the offender).
     """
     sings = singularity_set(rect, zeros)
     clearance = math.inf
@@ -299,7 +308,7 @@ def integrate_rectangle(rect: Rectangle, zeros: Optional[ZeroTable],
         d = rect.boundary_distance(p)
         if d < clearance:
             clearance, offender = d, p
-    if clearance < exclusion:
+    if clearance < EXCLUSION_RADIUS:
         raise BoundarySingularity(f"singularity at {offender}", clearance)
 
     eval_errs: List[float] = []
@@ -314,8 +323,7 @@ def integrate_rectangle(rect: Rectangle, zeros: Optional[ZeroTable],
     quad_error = 0.0
     n_evals = 0
     for name, a, b in rect.edges():
-        e = integrate_edge(f, a, b, cfg, tol=tol / 4.0,
-                           singularities=sings, exclusion=exclusion)
+        e = integrate_edge(f, a, b, cfg, tol=tol / 4.0, singularities=sings)
         edges[name] = e
         total += e.value
         quad_error += e.err + (max(eval_errs) if eval_errs else 0.0) * abs(b - a)
@@ -404,8 +412,7 @@ class DigammaTerm:
     depth: int
 
 
-def digamma_term_integral(rect: Rectangle,
-                          cfg: PrecisionConfig = FAST_CONFIG) -> DigammaTerm:
+def digamma_term_integral(rect: Rectangle) -> DigammaTerm:
     rect._need_paper()
     a, b, T = rect.alpha, rect.beta, rect.T
     endpoints = [complex(b, T), complex(b, -T), complex(a, T), complex(a, -T)]
@@ -431,16 +438,21 @@ def digamma_integrand(z: np.ndarray) -> np.ndarray:
 
 # -- zero sum over DA + BC --
 
-def zero_pair_closed_form(alpha: float, beta: float, T: float, g: float) -> complex:
-    """Combined DA+BC integral of 1/(s-1/2-ig) + 1/(s-1/2+ig):
+def zero_pair_arctan_sum(rect: Rectangle, gammas: Sequence[float]) -> float:
+    """The four-arctan zero-pair sum over ``gammas``,
 
-        2i [ atan((T-g)/(beta-1/2)) - atan((T-g)/(alpha-1/2))
-           + atan((T+g)/(beta-1/2)) - atan((T+g)/(alpha-1/2)) ].
+        sum_g [ atan((T-g)/(beta-1/2)) - atan((T-g)/(alpha-1/2))
+              + atan((T+g)/(beta-1/2)) - atan((T+g)/(alpha-1/2)) ],
+
+    summed with fsum. It is S_N over the first N ordinates, and 2i times it
+    is the combined DA+BC integral of 1/(s-1/2-ig) + 1/(s-1/2+ig) over g.
     """
-    a = alpha - 0.5
-    b = beta - 0.5
-    return 2j * (math.atan((T - g) / b) - math.atan((T - g) / a)
-                 + math.atan((T + g) / b) - math.atan((T + g) / a))
+    a = rect.alpha - 0.5
+    b = rect.beta - 0.5
+    T = rect.T
+    return math.fsum(math.atan((T - g) / b) - math.atan((T - g) / a)
+                     + math.atan((T + g) / b) - math.atan((T + g) / a)
+                     for g in gammas)
 
 
 def zero_sum_integrand(zeros: ZeroTable, N: int):
@@ -539,9 +551,7 @@ def zero_sum_term_integral(rect: Rectangle, zeros: ZeroTable,
             else:
                 lo_n = mid + 1
         n_used = lo_n
-    terms = [zero_pair_closed_form(rect.alpha, rect.beta, T, g).imag
-             for g in zeros.gammas[:n_used]]
-    value = complex(0.0, math.fsum(terms))
+    value = complex(0.0, 2.0 * zero_pair_arctan_sum(rect, zeros.gammas[:n_used]))
     return ZeroSumTerm(value=value, n_used=n_used,
                        tail_bound=float(bound_at(n_used)), threshold=threshold)
 
@@ -635,7 +645,7 @@ def decompose(rect: Rectangle, zeros: ZeroTable,
     fluct = _tail_fluctuation_bound(rect.beta - rect.alpha, T, zeros.max_height)
     pole = pole_term_integral(rect)
     logpi = logpi_term_integral(rect)
-    dig = digamma_term_integral(rect, cfg)
+    dig = digamma_term_integral(rect)
     sings = singularity_set(rect, zeros)
 
     def f(z):

@@ -117,22 +117,3 @@ def as_complex(s) -> complex:
         return complex(s)
     return complex(s)
 
-
-@dataclass(frozen=True)
-class EulerMascheroni:
-    """The constant C = lim (sum_{k<=n} 1/k - log n) = 0.577216..."""
-
-    value: Any
-
-    @classmethod
-    def compute(cls, cfg: PrecisionConfig = DEFAULT_CONFIG) -> "EulerMascheroni":
-        with mp.workdps(cfg.dps):
-            return cls(value=+mp.euler)
-
-    @staticmethod
-    def limit_oracle(n: int) -> float:
-        """Independent check: harmonic sum minus log with the 1/2n - 1/12n^2
-        correction; error O(1/n^4)."""
-        import math
-        h = math.fsum(1.0 / k for k in range(1, n + 1))
-        return h - math.log(n) - 0.5 / n + 1.0 / (12.0 * n * n)

@@ -39,7 +39,6 @@ from .contour import (
     zero_sum_integrand,
     zero_sum_term_integral,
 )
-from .errors import MissingTable
 from .precision import DEFAULT_CONFIG, FAST_CONFIG, PrecisionConfig
 from .special_functions import xi, zeta, zeta_alternating
 from .telescope import (
@@ -64,11 +63,14 @@ RNG_SEED = 20260810  # all randomized checks are seeded for reproducibility
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything needed to reproduce a run bit-for-bit."""
+    """Everything needed to reproduce a run bit-for-bit.
+
+    ``threads`` only sets how many threads build a missing table; ordinates
+    do not depend on it, so it stays out of ``config_hash``.
+    """
 
     precision: PrecisionConfig = DEFAULT_CONFIG
     zero_table_path: Optional[str] = None
-    output_dir: str = "."
     threads: int = 1
     params: Tuple[Tuple[str, str], ...] = ()
 
@@ -81,7 +83,6 @@ class RunConfig:
                 "cutoff_N": self.precision.cutoff_N,
             },
             "zero_table_path": self.zero_table_path,
-            "output_dir": self.output_dir,
             "threads": self.threads,
             "params": dict(self.params),
         }
@@ -96,16 +97,14 @@ class RunConfig:
                 euler_maclaurin_terms=p.get("euler_maclaurin_terms", 16),
                 cutoff_N=p.get("cutoff_N", 24)),
             zero_table_path=d.get("zero_table_path"),
-            output_dir=d.get("output_dir", "."),
             threads=d.get("threads", 1),
             params=tuple(sorted(d.get("params", {}).items())))
 
-    def canonical_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True,
-                          separators=(",", ":"))
-
     def config_hash(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+        d = self.to_json_dict()
+        del d["threads"]
+        canonical = json.dumps(d, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -180,23 +179,17 @@ def load_report_json(path) -> VerificationReport:
 # zero-table resolution
 # ---------------------------------------------------------------------------
 
-_TABLE_CACHE: Dict[Tuple[Optional[str], float], ZeroTable] = {}
-
-
-def ensure_table(cfg: RunConfig, min_height: float) -> ZeroTable:
-    """Load the configured table if tall enough, otherwise build (and save
-    back when a path is configured)."""
-    key = (cfg.zero_table_path, min_height)
-    if key in _TABLE_CACHE:
-        return _TABLE_CACHE[key]
-    table: Optional[ZeroTable] = None
-    if cfg.zero_table_path and Path(cfg.zero_table_path).exists():
-        table = load_table(cfg.zero_table_path)
-    if table is None or table.max_height < min_height:
-        table = find_zeros_up_to(max(min_height, 10.0), threads=cfg.threads)
-        if cfg.zero_table_path:
-            save_table(table, cfg.zero_table_path)
-    _TABLE_CACHE[key] = table
+def ensure_table(path, min_height: float, threads: int = 1) -> ZeroTable:
+    """The zero table covering ``min_height``: the one at ``path`` when that
+    file exists and is tall enough, otherwise a table built to
+    max(min_height, 10) and, when ``path`` is given, saved there."""
+    if path and Path(path).exists():
+        table = load_table(path)
+        if table.max_height >= min_height:
+            return table
+    table = find_zeros_up_to(max(min_height, 10.0), threads=threads)
+    if path:
+        save_table(table, path)
     return table
 
 
@@ -338,7 +331,7 @@ def suite_decomposition(cfg: RunConfig, table: ZeroTable) -> List[CheckRecord]:
     checks.append(_pf("logpi term closed vs quadrature",
                       abs(logpi_edge_integral(rect, "da")
                           + logpi_edge_integral(rect, "bc") - logpi_quad), 1e-8))
-    dig = digamma_term_integral(rect, q)
+    dig = digamma_term_integral(rect)
     dig_quad = -0.5 * pair(digamma_integrand, [])
     checks.append(_pf("digamma term closed vs quadrature",
                       abs(dig.value - dig_quad), 1e-8))
@@ -351,11 +344,10 @@ def suite_decomposition(cfg: RunConfig, table: ZeroTable) -> List[CheckRecord]:
 
 
 def suite_digamma_trend(cfg: RunConfig, table=None) -> List[CheckRecord]:
-    q = _quad_cfg(cfg)
     gaps = []
     for T in (10.0, 100.0, 1000.0):
         rect = Rectangle.paper_mode(3.0 / 5.0, 4.0 / 5.0, T)
-        gaps.append(digamma_term_integral(rect, q).limit_gap)
+        gaps.append(digamma_term_integral(rect).limit_gap)
     checks = [
         _pf("digamma gap decreasing T=10 -> 100", gaps[1] - gaps[0], 0.0,
             note=f"gaps={gaps[0]:.4f},{gaps[1]:.4f}"),
@@ -496,21 +488,21 @@ SUITES: Dict[str, Tuple[Callable, float]] = {
 
 
 def run_suite(name: str, cfg: RunConfig) -> VerificationReport:
-    """Execute one suite (or 'all'); exit-status semantics live in the CLI."""
-    if name == "all":
-        checks: List[CheckRecord] = []
-        for sub in SUITES:
-            checks.extend(run_suite(sub, cfg).checks)
-        return VerificationReport(suite="all", toolkit_version=__version__,
-                                  config_hash=cfg.config_hash(),
-                                  checks=tuple(checks))
-    if name not in SUITES:
+    """Execute one suite (or 'all'); exit-status semantics live in the CLI.
+
+    The zero table is resolved once, at the largest height the suites run
+    here need, and every suite reads that one table.
+    """
+    if name != "all" and name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {', '.join(SUITES)}")
-    body, min_height = SUITES[name]
-    table = ensure_table(cfg, min_height) if min_height > 0 else None
-    if min_height > 0 and table is None:
-        raise MissingTable(f"suite {name} needs a zero table to {min_height}")
-    checks = body(cfg, table)
+    names = list(SUITES) if name == "all" else [name]
+    height = max(SUITES[n][1] for n in names)
+    table = (ensure_table(cfg.zero_table_path, height, cfg.threads)
+             if height > 0 else None)
+    checks: List[CheckRecord] = []
+    for n in names:
+        body, _ = SUITES[n]
+        checks.extend(body(cfg, table))
     return VerificationReport(suite=name, toolkit_version=__version__,
                               config_hash=cfg.config_hash(),
                               checks=tuple(checks))

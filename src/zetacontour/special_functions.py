@@ -329,42 +329,50 @@ def _check_pole(s):
         raise PoleAtOne(f"s={as_complex(s)} within {EXCLUSION_RADIUS:g} of the pole")
 
 
-def zeta(s, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ComplexValue:
-    """zeta(s) by Euler-Maclaurin, continued everywhere except s = 1."""
-    _check_pole(s)
-    sc = as_complex(s)
-    if cfg.uses_f64 and sc.real > -1.0:
-        vals, _, errs, _ = zeta_batch([sc], cfg)
-        v, e = vals[0], float(errs[0])
-        if e > cfg.target_abs_tol:
-            raise PrecisionExhausted(f"abs_err={e:g} exceeds tol={cfg.target_abs_tol:g}")
-        return ComplexValue(v.real, v.imag, e)
-    use_cfg = cfg if not cfg.uses_f64 else PrecisionConfig(
+def _scalar_cfg(cfg: PrecisionConfig) -> PrecisionConfig:
+    """The config the mpmath engine runs at: ``cfg`` itself, or a double
+    config promoted to 25 digits (the double engine stops at Re s = -1)."""
+    if not cfg.uses_f64:
+        return cfg
+    return PrecisionConfig(
         working_digits=25, target_abs_tol=min(cfg.target_abs_tol, 1e-16),
         euler_maclaurin_terms=max(cfg.euler_maclaurin_terms, 16), cutoff_N=cfg.cutoff_N)
-    v, _, e, _ = _zeta_scalar(as_mpc(s), use_cfg, want_prime=False)
+
+
+def _zeta_and_prime(s, cfg: PrecisionConfig, want_prime: bool):
+    """(zeta, zeta' or None, err, derr or None) at one point s != 1.
+
+    The one engine choice for the scalar operations: the double batch engine
+    for Re s > -1 with a double config, scalar mpmath at ``_scalar_cfg``
+    otherwise.
+    """
+    sc = as_complex(s)
+    if cfg.uses_f64 and sc.real > -1.0:
+        vals, dvals, errs, derrs = zeta_batch([sc], cfg, want_prime=want_prime)
+        if not want_prime:
+            return vals[0], None, float(errs[0]), None
+        return vals[0], dvals[0], float(errs[0]), float(derrs[0])
+    return _zeta_scalar(as_mpc(s), _scalar_cfg(cfg), want_prime)
+
+
+def _within_tol(v, e: float, cfg: PrecisionConfig) -> ComplexValue:
     if e > cfg.target_abs_tol:
         raise PrecisionExhausted(f"abs_err={e:g} exceeds tol={cfg.target_abs_tol:g}")
     return ComplexValue(v.real, v.imag, e)
 
 
+def zeta(s, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ComplexValue:
+    """zeta(s) by Euler-Maclaurin, continued everywhere except s = 1."""
+    _check_pole(s)
+    v, _, e, _ = _zeta_and_prime(s, cfg, want_prime=False)
+    return _within_tol(v, e, cfg)
+
+
 def zeta_prime(s, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ComplexValue:
     """zeta'(s), termwise-differentiated Euler-Maclaurin."""
     _check_pole(s)
-    sc = as_complex(s)
-    if cfg.uses_f64 and sc.real > -1.0:
-        vals, dvals, errs, derrs = zeta_batch([sc], cfg, want_prime=True)
-        dv, de = dvals[0], float(derrs[0])
-        if de > cfg.target_abs_tol:
-            raise PrecisionExhausted(f"abs_err={de:g} exceeds tol={cfg.target_abs_tol:g}")
-        return ComplexValue(dv.real, dv.imag, de)
-    use_cfg = cfg if not cfg.uses_f64 else PrecisionConfig(
-        working_digits=25, target_abs_tol=min(cfg.target_abs_tol, 1e-16),
-        euler_maclaurin_terms=max(cfg.euler_maclaurin_terms, 16), cutoff_N=cfg.cutoff_N)
-    _, dv, _, de = _zeta_scalar(as_mpc(s), use_cfg, want_prime=True)
-    if de > cfg.target_abs_tol:
-        raise PrecisionExhausted(f"abs_err={de:g} exceeds tol={cfg.target_abs_tol:g}")
-    return ComplexValue(dv.real, dv.imag, de)
+    _, dv, _, de = _zeta_and_prime(s, cfg, want_prime=True)
+    return _within_tol(dv, de, cfg)
 
 
 def zeta_alternating(s, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ComplexValue:
@@ -417,14 +425,13 @@ def zeta_alternating(s, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ComplexValue:
     raise PrecisionExhausted("eta-series acceleration did not converge to tolerance")
 
 
-def log_deriv_zeta(s, cfg: PrecisionConfig = DEFAULT_CONFIG, zeros=None,
-                   exclusion: float = EXCLUSION_RADIUS,
-                   flag_radius: float = FLAG_RADIUS) -> ComplexValue:
+def log_deriv_zeta(s, cfg: PrecisionConfig = DEFAULT_CONFIG,
+                   zeros=None) -> ComplexValue:
     """zeta'(s)/zeta(s) with singularity guards against a zero table.
 
-    Raises NearSingularity inside ``exclusion`` of the pole s=1, a tabulated
-    nontrivial zero 1/2 +- i gamma, or a trivial zero -2k. Between
-    ``exclusion`` and ``flag_radius`` the value is returned with ``flag`` set.
+    Raises NearSingularity inside EXCLUSION_RADIUS of the pole s=1, a
+    tabulated nontrivial zero 1/2 +- i gamma, or a trivial zero -2k. Between
+    EXCLUSION_RADIUS and FLAG_RADIUS the value is returned with ``flag`` set.
     """
     sc = as_complex(s)
     flag = None
@@ -438,17 +445,16 @@ def log_deriv_zeta(s, cfg: PrecisionConfig = DEFAULT_CONFIG, zeros=None,
         candidates.append((f"trivial zero -{2 * k}",
                            math.hypot(sc.real + 2 * k, sc.imag)))
     which, dist = min(candidates, key=lambda c: c[1])
-    if dist < exclusion:
+    if dist < EXCLUSION_RADIUS:
         raise NearSingularity(which, dist)
-    if dist < flag_radius:
-        flag = f"within {flag_radius:g} of {which}"
-    if cfg.uses_f64 and sc.real > -1.0:
-        vals, errs = log_deriv_batch([sc], cfg)
-        return ComplexValue(vals[0].real, vals[0].imag, float(errs[0]), flag)
-    v, dv, e, de = _zeta_scalar(as_mpc(s), cfg, want_prime=True)
-    av = float(abs(v))
-    ld = dv / v
-    err = (de + float(abs(ld)) * e) / av
+    if dist < FLAG_RADIUS:
+        flag = f"within {FLAG_RADIUS:g} of {which}"
+    v, dv, e, de = _zeta_and_prime(s, cfg, want_prime=True)
+    # mpmath operands carry the engine's digits; so must their quotient
+    with mp.workdps(_scalar_cfg(cfg).dps):
+        ld = dv / v
+    # np.abs, not abs: the builtin rounds complex128 moduli differently
+    err = (de + float(np.abs(ld)) * e) / float(np.abs(v))
     return ComplexValue(ld.real, ld.imag, err, flag)
 
 
@@ -495,42 +501,6 @@ def digamma(s, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ComplexValue:
             raise PrecisionExhausted("digamma asymptotic series stalled above tolerance")
         err += 10.0 ** (-(cfg.dps - 3)) * (1 + float(abs(acc)))
         return ComplexValue(acc.real, acc.imag, err)
-
-
-def digamma_asymptotic(s, terms: int = 8, dps: int = 50) -> mp.mpc:
-    """Plain truncation of the large-|s| series, no recurrence; for comparing
-    against the recurrence-shifted route within the truncation's own bound."""
-    with mp.workdps(dps):
-        w = as_mpc(s)
-        v = mp.log(w) - 1 / (2 * w)
-        p = 1 / (w * w)
-        for n in range(1, terms + 1):
-            v -= (mp.bernoulli(2 * n) / (2 * n)) * p
-            p = p / (w * w)
-        return v
-
-
-def digamma_asymptotic_remainder(s, terms: int = 8) -> float:
-    """Magnitude bound for the first omitted term of ``digamma_asymptotic``."""
-    w = abs(as_complex(s))
-    n = terms + 1
-    return 2.0 * abs(float(mp.bernoulli(2 * n))) / (2 * n * w ** (2 * n))
-
-
-def digamma_weierstrass(s, terms: int = 200_000) -> complex:
-    """Cross-check oracle from the product form of Gamma:
-
-        psi(z) = -C - 1/z + sum_{k>=1} z/(k(z+k)).
-
-    The tail beyond ``terms`` is corrected through second order in 1/K, good
-    to ~|z|^3/K^3. Intended for |z| <= ~20 in tests, not production use.
-    """
-    z = as_complex(s)
-    k = np.arange(1, terms + 1, dtype=np.float64)
-    ssum = np.sum(z / (k * (z + k)))
-    K = float(terms)
-    tail = z * (1.0 / K - (z + 1.0) / (2.0 * K * K))
-    return complex(-float(mp.euler) - 1.0 / z + ssum + tail)
 
 
 def xi(s, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ComplexValue:

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .contour import Rectangle
+from .contour import Rectangle, zero_pair_arctan_sum
 from .errors import (
     DegenerateProduct,
     DegenerateStep,
@@ -85,15 +85,6 @@ def telescope_sum(f: Callable[[int], float], n: int) -> TelescopeResult:
                            wrap_steps=tuple(wraps))
 
 
-def h_of_f(f: Callable[[int], float], k: int) -> float:
-    """The summand generator h(k) = (f(k+1)-f(k)) / (1 + f(k+1) f(k))."""
-    a, b = float(f(k)), float(f(k + 1))
-    den = 1.0 + b * a
-    if abs(den) < DEGENERATE_TOL:
-        raise DegenerateStep(k)
-    return (b - a) / den
-
-
 # ---------------------------------------------------------------------------
 # rectangle-specific pieces
 # ---------------------------------------------------------------------------
@@ -129,22 +120,12 @@ class SnValue:
 
 
 def s_n_direct(rect: Rectangle, zeros: ZeroTable, N: int) -> SnValue:
-    """Direct floating evaluation of
-
-        S_N = sum_{k<=N} [ atan((T-g_k)/(beta-1/2)) - atan((T-g_k)/(alpha-1/2))
-                         + atan((T+g_k)/(beta-1/2)) - atan((T+g_k)/(alpha-1/2)) ].
-    """
+    """Direct floating evaluation of S_N, the four-arctan zero-pair sum
+    (``contour.zero_pair_arctan_sum``) over gamma_1..gamma_N."""
     rect._need_paper()
     if N < 0 or N > len(zeros.gammas):
         raise DomainError(f"N={N} outside the table (size {len(zeros.gammas)})")
-    a = rect.alpha - 0.5
-    b = rect.beta - 0.5
-    T = rect.T
-    terms = []
-    for g in zeros.gammas[:N]:
-        terms.append(math.atan((T - g) / b) - math.atan((T - g) / a)
-                     + math.atan((T + g) / b) - math.atan((T + g) / a))
-    value = math.fsum(terms)
+    value = zero_pair_arctan_sum(rect, zeros.gammas[:N])
     q = round(value / math.pi)
     return SnValue(value=value, n_terms=N, q_nearest=q,
                    pi_residual=value - q * math.pi)
@@ -355,16 +336,3 @@ def fixed_point_check(a: float, b: float) -> FixedPointVerdict:
         return FixedPointVerdict(a=a, b=b, degenerate=True, has_real_fixed_point=True)
     return FixedPointVerdict(a=a, b=b, degenerate=False, has_real_fixed_point=False)
 
-
-def fixed_point_scan_residual(a: float, b: float, lo: float, hi: float,
-                              n: int = 100_001) -> float:
-    """Brute-force oracle: min |x(-b x + a) - (a x + b)| sign-definiteness
-    witness over a grid; returns the minimum of b(x^2+1) magnitude."""
-    if n < 2:
-        raise DomainError("need at least 2 scan points")
-    step = (hi - lo) / (n - 1)
-    best = math.inf
-    for i in range(n):
-        x = lo + i * step
-        best = min(best, abs(x * (-b * x + a) - (a * x + b)))
-    return best

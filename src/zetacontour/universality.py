@@ -25,6 +25,8 @@ from .precision import FAST_CONFIG, FLAG_RADIUS, PrecisionConfig
 from .special_functions import log_deriv_batch
 from .zero_finder import ZeroTable
 
+_SCAN_BATCH = 2048  # shifts per engine call; bounds the node array's memory
+
 
 @dataclass(frozen=True)
 class SegmentK:
@@ -77,11 +79,12 @@ def _segment_zero_distance(K: SegmentK, tau: float, zeros: ZeroTable) -> float:
 
 
 def sup_distance(tau: float, K: SegmentK, U: float, V: float,
-                 zeros: ZeroTable, cfg: PrecisionConfig = FAST_CONFIG,
-                 exclusion: float = FLAG_RADIUS) -> ProbeResult:
-    """Grid sup of |zeta'/zeta on the shifted segment minus (U+iV)|."""
+                 zeros: ZeroTable,
+                 cfg: PrecisionConfig = FAST_CONFIG) -> ProbeResult:
+    """Grid sup of |zeta'/zeta on the shifted segment minus (U+iV)|; raises
+    NearSingularity when a tabulated zero is within FLAG_RADIUS of it."""
     d = _segment_zero_distance(K, tau, zeros)
-    if d < exclusion:
+    if d < FLAG_RADIUS:
         raise NearSingularity(f"zero near shifted segment at tau={tau}", d)
     s = K.grid() + 1j * (K.t_offset + tau)
     vals, _ = log_deriv_batch(s, cfg)
@@ -92,11 +95,9 @@ def sup_distance(tau: float, K: SegmentK, U: float, V: float,
 
 def scan(tau_lo: float, tau_hi: float, step: float, K: SegmentK,
          U: float, V: float, eps: float, zeros: ZeroTable,
-         cfg: PrecisionConfig = FAST_CONFIG, *,
-         exclusion: float = FLAG_RADIUS,
-         batch: int = 2048) -> ScanSummary:
-    """Deterministic tau scan; near-singularity shifts are skipped and
-    reported, not errored."""
+         cfg: PrecisionConfig = FAST_CONFIG) -> ScanSummary:
+    """Deterministic tau scan; shifts within FLAG_RADIUS of a tabulated zero
+    are skipped and reported, not errored."""
     if step <= 0:
         raise DomainError("step must be positive")
     if tau_hi < tau_lo:
@@ -106,15 +107,15 @@ def scan(tau_lo: float, tau_hi: float, step: float, K: SegmentK,
     keep = []
     skipped: List[float] = []
     for tau in taus:
-        if _segment_zero_distance(K, float(tau), zeros) < exclusion:
+        if _segment_zero_distance(K, float(tau), zeros) < FLAG_RADIUS:
             skipped.append(float(tau))
         else:
             keep.append(float(tau))
     sig = K.grid()
     results: List[ProbeResult] = []
     target = complex(U, V)
-    for lo in range(0, len(keep), batch):
-        chunk = np.asarray(keep[lo:lo + batch])
+    for lo in range(0, len(keep), _SCAN_BATCH):
+        chunk = np.asarray(keep[lo:lo + _SCAN_BATCH])
         s = (sig[None, :] + 1j * (K.t_offset + chunk)[:, None]).ravel()
         vals, _ = log_deriv_batch(s, cfg)
         sup = np.abs(vals.reshape(len(chunk), K.samples) - target).max(axis=1)

@@ -205,7 +205,7 @@ class ZeroTable:
         cands = [j for j in (i - 1, i) if 0 <= j < len(self.gammas)]
         return min((self.gammas[j] for j in cands), key=lambda g: abs(g - t))
 
-    def audit(self, slack: int = COUNT_SLACK) -> None:
+    def audit(self) -> None:
         """Completeness and sanity audit; raises MissedZeroSuspected."""
         if self.max_height >= 15 and (
                 not self.gammas or abs(self.gammas[0] - GAMMA_1) > 1e-3):
@@ -215,19 +215,10 @@ class ZeroTable:
                 raise MissedZeroSuspected(f"ordinates {a} and {b} inside accuracy")
         if self.max_height > _TWO_PI + 1:
             est = mangoldt_estimate(self.max_height)
-            if abs(len(self.gammas) - est) > slack:
+            if abs(len(self.gammas) - est) > COUNT_SLACK:
                 raise MissedZeroSuspected(
                     f"census {len(self.gammas)} vs estimate {est:.2f} at "
                     f"T={self.max_height}")
-
-    # -- persistence (text format with sha256 footer) --
-
-    def save(self, path) -> None:
-        save_table(self, path)
-
-    @classmethod
-    def load(cls, path) -> "ZeroTable":
-        return load_table(path)
 
 
 def save_table(table: ZeroTable, path) -> None:
@@ -304,32 +295,30 @@ def _bisect_brackets(lo, hi, flo, accuracy: float, threads: int):
     return 0.5 * (lo + hi)
 
 
-def find_zeros_up_to(T: float, cfg: PrecisionConfig = FAST_CONFIG, *,
-                     step: float = SCAN_STEP, threads: int = 1) -> ZeroTable:
+def find_zeros_up_to(T: float, *, threads: int = 1) -> ZeroTable:
     """All ordinates in (0, T] to 1e-9, complete to max_height = T.
 
-    Grid scan at ``step`` then bisection on Hardy-Z sign changes; the census
-    is audited against the counting estimate and rescanned at step/5 once on
-    disagreement before MissedZeroSuspected is raised.
+    Grid scan at SCAN_STEP then bisection on Hardy-Z sign changes, in the
+    double engine (its accuracy exceeds the 1e-9 contract); the census is
+    audited against the counting estimate and rescanned at SCAN_STEP/5 once
+    on disagreement before MissedZeroSuspected is raised.
     """
     if T < 10:
         raise DomainError("find_zeros_up_to requires T >= 10")
-    del cfg  # precision: the double engine exceeds the 1e-9 contract
-    lo, hi, flo = _scan_brackets(T, step, threads)
+    lo, hi, flo = _scan_brackets(T, SCAN_STEP, threads)
     gammas = _bisect_brackets(lo, hi, flo, ORDINATE_ACCURACY, threads) if len(lo) else np.array([])
     table = ZeroTable(tuple(float(g) for g in gammas), ORDINATE_ACCURACY, float(T))
     try:
         table.audit()
     except MissedZeroSuspected:
-        lo, hi, flo = _scan_brackets(T, step / 5.0, threads)
+        lo, hi, flo = _scan_brackets(T, SCAN_STEP / 5.0, threads)
         gammas = _bisect_brackets(lo, hi, flo, ORDINATE_ACCURACY, threads) if len(lo) else np.array([])
         table = ZeroTable(tuple(float(g) for g in gammas), ORDINATE_ACCURACY, float(T))
         table.audit()  # raises if still inconsistent
     return table
 
 
-def count_zeros(T: float, table: Optional[ZeroTable] = None,
-                cfg: PrecisionConfig = FAST_CONFIG) -> int:
+def count_zeros(T: float, table: Optional[ZeroTable] = None) -> int:
     """Exact census N(T) of zeros with 0 < gamma < T.
 
     Raises AmbiguousHeight when T sits within table accuracy of an ordinate.
@@ -337,7 +326,7 @@ def count_zeros(T: float, table: Optional[ZeroTable] = None,
     if T <= 0:
         raise DomainError("count_zeros requires T > 0")
     if table is None or table.max_height < T:
-        table = find_zeros_up_to(max(T + 2.0, 10.0), cfg)
+        table = find_zeros_up_to(max(T + 2.0, 10.0))
     if table.gammas:
         g = table.nearest_gamma(T)
         if abs(g - T) <= table.accuracy:

@@ -1,10 +1,10 @@
 import os
-from pathlib import Path
 
 import pytest
 
 from zetacontour.precision import DEFAULT_CONFIG, FAST_CONFIG
-from zetacontour.zero_finder import ZeroTable, find_zeros_up_to, load_table, save_table
+from zetacontour.reporting import ensure_table
+from zetacontour.zero_finder import ZeroTable
 
 BIG_HEIGHT = 5150.0  # tall enough to certify eps2 = 1/T^2 tails at T = 100
 
@@ -18,15 +18,9 @@ def truncate_table(table: ZeroTable, height: float) -> ZeroTable:
 def big_table(tmp_path_factory) -> ZeroTable:
     """Zero table to 5150, built once per session (set ZC_TEST_TABLE to
     persist across sessions)."""
-    cache = os.environ.get("ZC_TEST_TABLE")
-    if cache and Path(cache).exists():
-        table = load_table(cache)
-        if table.max_height >= BIG_HEIGHT:
-            return table
-    table = find_zeros_up_to(BIG_HEIGHT)
-    target = cache or str(tmp_path_factory.mktemp("tables") / "zctab.txt")
-    save_table(table, target)
-    return table
+    path = (os.environ.get("ZC_TEST_TABLE")
+            or str(tmp_path_factory.mktemp("tables") / "zctab.txt"))
+    return ensure_table(path, BIG_HEIGHT)
 
 
 @pytest.fixture(scope="session")

@@ -158,7 +158,7 @@ def test_criterion_5_decomposition_identity(big_table):
                                         dtype=complex), [])
     gaps.append(abs(logpi_edge_integral(rect, "da")
                     + logpi_edge_integral(rect, "bc") - logpi_quad))
-    dig = digamma_term_integral(rect, FAST_CONFIG)
+    dig = digamma_term_integral(rect)
     gaps.append(abs(dig.value - (-0.5) * pair(digamma_integrand, [])))
     zs = zero_sum_term_integral(rect, big_table, N=5)
     zsings = [complex(0.5, sg * g) for g in big_table.gammas[:5] for sg in (1, -1)]
@@ -169,8 +169,7 @@ def test_criterion_5_decomposition_identity(big_table):
 
 
 def test_criterion_6_digamma_trend():
-    gaps = [digamma_term_integral(Rectangle.paper_mode(ALPHA, BETA, T),
-                                  FAST_CONFIG).limit_gap
+    gaps = [digamma_term_integral(Rectangle.paper_mode(ALPHA, BETA, T)).limit_gap
             for T in (10.0, 100.0, 1000.0)]
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < 1e-2

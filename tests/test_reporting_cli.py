@@ -1,11 +1,15 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import zetacontour.reporting as reporting
 from zetacontour.cli import main
 from zetacontour.reporting import (
+    SUITES,
     RunConfig,
+    ensure_table,
     export_report,
     load_report_json,
     run_suite,
@@ -27,11 +31,47 @@ class TestRunConfig:
         back = RunConfig.from_json_dict(cfg.to_json_dict())
         assert back == cfg
         assert back.config_hash() == cfg.config_hash()
+        assert replace(cfg, threads=1).config_hash() == cfg.config_hash()
 
     def test_hash_changes_with_params(self):
         a = RunConfig(params=(("T", "30"),))
         b = RunConfig(params=(("T", "50"),))
         assert a.config_hash() != b.config_hash()
+
+
+class TestTableResolution:
+    def test_short_file_is_rebuilt_and_saved(self, tmp_path, table120):
+        path = tmp_path / "short.zctab"
+        save_table(table120, path)
+        table = ensure_table(str(path), 130.0)
+        assert table.max_height >= 130.0
+        assert load_table(path) == table
+
+    def test_no_path_writes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        saved = []
+        monkeypatch.setattr(reporting, "save_table", lambda *a: saved.append(a))
+        table = ensure_table(None, 40.0)
+        assert table.max_height == 40.0 and len(table) == 6
+        assert saved == [] and list(tmp_path.iterdir()) == []
+
+    def test_suite_all_reads_one_table(self, tmp_path, big_table, monkeypatch):
+        path = tmp_path / "big.zctab"
+        save_table(big_table, path)
+        loads, builds, seen = [], [], []
+        real_load = reporting.load_table
+        monkeypatch.setattr(reporting, "load_table",
+                            lambda p: loads.append(p) or real_load(p))
+        monkeypatch.setattr(reporting, "find_zeros_up_to",
+                            lambda *a, **k: builds.append(a))
+        # stub bodies record the table they are handed; heights stay real
+        for name, (_, height) in list(SUITES.items()):
+            monkeypatch.setitem(SUITES, name,
+                                (lambda cfg, table: seen.append(table) or [], height))
+        run_suite("all", RunConfig(zero_table_path=str(path)))
+        assert len(loads) == 1 and builds == []
+        assert len(seen) == len(SUITES) and all(t is seen[0] for t in seen)
+        assert seen[0].max_height >= max(h for _, h in SUITES.values())
 
 
 class TestReports:

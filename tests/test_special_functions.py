@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from zetacontour import errors
-from zetacontour.precision import ComplexValue, EulerMascheroni, PrecisionConfig
-from zetacontour.special_functions import (
-    digamma,
+from oracles import (
+    EulerMascheroni,
     digamma_asymptotic,
     digamma_asymptotic_remainder,
     digamma_weierstrass,
+)
+from zetacontour import errors
+from zetacontour.precision import FAST_CONFIG, ComplexValue, PrecisionConfig
+from zetacontour.special_functions import (
+    digamma,
     log_deriv_batch,
     log_deriv_zeta,
     principal_log_arg,
@@ -139,6 +142,16 @@ class TestLogDeriv:
     def test_flag_zone(self, mp_cfg, table120):
         v = log_deriv_zeta(complex(0.5 + 5e-4, 14.134725), mp_cfg, table120)
         assert v.flag is not None
+
+    def test_double_config_below_strip(self):
+        # Re s < -1 leaves the batch engine; the reflection is evaluated in
+        # mpmath with the double config promoted, as for zeta and zeta'
+        for s in (complex(-3.0, 10.0), complex(-6.0, 2.0)):
+            v = log_deriv_zeta(s, FAST_CONFIG)
+            with mp.workdps(40):
+                sm = mp.mpc(s)
+                ref = mp.zeta(sm, derivative=1) / mp.zeta(sm)
+            assert _dist(v, ref) <= v.abs_err
 
     def test_batch_matches_scalar(self, fast_cfg, mp_cfg):
         s = np.array([0.6 + 30j, 0.75 + 10j, 2.0 + 0j])

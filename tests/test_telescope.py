@@ -3,14 +3,13 @@ import math
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from oracles import fixed_point_scan_residual, h_of_f
 from zetacontour import errors
 from zetacontour.contour import Rectangle
 from zetacontour.telescope import (
     arctan_add,
     fixed_point_check,
-    fixed_point_scan_residual,
     h_functions,
-    h_of_f,
     linearize_riccati,
     riccati_iterate,
     s_n_direct,
