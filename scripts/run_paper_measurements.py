@@ -34,13 +34,12 @@ def main() -> int:
                     default=[20.0, 50.0, 100.0])
     ap.add_argument("--tau-hi", type=float, default=500.0)
     ap.add_argument("--tau-step", type=float, default=0.05)
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    table = ensure_table(args.zeros, TABLE_HEIGHT, args.threads)
+    table = ensure_table(args.zeros, TABLE_HEIGHT)
     print(f"zero table {args.zeros}: {len(table.gammas)} zeros to "
           f"{table.max_height:g} ({time.perf_counter() - t0:.1f}s)")
 

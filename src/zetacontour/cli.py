@@ -39,7 +39,6 @@ def _global_flags(p: argparse.ArgumentParser, digits_default: int):
     p.add_argument("--zeros", default=os.environ.get("ZC_ZERO_TABLE"),
                    help="zero-table file (default: $ZC_ZERO_TABLE)")
     p.add_argument("--out", required=False, help="output file")
-    p.add_argument("--threads", type=int, default=1)
 
 
 def _precision(args) -> PrecisionConfig:
@@ -62,7 +61,7 @@ def _rect_from_args(args) -> Rectangle:
 
 
 def cmd_zeros(args) -> int:
-    table = find_zeros_up_to(args.up_to, threads=args.threads)
+    table = find_zeros_up_to(args.up_to)
     out = args.out or args.zeros
     if not out:
         raise MissingTable("give --out (or --zeros) to store the table")
@@ -73,7 +72,7 @@ def cmd_zeros(args) -> int:
 
 def cmd_integrate(args) -> int:
     rect = _rect_from_args(args)
-    table = ensure_table(args.zeros, rect.y1 + 10.0, args.threads)
+    table = ensure_table(args.zeros, rect.y1 + 10.0)
     rep = integrate_rectangle(rect, table, _precision(args), tol=args.quad_tol)
     payload = rep.to_json_dict()
     text = json.dumps(payload, indent=2) + "\n"
@@ -89,8 +88,7 @@ def cmd_decompose(args) -> int:
     if not rect.paper:
         raise ZetaContourError("decompose requires a paper-mode rectangle")
     # the eps2 certification typically needs a table far above T
-    table = ensure_table(args.zeros, max(rect.T * 52.0, rect.T + 10.0),
-                         args.threads)
+    table = ensure_table(args.zeros, max(rect.T * 52.0, rect.T + 10.0))
     cfg = _precision(args)
     contour = integrate_rectangle(rect, table, cfg, tol=args.quad_tol)
     dec = decompose(rect, table, cfg, eps2=args.eps2, quad_tol=args.quad_tol)
@@ -106,7 +104,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_telescope(args) -> int:
     rect = Rectangle.paper_mode(args.alpha, args.beta, args.T)
-    table = ensure_table(args.zeros, args.T + 60.0, args.threads)
+    table = ensure_table(args.zeros, args.T + 60.0)
     n = min(args.N, len(table.gammas))
     tr_f = riccati_iterate("f", n, rect, table)
     tr_g = riccati_iterate("g", n, rect, table)
@@ -142,8 +140,7 @@ def cmd_probe(args) -> int:
     lo, hi, step = _parse_range(args.tau, 3)
     klo, khi = _parse_range(args.K, 2)
     K = SegmentK(klo, khi, t_offset=args.t_offset, samples=args.samples)
-    table = ensure_table(args.zeros, abs(args.t_offset) + hi + 10.0,
-                         args.threads)
+    table = ensure_table(args.zeros, abs(args.t_offset) + hi + 10.0)
     summary = scan(lo, hi, step, K, args.U, args.V, args.eps, table,
                    _precision(args))
     out = args.out or "scan.csv"
@@ -164,8 +161,7 @@ def cmd_probe(args) -> int:
 
 def cmd_suite(args) -> int:
     cfg = RunConfig(precision=_precision(args),
-                    zero_table_path=args.zeros,
-                    threads=args.threads)
+                    zero_table_path=args.zeros)
     report = run_suite(args.name, cfg)
     if args.out:
         export_report(report, "json", args.out)

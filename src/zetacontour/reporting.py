@@ -65,13 +65,12 @@ RNG_SEED = 20260810  # all randomized checks are seeded for reproducibility
 class RunConfig:
     """Everything needed to reproduce a run bit-for-bit.
 
-    ``threads`` only sets how many threads build a missing table; ordinates
-    do not depend on it, so it stays out of ``config_hash``.
+    ``from_json_dict`` ignores keys it does not know, such as the ``threads``
+    of older configs.
     """
 
     precision: PrecisionConfig = DEFAULT_CONFIG
     zero_table_path: Optional[str] = None
-    threads: int = 1
     params: Tuple[Tuple[str, str], ...] = ()
 
     def to_json_dict(self) -> dict:
@@ -83,7 +82,6 @@ class RunConfig:
                 "cutoff_N": self.precision.cutoff_N,
             },
             "zero_table_path": self.zero_table_path,
-            "threads": self.threads,
             "params": dict(self.params),
         }
 
@@ -97,13 +95,11 @@ class RunConfig:
                 euler_maclaurin_terms=p.get("euler_maclaurin_terms", 16),
                 cutoff_N=p.get("cutoff_N", 24)),
             zero_table_path=d.get("zero_table_path"),
-            threads=d.get("threads", 1),
             params=tuple(sorted(d.get("params", {}).items())))
 
     def config_hash(self) -> str:
-        d = self.to_json_dict()
-        del d["threads"]
-        canonical = json.dumps(d, sort_keys=True, separators=(",", ":"))
+        canonical = json.dumps(self.to_json_dict(), sort_keys=True,
+                               separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
 
 
@@ -179,7 +175,7 @@ def load_report_json(path) -> VerificationReport:
 # zero-table resolution
 # ---------------------------------------------------------------------------
 
-def ensure_table(path, min_height: float, threads: int = 1) -> ZeroTable:
+def ensure_table(path, min_height: float) -> ZeroTable:
     """The zero table covering ``min_height``: the one at ``path`` when that
     file exists and is tall enough, otherwise a table built to
     max(min_height, 10) and, when ``path`` is given, saved there."""
@@ -187,7 +183,7 @@ def ensure_table(path, min_height: float, threads: int = 1) -> ZeroTable:
         table = load_table(path)
         if table.max_height >= min_height:
             return table
-    table = find_zeros_up_to(max(min_height, 10.0), threads=threads)
+    table = find_zeros_up_to(max(min_height, 10.0))
     if path:
         save_table(table, path)
     return table
@@ -274,7 +270,7 @@ FIRST_ORDINATES = (14.134725, 21.022040, 25.010858)
 
 def suite_zeros(cfg: RunConfig, table: ZeroTable) -> List[CheckRecord]:
     checks = []
-    small = find_zeros_up_to(30.0, threads=cfg.threads)
+    small = find_zeros_up_to(30.0)
     for i, ref in enumerate(FIRST_ORDINATES):
         checks.append(_pf(f"gamma_{i+1} vs {ref}", abs(small.gammas[i] - ref), 1e-6))
     n100 = count_zeros(100.0, table)
@@ -497,7 +493,7 @@ def run_suite(name: str, cfg: RunConfig) -> VerificationReport:
         raise KeyError(f"unknown suite {name!r}; known: {', '.join(SUITES)}")
     names = list(SUITES) if name == "all" else [name]
     height = max(SUITES[n][1] for n in names)
-    table = (ensure_table(cfg.zero_table_path, height, cfg.threads)
+    table = (ensure_table(cfg.zero_table_path, height)
              if height > 0 else None)
     checks: List[CheckRecord] = []
     for n in names:

@@ -2,8 +2,9 @@
 
 Each shares no code with the library route it checks: the Weierstrass
 product and the bare asymptotic series for digamma, the harmonic-sum limit
-for Euler's constant, the generator h(k) behind a telescoped arctan sum, and
-a brute-force scan for the fixed point of the limiting Riccati map.
+for Euler's constant, the generator h(k) behind a telescoped arctan sum, a
+brute-force scan for the fixed point of the limiting Riccati map, power-series
+arithmetic for the Riemann-Siegel corrections, and mpmath's own zero routines.
 """
 from __future__ import annotations
 
@@ -95,3 +96,64 @@ def fixed_point_scan_residual(a: float, b: float, lo: float, hi: float,
         x = lo + i * step
         best = min(best, abs(x * (-b * x + a) - (a * x + b)))
     return best
+
+
+def riemann_siegel_corrections(degree: int = 80, dps: int = 120):
+    """Taylor coefficients of C_0..C_4 in z = 2p - 1, as mpf lists indexed by
+    the power of z, from power-series arithmetic in x = p - 1/2:
+
+        Psi = cos(2 pi (x^2 - 5/16)) / (-cos(2 pi x)),
+        C_0 = Psi,  C_1 = -Psi^(3)/(96 pi^2),
+        C_2 = Psi^(2)/(64 pi^2) + Psi^(6)/(18432 pi^4),
+        C_3 = -Psi^(1)/(64 pi^2) - Psi^(5)/(3840 pi^4) - Psi^(9)/(5308416 pi^6),
+        C_4 = Psi/(128 pi^2) + 19 Psi^(4)/(24576 pi^4)
+              + 11 Psi^(8)/(5898240 pi^6) + Psi^(12)/(2038431744 pi^8).
+
+    The series division cancels heavily at high order, hence the digits.
+    """
+    with mp.workdps(dps):
+        tp = 2 * mp.pi
+        c, s = mp.cos(5 * mp.pi / 8), mp.sin(5 * mp.pi / 8)
+        num = [mp.mpf(0)] * (degree + 1)
+        den = [mp.mpf(0)] * (degree + 1)
+        for m in range(degree // 2 + 1):
+            if 4 * m <= degree:
+                num[4 * m] += c * (-1) ** m * tp ** (2 * m) / mp.factorial(2 * m)
+            if 4 * m + 2 <= degree:
+                num[4 * m + 2] += s * (-1) ** m * tp ** (2 * m + 1) / mp.factorial(2 * m + 1)
+            den[2 * m] = -((-1) ** m) * tp ** (2 * m) / mp.factorial(2 * m)
+        psi = []
+        for n in range(degree + 1):
+            psi.append((num[n] - mp.fsum(den[k] * psi[n - k] for k in range(1, n + 1)))
+                       / den[0])
+        size = degree - 12 + 1
+
+        def combo(*terms):
+            out = [mp.mpf(0)] * size
+            for coef, j in terms:
+                for i in range(size):
+                    out[i] += coef * psi[i + j] * mp.factorial(i + j) / mp.factorial(i)
+            return [v / mp.mpf(2) ** i for i, v in enumerate(out)]
+
+        pi2 = mp.pi ** 2
+        return [
+            combo((1, 0)),
+            combo((-1 / (96 * pi2), 3)),
+            combo((1 / (64 * pi2), 2), (1 / (18432 * pi2 ** 2), 6)),
+            combo((-1 / (64 * pi2), 1), (-1 / (3840 * pi2 ** 2), 5),
+                  (-1 / (5308416 * pi2 ** 3), 9)),
+            combo((1 / (128 * pi2), 0), (19 / (24576 * pi2 ** 2), 4),
+                  (11 / (5898240 * pi2 ** 3), 8), (1 / (2038431744 * pi2 ** 4), 12)),
+        ]
+
+
+def siegel_z(t: float, dps: int = 30) -> mp.mpf:
+    """Hardy Z(t) by mpmath at ``dps`` digits."""
+    with mp.workdps(dps):
+        return +mp.siegelz(mp.mpf(t))
+
+
+def zero_ordinate(k: int, dps: int = 30) -> float:
+    """Ordinate of the k-th zero on the critical line, by mpmath."""
+    with mp.workdps(dps):
+        return float(mp.zetazero(k).imag)

@@ -11,11 +11,18 @@ ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = """
 import hostclock
 import tracing
-from zetacontour import reporting
+from zetacontour import reporting, zero_finder
 
-tracing.install(tracing.Tracer())
+tracer = tracing.Tracer()
+tracing.install(tracer)
 hostclock.install_hooks(hostclock.HostClock())
 assert reporting.run_suite("telescoping", reporting.RunConfig()).ok
+# the zeros workload counts the zero finder's Euler-Maclaurin points through
+# the wrapped zero_finder.zeta_batch
+table = zero_finder.find_zeros_up_to(300.0)
+m = tracer.layer_metrics()
+assert m["special_functions.batch_points.zero_finder"] > 0, m
+assert m["zero_finder.zeros_found"] == len(table.gammas), m
 """
 
 

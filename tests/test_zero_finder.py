@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zetacontour import errors
+from oracles import riemann_siegel_corrections, siegel_z, zero_ordinate
+from zetacontour import errors, zero_finder
 from zetacontour.contour import Rectangle, integrate_rectangle
 from zetacontour.precision import FAST_CONFIG, PrecisionConfig
 from zetacontour.special_functions import zeta_alternating
@@ -113,11 +114,51 @@ class TestFindZeros:
         with pytest.raises(errors.MissedZeroSuspected):
             broken.audit()
 
-    def test_parallel_scan_matches_serial(self):
-        # disjoint t-intervals merge to the same ordinates regardless of schedule
-        a = find_zeros_up_to(60.0, threads=1)
-        b = find_zeros_up_to(60.0, threads=3)
-        assert a == b
+    def test_session_table_against_mpmath(self, big_table):
+        assert len(big_table.gammas) == mp.nzeros(big_table.max_height) == 4680
+        for k in (1, 100, 1000, 4000, 4680):
+            assert abs(big_table.gammas[k - 1] - zero_ordinate(k)) < 1e-9
+
+    def test_euler_maclaurin_everywhere_gives_same_table(self, monkeypatch):
+        # a Riemann-Siegel bound of infinity sends every point to the fallback
+        table = find_zeros_up_to(600.0)
+        monkeypatch.setattr(zero_finder, "_rs_bound",
+                            lambda t, N: np.full_like(t, np.inf))
+        heights = []
+        batch = zero_finder.zeta_batch
+        monkeypatch.setattr(zero_finder, "zeta_batch",
+                            lambda s, cfg: heights.extend(np.imag(s)) or batch(s, cfg))
+        em_only = find_zeros_up_to(600.0)
+        grid = np.arange(zero_finder.SCAN_START, 600.0, zero_finder.SCAN_STEP)
+        assert np.isin(grid, heights).all()
+        assert len(em_only.gammas) == len(table.gammas)
+        assert np.max(np.abs(np.subtract(em_only.gammas, table.gammas))) <= 2.5e-10
+
+
+class TestRiemannSiegel:
+    def test_coefficients_regenerate(self):
+        ref = riemann_siegel_corrections()
+        # the regenerated C_0 is Psi(p) itself
+        with mp.workdps(30):
+            for p in (mp.mpf("0.1"), mp.mpf("0.5"), mp.mpf("0.77")):
+                psi = mp.cos(2 * mp.pi * (p * p - p - mp.mpf(1) / 16)) / mp.cos(2 * mp.pi * p)
+                assert abs(mp.polyval(ref[0][::-1], 2 * p - 1) - psi) < 1e-25
+        a_min = math.sqrt(zero_finder.RS_MIN_T / (2 * math.pi))
+        for k, row in enumerate(zero_finder._RS_C):
+            same_parity = [float(v) for v in ref[k][k % 2::2]]
+            np.testing.assert_allclose(row, same_parity[:len(row)], rtol=1e-14, atol=0)
+            assert sum(map(abs, same_parity[len(row):])) * a_min ** -k < 1e-17
+
+    def test_error_within_declared_bound(self):
+        rng = np.random.default_rng(20261018)
+        # log-uniform heights, both sides of three changes of
+        # N = floor(sqrt(t/2pi)), and both ends of the domain
+        edges = 2 * math.pi * np.array([10.0, 31.0, 60.0]) ** 2
+        ts = np.concatenate([np.exp(rng.uniform(math.log(200.0), math.log(2.5e4), 30)),
+                             edges - 1e-6, edges + 1e-6, [200.0, 2.5e4]])
+        z, bound = zero_finder._rs_z(ts)
+        for t, zt, b in zip(ts, z, bound):
+            assert abs(mp.mpf(float(zt)) - siegel_z(t)) < b, t
 
 
 class TestCounting:
