@@ -26,9 +26,16 @@ from .reporting import (
     load_report_json,
     run_suite,
 )
-from .telescope import h_functions, riccati_iterate
+from .telescope import h_functions, linearize_riccati, riccati_iterate
 from .universality import SegmentK, scan
-from .zero_finder import find_zeros_up_to, save_table
+from .zero_finder import (
+    backlund_count_bound,
+    find_zeros_up_to,
+    mangoldt_estimate,
+    save_table,
+)
+
+RICCATI_C = 2.0  # the linearization constant C of the trace's P, R columns
 
 
 def _global_flags(p: argparse.ArgumentParser, digits_default: int):
@@ -47,10 +54,7 @@ def _precision(args) -> PrecisionConfig:
         tol = args.tol
     else:
         tol = 1e-11 if digits <= 15 else 10.0 ** (-(digits - 12))
-    terms = 14 if digits <= 15 else 16
-    return PrecisionConfig(working_digits=digits, target_abs_tol=tol,
-                           euler_maclaurin_terms=terms,
-                           cutoff_N=16 if digits <= 15 else 24)
+    return PrecisionConfig(working_digits=digits, target_abs_tol=tol)
 
 
 def _rect_from_args(args) -> Rectangle:
@@ -72,7 +76,7 @@ def cmd_zeros(args) -> int:
 
 def cmd_integrate(args) -> int:
     rect = _rect_from_args(args)
-    table = ensure_table(args.zeros, rect.y1 + 10.0)
+    table = ensure_table(args.zeros, max(abs(rect.y0), abs(rect.y1)) + 10.0)
     rep = integrate_rectangle(rect, table, _precision(args), tol=args.quad_tol)
     payload = rep.to_json_dict()
     text = json.dumps(payload, indent=2) + "\n"
@@ -102,29 +106,49 @@ def cmd_decompose(args) -> int:
     return 0
 
 
+def _height_holding(n: int, height: float) -> float:
+    """The first of height, height + 10, ... at which the counting estimate
+    minus Backlund's bound reaches n, so that a table complete to it holds
+    at least n zeros."""
+    while mangoldt_estimate(height) - backlund_count_bound(height) < n:
+        height += 10.0
+    return height
+
+
 def cmd_telescope(args) -> int:
     rect = Rectangle.paper_mode(args.alpha, args.beta, args.T)
+    n = args.N
     table = ensure_table(args.zeros, args.T + 60.0)
-    n = min(args.N, len(table.gammas))
+    if len(table.gammas) < n:
+        table = ensure_table(args.zeros, _height_holding(n, args.T + 60.0))
     tr_f = riccati_iterate("f", n, rect, table)
     tr_g = riccati_iterate("g", n, rect, table)
+    lin = linearize_riccati(tr_f, RICCATI_C) if n >= 3 else None
     out = args.out or "trace.csv"
     with open(out, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["k", "gamma_k", "h1", "h2", "f", "g",
-                    "wrap_f", "wrap_g", "step_residual"])
+                    "wrap_f", "wrap_g", "step_residual",
+                    "P", "R", "p_gap", "r_gap", "abs_x_over_u"])
         wf = wg = 0
         wrapsets_f = dict(tr_f.wrap_steps)
         wrapsets_g = dict(tr_g.wrap_steps)
         for k in range(1, n + 1):
+            g_k = table.gammas[k - 1]
             h1, h2 = h_functions(k, rect, table)
             wf += wrapsets_f.get(k, 0)
             wg += wrapsets_g.get(k, 0)
-            w.writerow([k, repr(table.gammas[k - 1]), repr(h1), repr(h2),
+            lin_cols = ["", "", "", "", ""]
+            if lin is not None:
+                if k - 1 < len(lin.P_seq):
+                    lin_cols[:4] = [repr(v[k - 1]) for v in (
+                        lin.P_seq, lin.R_seq, lin.p_gaps, lin.r_gaps)]
+                lin_cols[4] = repr(abs(tr_f.iterates[k - 1]) / abs(args.T - g_k))
+            w.writerow([k, repr(g_k), repr(h1), repr(h2),
                         repr(tr_f.iterates[k - 1]), repr(tr_g.iterates[k - 1]),
                         wf, wg,
                         repr(max(tr_f.step_residuals[k - 1],
-                                 tr_g.step_residuals[k - 1]))])
+                                 tr_g.step_residuals[k - 1]))] + lin_cols)
     print(f"trace with N={n} -> {out}")
     return 0
 

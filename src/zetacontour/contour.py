@@ -124,16 +124,23 @@ def _segment_distance(a: complex, b: complex, p: complex) -> float:
 _SING_MARGIN = 5.0  # zeros this far outside the box still shape its panels
 
 
-def singularity_set(rect: Rectangle, zeros: Optional[ZeroTable]) -> List[complex]:
+def singularity_set(rect: Rectangle, zeros: ZeroTable) -> List[complex]:
     """Pole s=1, nearby tabulated zeros (both half-planes), and any trivial
-    zeros -2k the box x-range could reach."""
+    zeros -2k the box x-range could reach.
+
+    Raises TableTooShort unless the table is complete up to the box's
+    largest |Im s| plus the screening margin, so that no zero near the box
+    can be missing from the set."""
+    need = max(abs(rect.y0), abs(rect.y1)) + _SING_MARGIN
+    if zeros.max_height < need:
+        raise TableTooShort(f"zero table reaches {zeros.max_height:g}; screening "
+                            f"this box needs {need:g}")
     sings = [complex(1.0, 0.0)]
-    if zeros is not None:
-        for g in zeros.gammas:
-            if rect.y0 - _SING_MARGIN <= g <= rect.y1 + _SING_MARGIN:
-                sings.append(complex(0.5, g))
-            if rect.y0 - _SING_MARGIN <= -g <= rect.y1 + _SING_MARGIN:
-                sings.append(complex(0.5, -g))
+    for g in zeros.gammas:
+        if rect.y0 - _SING_MARGIN <= g <= rect.y1 + _SING_MARGIN:
+            sings.append(complex(0.5, g))
+        if rect.y0 - _SING_MARGIN <= -g <= rect.y1 + _SING_MARGIN:
+            sings.append(complex(0.5, -g))
     if rect.x0 < -1.5:
         k = 1
         while -2.0 * k >= rect.x0 - _SING_MARGIN:
@@ -292,14 +299,32 @@ class ContourReport:
         return d
 
 
-def integrate_rectangle(rect: Rectangle, zeros: Optional[ZeroTable],
+def _log_deriv_edge(a: complex, b: complex, cfg: PrecisionConfig, tol: float,
+                    sings: Sequence[complex]) -> Tuple[EdgeIntegral, float]:
+    """``integrate_edge`` of zeta'/zeta along [a, b], and the bound on what
+    the evaluation error adds to it: the largest node error times |b - a|."""
+    node_err = 0.0
+
+    def f(z):
+        nonlocal node_err
+        vals, errs = log_deriv_batch(z, cfg)
+        if errs.size:
+            node_err = max(node_err, float(np.max(errs)))
+        return vals
+
+    e = integrate_edge(f, a, b, cfg, tol=tol, singularities=sings)
+    return e, node_err * abs(b - a)
+
+
+def integrate_rectangle(rect: Rectangle, zeros: ZeroTable,
                         cfg: PrecisionConfig = FAST_CONFIG, *,
                         tol: float = 1e-7) -> ContourReport:
     """Quadrature of zeta'/zeta around the rectangle; winding = Z - P inside.
 
     Precondition: no tabulated zero and not the pole s=1 within
     EXCLUSION_RADIUS of the boundary (audited; BoundarySingularity
-    identifies the offender).
+    identifies the offender). The table must cover the box (TableTooShort,
+    see ``singularity_set``).
     """
     sings = singularity_set(rect, zeros)
     clearance = math.inf
@@ -311,23 +336,15 @@ def integrate_rectangle(rect: Rectangle, zeros: Optional[ZeroTable],
     if clearance < EXCLUSION_RADIUS:
         raise BoundarySingularity(f"singularity at {offender}", clearance)
 
-    eval_errs: List[float] = []
-
-    def f(z):
-        vals, errs = log_deriv_batch(z, cfg)
-        eval_errs.append(float(np.max(errs)) if errs.size else 0.0)
-        return vals
-
     edges: Dict[str, EdgeIntegral] = {}
     total = 0.0 + 0.0j
     quad_error = 0.0
     n_evals = 0
     for name, a, b in rect.edges():
-        e = integrate_edge(f, a, b, cfg, tol=tol / 4.0, singularities=sings)
+        e, eval_err = _log_deriv_edge(a, b, cfg, tol / 4.0, sings)
         edges[name] = e
         total += e.value
-        quad_error += e.err + (max(eval_errs) if eval_errs else 0.0) * abs(b - a)
-        eval_errs.clear()
+        quad_error += e.err + eval_err
         n_evals += e.n_evals
     winding_raw = total / complex(0.0, _TWO_PI)
     winding = int(round(winding_raw.real))
@@ -647,14 +664,9 @@ def decompose(rect: Rectangle, zeros: ZeroTable,
     logpi = logpi_term_integral(rect)
     dig = digamma_term_integral(rect)
     sings = singularity_set(rect, zeros)
-
-    def f(z):
-        vals, _ = log_deriv_batch(z, cfg)
-        return vals
-
     c = rect.corners()
-    e_da = integrate_edge(f, c["d"], c["a"], cfg, tol=quad_tol / 2, singularities=sings)
-    e_bc = integrate_edge(f, c["b"], c["c"], cfg, tol=quad_tol / 2, singularities=sings)
+    e_da, eval_da = _log_deriv_edge(c["d"], c["a"], cfg, quad_tol / 2, sings)
+    e_bc, eval_bc = _log_deriv_edge(c["b"], c["c"], cfg, quad_tol / 2, sings)
     direct = e_da.value + e_bc.value
     termwise = pole + logpi + dig.value + full.value + tail_est
     return DecompositionReport(
@@ -663,6 +675,6 @@ def decompose(rect: Rectangle, zeros: ZeroTable,
         tail_bound=fluct + dig.closed_form_err,
         termwise_total=termwise, direct_total=direct,
         residual=abs(termwise - direct),
-        quad_error=e_da.err + e_bc.err + quad_tol,
+        quad_error=e_da.err + eval_da + e_bc.err + eval_bc + quad_tol,
         n_used_eps2=certified.n_used, n_summed=len(zeros.gammas),
         eps2=eps2, n_evals=e_da.n_evals + e_bc.n_evals)

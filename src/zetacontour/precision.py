@@ -1,12 +1,17 @@
 """Working precision, tolerance budget, and the value-with-error-bound type.
 
-Two evaluation engines sit behind one config:
+A ``PrecisionConfig`` is two numbers, ``working_digits`` and
+``target_abs_tol``, and the digits pick one of two engines:
 
 * ``working_digits <= 15``: IEEE double / numpy complex128, vectorized.
   Error estimates carry a roundoff floor of a few 1e-16 times the summed
   magnitudes, so target tolerances below ~1e-12 are rejected.
 * ``working_digits > 15``: mpmath at ``working_digits`` decimal digits plus
   guard digits. Scalar only.
+
+Each engine's Euler-Maclaurin truncation (its Bernoulli-term count, and the
+direct-sum length N escalated with |Im s| until the remainder bound meets
+``target_abs_tol``) is fixed in ``special_functions``, not configured here.
 
 Raising ``working_digits`` with fixed inputs never increases a reported
 error estimate (larger truncation depth, smaller roundoff floor).
@@ -30,26 +35,17 @@ F64_MIN_TOL = 1e-12   # tightest honest target for the double engine
 
 @dataclass(frozen=True)
 class PrecisionConfig:
-    """Precision and truncation knobs shared by every numeric operation.
-
-    ``euler_maclaurin_terms`` is the number of Bernoulli correction terms in
-    the zeta summation; ``cutoff_N`` is the minimum direct-sum truncation
-    (the actual N is escalated with |Im s| until the remainder bound meets
-    ``target_abs_tol``).
-    """
+    """Working digits (which also select the engine) and the absolute error
+    every scalar evaluation must meet."""
 
     working_digits: int = 30
     target_abs_tol: float = 1e-18
-    euler_maclaurin_terms: int = 16
-    cutoff_N: int = 24
 
     def __post_init__(self):
         if self.working_digits <= 0:
             raise ValueError("working_digits must be positive")
         if not self.target_abs_tol > 0:
             raise ValueError("target_abs_tol must be positive")
-        if self.euler_maclaurin_terms <= 0 or self.cutoff_N <= 0:
-            raise ValueError("euler_maclaurin_terms and cutoff_N must be positive")
         if self.uses_f64 and self.target_abs_tol < F64_MIN_TOL:
             raise ValueError(
                 f"target_abs_tol={self.target_abs_tol:g} is below the double-"
@@ -65,15 +61,10 @@ class PrecisionConfig:
         """mpmath working digits including guard digits."""
         return self.working_digits + 10
 
-    @classmethod
-    def fast(cls) -> "PrecisionConfig":
-        """Double-precision engine, for quadrature and bulk scans."""
-        return cls(working_digits=15, target_abs_tol=1e-11,
-                   euler_maclaurin_terms=14, cutoff_N=16)
-
 
 DEFAULT_CONFIG = PrecisionConfig()
-FAST_CONFIG = PrecisionConfig.fast()
+# the double engine, for quadrature and bulk scans
+FAST_CONFIG = PrecisionConfig(working_digits=15, target_abs_tol=1e-11)
 
 
 @dataclass(frozen=True)

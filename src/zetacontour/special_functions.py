@@ -56,6 +56,10 @@ _B2K_OVER_FACT = [float(mp.bernoulli(2 * k) / mp.factorial(2 * k)) for k in rang
 
 _F64_MAX_T = 2.5e4  # desk-scale ceiling; beyond this the plan escalation gives up
 
+# Bernoulli correction terms M of each engine's Euler-Maclaurin sum
+F64_EM_TERMS = 14
+MP_EM_TERMS = 16
+
 
 # ---------------------------------------------------------------------------
 # Euler-Maclaurin plan selection
@@ -75,11 +79,11 @@ def _trunc_bound_log(sigma, t, N, M):
     return lb + lp + (-sigma - 2 * M - 1) * np.log(N) + np.log(tail_factor)
 
 
-def _f64_choose_N(sigma, t, M, cutoff_N, tol):
+def _f64_choose_N(sigma, t, M, tol):
     """Per-point truncation N meeting tol; pure function of the inputs."""
     t = np.abs(np.asarray(t, dtype=float))
     sigma = np.asarray(sigma, dtype=float)
-    N = np.maximum(cutoff_N, np.ceil(0.55 * (t + 2 * M)) + 8).astype(np.int64)
+    N = (np.ceil(0.55 * (t + 2 * M)) + 8).astype(np.int64)
     logtol = math.log(0.25 * tol)
     for _ in range(14):
         bad = _trunc_bound_log(sigma, t, N, M) > logtol
@@ -107,7 +111,8 @@ def _em_f64_group(s, N, M, want_prime):
     NmS = np.exp(-s * lnN)
     vals = vals + N * NmS / (s - 1.0) + 0.5 * NmS
     if want_prime:
-        dvals = -(E * ln_n).sum(axis=1)
+        E *= ln_n  # in place: E is not read again
+        dvals = -E.sum(axis=1)
         dvals = dvals - lnN * N * NmS / (s - 1.0) - N * NmS / (s - 1.0) ** 2
         dvals = dvals - 0.5 * lnN * NmS
     poch = np.ones_like(s)
@@ -171,8 +176,8 @@ def zeta_batch(s_arr, cfg: PrecisionConfig, want_prime: bool = False):
         raise PoleAtOne("batch point inside the exclusion radius of s=1")
     if np.any(np.abs(s.imag) > _F64_MAX_T):
         raise PrecisionExhausted(f"|Im s| beyond the desk ceiling {_F64_MAX_T:g}")
-    M = min(cfg.euler_maclaurin_terms, 20)
-    N = _f64_choose_N(s.real, s.imag, M, cfg.cutoff_N, cfg.target_abs_tol)
+    M = F64_EM_TERMS
+    N = _f64_choose_N(s.real, s.imag, M, cfg.target_abs_tol)
     vals = np.empty_like(s)
     dvals = np.empty_like(s) if want_prime else None
     for Nv in np.unique(N):
@@ -224,10 +229,10 @@ def digamma_batch(z_arr):
 # mpmath engine
 # ---------------------------------------------------------------------------
 
-def _mp_choose_N(s, M, cutoff_N, tol):
+def _mp_choose_N(s, M, tol):
     t = abs(float(mp.im(s)))
     sigma = float(mp.re(s))
-    N = max(cutoff_N, int(math.ceil(0.55 * (t + 2 * M))) + 8,
+    N = max(int(math.ceil(0.55 * (t + 2 * M))) + 8,
             int(math.ceil(1.1 * (-math.log10(tol)))))
     for _ in range(40):
         if float(_trunc_bound_log(sigma, t, N, M)) <= math.log(0.25 * tol):
@@ -237,12 +242,12 @@ def _mp_choose_N(s, M, cutoff_N, tol):
 
 
 def _em_mp(s: mp.mpc, cfg: PrecisionConfig, want_prime: bool):
-    M = cfg.euler_maclaurin_terms
+    M = MP_EM_TERMS
     sigma = float(mp.re(s))
     if sigma + 2 * M + 1 <= 0:
         raise PrecisionExhausted("need sigma + 2M + 1 > 0 for the remainder bound")
     tol = cfg.target_abs_tol
-    N = _mp_choose_N(s, M, cfg.cutoff_N, tol)
+    N = _mp_choose_N(s, M, tol)
     with mp.workdps(cfg.dps):
         acc = mp.mpc(0)
         dacc = mp.mpc(0)
@@ -334,9 +339,8 @@ def _scalar_cfg(cfg: PrecisionConfig) -> PrecisionConfig:
     config promoted to 25 digits (the double engine stops at Re s = -1)."""
     if not cfg.uses_f64:
         return cfg
-    return PrecisionConfig(
-        working_digits=25, target_abs_tol=min(cfg.target_abs_tol, 1e-16),
-        euler_maclaurin_terms=max(cfg.euler_maclaurin_terms, 16), cutoff_N=cfg.cutoff_N)
+    return PrecisionConfig(working_digits=25,
+                           target_abs_tol=min(cfg.target_abs_tol, 1e-16))
 
 
 def _zeta_and_prime(s, cfg: PrecisionConfig, want_prime: bool):

@@ -42,7 +42,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 import mpmath as mp
@@ -54,6 +54,7 @@ from .errors import (
     FormatError,
     MissedZeroSuspected,
     PrecisionExhausted,
+    TableTooShort,
 )
 from .precision import DEFAULT_CONFIG, FAST_CONFIG, PrecisionConfig
 from .special_functions import zeta, zeta_batch
@@ -475,15 +476,17 @@ def find_zeros_up_to(T: float) -> ZeroTable:
     return table
 
 
-def count_zeros(T: float, table: Optional[ZeroTable] = None) -> int:
+def count_zeros(T: float, table: ZeroTable) -> int:
     """Exact census N(T) of zeros with 0 < gamma < T.
 
-    Raises AmbiguousHeight when T sits within table accuracy of an ordinate.
+    Raises TableTooShort when the table is not complete up to T, and
+    AmbiguousHeight when T sits within table accuracy of an ordinate.
     """
     if T <= 0:
         raise DomainError("count_zeros requires T > 0")
-    if table is None or table.max_height < T:
-        table = find_zeros_up_to(max(T + 2.0, 10.0))
+    if table.max_height < T:
+        raise TableTooShort(f"count_zeros({T:g}) on a table complete to "
+                            f"{table.max_height:g}")
     if table.gammas:
         g = table.nearest_gamma(T)
         if abs(g - T) <= table.accuracy:

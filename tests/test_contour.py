@@ -24,6 +24,7 @@ from zetacontour.contour import (
 )
 from zetacontour.precision import FAST_CONFIG
 from zetacontour.telescope import s_n_direct
+from zetacontour.zero_finder import ZeroTable
 
 ALPHA, BETA = 3.0 / 5.0, 4.0 / 5.0
 
@@ -106,6 +107,13 @@ class TestWinding:
     def test_first_zero_box(self, table120):
         rep = integrate_rectangle(Rectangle.box(0.4, 0.6, 14.0, 14.3), table120)
         assert rep.winding == 1
+
+    def test_mirrored_first_zero_box(self, table120):
+        # screening -gamma_1 needs the table to reach |y0|, not y1
+        rect = Rectangle.box(0.4, 0.6, -14.3, -14.0)
+        assert integrate_rectangle(rect, table120).winding == 1
+        with pytest.raises(errors.TableTooShort):
+            integrate_rectangle(rect, ZeroTable((), table120.accuracy, 10.0))
 
     def test_paper_rectangles_wind_zero(self, table120):
         for T in (30.0, 50.0):

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import zetacontour.reporting as reporting
+from zetacontour import zero_finder
 from zetacontour.cli import main
+from zetacontour.precision import FAST_CONFIG
 from zetacontour.reporting import (
     SUITES,
     RunConfig,
@@ -16,6 +21,9 @@ from zetacontour.reporting import (
 from zetacontour.zero_finder import load_table, save_table
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
 @pytest.fixture()
 def table_path(tmp_path, table500):
     p = tmp_path / "zeros.zctab"
@@ -25,7 +33,7 @@ def table_path(tmp_path, table500):
 
 class TestRunConfig:
     def test_round_trip_and_hash(self):
-        cfg = RunConfig(zero_table_path="x.zctab", params=(("T", "30"),))
+        cfg = RunConfig(zero_table_path="x.zctab")
         back = RunConfig.from_json_dict(cfg.to_json_dict())
         assert back == cfg
         assert back.config_hash() == cfg.config_hash()
@@ -33,12 +41,15 @@ class TestRunConfig:
         legacy = RunConfig.from_json_dict(dict(cfg.to_json_dict(), threads=2))
         assert legacy == cfg
         assert legacy.config_hash() == cfg.config_hash() == (
-            "fb56f6edb136177183c452875d8e3414eb8cd441ec59be29595037a77c9bdb30")
+            "b9b19d1609a683de8453aec9d66c9cc784e4c1731c3a5fdb6bfc7227832beaf8")
 
-    def test_hash_changes_with_params(self):
-        a = RunConfig(params=(("T", "30"),))
-        b = RunConfig(params=(("T", "50"),))
-        assert a.config_hash() != b.config_hash()
+    def test_legacy_truncation_and_params_keys_ignored(self):
+        cfg = RunConfig(precision=FAST_CONFIG, zero_table_path="x.zctab")
+        legacy = {"precision": {"working_digits": 15, "target_abs_tol": 1e-11,
+                                "euler_maclaurin_terms": 14, "cutoff_N": 16},
+                  "zero_table_path": "x.zctab", "params": {"T": "30"},
+                  "threads": 2}
+        assert RunConfig.from_json_dict(legacy) == cfg
 
 
 class TestTableResolution:
@@ -110,6 +121,14 @@ class TestReports:
         with pytest.raises(KeyError):
             run_suite("nope", RunConfig())
 
+    def test_zeros_suite_reads_the_resolved_table(self, table_path, monkeypatch):
+        def no_build(*a, **k):
+            raise AssertionError("the zeros suite built a table")
+
+        monkeypatch.setattr(reporting, "find_zeros_up_to", no_build)
+        monkeypatch.setattr(zero_finder, "find_zeros_up_to", no_build)
+        assert run_suite("zeros", RunConfig(zero_table_path=table_path)).ok
+
     @pytest.mark.parametrize("name", ["identities", "zeros", "argument-principle",
                                       "cross-module", "riccati"])
     def test_light_suites_pass(self, name, table_path):
@@ -148,8 +167,22 @@ class TestCli:
                    "--N", "3", "--zeros", table_path, "--out", str(out)])
         assert rc == 0
         lines = out.read_text().strip().split("\n")
-        assert lines[0] == "k,gamma_k,h1,h2,f,g,wrap_f,wrap_g,step_residual"
+        assert lines[0] == ("k,gamma_k,h1,h2,f,g,wrap_f,wrap_g,step_residual,"
+                            "P,R,p_gap,r_gap,abs_x_over_u")
         assert len(lines) == 4
+
+    def test_telescope_writes_N_rows_past_a_short_table(self, tmp_path, table120):
+        # a table to 120 holds fewer than 100 zeros; the trace asks for more
+        path = tmp_path / "short.zctab"
+        save_table(table120, path)
+        out = tmp_path / "trace.csv"
+        rc = main(["telescope", "--alpha", "0.6", "--beta", "0.8", "--T", "30",
+                   "--N", "100", "--zeros", str(path), "--out", str(out)])
+        assert rc == 0
+        rows = out.read_text().strip().split("\n")[1:]
+        assert len(rows) == 100
+        assert all(len(r.split(",")) == 14 for r in rows)
+        assert len(load_table(path)) >= 100
 
     def test_probe_csv(self, tmp_path, table_path):
         out = tmp_path / "scan.csv"
@@ -180,6 +213,18 @@ class TestCli:
                    "--out", str(out)])
         assert rc == 0
 
+    def test_integrate_through_a_mirrored_zero_refuses_fast(self, tmp_path):
+        # the box's lower edge runs through -gamma_1; screening it needs the
+        # zeros down to |y0|, not only up to y1
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        env.pop("ZC_ZERO_TABLE", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "zetacontour.cli", "integrate", "--general",
+             "0.4", "0.6", "-14.134725141734693", "-13"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert "singularity" in proc.stderr
+
     def test_error_exit_code(self, tmp_path, table_path):
         rc = main(["integrate", "--alpha", "0.2", "--beta", "0.8", "--T", "30",
                    "--zeros", table_path, "--out", str(tmp_path / "x.json")])
@@ -195,3 +240,11 @@ class TestCli:
 
         monkeypatch.setitem(reporting.SUITES, "forced", (always_fails, 0.0))
         assert main(["suite", "forced"]) == 1
+
+
+def test_measurement_script_starts():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_paper_measurements.py"),
+         "--help"], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "--out-dir" in proc.stdout

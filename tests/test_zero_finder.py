@@ -170,6 +170,10 @@ class TestCounting:
         with pytest.raises(errors.AmbiguousHeight):
             count_zeros(table500.gammas[0] + 1e-10, table500)
 
+    def test_short_table_refuses(self, table120):
+        with pytest.raises(errors.TableTooShort):
+            count_zeros(121.0, table120)
+
     def test_estimate_value(self):
         assert abs(mangoldt_estimate(100.0) - 29.00) < 5e-3
 
