@@ -17,7 +17,6 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from zetacontour.contour import Rectangle, decompose, integrate_rectangle, paper_total
-from zetacontour.precision import FAST_CONFIG
 from zetacontour.reporting import ensure_table
 from zetacontour.telescope import s_n_direct
 from zetacontour.universality import SegmentK, scan
@@ -46,8 +45,8 @@ def main() -> int:
     rows = []
     for T in args.heights:
         rect = Rectangle.paper_mode(ALPHA, BETA, T)
-        rep = decompose(rect, table, FAST_CONFIG)
-        contour = integrate_rectangle(rect, table, FAST_CONFIG, tol=1e-6)
+        rep = decompose(rect, table)
+        contour = integrate_rectangle(rect, table, tol=1e-6)
         sn = s_n_direct(rect, table, table.count_below(T))
         asserted = paper_total(rect, V=-math.pi, Q=0)
         rows.append({
@@ -77,7 +76,7 @@ def main() -> int:
     K = SegmentK(ALPHA, BETA, 0.0, 33)
     t0 = time.perf_counter()
     summary = scan(0.0, args.tau_hi, args.tau_step, K, 0.0, -math.pi, 0.5,
-                   table, FAST_CONFIG)
+                   table)
     best = summary.best
     print(f"universality scan tau in [0,{args.tau_hi:g}] step {args.tau_step:g}: "
           f"min sup_distance={best.sup_distance:.6f} at tau={best.tau:g}, "

@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Subcommands: zeros, integrate, decompose, telescope, probe, suite, export.
-The zero table defaults to the ZC_ZERO_TABLE environment variable when
---zeros is not given. Exit status is nonzero only when a pass/fail check
-fails or an error aborts a command; measured-only records never fail.
+Subcommands: zeros, integrate, decompose, telescope, probe, suite, export;
+only suite takes --precision-digits and --tol. The zero table defaults to
+the ZC_ZERO_TABLE environment variable when --zeros is not given. Exit
+status is nonzero only when a pass/fail check fails or an error aborts a
+command; measured-only records never fail.
 """
 from __future__ import annotations
 
@@ -38,23 +39,10 @@ from .zero_finder import (
 RICCATI_C = 2.0  # the linearization constant C of the trace's P, R columns
 
 
-def _global_flags(p: argparse.ArgumentParser, digits_default: int):
-    p.add_argument("--precision-digits", type=int, default=digits_default,
-                   help="working decimal digits (<=15 selects the double engine)")
-    p.add_argument("--tol", type=float, default=None,
-                   help="target absolute tolerance per scalar evaluation")
+def _table_flags(p: argparse.ArgumentParser):
     p.add_argument("--zeros", default=os.environ.get("ZC_ZERO_TABLE"),
                    help="zero-table file (default: $ZC_ZERO_TABLE)")
-    p.add_argument("--out", required=False, help="output file")
-
-
-def _precision(args) -> PrecisionConfig:
-    digits = args.precision_digits
-    if args.tol is not None:
-        tol = args.tol
-    else:
-        tol = 1e-11 if digits <= 15 else 10.0 ** (-(digits - 12))
-    return PrecisionConfig(working_digits=digits, target_abs_tol=tol)
+    p.add_argument("--out", help="output file")
 
 
 def _rect_from_args(args) -> Rectangle:
@@ -74,17 +62,20 @@ def cmd_zeros(args) -> int:
     return 0
 
 
-def cmd_integrate(args) -> int:
-    rect = _rect_from_args(args)
-    table = ensure_table(args.zeros, max(abs(rect.y0), abs(rect.y1)) + 10.0)
-    rep = integrate_rectangle(rect, table, _precision(args), tol=args.quad_tol)
-    payload = rep.to_json_dict()
+def _write_json(payload: dict, out) -> int:
     text = json.dumps(payload, indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
+    if out:
+        Path(out).write_text(text)
     else:
         sys.stdout.write(text)
     return 0
+
+
+def cmd_integrate(args) -> int:
+    rect = _rect_from_args(args)
+    table = ensure_table(args.zeros, max(abs(rect.y0), abs(rect.y1)) + 10.0)
+    rep = integrate_rectangle(rect, table, tol=args.quad_tol)
+    return _write_json(rep.to_json_dict(), args.out)
 
 
 def cmd_decompose(args) -> int:
@@ -93,17 +84,11 @@ def cmd_decompose(args) -> int:
         raise ZetaContourError("decompose requires a paper-mode rectangle")
     # the eps2 certification typically needs a table far above T
     table = ensure_table(args.zeros, max(rect.T * 52.0, rect.T + 10.0))
-    cfg = _precision(args)
-    contour = integrate_rectangle(rect, table, cfg, tol=args.quad_tol)
-    dec = decompose(rect, table, cfg, eps2=args.eps2, quad_tol=args.quad_tol)
+    contour = integrate_rectangle(rect, table, tol=args.quad_tol)
+    dec = decompose(rect, table, eps2=args.eps2, quad_tol=args.quad_tol)
     payload = contour.to_json_dict()
     payload["decomposition"] = dec.to_json_dict()
-    text = json.dumps(payload, indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write_json(payload, args.out)
 
 
 def _height_holding(n: int, height: float) -> float:
@@ -164,9 +149,9 @@ def cmd_probe(args) -> int:
     lo, hi, step = _parse_range(args.tau, 3)
     klo, khi = _parse_range(args.K, 2)
     K = SegmentK(klo, khi, t_offset=args.t_offset, samples=args.samples)
-    table = ensure_table(args.zeros, abs(args.t_offset) + hi + 10.0)
-    summary = scan(lo, hi, step, K, args.U, args.V, args.eps, table,
-                   _precision(args))
+    table = ensure_table(args.zeros, max(abs(args.t_offset + lo),
+                                         abs(args.t_offset + hi)) + 10.0)
+    summary = scan(lo, hi, step, K, args.U, args.V, args.eps, table)
     out = args.out or "scan.csv"
     rows = sorted(
         [(r.tau, r.sup_distance, 0) for r in summary.results]
@@ -184,9 +169,9 @@ def cmd_probe(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    cfg = RunConfig(precision=_precision(args),
-                    zero_table_path=args.zeros)
-    report = run_suite(args.name, cfg)
+    digits = args.precision_digits
+    tol = args.tol if args.tol is not None else 10.0 ** (-(digits - 12))
+    report = run_suite(args.name, RunConfig(PrecisionConfig(digits, tol), args.zeros))
     if args.out:
         export_report(report, "json", args.out)
     for c in report.checks:
@@ -210,13 +195,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("zeros", help="build a zero table")
-    _global_flags(p, digits_default=15)
+    _table_flags(p)
     p.add_argument("--up-to", dest="up_to", type=float, required=True)
     p.set_defaults(func=cmd_zeros)
 
     for name, func in (("integrate", cmd_integrate), ("decompose", cmd_decompose)):
         p = sub.add_parser(name, help=f"{name} zeta'/zeta over a rectangle")
-        _global_flags(p, digits_default=15)
+        _table_flags(p)
         p.add_argument("--alpha", type=float)
         p.add_argument("--beta", type=float)
         p.add_argument("--T", type=float)
@@ -229,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
 
     p = sub.add_parser("telescope", help="emit Riccati traces as CSV")
-    _global_flags(p, digits_default=15)
+    _table_flags(p)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--T", type=float, required=True)
@@ -237,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_telescope)
 
     p = sub.add_parser("probe", help="universality shift scan")
-    _global_flags(p, digits_default=15)
+    _table_flags(p)
     p.add_argument("--tau", required=True, help="lo:hi:step")
     p.add_argument("--K", required=True, help="sigma_lo:sigma_hi")
     p.add_argument("--U", type=float, default=0.0)
@@ -248,13 +233,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_probe)
 
     p = sub.add_parser("suite", help="run a verification suite")
-    _global_flags(p, digits_default=30)
+    _table_flags(p)
+    p.add_argument("--precision-digits", type=int, default=30,
+                   help="working decimal digits of the scalar checks (> 15)")
+    p.add_argument("--tol", type=float, default=None,
+                   help="target absolute tolerance per scalar evaluation")
     p.add_argument("name", help="suite id or 'all'")
     p.set_defaults(func=cmd_suite)
 
     p = sub.add_parser("export", help="re-export a JSON report")
-    _global_flags(p, digits_default=30)
     p.add_argument("--report", required=True)
+    p.add_argument("--out", required=True, help="output file")
     p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.set_defaults(func=cmd_export)
     return top

@@ -10,7 +10,7 @@ Quadrature is adaptive composite Gauss-Legendre: panels are pre-split until
 their length is at most twice their distance to the nearest tabulated
 singularity, then each panel is compared against its two halves and
 subdivided until the difference meets its share of the tolerance. Node
-evaluation is batched through the double-precision engine.
+evaluation is batched through the double-precision engine at FAST_CONFIG.
 
 The vertical-edge pair of the classical logarithmic-derivative expansion
 
@@ -37,7 +37,7 @@ from .errors import (
     TableTooShort,
     ToleranceNotMet,
 )
-from .precision import EXCLUSION_RADIUS, FAST_CONFIG, PrecisionConfig
+from .precision import EXCLUSION_RADIUS, FAST_CONFIG
 from .special_functions import digamma_batch, log_deriv_batch
 from .zero_finder import ZeroTable, backlund_count_bound
 
@@ -131,10 +131,8 @@ def singularity_set(rect: Rectangle, zeros: ZeroTable) -> List[complex]:
     Raises TableTooShort unless the table is complete up to the box's
     largest |Im s| plus the screening margin, so that no zero near the box
     can be missing from the set."""
-    need = max(abs(rect.y0), abs(rect.y1)) + _SING_MARGIN
-    if zeros.max_height < need:
-        raise TableTooShort(f"zero table reaches {zeros.max_height:g}; screening "
-                            f"this box needs {need:g}")
+    zeros.require_height(max(abs(rect.y0), abs(rect.y1)) + _SING_MARGIN,
+                         "screening this box")
     sings = [complex(1.0, 0.0)]
     for g in zeros.gammas:
         if rect.y0 - _SING_MARGIN <= g <= rect.y1 + _SING_MARGIN:
@@ -172,6 +170,7 @@ _GL_W = np.array([
     0.12462897125553407, 0.0951585116824926, 0.062253523938647456,
     0.027152459411754176])
 _MAX_WAVES = 40
+_MAX_NODES = 2 ** 20  # per edge; 13x the largest edge measured (77,952 nodes)
 
 
 @dataclass(frozen=True)
@@ -203,8 +202,7 @@ def _presplit(a: complex, b: complex,
 
 
 def integrate_edge(f: Callable[[np.ndarray], np.ndarray], a: complex, b: complex,
-                   cfg: PrecisionConfig = FAST_CONFIG, *,
-                   tol: float = 1e-9,
+                   *, tol: float = 1e-9,
                    singularities: Sequence[complex] = ()) -> EdgeIntegral:
     """Adaptive composite Gauss-Legendre along the segment [a, b].
 
@@ -212,11 +210,9 @@ def integrate_edge(f: Callable[[np.ndarray], np.ndarray], a: complex, b: complex
     pending generation is evaluated in one call per refinement wave. Each
     panel is accepted when |two-half refinement - single panel| falls below
     its length-proportional share of ``tol`` (the halved estimate is kept,
-    which is the Richardson-favored value).
+    which is the Richardson-favored value). A wave that would take the edge
+    past _MAX_NODES evaluations raises ToleranceNotMet instead.
     """
-    if not cfg.uses_f64:
-        raise DomainError("the quadrature engine is double-precision; "
-                          "pass a config with working_digits <= 15")
     if tol < 1e-13:
         raise ToleranceNotMet("requested tolerance below the double floor")
     a = complex(a)
@@ -231,6 +227,10 @@ def integrate_edge(f: Callable[[np.ndarray], np.ndarray], a: complex, b: complex
     for wave in range(_MAX_WAVES):
         if not pending:
             break
+        if n_evals + 3 * _GL_ORDER * len(pending) > _MAX_NODES:
+            raise ToleranceNotMet(
+                f"{len(pending)} panels pending after {n_evals} nodes; the next "
+                f"wave would pass the budget of {_MAX_NODES} nodes")
         nodes = []
         for (pa, pb) in pending:
             m = 0.5 * (pa + pb)
@@ -299,7 +299,7 @@ class ContourReport:
         return d
 
 
-def _log_deriv_edge(a: complex, b: complex, cfg: PrecisionConfig, tol: float,
+def _log_deriv_edge(a: complex, b: complex, tol: float,
                     sings: Sequence[complex]) -> Tuple[EdgeIntegral, float]:
     """``integrate_edge`` of zeta'/zeta along [a, b], and the bound on what
     the evaluation error adds to it: the largest node error times |b - a|."""
@@ -307,17 +307,16 @@ def _log_deriv_edge(a: complex, b: complex, cfg: PrecisionConfig, tol: float,
 
     def f(z):
         nonlocal node_err
-        vals, errs = log_deriv_batch(z, cfg)
+        vals, errs = log_deriv_batch(z, FAST_CONFIG)
         if errs.size:
             node_err = max(node_err, float(np.max(errs)))
         return vals
 
-    e = integrate_edge(f, a, b, cfg, tol=tol, singularities=sings)
+    e = integrate_edge(f, a, b, tol=tol, singularities=sings)
     return e, node_err * abs(b - a)
 
 
-def integrate_rectangle(rect: Rectangle, zeros: ZeroTable,
-                        cfg: PrecisionConfig = FAST_CONFIG, *,
+def integrate_rectangle(rect: Rectangle, zeros: ZeroTable, *,
                         tol: float = 1e-7) -> ContourReport:
     """Quadrature of zeta'/zeta around the rectangle; winding = Z - P inside.
 
@@ -341,7 +340,7 @@ def integrate_rectangle(rect: Rectangle, zeros: ZeroTable,
     quad_error = 0.0
     n_evals = 0
     for name, a, b in rect.edges():
-        e, eval_err = _log_deriv_edge(a, b, cfg, tol / 4.0, sings)
+        e, eval_err = _log_deriv_edge(a, b, tol / 4.0, sings)
         edges[name] = e
         total += e.value
         quad_error += e.err + eval_err
@@ -646,8 +645,7 @@ class DecompositionReport:
                 "eps2": self.eps2}
 
 
-def decompose(rect: Rectangle, zeros: ZeroTable,
-              cfg: PrecisionConfig = FAST_CONFIG, *,
+def decompose(rect: Rectangle, zeros: ZeroTable, *,
               eps2: Optional[float] = None,
               quad_tol: float = 1e-8) -> DecompositionReport:
     """Four-term decomposition of the vertical-edge pair with residual."""
@@ -665,8 +663,8 @@ def decompose(rect: Rectangle, zeros: ZeroTable,
     dig = digamma_term_integral(rect)
     sings = singularity_set(rect, zeros)
     c = rect.corners()
-    e_da, eval_da = _log_deriv_edge(c["d"], c["a"], cfg, quad_tol / 2, sings)
-    e_bc, eval_bc = _log_deriv_edge(c["b"], c["c"], cfg, quad_tol / 2, sings)
+    e_da, eval_da = _log_deriv_edge(c["d"], c["a"], quad_tol / 2, sings)
+    e_bc, eval_bc = _log_deriv_edge(c["b"], c["c"], quad_tol / 2, sings)
     direct = e_da.value + e_bc.value
     termwise = pole + logpi + dig.value + full.value + tail_est
     return DecompositionReport(

@@ -63,7 +63,7 @@ class PrecisionConfig:
 
 
 DEFAULT_CONFIG = PrecisionConfig()
-# the double engine, for quadrature and bulk scans
+# the one double-engine configuration: quadrature, decomposition, scans, zeros
 FAST_CONFIG = PrecisionConfig(working_digits=15, target_abs_tol=1e-11)
 
 

@@ -39,7 +39,8 @@ from .contour import (
     zero_sum_integrand,
     zero_sum_term_integral,
 )
-from .precision import DEFAULT_CONFIG, FAST_CONFIG, PrecisionConfig
+from .errors import DomainError
+from .precision import DEFAULT_CONFIG, PrecisionConfig
 from .special_functions import xi, zeta, zeta_alternating
 from .telescope import (
     fixed_point_check,
@@ -65,6 +66,7 @@ RNG_SEED = 20260810  # all randomized checks are seeded for reproducibility
 class RunConfig:
     """Everything needed to reproduce a run bit-for-bit.
 
+    ``precision`` is the mpmath engine's config for the scalar checks.
     ``from_json_dict`` ignores keys it does not know, such as the ``threads``,
     ``params``, ``euler_maclaurin_terms`` and ``cutoff_N`` of older configs.
     """
@@ -182,10 +184,6 @@ def ensure_table(path, min_height: float) -> ZeroTable:
     return table
 
 
-def _quad_cfg(cfg: RunConfig) -> PrecisionConfig:
-    return cfg.precision if cfg.precision.uses_f64 else FAST_CONFIG
-
-
 # ---------------------------------------------------------------------------
 # suite bodies (one per acceptance criterion)
 # ---------------------------------------------------------------------------
@@ -210,7 +208,7 @@ def _mp_distance(a, b) -> float:
 
 
 def suite_zeta_oracles(cfg: RunConfig, table=None) -> List[CheckRecord]:
-    p = cfg.precision if not cfg.precision.uses_f64 else DEFAULT_CONFIG
+    p = cfg.precision
     with mp.workdps(p.dps):
         checks = [
             _pf("zeta(2) vs pi^2/6", _mp_distance(zeta(2.0, p), mp.pi ** 2 / 6), 1e-12),
@@ -228,7 +226,7 @@ def suite_zeta_oracles(cfg: RunConfig, table=None) -> List[CheckRecord]:
 
 
 def suite_identities(cfg: RunConfig, table=None) -> List[CheckRecord]:
-    p = cfg.precision if not cfg.precision.uses_f64 else DEFAULT_CONFIG
+    p = cfg.precision
     rng = np.random.default_rng(RNG_SEED)
     worst_fe = 0.0
     worst_xi = 0.0
@@ -275,7 +273,6 @@ def suite_zeros(cfg: RunConfig, table: ZeroTable) -> List[CheckRecord]:
 
 
 def suite_argument_principle(cfg: RunConfig, table: ZeroTable) -> List[CheckRecord]:
-    q = _quad_cfg(cfg)
     checks = []
     cases = [
         ("box [0.9,1.1]x[-1,1]", Rectangle.box(0.9, 1.1, -1.0, 1.0), -1),
@@ -284,7 +281,7 @@ def suite_argument_principle(cfg: RunConfig, table: ZeroTable) -> List[CheckReco
         ("D(0.6,0.8,50)", Rectangle.paper_mode(0.6, 0.8, 50.0), 0),
     ]
     for name, rect, expect in cases:
-        rep = integrate_rectangle(rect, table, q, tol=1e-7)
+        rep = integrate_rectangle(rect, table, tol=1e-7)
         checks.append(_pf(f"{name} winding = {expect}",
                           abs(rep.winding - expect), 0.0,
                           note=f"raw={rep.winding_raw:.3e}"))
@@ -294,11 +291,10 @@ def suite_argument_principle(cfg: RunConfig, table: ZeroTable) -> List[CheckReco
 
 
 def suite_decomposition(cfg: RunConfig, table: ZeroTable) -> List[CheckRecord]:
-    q = _quad_cfg(cfg)
     checks = []
     for T in (20.0, 50.0, 100.0):
         rect = Rectangle.paper_mode(3.0 / 5.0, 4.0 / 5.0, T)
-        rep = decompose(rect, table, q, eps2=1.0 / (T * T))
+        rep = decompose(rect, table, eps2=1.0 / (T * T))
         checks.append(_pf(f"decomposition residual, T={T:g}", rep.residual, 1e-4,
                           note=f"n_used_eps2={rep.n_used_eps2}"))
     # per-term closed form vs quadrature on D(3/5, 4/5, 50)
@@ -307,8 +303,8 @@ def suite_decomposition(cfg: RunConfig, table: ZeroTable) -> List[CheckRecord]:
     sings = singularity_set(rect, table)
 
     def pair(f, s):
-        da = integrate_edge(f, c["d"], c["a"], q, tol=1e-10, singularities=s)
-        bc = integrate_edge(f, c["b"], c["c"], q, tol=1e-10, singularities=s)
+        da = integrate_edge(f, c["d"], c["a"], tol=1e-10, singularities=s)
+        bc = integrate_edge(f, c["b"], c["c"], tol=1e-10, singularities=s)
         return da.value + bc.value
 
     checks.append(_pf("pole term closed vs quadrature",
@@ -381,7 +377,6 @@ def suite_telescoping(cfg: RunConfig, table=None) -> List[CheckRecord]:
 
 
 def suite_cross_module(cfg: RunConfig, table: ZeroTable) -> List[CheckRecord]:
-    q = _quad_cfg(cfg)
     rect = Rectangle.paper_mode(3.0 / 5.0, 4.0 / 5.0, 100.0)
     c = rect.corners()
     checks = []
@@ -389,8 +384,8 @@ def suite_cross_module(cfg: RunConfig, table: ZeroTable) -> List[CheckRecord]:
         sn = s_n_direct(rect, table, N)
         sings = [complex(0.5, sg * g) for g in table.gammas[:N] for sg in (1, -1)]
         f = zero_sum_integrand(table, N)
-        da = integrate_edge(f, c["d"], c["a"], q, tol=1e-11, singularities=sings)
-        bc = integrate_edge(f, c["b"], c["c"], q, tol=1e-11, singularities=sings)
+        da = integrate_edge(f, c["d"], c["a"], tol=1e-11, singularities=sings)
+        bc = integrate_edge(f, c["b"], c["c"], tol=1e-11, singularities=sings)
         gap = abs((da.value + bc.value) - 2j * sn.value)
         checks.append(_pf(f"2i S_N vs vertical quadrature, N={N}", gap, 1e-9))
     return checks
@@ -399,25 +394,23 @@ def suite_cross_module(cfg: RunConfig, table: ZeroTable) -> List[CheckRecord]:
 def suite_riccati(cfg: RunConfig, table: ZeroTable) -> List[CheckRecord]:
     rect = Rectangle.paper_mode(3.0 / 5.0, 4.0 / 5.0, 100.0)
     n_trace = min(len(table.gammas), 240)
-    checks = []
-    worst = 0.0
-    for kind in ("f", "g"):
-        tr = riccati_iterate(kind, n_trace, rect, table)
-        worst = max(worst, max(tr.step_residuals))
-        if kind == "f":
-            checks.append(CheckRecord(
-                name="trace f(1)=0", kind="pass_fail",
-                measured=abs(tr.iterates[0]), bound=0.0,
-                passed=tr.iterates[0] == 0.0,
-                note=f"monotone_from={tr.monotone_from} blowup={tr.blowup_index}"))
-    checks.append(_pf("Riccati step identity (mod pi), both kinds", worst, 1e-10))
+    tr_f = riccati_iterate("f", n_trace, rect, table)
+    tr_g = riccati_iterate("g", n_trace, rect, table)
+    worst = max(max(tr_f.step_residuals), max(tr_g.step_residuals))
+    checks = [
+        CheckRecord(
+            name="trace f(1)=0", kind="pass_fail",
+            measured=abs(tr_f.iterates[0]), bound=0.0,
+            passed=tr_f.iterates[0] == 0.0,
+            note=f"monotone_from={tr_f.monotone_from} blowup={tr_f.blowup_index}"),
+        _pf("Riccati step identity (mod pi), both kinds", worst, 1e-10),
+    ]
     fp = fixed_point_check(5.0, 1.0)
     checks.append(CheckRecord(
         name="fixed point x*=(a x*+b)/(-b x*+a) has no real solution",
         kind="pass_fail", measured=0.0, bound=0.0,
         passed=not fp.has_real_fixed_point, note=fp.verdict))
-    tr = riccati_iterate("f", n_trace, rect, table)
-    lin = linearize_riccati(tr, C=2.0)
+    lin = linearize_riccati(tr_f, C=2.0)
     dec_p, dec_r = lin.gaps_decreasing()
     checks.append(CheckRecord(
         name="|P(n)-2C| decreasing on tail", kind="pass_fail",
@@ -434,7 +427,6 @@ def suite_riccati(cfg: RunConfig, table: ZeroTable) -> List[CheckRecord]:
 
 def suite_paper_claims(cfg: RunConfig, table: ZeroTable) -> List[CheckRecord]:
     """Measured-only records; no pass/fail semantics by design."""
-    q = _quad_cfg(cfg)
     rect = Rectangle.paper_mode(3.0 / 5.0, 4.0 / 5.0, 100.0)
     sn = s_n_direct(rect, table, 29)
     checks = [
@@ -442,7 +434,7 @@ def suite_paper_claims(cfg: RunConfig, table: ZeroTable) -> List[CheckRecord]:
         _measured("S_29 pi-residual", sn.pi_residual,
                   note=f"nearest multiple q={sn.q_nearest}"),
     ]
-    rep = integrate_rectangle(rect, table, q, tol=1e-6)
+    rep = integrate_rectangle(rect, table, tol=1e-6)
     asserted = paper_total(rect, V=-math.pi, Q=0)
     checks.append(_measured("asserted rectangle total (V=-pi, Q=0)", asserted))
     checks.append(_measured("measured winding on D(3/5,4/5,100)",
@@ -450,7 +442,7 @@ def suite_paper_claims(cfg: RunConfig, table: ZeroTable) -> List[CheckRecord]:
     checks.append(_measured("gap asserted-total vs measured winding",
                             abs(asserted - rep.winding)))
     K = SegmentK(0.6, 0.8, 0.0, 33)
-    summary = scan(0.0, 500.0, 0.05, K, 0.0, -math.pi, 0.5, table, q)
+    summary = scan(0.0, 500.0, 0.05, K, 0.0, -math.pi, 0.5, table)
     best = summary.best
     checks.append(_measured("universality scan min sup_distance, tau in [0,500]",
                             best.sup_distance, note=f"tau={best.tau!r}"))
@@ -481,6 +473,9 @@ def run_suite(name: str, cfg: RunConfig) -> VerificationReport:
     The zero table is resolved once, at the largest height the suites run
     here need, and every suite reads that one table.
     """
+    if cfg.precision.uses_f64:
+        raise DomainError("the suites' scalar checks run on the mpmath engine; "
+                          "give working_digits > 15")
     if name != "all" and name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {', '.join(SUITES)}")
     names = list(SUITES) if name == "all" else [name]

@@ -191,9 +191,12 @@ def zeta_batch(s_arr, cfg: PrecisionConfig, want_prime: bool = False):
 
 
 def log_deriv_batch(s_arr, cfg: PrecisionConfig):
-    """Vectorized zeta'/zeta with propagated error bounds (double engine)."""
+    """Vectorized zeta'/zeta with propagated error bounds (double engine);
+    PrecisionExhausted where zeta's error bound reaches |zeta|."""
     vals, dvals, errs, derrs = zeta_batch(s_arr, cfg, want_prime=True)
     az = np.abs(vals)
+    if np.any(errs >= az):
+        raise PrecisionExhausted("|zeta| within its error bound at a batch point")
     ld = dvals / vals
     lerr = (derrs + np.abs(ld) * errs) / az
     return ld, lerr
@@ -436,14 +439,18 @@ def log_deriv_zeta(s, cfg: PrecisionConfig = DEFAULT_CONFIG,
     Raises NearSingularity inside EXCLUSION_RADIUS of the pole s=1, a
     tabulated nontrivial zero 1/2 +- i gamma, or a trivial zero -2k. Between
     EXCLUSION_RADIUS and FLAG_RADIUS the value is returned with ``flag`` set.
+    TableTooShort unless ``zeros`` reaches |Im s| + FLAG_RADIUS;
+    PrecisionExhausted where zeta's error bound reaches |zeta|.
     """
     sc = as_complex(s)
     flag = None
     candidates = [("pole s=1", abs(sc - 1.0))]
-    if zeros is not None and len(zeros.gammas) > 0:
-        g = zeros.nearest_gamma(abs(sc.imag))
-        d = math.hypot(sc.real - 0.5, abs(sc.imag) - g)
-        candidates.append((f"zero 1/2+{g:.6f}i", d))
+    if zeros is not None:
+        zeros.require_height(abs(sc.imag) + FLAG_RADIUS, "screening this point")
+        if zeros.gammas:
+            g = zeros.nearest_gamma(abs(sc.imag))
+            d = math.hypot(sc.real - 0.5, abs(sc.imag) - g)
+            candidates.append((f"zero 1/2+{g:.6f}i", d))
     if sc.real < -1.0:
         k = max(1, round(-sc.real / 2.0))
         candidates.append((f"trivial zero -{2 * k}",
@@ -454,11 +461,14 @@ def log_deriv_zeta(s, cfg: PrecisionConfig = DEFAULT_CONFIG,
     if dist < FLAG_RADIUS:
         flag = f"within {FLAG_RADIUS:g} of {which}"
     v, dv, e, de = _zeta_and_prime(s, cfg, want_prime=True)
+    # np.abs, not abs: the builtin rounds complex128 moduli differently
+    av = float(np.abs(v))
+    if e >= av:
+        raise PrecisionExhausted(f"|zeta| = {av:.2e} within its bound at s = {sc}")
     # mpmath operands carry the engine's digits; so must their quotient
     with mp.workdps(_scalar_cfg(cfg).dps):
         ld = dv / v
-    # np.abs, not abs: the builtin rounds complex128 moduli differently
-    err = (de + float(np.abs(ld)) * e) / float(np.abs(v))
+    err = (de + float(np.abs(ld)) * e) / av
     return ComplexValue(ld.real, ld.imag, err, flag)
 
 

@@ -10,7 +10,8 @@ probe measures
 a grid lower bound on the true sup. A scan over tau reports the fraction of
 shifts below eps (the desk-scale proxy for the limit-measure density) and the
 best shifts found. Witnesses are expected to be astronomically rare at desk
-scale; the contract here is measurement, never existence.
+scale; the contract here is measurement, never existence. The zero table must
+reach the tallest shifted segment plus FLAG_RADIUS (TableTooShort otherwise).
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import DomainError, NearSingularity
-from .precision import FAST_CONFIG, FLAG_RADIUS, PrecisionConfig
+from .precision import FAST_CONFIG, FLAG_RADIUS
 from .special_functions import log_deriv_batch
 from .zero_finder import ZeroTable
 
@@ -79,23 +80,23 @@ def _segment_zero_distance(K: SegmentK, tau: float, zeros: ZeroTable) -> float:
 
 
 def sup_distance(tau: float, K: SegmentK, U: float, V: float,
-                 zeros: ZeroTable,
-                 cfg: PrecisionConfig = FAST_CONFIG) -> ProbeResult:
+                 zeros: ZeroTable) -> ProbeResult:
     """Grid sup of |zeta'/zeta on the shifted segment minus (U+iV)|; raises
     NearSingularity when a tabulated zero is within FLAG_RADIUS of it."""
+    zeros.require_height(abs(K.t_offset + tau) + FLAG_RADIUS,
+                         "screening this shift")
     d = _segment_zero_distance(K, tau, zeros)
     if d < FLAG_RADIUS:
         raise NearSingularity(f"zero near shifted segment at tau={tau}", d)
     s = K.grid() + 1j * (K.t_offset + tau)
-    vals, _ = log_deriv_batch(s, cfg)
+    vals, _ = log_deriv_batch(s, FAST_CONFIG)
     dist = np.abs(vals - complex(U, V))
     return ProbeResult(tau=float(tau), sup_distance=float(dist.max()),
                        samples_used=K.samples)
 
 
 def scan(tau_lo: float, tau_hi: float, step: float, K: SegmentK,
-         U: float, V: float, eps: float, zeros: ZeroTable,
-         cfg: PrecisionConfig = FAST_CONFIG) -> ScanSummary:
+         U: float, V: float, eps: float, zeros: ZeroTable) -> ScanSummary:
     """Deterministic tau scan; shifts within FLAG_RADIUS of a tabulated zero
     are skipped and reported, not errored."""
     if step <= 0:
@@ -104,6 +105,8 @@ def scan(tau_lo: float, tau_hi: float, step: float, K: SegmentK,
         raise DomainError("need tau_hi >= tau_lo")
     count = int(math.floor((tau_hi - tau_lo) / step + 1e-12)) + 1
     taus = tau_lo + step * np.arange(count)
+    zeros.require_height(float(np.max(np.abs(K.t_offset + taus))) + FLAG_RADIUS,
+                         "screening these shifts")
     keep = []
     skipped: List[float] = []
     for tau in taus:
@@ -117,7 +120,7 @@ def scan(tau_lo: float, tau_hi: float, step: float, K: SegmentK,
     for lo in range(0, len(keep), _SCAN_BATCH):
         chunk = np.asarray(keep[lo:lo + _SCAN_BATCH])
         s = (sig[None, :] + 1j * (K.t_offset + chunk)[:, None]).ravel()
-        vals, _ = log_deriv_batch(s, cfg)
+        vals, _ = log_deriv_batch(s, FAST_CONFIG)
         sup = np.abs(vals.reshape(len(chunk), K.samples) - target).max(axis=1)
         results.extend(ProbeResult(tau=float(t), sup_distance=float(sd),
                                    samples_used=K.samples)

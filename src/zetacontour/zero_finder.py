@@ -309,6 +309,12 @@ class ZeroTable:
     def count_below(self, T: float) -> int:
         return bisect_left(self.gammas, T)
 
+    def require_height(self, height: float, what: str) -> None:
+        """TableTooShort unless complete up to ``height``, which ``what`` needs."""
+        if self.max_height < height:
+            raise TableTooShort(f"zero table reaches {self.max_height:g}; "
+                                f"{what} needs {height:g}")
+
     def nearest_gamma(self, t: float) -> float:
         if not self.gammas:
             raise ValueError("empty table")
@@ -484,9 +490,7 @@ def count_zeros(T: float, table: ZeroTable) -> int:
     """
     if T <= 0:
         raise DomainError("count_zeros requires T > 0")
-    if table.max_height < T:
-        raise TableTooShort(f"count_zeros({T:g}) on a table complete to "
-                            f"{table.max_height:g}")
+    table.require_height(T, f"count_zeros({T:g})")
     if table.gammas:
         g = table.nearest_gamma(T)
         if abs(g - T) <= table.accuracy:

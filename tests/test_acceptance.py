@@ -27,7 +27,7 @@ from zetacontour.contour import (
     zero_sum_integrand,
     zero_sum_term_integral,
 )
-from zetacontour.precision import DEFAULT_CONFIG, FAST_CONFIG
+from zetacontour.precision import DEFAULT_CONFIG
 from zetacontour.reporting import RunConfig, export_report, run_suite
 from zetacontour.special_functions import xi, zeta, zeta_alternating
 from zetacontour.telescope import (
@@ -124,7 +124,7 @@ def test_criterion_4_argument_principle(table120):
         (Rectangle.paper_mode(0.6, 0.8, 50.0), 0),
     ]:
         t0 = time.monotonic()
-        rep = integrate_rectangle(rect, table120, FAST_CONFIG, tol=1e-7)
+        rep = integrate_rectangle(rect, table120, tol=1e-7)
         elapsed = time.monotonic() - t0
         assert elapsed < 60.0
         assert rep.winding == expect
@@ -138,7 +138,7 @@ def test_criterion_5_decomposition_identity(big_table):
     residuals = []
     for T in (20.0, 50.0, 100.0):
         rep = decompose(Rectangle.paper_mode(ALPHA, BETA, T), big_table,
-                        FAST_CONFIG, eps2=1.0 / (T * T))
+                        eps2=1.0 / (T * T))
         assert rep.residual <= 1e-4
         residuals.append(rep.residual)
     # per-term closed form vs quadrature at 1e-8
@@ -146,9 +146,9 @@ def test_criterion_5_decomposition_identity(big_table):
     c = rect.corners()
 
     def pair(f, sings):
-        da = integrate_edge(f, c["d"], c["a"], FAST_CONFIG, tol=1e-10,
+        da = integrate_edge(f, c["d"], c["a"], tol=1e-10,
                             singularities=sings)
-        bc = integrate_edge(f, c["b"], c["c"], FAST_CONFIG, tol=1e-10,
+        bc = integrate_edge(f, c["b"], c["c"], tol=1e-10,
                             singularities=sings)
         return da.value + bc.value
 
@@ -212,9 +212,9 @@ def test_criterion_8_cross_module_identity(table120):
         sn = s_n_direct(rect, table120, N)
         sings = [complex(0.5, sg * g) for g in table120.gammas[:N] for sg in (1, -1)]
         f = zero_sum_integrand(table120, N)
-        da = integrate_edge(f, c["d"], c["a"], FAST_CONFIG, tol=1e-11,
+        da = integrate_edge(f, c["d"], c["a"], tol=1e-11,
                             singularities=sings)
-        bc = integrate_edge(f, c["b"], c["c"], FAST_CONFIG, tol=1e-11,
+        bc = integrate_edge(f, c["b"], c["c"], tol=1e-11,
                             singularities=sings)
         gaps.append(abs((da.value + bc.value) - 2j * sn.value))
     assert max(gaps) <= 1e-9
@@ -244,14 +244,14 @@ def test_criterion_9_riccati_suite(table500):
 def test_criterion_10_measured_only_reproducibility(big_table, tmp_path):
     rect = Rectangle.paper_mode(ALPHA, BETA, 100.0)
     sn = s_n_direct(rect, big_table, 29)
-    rep = integrate_rectangle(rect, big_table, FAST_CONFIG, tol=1e-6)
+    rep = integrate_rectangle(rect, big_table, tol=1e-6)
     asserted = paper_total(rect, V=-math.pi, Q=0)
     K = SegmentK(0.6, 0.8, 0.0, 33)
-    summary = scan(0.0, 500.0, 0.05, K, 0.0, -math.pi, 0.5, big_table, FAST_CONFIG)
+    summary = scan(0.0, 500.0, 0.05, K, 0.0, -math.pi, 0.5, big_table)
     # emitted deterministically: a second full pass must agree bit for bit
     sn2 = s_n_direct(rect, big_table, 29)
-    rep2 = integrate_rectangle(rect, big_table, FAST_CONFIG, tol=1e-6)
-    summary2 = scan(0.0, 500.0, 0.05, K, 0.0, -math.pi, 0.5, big_table, FAST_CONFIG)
+    rep2 = integrate_rectangle(rect, big_table, tol=1e-6)
+    summary2 = scan(0.0, 500.0, 0.05, K, 0.0, -math.pi, 0.5, big_table)
     assert sn == sn2
     assert rep.winding_raw == rep2.winding_raw
     assert summary == summary2

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from zetacontour.contour import (
     zero_tail_estimate,
 )
 from zetacontour.precision import FAST_CONFIG
+from zetacontour.special_functions import log_deriv_batch
 from zetacontour.telescope import s_n_direct
 from zetacontour.zero_finder import ZeroTable
 
@@ -31,8 +33,8 @@ ALPHA, BETA = 3.0 / 5.0, 4.0 / 5.0
 
 def vertical_pair(f, rect, tol=1e-10, sings=()):
     c = rect.corners()
-    da = integrate_edge(f, c["d"], c["a"], FAST_CONFIG, tol=tol, singularities=sings)
-    bc = integrate_edge(f, c["b"], c["c"], FAST_CONFIG, tol=tol, singularities=sings)
+    da = integrate_edge(f, c["d"], c["a"], tol=tol, singularities=sings)
+    bc = integrate_edge(f, c["b"], c["c"], tol=tol, singularities=sings)
     return da.value + bc.value, da.err + bc.err
 
 
@@ -63,39 +65,56 @@ class TestIntegrateEdge:
     def test_constant_integrand(self):
         T = 7.0
         e = integrate_edge(lambda z: np.ones_like(z), complex(ALPHA, -T),
-                           complex(ALPHA, T), FAST_CONFIG, tol=1e-12)
+                           complex(ALPHA, T), tol=1e-12)
         assert abs(e.value - 2j * T) < 1e-12
 
     def test_pole_term_edge(self):
         # int_DA ds/(1-s) = 2i arctan(T/(1-beta))
         T = 40.0
         e = integrate_edge(pole_integrand, complex(BETA, -T), complex(BETA, T),
-                           FAST_CONFIG, tol=1e-12, singularities=[1.0 + 0j])
+                           tol=1e-12, singularities=[1.0 + 0j])
         assert abs(e.value - 2j * math.atan(T / (1.0 - BETA))) < 1e-10
 
     def test_logpi_edge(self):
         T = 10.0
         f = lambda z: np.full(len(z), 0.5 * math.log(math.pi), dtype=complex)
         e = integrate_edge(f, complex(BETA, -T), complex(BETA, T),
-                           FAST_CONFIG, tol=1e-13)
+                           tol=1e-13)
         assert abs(e.value - 1j * T * math.log(math.pi)) < 1e-12
 
     def test_orientation_reversal(self):
         a, b = complex(BETA, -5.0), complex(BETA, 5.0)
-        fwd = integrate_edge(pole_integrand, a, b, FAST_CONFIG, tol=1e-12)
-        rev = integrate_edge(pole_integrand, b, a, FAST_CONFIG, tol=1e-12)
+        fwd = integrate_edge(pole_integrand, a, b, tol=1e-12)
+        rev = integrate_edge(pole_integrand, b, a, tol=1e-12)
         assert abs(fwd.value + rev.value) < 1e-13
 
     def test_singularity_on_path(self, table120):
         g1 = table120.gammas[0]
         with pytest.raises(errors.SingularityOnPath):
             integrate_edge(pole_integrand, complex(0.5, g1 - 1.0),
-                           complex(0.5, g1 + 1.0), FAST_CONFIG,
+                           complex(0.5, g1 + 1.0),
                            singularities=[complex(0.5, g1)])
 
     def test_tolerance_floor(self):
         with pytest.raises(errors.ToleranceNotMet):
-            integrate_edge(pole_integrand, 0j, 1j, FAST_CONFIG, tol=1e-15)
+            integrate_edge(pole_integrand, 0j, 1j, tol=1e-15)
+
+    def test_unscreened_zero_on_path_stops_at_the_node_budget(self):
+        # the bottom edge of [0.4,0.6]x[-gamma_1,-13] runs through a zero that
+        # is not passed as a singularity; its waves grow ~1.9x each, so only
+        # the node budget ends the run in seconds rather than minutes
+        g1 = 14.134725141734693
+        seen = []
+
+        def f(z):
+            seen.append(z.size)
+            return log_deriv_batch(z, FAST_CONFIG)[0]
+
+        t0 = time.perf_counter()
+        with pytest.raises(errors.ToleranceNotMet):
+            integrate_edge(f, complex(0.4, -g1), complex(0.6, -g1), tol=2.5e-9)
+        assert time.perf_counter() - t0 < 60.0
+        assert sum(seen) <= contour._MAX_NODES
 
 
 class TestWinding:
@@ -145,9 +164,9 @@ class TestWinding:
         f = lambda z: log_deriv_batch(z, FAST_CONFIG)[0]
         fwd = rev = 0j
         for _, a, b in rect.edges():
-            fwd += integrate_edge(f, a, b, FAST_CONFIG, tol=1e-9,
+            fwd += integrate_edge(f, a, b, tol=1e-9,
                                   singularities=sings).value
-            rev += integrate_edge(f, b, a, FAST_CONFIG, tol=1e-9,
+            rev += integrate_edge(f, b, a, tol=1e-9,
                                   singularities=sings).value
         assert abs(fwd + rev) < 1e-8
 

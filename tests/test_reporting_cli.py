@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,8 @@ import pytest
 
 import zetacontour.reporting as reporting
 from zetacontour import zero_finder
-from zetacontour.cli import main
+from zetacontour.cli import build_parser, main
+from zetacontour.errors import DomainError
 from zetacontour.precision import FAST_CONFIG
 from zetacontour.reporting import (
     SUITES,
@@ -229,6 +231,37 @@ class TestCli:
         rc = main(["integrate", "--alpha", "0.2", "--beta", "0.8", "--T", "30",
                    "--zeros", table_path, "--out", str(tmp_path / "x.json")])
         assert rc == 2
+
+    def test_each_subcommand_takes_only_the_flags_it_reads(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        options = {name: {o for a in p._actions for o in a.option_strings}
+                   for name, p in sub.choices.items()}
+        common = {"-h", "--help"}
+        table = common | {"--zeros", "--out"}
+        box = table | {"--alpha", "--beta", "--T", "--general", "--quad-tol"}
+        assert options == {
+            "zeros": table | {"--up-to"},
+            "integrate": box,
+            "decompose": box | {"--eps2"},
+            "telescope": table | {"--alpha", "--beta", "--T", "--N"},
+            "probe": table | {"--tau", "--K", "--U", "--V", "--eps",
+                              "--samples", "--t-offset"},
+            "suite": table | {"--precision-digits", "--tol"},
+            "export": common | {"--report", "--format", "--out"},
+        }
+
+    def test_export_needs_out(self, tmp_path):
+        report = tmp_path / "suite.json"
+        assert main(["suite", "telescoping", "--out", str(report)]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["export", "--report", str(report)])
+        assert exc.value.code == 2
+
+    def test_suite_refuses_the_double_engine(self):
+        assert main(["suite", "telescoping", "--precision-digits", "15"]) == 2
+        with pytest.raises(DomainError):
+            run_suite("telescoping", RunConfig(precision=FAST_CONFIG))
 
     def test_failing_check_exit_code(self, monkeypatch):
         import zetacontour.reporting as reporting

@@ -159,6 +159,24 @@ class TestLogDeriv:
             ref = log_deriv_zeta(complex(si), mp_cfg)
             assert abs(vi - complex(ref)) <= ei + ref.abs_err
 
+    def test_refuses_where_the_bound_covers_zeta(self, fast_cfg):
+        # at the first zero |zeta| ~ 1e-15 sits inside its bound ~ 7e-15, so
+        # the quotient has no bound at all
+        s = complex(0.5, 14.134725141734693)
+        with pytest.raises(errors.PrecisionExhausted):
+            log_deriv_batch(np.array([0.6 + 30j, s]), fast_cfg)
+        with pytest.raises(errors.PrecisionExhausted):
+            log_deriv_zeta(s, fast_cfg)
+
+    def test_untabulated_zero_refuses(self, mp_cfg, table120, big_table):
+        # the first zero above 120 is missing from table120: screening the
+        # point needs the table to reach it
+        g = next(g for g in big_table.gammas if g > 120.0)
+        with pytest.raises(errors.TableTooShort):
+            log_deriv_zeta(complex(0.5, g), mp_cfg, table120)
+        with pytest.raises(errors.NearSingularity):
+            log_deriv_zeta(complex(0.5, g), mp_cfg, big_table)
+
 
 class TestDigamma:
     def test_at_1_is_minus_euler(self, mp_cfg):

@@ -54,6 +54,26 @@ class TestSupDistance:
         assert abs(b - a) <= 3.0 * lip * delta + 1e-9
 
 
+class TestTableCoverage:
+    def test_scan_across_an_untabulated_zero_refuses(self, table120, big_table):
+        K = SegmentK(0.5 + 2e-4, 0.8, samples=5)
+        g = next(g for g in big_table.gammas if g > 120.0)
+        with pytest.raises(errors.TableTooShort):
+            scan(g - 0.001, g + 0.001, 0.0005, K, 0.0, 0.0, 1.0, table120)
+        summary = scan(g - 0.001, g + 0.001, 0.0005, K, 0.0, 0.0, 1.0, big_table)
+        assert len(summary.skipped) >= 1
+
+    def test_scan_counts_the_offset(self, table120):
+        K = SegmentK(0.6, 0.8, samples=5, t_offset=100.0)
+        with pytest.raises(errors.TableTooShort):
+            scan(0.0, 30.0, 1.0, K, 0.0, -math.pi, 0.5, table120)
+
+    def test_sup_distance_above_the_table_refuses(self, table120):
+        K = SegmentK(0.6, 0.8, samples=5)
+        with pytest.raises(errors.TableTooShort):
+            sup_distance(125.0, K, 0.0, -math.pi, table120)
+
+
 class TestScan:
     def test_eps_extremes(self, table120):
         K = SegmentK(0.6, 0.8, samples=5)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import riemann_siegel_corrections, siegel_z, zero_ordinate
 from zetacontour import errors, zero_finder
 from zetacontour.contour import Rectangle, integrate_rectangle
-from zetacontour.precision import FAST_CONFIG, PrecisionConfig
+from zetacontour.precision import PrecisionConfig
 from zetacontour.special_functions import zeta_alternating
 from zetacontour.zero_finder import (
     ZeroTable,
@@ -105,7 +105,7 @@ class TestFindZeros:
     def test_contour_census_audit(self, table120):
         # winding on [-1,2]x[-1,30] counts the zeros up to 30 minus the pole
         rep = integrate_rectangle(Rectangle.box(-1.0, 2.0, -1.0, 30.0),
-                                  table120, FAST_CONFIG, tol=1e-6)
+                                  table120, tol=1e-6)
         assert rep.winding == count_zeros(30.0, table120) - 1
 
     def test_audit_catches_missing_first_zero(self, table120):
