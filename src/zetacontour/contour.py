@@ -104,21 +104,17 @@ class Rectangle:
         return [("da", c["d"], c["a"]), ("ab", c["a"], c["b"]),
                 ("bc", c["b"], c["c"]), ("cd", c["c"], c["d"])]
 
-    def boundary_distance(self, p: complex) -> float:
-        return min(_segment_distance(a, b, p) for _, a, b in self.edges())
-
     def contains(self, p: complex) -> bool:
         return self.x0 < p.real < self.x1 and self.y0 < p.imag < self.y1
 
 
-def _segment_distance(a: complex, b: complex, p: complex) -> float:
+def _segment_distances(a: complex, b: complex, p: np.ndarray) -> np.ndarray:
+    """Distance from the segment [a, b] to each point of the complex array p."""
     ab = b - a
     L2 = (ab.real * ab.real + ab.imag * ab.imag)
-    if L2 == 0.0:
-        return abs(p - a)
-    t = ((p - a).real * ab.real + (p - a).imag * ab.imag) / L2
-    t = min(1.0, max(0.0, t))
-    return abs(a + t * ab - p)
+    t = 0.0 if L2 == 0.0 else np.clip(
+        ((p.real - a.real) * ab.real + (p.imag - a.imag) * ab.imag) / L2, 0.0, 1.0)
+    return np.hypot(a.real + t * ab.real - p.real, a.imag + t * ab.imag - p.imag)
 
 
 _SING_MARGIN = 5.0  # zeros this far outside the box still shape its panels
@@ -170,7 +166,7 @@ _GL_W = np.array([
     0.12462897125553407, 0.0951585116824926, 0.062253523938647456,
     0.027152459411754176])
 _MAX_WAVES = 40
-_MAX_NODES = 2 ** 20  # per edge; 13x the largest edge measured (77,952 nodes)
+_MAX_NODES = 2 ** 20  # refinement nodes per edge, after the presplit wave
 
 
 @dataclass(frozen=True)
@@ -185,10 +181,11 @@ def _presplit(a: complex, b: complex,
     out = []
     stack = [(a, b)]
     total = abs(b - a)
+    pts = np.array(sings, dtype=np.complex128)
     while stack:
         pa, pb = stack.pop()
         L = abs(pb - pa)
-        d = min((_segment_distance(pa, pb, p) for p in sings), default=math.inf)
+        d = float(np.min(_segment_distances(pa, pb, pts), initial=math.inf))
         if d < EXCLUSION_RADIUS:
             raise SingularityOnPath(
                 f"segment [{pa}, {pb}] within {d:.2e} of a singularity")
@@ -210,8 +207,10 @@ def integrate_edge(f: Callable[[np.ndarray], np.ndarray], a: complex, b: complex
     pending generation is evaluated in one call per refinement wave. Each
     panel is accepted when |two-half refinement - single panel| falls below
     its length-proportional share of ``tol`` (the halved estimate is kept,
-    which is the Richardson-favored value). A wave that would take the edge
-    past _MAX_NODES evaluations raises ToleranceNotMet instead.
+    which is the Richardson-favored value). A refinement wave that would take
+    the edge past _MAX_NODES evaluations beyond the first (presplit) wave
+    raises ToleranceNotMet instead; the first wave grows with the edge's
+    length and zero density and is never refused.
     """
     if tol < 1e-13:
         raise ToleranceNotMet("requested tolerance below the double floor")
@@ -224,13 +223,14 @@ def integrate_edge(f: Callable[[np.ndarray], np.ndarray], a: complex, b: complex
     value = 0.0 + 0.0j
     err = 0.0
     n_evals = 0
+    first_wave = 3 * _GL_ORDER * len(pending)
     for wave in range(_MAX_WAVES):
         if not pending:
             break
-        if n_evals + 3 * _GL_ORDER * len(pending) > _MAX_NODES:
+        if n_evals - first_wave + 3 * _GL_ORDER * len(pending) > _MAX_NODES:
             raise ToleranceNotMet(
                 f"{len(pending)} panels pending after {n_evals} nodes; the next "
-                f"wave would pass the budget of {_MAX_NODES} nodes")
+                f"wave would pass the budget of {_MAX_NODES} refinement nodes")
         nodes = []
         for (pa, pb) in pending:
             m = 0.5 * (pa + pb)
@@ -326,14 +326,12 @@ def integrate_rectangle(rect: Rectangle, zeros: ZeroTable, *,
     see ``singularity_set``).
     """
     sings = singularity_set(rect, zeros)
-    clearance = math.inf
-    offender = None
-    for p in sings:
-        d = rect.boundary_distance(p)
-        if d < clearance:
-            clearance, offender = d, p
+    pts = np.array(sings, dtype=np.complex128)
+    dist = np.min([_segment_distances(a, b, pts) for _, a, b in rect.edges()], axis=0)
+    k = int(np.argmin(dist))
+    clearance = float(dist[k])
     if clearance < EXCLUSION_RADIUS:
-        raise BoundarySingularity(f"singularity at {offender}", clearance)
+        raise BoundarySingularity(f"singularity at {sings[k]}", clearance)
 
     edges: Dict[str, EdgeIntegral] = {}
     total = 0.0 + 0.0j

@@ -114,7 +114,18 @@ class TestIntegrateEdge:
         with pytest.raises(errors.ToleranceNotMet):
             integrate_edge(f, complex(0.4, -g1), complex(0.6, -g1), tol=2.5e-9)
         assert time.perf_counter() - t0 < 60.0
-        assert sum(seen) <= contour._MAX_NODES
+        assert sum(seen) - seen[0] <= contour._MAX_NODES
+
+    def test_tall_presplit_wave_is_not_refused(self, big_table):
+        # the right edge of D(3/5, 4/5, 3000) presplits into more than
+        # _MAX_NODES first-wave nodes; only refinement counts against the
+        # budget, so the edge integrates (a constant keeps the test cheap)
+        rect = Rectangle.paper_mode(ALPHA, BETA, 3000.0)
+        c = rect.corners()
+        e = integrate_edge(lambda z: np.ones_like(z), c["b"], c["c"], tol=2.5e-8,
+                           singularities=singularity_set(rect, big_table))
+        assert e.n_evals > contour._MAX_NODES
+        assert abs(e.value - (c["c"] - c["b"])) < 1e-9
 
 
 class TestWinding:
