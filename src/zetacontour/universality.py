@@ -26,7 +26,9 @@ from .precision import FAST_CONFIG, FLAG_RADIUS
 from .special_functions import log_deriv_batch
 from .zero_finder import ZeroTable
 
-_SCAN_BATCH = 2048  # shifts per engine call; bounds the node array's memory
+# shifts per engine call; bounds the engine's phase table, 2 x shifts x N
+# doubles (about 10 MB at t = 500, where N is about 300)
+_SCAN_BATCH = 2048
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,10 @@ def truncate_table(table: ZeroTable, height: float) -> ZeroTable:
 @pytest.fixture(scope="session")
 def big_table(tmp_path_factory) -> ZeroTable:
     """Zero table to 5150, built once per session (set ZC_TEST_TABLE to
-    persist across sessions)."""
+    persist across sessions); a taller file is cut to 5150."""
     path = (os.environ.get("ZC_TEST_TABLE")
             or str(tmp_path_factory.mktemp("tables") / "zctab.txt"))
-    return ensure_table(path, BIG_HEIGHT)
+    return truncate_table(ensure_table(path, BIG_HEIGHT), BIG_HEIGHT)
 
 
 @pytest.fixture(scope="session")

@@ -178,6 +178,43 @@ class TestLogDeriv:
             log_deriv_zeta(complex(0.5, g), mp_cfg, big_table)
 
 
+class TestDoubleEngineLattice:
+    """The double engine on a lattice of heights x abscissae, the shape a
+    shift scan hands it, where the main sum is one grid contraction."""
+
+    S = (np.linspace(0.6, 0.8, 33)[None, :]
+         + 1j * np.linspace(2.0, 20.0, 40)[:, None]).ravel()
+
+    def test_bounds_hold(self, fast_cfg):
+        vals, dvals, errs, derrs = zeta_batch(self.S, fast_cfg, want_prime=True)
+        ld, lerr = log_deriv_batch(self.S, fast_cfg)
+        with mp.workdps(30):
+            for k, s in enumerate(self.S):
+                z = mp.zeta(mp.mpc(s))
+                dz = mp.zeta(mp.mpc(s), derivative=1)
+                assert abs(mp.mpc(vals[k]) - z) <= errs[k]
+                assert abs(mp.mpc(dvals[k]) - dz) <= derrs[k]
+                assert abs(mp.mpc(ld[k]) - dz / z) <= lerr[k]
+
+    def test_grid_and_scattered_contractions_agree(self, fast_cfg, monkeypatch):
+        # padding the lattice with scattered points in the same N groups
+        # makes its grid of distinct heights x abscissae far larger than the
+        # batch, so the same points are contracted row by row (einsum)
+        rng = np.random.default_rng(5)
+        pad = rng.uniform(0.6, 0.8, 2000) + 1j * rng.uniform(2.0, 20.0, 2000)
+        einsum_calls = []
+        einsum = np.einsum
+        monkeypatch.setattr(np, "einsum",
+                            lambda *a, **kw: einsum_calls.append(1) or einsum(*a, **kw))
+        grid = zeta_batch(self.S, fast_cfg, want_prime=True)
+        assert not einsum_calls
+        rows = zeta_batch(np.concatenate([self.S, pad]), fast_cfg, want_prime=True)
+        assert einsum_calls
+        n = self.S.size
+        assert np.all(np.abs(grid[0] - rows[0][:n]) <= grid[2] + rows[2][:n])
+        assert np.all(np.abs(grid[1] - rows[1][:n]) <= grid[3] + rows[3][:n])
+
+
 class TestDigamma:
     def test_at_1_is_minus_euler(self, mp_cfg):
         assert _dist(digamma(1.0, mp_cfg), -EULER_C) < 1e-15

@@ -102,6 +102,16 @@ class TestScan:
         assert len(summary.skipped) >= 1
         assert all(abs(t - g1) < 0.01 for t in summary.skipped)
 
+    def test_matches_sup_distance(self, table120):
+        # the scan contracts many shifts in one batch, sup_distance one shift:
+        # both sups lie within the largest sample bound of the true grid sup
+        K = SegmentK(0.6, 0.8, samples=33)
+        summary = scan(0.0, 100.0, 0.25, K, 0.0, -math.pi, 0.5, table120)
+        for r in summary.results[::80]:
+            direct = sup_distance(r.tau, K, 0.0, -math.pi, table120)
+            _, lerr = log_deriv_batch(K.grid() + 1j * r.tau, FAST_CONFIG)
+            assert abs(r.sup_distance - direct.sup_distance) <= 2.0 * lerr.max()
+
     def test_neighborhood_of_good_shift(self, table120):
         # shifts neighboring a good one stay good for a slightly larger eps
         K = SegmentK(0.6, 0.8, samples=17)
