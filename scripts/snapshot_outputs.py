@@ -1,0 +1,88 @@
+#!/usr/bin/env python3
+"""Write the outputs of a fixed set of zc commands and of the measurement
+script to one directory, so that two checkouts can be compared byte for byte.
+
+The snapshot is of whichever ``zetacontour`` this script imports, and the
+measurement script is that checkout's own ``scripts/run_paper_measurements.py``.
+To compare two checkouts, snapshot each with the same table and diff:
+
+    PYTHONPATH=old/src python scripts/snapshot_outputs.py --zeros zc.tab --out-dir a
+    PYTHONPATH=new/src python scripts/snapshot_outputs.py --zeros zc.tab --out-dir b
+    diff -r a b
+
+The table must reach height 5200 (``zc zeros --up-to 5200 --out zc.tab``);
+it is only read. Each command's stdout goes to ``<name>.txt`` with its exit
+status; timings are cut from the measurement script's text.
+"""
+import argparse
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+# this checkout's sources only when PYTHONPATH names no other
+sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
+
+import zetacontour  # noqa: E402
+from zetacontour.zero_finder import load_table  # noqa: E402
+
+TABLE_HEIGHT = 5200.0  # what run_paper_measurements.py asks for
+SRC = Path(zetacontour.__file__).resolve().parent.parent
+MEASURE = SRC.parent / "scripts" / "run_paper_measurements.py"
+TIMING = re.compile(r" \(\d+(\.\d+)?s\)")
+
+
+def commands(table: str):
+    """(name, argv) of every snapshot command; file outputs are named after
+    the command and written to the current directory."""
+    zc = [sys.executable, "-m", "zetacontour.cli"]
+    box = ["--zeros", table, "--alpha", "0.6", "--beta", "0.8"]
+    runs = [(f"integrate-T{T}", zc + ["integrate", *box, "--T", T,
+                                      "--out", f"integrate-T{T}.json"])
+            for T in ("100", "250")]
+    runs += [(f"integrate-{name}", zc + ["integrate", "--zeros", table, "--general",
+                                         *geom, "--out", f"integrate-{name}.json"])
+             for name, geom in (("pole-box", ("0.9", "1.1", "-1", "1")),
+                                ("first-zero-box", ("0.4", "0.6", "14", "14.3")))]
+    runs += [(f"decompose-T{T}", zc + ["decompose", *box, "--T", T,
+                                       "--out", f"decompose-T{T}.json"])
+             for T in ("50", "100")]
+    runs += [("probe", zc + ["probe", "--zeros", table, "--tau", "0:60:0.05",
+                             "--K", "0.6:0.8", "--out", "probe.csv"]),
+             ("telescope", zc + ["telescope", *box, "--T", "100", "--N", "200",
+                                 "--out", "telescope.csv"]),
+             ("suite", zc + ["suite", "all", "--zeros", table, "--out", "suite.json"]),
+             ("export", zc + ["export", "--report", "suite.json", "--out", "suite.csv"]),
+             ("measurements", [sys.executable, str(MEASURE), "--zeros", table,
+                               "--out-dir", "measurements"])]
+    return runs
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--zeros", required=True, help="zero-table file, height >= 5200")
+    ap.add_argument("--out-dir", required=True, help="snapshot directory")
+    args = ap.parse_args()
+
+    table = str(Path(args.zeros).resolve())
+    load_table(table).require_height(TABLE_HEIGHT, "the snapshot commands")
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    for name, argv in commands(table):
+        proc = subprocess.run(argv, cwd=out, env=env, capture_output=True, text=True)
+        text = proc.stdout
+        if name == "measurements":
+            text = TIMING.sub("", text)
+        (out / f"{name}.txt").write_text(f"{text}exit status {proc.returncode}\n")
+        print(f"{name}: exit status {proc.returncode}")
+        if proc.returncode not in (0, 1):  # 1 is a failed suite check, still a snapshot
+            sys.stderr.write(proc.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

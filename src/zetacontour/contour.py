@@ -121,9 +121,10 @@ _SING_MARGIN = 5.0  # zeros this far outside the box still shape its panels
 
 
 def singularity_set(rect: Rectangle, zeros: ZeroTable) -> List[complex]:
-    """Pole s=1, nearby tabulated zeros (both half-planes), and any trivial
-    zeros -2k the box x-range could reach.
+    """Pole s=1 and the tabulated zeros (both half-planes) near the box.
 
+    The box must lie in Re s >= -1, where the double engine evaluates (it
+    raises DomainError elsewhere), so no trivial zero -2k is ever near it.
     Raises TableTooShort unless the table is complete up to the box's
     largest |Im s| plus the screening margin, so that no zero near the box
     can be missing from the set."""
@@ -135,12 +136,6 @@ def singularity_set(rect: Rectangle, zeros: ZeroTable) -> List[complex]:
             sings.append(complex(0.5, g))
         if rect.y0 - _SING_MARGIN <= -g <= rect.y1 + _SING_MARGIN:
             sings.append(complex(0.5, -g))
-    if rect.x0 < -1.5:
-        k = 1
-        while -2.0 * k >= rect.x0 - _SING_MARGIN:
-            if abs(rect.y0) <= _SING_MARGIN or rect.y0 <= 0.0 <= rect.y1:
-                sings.append(complex(-2.0 * k, 0.0))
-            k += 1
     return sings
 
 
@@ -177,25 +172,37 @@ class EdgeIntegral:
 
 
 def _presplit(a: complex, b: complex,
-              sings: Sequence[complex]) -> List[Tuple[complex, complex]]:
-    out = []
-    stack = [(a, b)]
+              sings: Sequence[complex]) -> Tuple[np.ndarray, np.ndarray]:
+    """Endpoint arrays (pa, pb) of panels of [a, b] no longer than twice their
+    distance d to the nearest singularity, nor than a quarter of [a, b].
+
+    Panels that fail the rule are halved depth first, and the panels come out
+    as the stack pops them, from b back to a. Each half is measured only
+    against the singularities within d + L of its parent (L the parent's
+    length): every point of a half is within L of the parent's point nearest
+    to its nearest singularity, so the half's nearest singularity is among
+    them, and the half's d is the one the whole set would give.
+    """
+    out_a, out_b = [], []
+    stack = [(a, b, np.array(sings, dtype=np.complex128))]
     total = abs(b - a)
-    pts = np.array(sings, dtype=np.complex128)
     while stack:
-        pa, pb = stack.pop()
+        pa, pb, near = stack.pop()
         L = abs(pb - pa)
-        d = float(np.min(_segment_distances(pa, pb, pts), initial=math.inf))
+        dist = _segment_distances(pa, pb, near)
+        d = float(np.min(dist, initial=math.inf))
         if d < EXCLUSION_RADIUS:
             raise SingularityOnPath(
                 f"segment [{pa}, {pb}] within {d:.2e} of a singularity")
         if L > 2.0 * d or L > total / 4.0 + 1e-300:
             m = 0.5 * (pa + pb)
-            stack.append((pa, m))
-            stack.append((m, pb))
+            near = near[dist <= d + L]
+            stack.append((pa, m, near))
+            stack.append((m, pb, near))
         else:
-            out.append((pa, pb))
-    return out
+            out_a.append(pa)
+            out_b.append(pb)
+    return np.array(out_a, dtype=np.complex128), np.array(out_b, dtype=np.complex128)
 
 
 def integrate_edge(f: Callable[[np.ndarray], np.ndarray], a: complex, b: complex,
@@ -203,13 +210,15 @@ def integrate_edge(f: Callable[[np.ndarray], np.ndarray], a: complex, b: complex
                    singularities: Sequence[complex] = ()) -> EdgeIntegral:
     """Adaptive composite Gauss-Legendre along the segment [a, b].
 
-    ``f`` maps a complex128 array of nodes to integrand values; the whole
-    pending generation is evaluated in one call per refinement wave. Each
-    panel is accepted when |two-half refinement - single panel| falls below
-    its length-proportional share of ``tol`` (the halved estimate is kept,
-    which is the Richardson-favored value). A refinement wave that would take
-    the edge past _MAX_NODES evaluations beyond the first (presplit) wave
-    raises ToleranceNotMet instead; the first wave grows with the edge's
+    ``f`` maps a complex128 array of nodes to integrand values. The pending
+    panels are two endpoint arrays; each refinement wave evaluates every
+    pending panel and its two halves in one call. A panel is accepted when
+    |two-half refinement - single panel| falls below its length-proportional
+    share of ``tol`` (the halved estimate is kept, which is the
+    Richardson-favored value); otherwise its halves enter the next wave.
+    Accepted panels are summed in panel order. A refinement wave that would
+    take the edge past _MAX_NODES evaluations beyond the first (presplit)
+    wave raises ToleranceNotMet instead; the first wave grows with the edge's
     length and zero density and is never refused.
     """
     if tol < 1e-13:
@@ -219,49 +228,41 @@ def integrate_edge(f: Callable[[np.ndarray], np.ndarray], a: complex, b: complex
     total_len = abs(b - a)
     if total_len == 0.0:
         return EdgeIntegral(0.0 + 0.0j, 0.0, 0)
-    pending = _presplit(a, b, singularities)
+    pa, pb = _presplit(a, b, singularities)
     value = 0.0 + 0.0j
     err = 0.0
     n_evals = 0
-    first_wave = 3 * _GL_ORDER * len(pending)
+    first_wave = 3 * _GL_ORDER * len(pa)
     for wave in range(_MAX_WAVES):
-        if not pending:
+        if not len(pa):
             break
-        if n_evals - first_wave + 3 * _GL_ORDER * len(pending) > _MAX_NODES:
+        if n_evals - first_wave + 3 * _GL_ORDER * len(pa) > _MAX_NODES:
             raise ToleranceNotMet(
-                f"{len(pending)} panels pending after {n_evals} nodes; the next "
+                f"{len(pa)} panels pending after {n_evals} nodes; the next "
                 f"wave would pass the budget of {_MAX_NODES} refinement nodes")
-        nodes = []
-        for (pa, pb) in pending:
-            m = 0.5 * (pa + pb)
-            nodes.append(0.5 * (pa + pb) + 0.5 * (pb - pa) * _GL_X)
-            nodes.append(0.5 * (pa + m) + 0.5 * (m - pa) * _GL_X)
-            nodes.append(0.5 * (m + pb) + 0.5 * (pb - m) * _GL_X)
-        allz = np.concatenate(nodes)
-        n_evals += allz.size
-        fv = np.asarray(f(allz), dtype=np.complex128)
-        nxt = []
-        k = 0
-        for (pa, pb) in pending:
-            m = 0.5 * (pa + pb)
-            fc = fv[k:k + _GL_ORDER]
-            fa = fv[k + _GL_ORDER:k + 2 * _GL_ORDER]
-            fb = fv[k + 2 * _GL_ORDER:k + 3 * _GL_ORDER]
-            k += 3 * _GL_ORDER
-            coarse = np.sum(_GL_W * fc) * (pb - pa) / 2.0
-            fine = (np.sum(_GL_W * fa) * (m - pa) / 2.0
-                    + np.sum(_GL_W * fb) * (pb - m) / 2.0)
-            diff = abs(fine - coarse)
-            if diff <= tol * (abs(pb - pa) / total_len) or wave == _MAX_WAVES - 1:
-                if wave == _MAX_WAVES - 1 and diff > tol * (abs(pb - pa) / total_len):
-                    raise ToleranceNotMet(
-                        f"panel [{pa}, {pb}] stuck at diff={diff:.2e}")
-                value += fine
-                err += 0.5 * diff + 1e-16 * abs(pb - pa)
-            else:
-                nxt.append((pa, m))
-                nxt.append((m, pb))
-        pending = nxt
+        m = 0.5 * (pa + pb)
+        lo = np.stack((pa, pa, m), axis=1)  # each panel, then its two halves
+        hi = np.stack((pb, m, pb), axis=1)
+        z = (0.5 * (lo + hi))[..., None] + (0.5 * (hi - lo))[..., None] * _GL_X
+        n_evals += z.size
+        fv = np.asarray(f(z.ravel()), dtype=np.complex128).reshape(z.shape)
+        sums = (_GL_W * fv).sum(axis=2) * (hi - lo) / 2.0
+        fine = sums[:, 1] + sums[:, 2]
+        # moduli by hypot (np.abs rounds complex moduli differently) and
+        # running sums in panel order (np.sum adds pairwise) fix the last
+        # bits of value and err
+        diff = np.hypot((fine - sums[:, 0]).real, (fine - sums[:, 0]).imag)
+        L = np.hypot((pb - pa).real, (pb - pa).imag)
+        ok = diff <= tol * (L / total_len)
+        if wave == _MAX_WAVES - 1 and not ok.all():
+            k = int(np.argmin(ok))
+            raise ToleranceNotMet(
+                f"panel [{complex(pa[k])}, {complex(pb[k])}] stuck at diff={diff[k]:.2e}")
+        value = np.cumsum(np.append(value, fine[ok]))[-1]
+        err = np.cumsum(np.append(err, 0.5 * diff[ok] + 1e-16 * L[ok]))[-1]
+        rej = ~ok  # halves enter the next wave in place: (pa, m), then (m, pb)
+        pa, pb = (np.stack((pa[rej], m[rej]), axis=1).ravel(),
+                  np.stack((m[rej], pb[rej]), axis=1).ravel())
     return EdgeIntegral(complex(value), float(err), n_evals)
 
 

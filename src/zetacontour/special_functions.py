@@ -71,36 +71,37 @@ _ROW_BLOCK = 1 << 16  # table entries gathered per block on the scattered path
 # Euler-Maclaurin plan selection
 # ---------------------------------------------------------------------------
 
-def _trunc_bound_log(sigma, t, N, M):
-    """log of the Euler-Maclaurin remainder bound (vectorized over inputs)."""
+def _em_plan(sigma, t, M, tol, rounds):
+    """Per-point truncation N meeting tol, and the log remainder bound as a
+    function of N (vectorized over inputs; a pure function of them).
+
+    The log bound is ((lb + lp) - (sigma + 2M + 1) ln N) + ln tail, with lb
+    the Bernoulli constant, lp the log of |(s)_{2M+1}| and tail the factor
+    |s + 2M + 1| / (sigma + 2M + 1); lb + lp and ln tail are computed once
+    per point. N starts at max(0.55 (|t| + 2M) + 8, 1.1 (-log10 tol)) and
+    grows by 30% where the bound misses tol/4, at most ``rounds`` times.
+    """
     sigma = np.asarray(sigma, dtype=float)
-    t = np.asarray(t, dtype=float)
-    N = np.asarray(N, dtype=float)
-    lp = np.zeros(np.broadcast(sigma, t, N).shape)
+    t = np.abs(np.asarray(t, dtype=float))
+    lp = np.zeros(np.broadcast(sigma, t).shape)
     for j in range(2 * M + 1):
         # the clip only matters where a factor of (s)_{2M+1} vanishes exactly
         lp = lp + 0.5 * np.log(np.maximum((sigma + j) ** 2 + t * t, 1e-300))
-    lb = math.log(2.2) - (2 * M + 2) * math.log(_TWO_PI)
-    tail_factor = np.hypot(sigma + 2 * M + 1, t) / (sigma + 2 * M + 1)
-    return lb + lp + (-sigma - 2 * M - 1) * np.log(N) + np.log(tail_factor)
+    base = math.log(2.2) - (2 * M + 2) * math.log(_TWO_PI) + lp
+    tail = np.log(np.hypot(sigma + 2 * M + 1, t) / (sigma + 2 * M + 1))
 
+    def log_bound(N):
+        return base + (-sigma - 2 * M - 1) * np.log(np.asarray(N, dtype=float)) + tail
 
-def _f64_choose_N(sigma, t, M, tol):
-    """Per-point truncation N meeting tol; pure function of the inputs."""
-    t = np.abs(np.asarray(t, dtype=float))
-    sigma = np.asarray(sigma, dtype=float)
-    N = (np.ceil(0.55 * (t + 2 * M)) + 8).astype(np.int64)
+    N = np.maximum(np.ceil(0.55 * (t + 2 * M)) + 8,
+                   math.ceil(1.1 * (-math.log10(tol)))).astype(np.int64)
     logtol = math.log(0.25 * tol)
-    for _ in range(14):
-        bad = _trunc_bound_log(sigma, t, N, M) > logtol
+    for _ in range(rounds):
+        bad = log_bound(N) > logtol
         if not np.any(bad):
-            break
+            return N, log_bound
         N = np.where(bad, (N * 13) // 10 + 4, N)
-    else:
-        raise PrecisionExhausted(
-            f"Euler-Maclaurin cannot reach tol={tol:g} in double precision")
-    # quantize upward so batches share few distinct N (bound only improves)
-    return ((N + 15) // 16) * 16
+    raise PrecisionExhausted(f"Euler-Maclaurin bound stuck above tol={tol:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +182,8 @@ def _em_f64_group(s, N, M, want_prime):
     return vals, None
 
 
-def _f64_errors(s, N, M, want_prime):
+def _f64_errors(s, N, M, want_prime, trunc):
     sigma = s.real
-    t = np.abs(s.imag)
-    trunc = np.exp(_trunc_bound_log(sigma, t, N, M))
     with np.errstate(divide="ignore"):
         sumabs = np.where(
             np.abs(sigma - 1.0) > 1e-9,
@@ -222,7 +221,9 @@ def zeta_batch(s_arr, cfg: PrecisionConfig, want_prime: bool = False):
     if np.any(np.abs(s.imag) > _F64_MAX_T):
         raise PrecisionExhausted(f"|Im s| beyond the desk ceiling {_F64_MAX_T:g}")
     M = F64_EM_TERMS
-    N = _f64_choose_N(s.real, s.imag, M, cfg.target_abs_tol)
+    N, log_bound = _em_plan(s.real, s.imag, M, cfg.target_abs_tol, 14)
+    # quantize upward so batches share few distinct N (bound only improves)
+    N = ((N + 15) // 16) * 16
     vals = np.empty_like(s)
     dvals = np.empty_like(s) if want_prime else None
     for Nv in np.unique(N):
@@ -231,7 +232,7 @@ def zeta_batch(s_arr, cfg: PrecisionConfig, want_prime: bool = False):
         vals[idx] = v
         if want_prime:
             dvals[idx] = dv
-    errs, derrs = _f64_errors(s, N, M, want_prime)
+    errs, derrs = _f64_errors(s, N, M, want_prime, np.exp(log_bound(N)))
     return vals, dvals, errs, derrs
 
 
@@ -277,25 +278,14 @@ def digamma_batch(z_arr):
 # mpmath engine
 # ---------------------------------------------------------------------------
 
-def _mp_choose_N(s, M, tol):
-    t = abs(float(mp.im(s)))
-    sigma = float(mp.re(s))
-    N = max(int(math.ceil(0.55 * (t + 2 * M))) + 8,
-            int(math.ceil(1.1 * (-math.log10(tol)))))
-    for _ in range(40):
-        if float(_trunc_bound_log(sigma, t, N, M)) <= math.log(0.25 * tol):
-            return N
-        N = (N * 13) // 10 + 4
-    raise PrecisionExhausted(f"Euler-Maclaurin bound stuck above tol={tol:g}")
-
-
 def _em_mp(s: mp.mpc, cfg: PrecisionConfig, want_prime: bool):
     M = MP_EM_TERMS
     sigma = float(mp.re(s))
     if sigma + 2 * M + 1 <= 0:
         raise PrecisionExhausted("need sigma + 2M + 1 > 0 for the remainder bound")
-    tol = cfg.target_abs_tol
-    N = _mp_choose_N(s, M, tol)
+    t = abs(float(mp.im(s)))
+    N, log_bound = _em_plan(sigma, t, M, cfg.target_abs_tol, 40)
+    N = int(N)
     with mp.workdps(cfg.dps):
         acc = mp.mpc(0)
         dacc = mp.mpc(0)
@@ -325,8 +315,7 @@ def _em_mp(s: mp.mpc, cfg: PrecisionConfig, want_prime: bool):
             acc += c * poch * Npow
             if want_prime:
                 dacc += c * (dpoch - poch * lnN) * Npow
-        t = abs(float(mp.im(s)))
-        trunc = math.exp(float(_trunc_bound_log(sigma, t, N, M)))
+        trunc = math.exp(float(log_bound(N)))
         ro = 10.0 ** (-(cfg.dps - 3)) * (3.0 + N ** max(0.0, 1.0 - sigma))
         err = trunc + ro
         if want_prime:

@@ -25,8 +25,9 @@ error. The grid scan at SCAN_STEP and an Illinois regula falsi down to
 brackets of width ~1e-6 use this per-point Z. Each bracket is then finished
 in Euler-Maclaurin alone: a secant estimate, and a sign-change bracket of
 width <= ORDINATE_ACCURACY/4 whose endpoint signs are both Euler-Maclaurin
-values; its midpoint is the ordinate. ``hardy_z`` honors the configured
-precision for scalar evaluation and certification.
+values; its midpoint is the ordinate. The search certifies with that
+Euler-Maclaurin Z (``_em_z``); ``hardy_z`` is the scalar Z at a configured
+precision, for callers and checks, and the search never uses it.
 
 Completeness is audited against the counting estimate
 

@@ -4,7 +4,8 @@ Each shares no code with the library route it checks: the Weierstrass
 product and the bare asymptotic series for digamma, the harmonic-sum limit
 for Euler's constant, the generator h(k) behind a telescoped arctan sum, a
 brute-force scan for the fixed point of the limiting Riccati map, power-series
-arithmetic for the Riemann-Siegel corrections, and mpmath's own zero routines.
+arithmetic for the Riemann-Siegel corrections, mpmath's own zero routines, and
+the quadrature presplit measured against the whole singularity set.
 """
 from __future__ import annotations
 
@@ -15,8 +16,15 @@ from typing import Any, Callable
 import mpmath as mp
 import numpy as np
 
-from zetacontour.errors import DegenerateStep, DomainError
-from zetacontour.precision import DEFAULT_CONFIG, PrecisionConfig, as_complex, as_mpc
+from zetacontour.contour import _segment_distances
+from zetacontour.errors import DegenerateStep, DomainError, SingularityOnPath
+from zetacontour.precision import (
+    DEFAULT_CONFIG,
+    EXCLUSION_RADIUS,
+    PrecisionConfig,
+    as_complex,
+    as_mpc,
+)
 from zetacontour.telescope import DEGENERATE_TOL
 
 
@@ -157,3 +165,28 @@ def zero_ordinate(k: int, dps: int = 30) -> float:
     """Ordinate of the k-th zero on the critical line, by mpmath."""
     with mp.workdps(dps):
         return float(mp.zetazero(k).imag)
+
+
+def presplit_full_set(a: complex, b: complex, sings) -> list:
+    """The quadrature presplit with every panel measured against the whole
+    singularity set: panels of [a, b] no longer than twice their distance to
+    the nearest singularity, nor than a quarter of [a, b], halved depth first
+    and listed as the stack pops them."""
+    out = []
+    stack = [(a, b)]
+    total = abs(b - a)
+    pts = np.array(sings, dtype=np.complex128)
+    while stack:
+        pa, pb = stack.pop()
+        L = abs(pb - pa)
+        d = float(np.min(_segment_distances(pa, pb, pts), initial=math.inf))
+        if d < EXCLUSION_RADIUS:
+            raise SingularityOnPath(
+                f"segment [{pa}, {pb}] within {d:.2e} of a singularity")
+        if L > 2.0 * d or L > total / 4.0 + 1e-300:
+            m = 0.5 * (pa + pb)
+            stack.append((pa, m))
+            stack.append((m, pb))
+        else:
+            out.append((pa, pb))
+    return out

@@ -28,6 +28,8 @@ from zetacontour.special_functions import log_deriv_batch
 from zetacontour.telescope import s_n_direct
 from zetacontour.zero_finder import ZeroTable
 
+from oracles import presplit_full_set
+
 ALPHA, BETA = 3.0 / 5.0, 4.0 / 5.0
 
 
@@ -116,8 +118,28 @@ class TestIntegrateEdge:
         assert time.perf_counter() - t0 < 60.0
         assert sum(seen) - seen[0] <= contour._MAX_NODES
 
+    def test_wave_cap_stops_a_panel_that_never_converges(self):
+        # a step inside [0.5 - i, 0.5 + i]: the panel holding it is halved
+        # every wave and never meets its share of the tolerance
+        with pytest.raises(errors.ToleranceNotMet, match="stuck"):
+            integrate_edge(lambda z: np.where(z.imag > 0.3, 1.0, 0.0),
+                           complex(0.5, -1.0), complex(0.5, 1.0), tol=1e-12)
+
+    def test_presplit_matches_the_full_set_presplit(self, big_table):
+        # measuring each half only against its parent's nearby singularities
+        # must give the same panels, in the same order, as the whole set
+        boxes = [Rectangle.box(0.9, 1.1, -1.0, 1.0),
+                 Rectangle.box(0.4, 0.6, 14.0, 14.3)]
+        boxes += [Rectangle.paper_mode(ALPHA, BETA, T)
+                  for T in (20.0, 50.0, 100.0, 250.0, 500.0)]
+        for rect in boxes:
+            sings = singularity_set(rect, big_table)
+            for _, a, b in rect.edges():
+                pa, pb = contour._presplit(a, b, sings)
+                assert list(zip(pa, pb)) == presplit_full_set(a, b, sings)
+
     def test_tall_presplit_wave_is_not_refused(self, big_table):
-        # the right edge of D(3/5, 4/5, 3000) presplits into more than
+        # the left edge BC of D(3/5, 4/5, 3000) presplits into more than
         # _MAX_NODES first-wave nodes; only refinement counts against the
         # budget, so the edge integrates (a constant keeps the test cheap)
         rect = Rectangle.paper_mode(ALPHA, BETA, 3000.0)
@@ -167,6 +189,11 @@ class TestWinding:
         g1 = table120.gammas[0]
         with pytest.raises(errors.BoundarySingularity):
             integrate_rectangle(Rectangle.box(0.4, 0.6, g1, g1 + 0.5), table120)
+
+    def test_box_left_of_the_double_engine_is_refused(self, table120):
+        # boxes must lie in Re s >= -1; trivial zeros are never screened
+        with pytest.raises(errors.DomainError):
+            integrate_rectangle(Rectangle.box(-3.0, -1.6, -1.0, 1.0), table120)
 
     def test_reversed_circulation_negates_total(self, table120):
         from zetacontour.special_functions import log_deriv_batch

@@ -281,3 +281,11 @@ def test_measurement_script_starts():
          "--help"], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "--out-dir" in proc.stdout
+
+
+def test_snapshot_script_starts():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "snapshot_outputs.py"), "--help"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "--out-dir" in proc.stdout and "--zeros" in proc.stdout
