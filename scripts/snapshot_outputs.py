@@ -9,6 +9,10 @@ To compare two checkouts, snapshot each with the same table and diff:
     PYTHONPATH=old/src python scripts/snapshot_outputs.py --zeros zc.tab --out-dir a
     PYTHONPATH=new/src python scripts/snapshot_outputs.py --zeros zc.tab --out-dir b
     diff -r a b
+    python scripts/compare_snapshots.py a b
+
+``compare_snapshots.py`` separates changes in the last bits of numbers from
+changes in anything else.
 
 The table must reach height 5200 (``zc zeros --up-to 5200 --out zc.tab``);
 it is only read. Each command's stdout goes to ``<name>.txt`` with its exit

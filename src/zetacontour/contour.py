@@ -506,11 +506,22 @@ def _tail_density_integral(b_minus_a: float, T: float, H: float) -> float:
 
 
 def _tail_fluctuation_bound(b_minus_a: float, T: float, H: float) -> float:
-    """Counting-fluctuation part: 2 sup|N - estimate| * w(H) with
-    w(g) = 4T(beta-alpha)/(g^2 - T^2)."""
+    """Counting-fluctuation part, with weight w(g) = k/(g^2 - T^2),
+    k = 4T(beta-alpha).
+
+    Integrating the tail sum by parts against N - estimate, with
+    |N - estimate| <= B(g) (``backlund_count_bound``, increasing in g), gives
+    2 B(H) w(H) + int_H^inf w(g) B'(g) dg. With
+    B'(g) = (0.137 + 0.443/ln g)/g <= (0.137 + 0.443/ln H)/g, the integral is
+    at most k (0.137 + 0.443/ln H) ln(H^2/(H^2 - T^2)) / (2T^2).
+    """
     if H <= T * 1.02:
         return math.inf
-    return 2.0 * backlund_count_bound(H) * 4.0 * T * b_minus_a / (H * H - T * T)
+    k = 4.0 * T * b_minus_a
+    boundary = 2.0 * backlund_count_bound(H) * k / (H * H - T * T)
+    slope = (0.137 + 0.443 / math.log(H)) * k * -math.log1p(-(T / H) ** 2) \
+        / (2.0 * T * T)
+    return boundary + slope
 
 
 def zero_tail_bound(rect: Rectangle, H: float) -> float:

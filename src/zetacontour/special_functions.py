@@ -15,8 +15,11 @@ bound. For sigma <= -1 both are continued through the functional equation.
 
 An independent cross-check route, ``zeta_alternating``, sums the alternating
 Dirichlet eta series with an Euler-transformed tail and divides by
-(1 - 2^(1-s)). It shares no code with the Euler-Maclaurin path and is the
-oracle used by the verification suite.
+(1 - 2^(1-s)). It is the oracle used by the verification suite. It shares
+one thing with the Euler-Maclaurin path: the Dirichlet term table n^-s
+(``_dirichlet_terms``: transcendentals at primes, products of smaller
+entries elsewhere). Nothing else is shared; a test holds that table to
+``mp.power(n, -s)``.
 
 Both engines of ``PrecisionConfig`` are implemented: scalar mpmath at
 configured digits, and a vectorized complex128 path (``*_batch``) used by the
@@ -64,7 +67,61 @@ MP_EM_TERMS = 16
 # abscissae only when that grid has at most this many cells per point;
 # scattered points would otherwise build a grid quadratic in the batch.
 _GRID_FILL = 2
-_ROW_BLOCK = 1 << 16  # table entries gathered per block on the scattered path
+_ROW_BLOCK = 1 << 16  # table entries gathered per block (phase fill, scattered path)
+
+
+# ---------------------------------------------------------------------------
+# smallest-prime-factor sieve
+# ---------------------------------------------------------------------------
+
+def _extend_sieve(spf, omega, N):
+    """The sieve arrays ``spf``, ``omega`` extended to length N (a pure
+    function; arrays already that long are returned as they are).
+
+    spf[n] is the smallest prime factor of n and omega[n] = Omega(n), the
+    number of prime factors of n with multiplicity, for 2 <= n < N; spf[1] = 1
+    and omega[1] = 0 (entry 0 is a placeholder). Only the new entries are
+    sieved: every prime up to sqrt(N) marks its multiples in [len(spf), N),
+    in increasing order, so an entry still unmarked when its own turn comes
+    is prime.
+    """
+    lo = len(spf)
+    if N <= lo:
+        return spf, omega
+    spf = np.concatenate((spf, np.zeros(N - lo, dtype=np.int64)))
+    spf[:2] = 1  # n = 0 is never read; 1 keeps the division below defined
+    for p in range(2, math.isqrt(N - 1) + 1):
+        if p >= lo and spf[p] == 0:
+            spf[p] = p
+        if spf[p] == p:
+            start = max(p * p, -(-lo // p) * p)
+            seg = spf[start::p]
+            seg[seg == 0] = p
+    new = np.arange(max(lo, 2), N)
+    primes = new[spf[new] == 0]
+    spf[primes] = primes
+    count = np.zeros(N - lo, dtype=np.int8)
+    m = np.arange(lo, N)
+    while True:
+        more = m > 1
+        if not more.any():
+            break
+        count += more
+        m = m // spf[m]
+    return spf, np.concatenate((omega, count))
+
+
+_SIEVE = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int8))
+
+
+def _sieve(N):
+    """The module's sieve, grown on demand to cover n < N (at least doubling,
+    so the largest N seen costs a few growths); shared by both engines."""
+    global _SIEVE
+    sieve = _SIEVE
+    if len(sieve[0]) < N:
+        sieve = _SIEVE = _extend_sieve(*sieve, max(N, 2 * len(sieve[0])))
+    return sieve
 
 
 # ---------------------------------------------------------------------------
@@ -108,22 +165,62 @@ def _em_plan(sigma, t, M, tol, rounds):
 # complex128 engine
 # ---------------------------------------------------------------------------
 
+def _phase_table(ts, ln_n, N):
+    """exp(i t ln n) for n < N and the heights ``ts``, as a complex
+    (N-1, len(ts)) array whose row r holds n = N-1-r (``ln_n`` in that order).
+
+    cos/sin are taken on prime rows only. A composite n = p m, p its smallest
+    prime factor, is the product of rows p and m; rows are filled one level
+    Omega(n) at a time, so both factors of a level are ready before it, and
+    each product gathers at most ``_ROW_BLOCK`` table entries.
+    """
+    spf, omega = _sieve(N)
+    H = len(ts)
+    n = np.arange(N - 1, 0, -1)
+    level = omega[n]
+    phase = np.empty((N - 1, H), dtype=np.complex128)
+    phase[N - 2] = 1.0  # n = 1
+    step = max(1, _ROW_BLOCK // H)
+    for lev in range(1, int(level.max(initial=0)) + 1):
+        rows = np.flatnonzero(level == lev)
+        for lo in range(0, len(rows), step):
+            r = rows[lo:lo + step]
+            if lev == 1:
+                arg = np.multiply.outer(ln_n[r], ts)
+                phase.real[r] = np.cos(arg)
+                phase.imag[r] = np.sin(arg, out=arg)
+            else:
+                p = spf[n[r]]
+                prod = phase[N - 1 - p]
+                np.multiply(prod, phase[N - 1 - n[r] // p], out=prod)
+                phase[r] = prod
+    return phase
+
+
 def _em_f64_group(s, N, M, want_prime):
     """Euler-Maclaurin at shared (N, M) for a complex128 batch.
 
     The main sum, sum_{n<N} n^-sigma (cos(t ln n) - i sin(t ln n)), and its
     zeta' twin with amplitude -ln n n^-sigma, are contracted from two tables:
-    a phase table cos/sin(t ln n), one row per distinct height, and an
+    a phase table exp(i t ln n) (``_phase_table``: transcendentals on prime
+    rows, products elsewhere), one column per distinct height, and an
     amplitude table n^-sigma, -ln n n^-sigma, one row pair per distinct
     abscissa. Where the grid of distinct heights x distinct abscissae has at
     most ``_GRID_FILL`` cells per point (a line, a lattice of shifted
-    segments), one real matrix product (BLAS dgemm) contracts the whole grid
-    and each point reads its cell. Scattered points instead contract their
-    own phase row with their own amplitude row (``np.einsum``),
-    ``_ROW_BLOCK`` table entries at a time. The zeta' block is built even
-    when only zeta is wanted: it keeps the product matrix-matrix, and dgemm
-    splits its output across BLAS threads, never the sum over n, so results
-    do not depend on the thread count (threaded dgemv's do).
+    segments), one real matrix product (BLAS dgemm) contracts the whole grid,
+    with the complex phase table read as its (cos, sin) float pairs, and each
+    point reads its cell. Scattered points instead contract their own phase
+    column with their own amplitude row (``np.einsum``), ``_ROW_BLOCK``
+    table entries at a time, taken in order of height so that a block reads
+    neighbouring columns. The zeta' block is built even when only zeta is
+    wanted: it keeps the product matrix-matrix, and dgemm splits its output
+    across BLAS threads, never the sum over n, so results do not depend on
+    the thread count (threaded dgemv's do).
+
+    Rounding of the phase: a prime's phase is off by about t ln p u (u the
+    unit roundoff), and these add up over the prime factors of n to the
+    t ln n u of a direct cos/sin(t ln n); the Omega(n) - 1 complex products
+    add a few u each.
 
     Summation order: each sum over n is a dot product accumulated along n,
     not numpy's pairwise sum, so its worst-case rounding error grows like
@@ -138,27 +235,28 @@ def _em_f64_group(s, N, M, want_prime):
     ts, h = np.unique(s.imag, return_inverse=True)
     sigmas, v = np.unique(s.real, return_inverse=True)
     H, V = len(ts), len(sigmas)
-    phase = np.empty((2, H, N - 1))
-    np.multiply.outer(ts, ln_n, out=phase[1])
-    np.cos(phase[1], out=phase[0])
-    np.sin(phase[1], out=phase[1])
+    phase = _phase_table(ts, ln_n, N).view(np.float64).reshape(N - 1, H, 2)
     amp = np.exp(-np.multiply.outer(sigmas, ln_n))[None]
     amp = np.concatenate((amp, -ln_n * amp))
+    # main[b, point, c]: amplitude b (n^-sigma, -ln n n^-sigma) times cos (c = 0)
+    # or sin (c = 1)
     if H * V <= _GRID_FILL * len(s):
-        grid = phase.reshape(2 * H, N - 1) @ amp.reshape(2 * V, N - 1).T
-        main = grid.reshape(2, H, 2, V)[:, h, :, v]  # (points, 2, 2)
+        grid = amp.reshape(2 * V, N - 1) @ phase.reshape(N - 1, 2 * H)
+        main = grid.reshape(2, V, H, 2)[:, v, h]
     else:
-        main = np.empty((len(s), 2, 2))
+        main = np.empty((2, len(s), 2))
         step = max(1, _ROW_BLOCK // (N - 1))
+        by_height = np.argsort(h, kind="stable")
         for lo in range(0, len(s), step):
-            sl = slice(lo, lo + step)
-            main[sl] = np.einsum("apn,bpn->pab", phase[:, h[sl]], amp[:, v[sl]])
-    vals = main[:, 0, 0] - 1j * main[:, 1, 0]
+            sl = by_height[lo:lo + step]
+            cols = phase[:, h[sl]].transpose(1, 2, 0).copy()  # n contiguous, as amp
+            main[:, sl] = np.einsum("pcn,bpn->bpc", cols, amp[:, v[sl]])
+    vals = main[0, :, 0] - 1j * main[0, :, 1]
     lnN = math.log(N)
     NmS = np.exp(-s * lnN)
     vals = vals + N * NmS / (s - 1.0) + 0.5 * NmS
     if want_prime:
-        dvals = main[:, 0, 1] - 1j * main[:, 1, 1]
+        dvals = main[1, :, 0] - 1j * main[1, :, 1]
         dvals = dvals - lnN * N * NmS / (s - 1.0) - N * NmS / (s - 1.0) ** 2
         dvals = dvals - 0.5 * lnN * NmS
     poch = np.ones_like(s)
@@ -278,7 +376,45 @@ def digamma_batch(z_arr):
 # mpmath engine
 # ---------------------------------------------------------------------------
 
+def _dirichlet_terms(s, N):
+    """n^-s and ln n for 1 <= n < N at the working precision, as two lists
+    indexed by n (entry 0 unused).
+
+    A prime p costs one mp.log and one mp.exp, both at 10 guard bits over
+    the magnitude of s ln N; p^-s and ln p are kept at that precision, off by
+    well under one rounding 2^-prec of the working precision. A composite
+    n = p m, p its smallest prime factor, is the product of the entries of p
+    and m, and ln n their sum: Omega(n) - 1 <= log2 n roundings, so every
+    term is off by at most 1 + log2 N roundings relative.
+    """
+    spf = _sieve(N)[0][:N].tolist()
+    terms = [mp.mpc(0), mp.mpc(1)]
+    logs = [mp.mpf(0), mp.mpf(0)]
+    guard = 10 + math.ceil(math.log2(1.0 + abs(complex(s)) * math.log(N)))
+    for n in range(2, N):
+        p = spf[n]
+        if p == n:
+            with mp.extraprec(guard):
+                lnp = mp.log(n)
+                term = mp.exp(-s * lnp)
+        else:
+            m = n // p
+            term = terms[p] * terms[m]
+            lnp = logs[p] + logs[m]
+        terms.append(term)
+        logs.append(lnp)
+    return terms, logs
+
+
 def _em_mp(s: mp.mpc, cfg: PrecisionConfig, want_prime: bool):
+    """Scalar Euler-Maclaurin in mpmath at cfg.dps digits; (zeta, zeta' or
+    None, err, derr or None).
+
+    Rounding allowance ro = 10^-(dps-3) (3 + N^max(0, 1-sigma)): each sieved
+    term n^-s carries at most 1 + log2 N roundings of 2^-prec <= 10^-(dps+1)
+    (``_dirichlet_terms``), so together they are off by at most
+    10^-(dps+1) (1 + log2 N) sum n^-sigma, which is below ro for N < 2^60.
+    """
     M = MP_EM_TERMS
     sigma = float(mp.re(s))
     if sigma + 2 * M + 1 <= 0:
@@ -287,13 +423,13 @@ def _em_mp(s: mp.mpc, cfg: PrecisionConfig, want_prime: bool):
     N, log_bound = _em_plan(sigma, t, M, cfg.target_abs_tol, 40)
     N = int(N)
     with mp.workdps(cfg.dps):
+        terms, logs = _dirichlet_terms(s, N)
         acc = mp.mpc(0)
         dacc = mp.mpc(0)
         for n in range(1, N):
-            p = mp.power(n, -s)
-            acc += p
+            acc += terms[n]
             if want_prime and n > 1:
-                dacc -= mp.log(n) * p
+                dacc -= logs[n] * terms[n]
         NmS = mp.power(N, -s)
         lnN = mp.log(N)
         acc += N * NmS / (s - 1) + NmS / 2
@@ -430,7 +566,14 @@ def zeta_alternating(s, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ComplexValue:
     averaging its partial sums pairwise J times (Euler's transformation),
     taken in closed form as binomially weighted means. Then
     zeta(s) = eta(s) / (1 - 2^(1-s)). Valid for Re s > 0 away from the zeros
-    of the denominator; shares nothing with the Euler-Maclaurin route.
+    of the denominator; shares only the term table ``_dirichlet_terms`` with
+    the Euler-Maclaurin route.
+
+    Rounding allowance 10^-(dps+2) (K + J), summed at dps + 6 digits: each of
+    the K + J terms (|n^-s| <= 1) carries at most 1 + log2(K + J) roundings
+    of 10^-(dps+7), and the K + J additions one each of at most K + J, so
+    together (K + J)(K + J + 1 + log2(K + J)) 10^-(dps+7), below the
+    allowance for K + J < 9 10^4.
     """
     _check_pole(s)
     sm = as_mpc(s)
@@ -442,16 +585,17 @@ def zeta_alternating(s, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ComplexValue:
     J = int(math.ceil(2.2 * digits)) + 16
     for _attempt in range(2):
         with mp.workdps(cfg.dps + 6):
+            terms, _ = _dirichlet_terms(sm, K + J + 1)
             head = mp.mpc(0)
             sign = 1
             for n in range(1, K):
-                head += sign * mp.power(n, -sm)
+                head += sign * terms[n]
                 sign = -sign
             partial = []
             acc = mp.mpc(0)
             sgn = 1
             for m_ in range(J + 1):
-                acc += sgn * mp.power(K + m_, -sm)
+                acc += sgn * terms[K + m_]
                 partial.append(acc)
                 sgn = -sgn
             tail = _euler_average(partial, J)
@@ -561,12 +705,18 @@ def xi(s, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ComplexValue:
     so the pole of zeta and the Gamma poles are removable and handled via
     the Stieltjes expansion of (s-1) zeta(s) near s = 1 (and symmetry near
     s = 0).
+
+    Error: 10^-(dps-6) (1 + |xi|) for the rounding, plus zeta's own bound
+    times its prefactor; near s = 1, instead of zeta's bound, the omitted
+    Stieltjes terms n >= 4. With Berndt's |gamma_n| <= 4 (n-1)! / pi^n
+    (B. C. Berndt, "On the Hurwitz zeta-function", Rocky Mountain J. Math. 2
+    (1972)), that tail is at most
+    4|u| sum_{n>=4} (|u|/pi)^n / n <= |u| (|u|/pi)^4 / (1 - |u|/pi), u = s - 1.
     """
-    sm = as_mpc(s)
-    if abs(as_complex(s)) < 1e-4:
-        out = xi(1 - sm, cfg)
-        return out
     with mp.workdps(cfg.dps):
+        sm = as_mpc(s)
+        if abs(as_complex(s)) < 1e-4:
+            return xi(1 - sm, cfg)
         if abs(complex(sm - 1)) < 1e-4:
             u = sm - 1
             # (s-1) zeta(s) = 1 + sum (-1)^n gamma_n u^(n+1) / n!
@@ -577,13 +727,17 @@ def xi(s, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ComplexValue:
                 reg += (-1) ** n_ * mp.stieltjes(n_) * up / fac
                 up *= u
                 fac *= n_ + 1
-            val = mp.power(mp.pi, -sm / 2) * mp.gamma(sm / 2 + 1) * reg
+            pre = mp.power(mp.pi, -sm / 2) * mp.gamma(sm / 2 + 1)
+            val = pre * reg
+            au = float(abs(u))
+            inner = au * (au / math.pi) ** 4 / (1.0 - au / math.pi)
         else:
             z = zeta(sm, cfg)
-            zv = mp.mpc(z.re, z.im)
-            val = mp.mpf(1) / 2 * sm * (sm - 1) * mp.power(mp.pi, -sm / 2) \
-                * mp.gamma(sm / 2) * zv
-        err = 10.0 ** (-(cfg.dps - 6)) * (1 + float(abs(val)))
+            pre = mp.mpf(1) / 2 * sm * (sm - 1) * mp.power(mp.pi, -sm / 2) \
+                * mp.gamma(sm / 2)
+            val = pre * mp.mpc(z.re, z.im)
+            inner = z.abs_err
+        err = float(abs(pre)) * inner + 10.0 ** (-(cfg.dps - 6)) * (1 + float(abs(val)))
         return ComplexValue(val.real, val.imag, err)
 
 

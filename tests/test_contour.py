@@ -1,6 +1,7 @@
 import math
 import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -26,7 +27,7 @@ from zetacontour.contour import (
 from zetacontour.precision import FAST_CONFIG
 from zetacontour.special_functions import log_deriv_batch
 from zetacontour.telescope import s_n_direct
-from zetacontour.zero_finder import ZeroTable
+from zetacontour.zero_finder import ZeroTable, backlund_count_bound
 
 from oracles import presplit_full_set
 
@@ -283,6 +284,23 @@ class TestZeroSum:
             H = big_table.gammas[term.n_used - 1]
             from zetacontour.contour import zero_tail_bound
             assert zero_tail_bound(rect, H) > term.threshold
+
+    def test_fluctuation_bound_covers_the_slope_integral(self):
+        # beyond the boundary term 2 B(H) w(H), the closed form bounds
+        # int_H^inf w(g) B'(g) dg from above and stays within 5% of it
+        def slope(g):
+            g = float(g)
+            return (backlund_count_bound(g * (1 + 1e-5))
+                    - backlund_count_bound(g * (1 - 1e-5))) / (2e-5 * g)
+
+        for T, H in ((100.0, 5200.0), (50.0, 300.0)):
+            b_a = 0.2
+            w = 4.0 * T * b_a
+            closed = (contour._tail_fluctuation_bound(b_a, T, H)
+                      - 2.0 * backlund_count_bound(H) * w / (H * H - T * T))
+            quad = float(mp.quad(lambda g: w / (g * g - T * T) * slope(g),
+                                 [H, 2 * H, 10 * H, mp.inf]))
+            assert quad <= closed <= 1.05 * quad
 
     def test_table_too_short(self, table120):
         rect = Rectangle.paper_mode(ALPHA, BETA, 100.0)

@@ -289,3 +289,11 @@ def test_snapshot_script_starts():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "--out-dir" in proc.stdout and "--zeros" in proc.stdout
+
+
+def test_compare_snapshots_script_starts():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "compare_snapshots.py"), "--help"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "DIR_A" in proc.stdout and "DIR_B" in proc.stdout

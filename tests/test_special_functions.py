@@ -14,6 +14,10 @@ from oracles import (
 from zetacontour import errors
 from zetacontour.precision import FAST_CONFIG, ComplexValue, PrecisionConfig
 from zetacontour.special_functions import (
+    _dirichlet_terms,
+    _extend_sieve,
+    _phase_table,
+    _sieve,
     digamma,
     log_deriv_batch,
     log_deriv_zeta,
@@ -215,6 +219,83 @@ class TestDoubleEngineLattice:
         assert np.all(np.abs(grid[1] - rows[1][:n]) <= grid[3] + rows[3][:n])
 
 
+class TestSieve:
+    """The smallest-prime-factor sieve and the two term tables built on it."""
+
+    EMPTY = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int8))
+
+    def test_grown_in_steps_equals_built_at_full_size(self):
+        spf, omega = _extend_sieve(*self.EMPTY, 3000)
+        steps = self.EMPTY
+        for n in (1, 2, 3, 5, 30, 31, 97, 1000, 1024, 2999, 3000):
+            steps = _extend_sieve(*steps, n)
+        assert np.array_equal(steps[0], spf) and np.array_equal(steps[1], omega)
+        for n in range(2, 3000):  # trial division
+            m, p, count = n, 2, 0
+            while m > 1:
+                while m % p:
+                    p += 1
+                if count == 0:
+                    assert spf[n] == p, n
+                m //= p
+                count += 1
+            assert omega[n] == count, n
+
+    def test_phase_rows_match_cos_sin(self):
+        # each row within (Omega(n) + 1) |t| ln n u of exp(i t ln n), u = 2^-53
+        u = 2.0 ** -53
+        ts = np.array([-1000.5, 14.134725, 250.3, 2600.7])
+        for N in (2, 3, 176, 1456):
+            n = np.arange(N - 1, 0, -1)
+            phase = _phase_table(ts, np.log(n.astype(float)), N)
+            omega = _sieve(N)[1][n]
+            with mp.workdps(30):
+                for j, t in enumerate(ts):
+                    for r in range(0, N - 1, 7 if N > 200 else 1):
+                        ref = mp.expj(mp.mpf(float(t)) * mp.log(int(n[r])))
+                        err = float(abs(mp.mpc(phase[r, j]) - ref))
+                        assert err <= (omega[r] + 1) * abs(t) * math.log(n[r]) * u
+
+    def test_mp_terms_match_power(self):
+        # relative to |n^-s|: within (1 + log2 n) 10^-dps of mp.power
+        for dps in (25, 40):
+            for s in (complex(0.5, 14.1), complex(-2.5, -120.0), complex(3.0, 0.0),
+                      complex(0.75, 117.3)):
+                with mp.workdps(dps):
+                    sm = mp.mpc(s)
+                    terms, logs = _dirichlet_terms(sm, 300)
+                with mp.workdps(dps + 20):
+                    for n in range(1, 300):
+                        ref = mp.power(n, -sm)
+                        rel = abs(terms[n] - ref) / abs(ref)
+                        assert rel <= (1 + math.log2(n)) * 10.0 ** -dps, (s, n)
+                        assert abs(logs[n] - mp.log(n)) <= (1 + math.log2(n)) \
+                            * 10.0 ** -dps * mp.log(n)
+
+
+class TestMpEngineProperty:
+    """Seeded strict check of the mpmath engine against mp.zeta at 50 digits."""
+
+    def test_bounds_hold(self, mp_cfg):
+        rng = np.random.default_rng(808)
+        checked = 0
+        while checked < 40:
+            s = complex(rng.uniform(-3.0, 4.0), rng.uniform(-120.0, 120.0))
+            if abs(s - 1) < 0.05:
+                continue
+            checked += 1
+            with mp.workdps(50):
+                sm = mp.mpc(s)
+                ref = mp.zeta(sm)
+                dref = mp.zeta(sm, derivative=1)
+                v, dv = zeta(s, mp_cfg), zeta_prime(s, mp_cfg)
+                assert abs(mp.mpc(v.re, v.im) - ref) <= v.abs_err, s
+                assert abs(mp.mpc(dv.re, dv.im) - dref) <= dv.abs_err, s
+                if s.real > 0.05 and abs(1 - mp.power(2, 1 - sm)) >= 1e-3:
+                    a = zeta_alternating(s, mp_cfg)
+                    assert abs(mp.mpc(a.re, a.im) - ref) <= a.abs_err, s
+
+
 class TestDigamma:
     def test_at_1_is_minus_euler(self, mp_cfg):
         assert _dist(digamma(1.0, mp_cfg), -EULER_C) < 1e-15
@@ -276,6 +357,17 @@ class TestXi:
         # removable singularities: xi(0) = xi(1) = 1/2
         assert _dist(xi(0.0, mp_cfg), 0.5) < 1e-12
         assert _dist(xi(1.0, mp_cfg), 0.5) < 1e-12
+
+    def test_bound_holds_beside_the_removable_singularities(self, mp_cfg):
+        # the Stieltjes branch near s = 1, reached by reflection near s = 0
+        for s in (1 + 9e-5, complex(1, 9e-5), complex(0.99994, 6e-5), 9e-5,
+                  1e-6, 1 + 1e-6):
+            v = xi(s, mp_cfg)
+            with mp.workdps(80):
+                sm = mp.mpc(s)
+                ref = (sm - 1) * mp.zeta(sm) * mp.power(mp.pi, -sm / 2) \
+                    * mp.gamma(sm / 2 + 1)
+                assert abs(mp.mpc(v.re, v.im) - ref) <= v.abs_err, s
 
 
 class TestPrincipalLogArg:
