@@ -162,9 +162,11 @@ def cmd_probe(args) -> int:
         for tau, sd, flag in rows:
             w.writerow([repr(tau), "" if sd is None else repr(sd), flag])
     best = summary.best
-    print(f"scanned {len(summary.results)} shifts (skipped {len(summary.skipped)}); "
-          f"good_fraction={summary.good_fraction:.6f}; "
-          f"best sup_distance={best.sup_distance:.6f} at tau={best.tau}")
+    line = f"scanned {len(summary.results)} shifts (skipped {len(summary.skipped)})"
+    if best is not None:
+        line += (f"; good_fraction={summary.good_fraction:.6f}; "
+                 f"best sup_distance={best.sup_distance:.6f} at tau={best.tau}")
+    print(line)
     return 0
 
 

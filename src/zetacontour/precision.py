@@ -102,9 +102,3 @@ def as_mpc(s) -> mp.mpc:
         return mp.mpc(s.re, s.im)
     return mp.mpc(s)
 
-
-def as_complex(s) -> complex:
-    if isinstance(s, ComplexValue):
-        return complex(s)
-    return complex(s)
-

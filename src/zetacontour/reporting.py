@@ -40,7 +40,7 @@ from .contour import (
     zero_sum_term_integral,
 )
 from .errors import DomainError
-from .precision import DEFAULT_CONFIG, PrecisionConfig
+from .precision import DEFAULT_CONFIG, PrecisionConfig, as_mpc
 from .special_functions import xi, zeta, zeta_alternating
 from .telescope import (
     fixed_point_check,
@@ -202,9 +202,7 @@ def _measured(name, value, note="") -> CheckRecord:
 def _mp_distance(a, b) -> float:
     """|a - b| at elevated precision; a, b are ComplexValue or mp scalars."""
     with mp.workdps(50):
-        av = mp.mpc(a.re, a.im) if hasattr(a, "abs_err") else mp.mpc(a)
-        bv = mp.mpc(b.re, b.im) if hasattr(b, "abs_err") else mp.mpc(b)
-        return float(abs(av - bv))
+        return float(abs(as_mpc(a) - as_mpc(b)))
 
 
 def suite_zeta_oracles(cfg: RunConfig, table=None) -> List[CheckRecord]:

@@ -48,7 +48,6 @@ from .precision import (
     FLAG_RADIUS,
     ComplexValue,
     PrecisionConfig,
-    as_complex,
     as_mpc,
 )
 
@@ -74,58 +73,50 @@ _ROW_BLOCK = 1 << 16  # table entries gathered per block (phase fill, scattered 
 # smallest-prime-factor sieve
 # ---------------------------------------------------------------------------
 
-def _extend_sieve(spf, omega, N):
-    """The sieve arrays ``spf``, ``omega`` extended to length N (a pure
-    function; arrays already that long are returned as they are).
+def _build_sieve(N):
+    """The sieve arrays ``spf``, ``omega`` of length N.
 
     spf[n] is the smallest prime factor of n and omega[n] = Omega(n), the
     number of prime factors of n with multiplicity, for 2 <= n < N; spf[1] = 1
-    and omega[1] = 0 (entry 0 is a placeholder). Only the new entries are
-    sieved: every prime up to sqrt(N) marks its multiples in [len(spf), N),
-    in increasing order, so an entry still unmarked when its own turn comes
-    is prime.
+    and omega[1] = 0 (entry 0 is a placeholder). Every prime up to sqrt(N)
+    marks its multiples from p^2 on, in increasing order, so an entry still
+    unmarked when its own turn comes is prime.
     """
-    lo = len(spf)
-    if N <= lo:
-        return spf, omega
-    spf = np.concatenate((spf, np.zeros(N - lo, dtype=np.int64)))
+    spf = np.zeros(N, dtype=np.int64)
     spf[:2] = 1  # n = 0 is never read; 1 keeps the division below defined
     for p in range(2, math.isqrt(N - 1) + 1):
-        if p >= lo and spf[p] == 0:
-            spf[p] = p
-        if spf[p] == p:
-            start = max(p * p, -(-lo // p) * p)
-            seg = spf[start::p]
+        if spf[p] == 0:
+            seg = spf[p * p::p]
             seg[seg == 0] = p
-    new = np.arange(max(lo, 2), N)
-    primes = new[spf[new] == 0]
+    primes = np.flatnonzero(spf == 0)
     spf[primes] = primes
-    count = np.zeros(N - lo, dtype=np.int8)
-    m = np.arange(lo, N)
+    omega = np.zeros(N, dtype=np.int8)
+    m = np.arange(N)
     while True:
         more = m > 1
         if not more.any():
             break
-        count += more
+        omega += more
         m = m // spf[m]
-    return spf, np.concatenate((omega, count))
+    return spf, omega
 
 
 _SIEVE = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int8))
 
 
 def _sieve(N):
-    """The module's sieve, grown on demand to cover n < N (at least doubling,
-    so the largest N seen costs a few growths); shared by both engines."""
+    """The module's sieve, covering n < N: rebuilt at max(N, twice its
+    length) when too short, so the largest N seen costs a few builds; shared
+    by both engines."""
     global _SIEVE
     sieve = _SIEVE
     if len(sieve[0]) < N:
-        sieve = _SIEVE = _extend_sieve(*sieve, max(N, 2 * len(sieve[0])))
+        sieve = _SIEVE = _build_sieve(max(N, 2 * len(sieve[0])))
     return sieve
 
 
 # ---------------------------------------------------------------------------
-# Euler-Maclaurin plan selection
+# Euler-Maclaurin plan selection and closed-form tail
 # ---------------------------------------------------------------------------
 
 def _em_plan(sigma, t, M, tol, rounds):
@@ -159,6 +150,36 @@ def _em_plan(sigma, t, M, tol, rounds):
             return N, log_bound
         N = np.where(bad, (N * 13) // 10 + 4, N)
     raise PrecisionExhausted(f"Euler-Maclaurin bound stuck above tol={tol:g}")
+
+
+def _em_tail(s, N, NmS, lnN, coeffs, acc, dacc):
+    """The direct sums ``acc`` = sum_{n<N} n^-s and ``dacc`` (its derivative,
+    or None) completed by the closed-form part of Euler-Maclaurin,
+
+        N^(1-s)/(s-1) + N^-s/2 + sum_{k=1..M} coeffs[k-1] (s)_{2k-1} N^(1-s-2k),
+
+    and its termwise derivative; returns (acc, dacc). Both engines run it:
+    ``s`` is a complex128 array or an mpmath scalar, and NmS = N^-s,
+    lnN = ln N and coeffs = B_2k/(2k)! come at that engine's precision.
+    """
+    acc = acc + N * NmS / (s - 1.0) + 0.5 * NmS
+    if dacc is not None:
+        dacc = dacc - lnN * N * NmS / (s - 1.0) - N * NmS / (s - 1.0) ** 2
+        dacc = dacc - 0.5 * lnN * NmS
+    poch, dpoch = 1, 0
+    Npow = NmS * N  # N^(1-s)
+    j = 0
+    for k, c in enumerate(coeffs, start=1):
+        while j <= 2 * k - 2:
+            if dacc is not None:
+                dpoch = dpoch * (s + j) + poch
+            poch = poch * (s + j)
+            j += 1
+        Npow = Npow / (N * N)  # N^(1-s-2k)
+        acc = acc + c * poch * Npow
+        if dacc is not None:
+            dacc = dacc + c * (dpoch - poch * lnN) * Npow
+    return acc, dacc
 
 
 # ---------------------------------------------------------------------------
@@ -252,32 +273,10 @@ def _em_f64_group(s, N, M, want_prime):
             cols = phase[:, h[sl]].transpose(1, 2, 0).copy()  # n contiguous, as amp
             main[:, sl] = np.einsum("pcn,bpn->bpc", cols, amp[:, v[sl]])
     vals = main[0, :, 0] - 1j * main[0, :, 1]
+    dvals = main[1, :, 0] - 1j * main[1, :, 1] if want_prime else None
     lnN = math.log(N)
-    NmS = np.exp(-s * lnN)
-    vals = vals + N * NmS / (s - 1.0) + 0.5 * NmS
-    if want_prime:
-        dvals = main[1, :, 0] - 1j * main[1, :, 1]
-        dvals = dvals - lnN * N * NmS / (s - 1.0) - N * NmS / (s - 1.0) ** 2
-        dvals = dvals - 0.5 * lnN * NmS
-    poch = np.ones_like(s)
-    dpoch = np.zeros_like(s)
-    Npow = NmS * N  # N^(1-s)
-    j = 0
-    invN2 = 1.0 / (float(N) * float(N))
-    for k in range(1, M + 1):
-        while j <= 2 * k - 2:
-            if want_prime:
-                dpoch = dpoch * (s + j) + poch
-            poch = poch * (s + j)
-            j += 1
-        Npow = Npow * invN2  # N^(1-s-2k)
-        c = _B2K_OVER_FACT[k]
-        vals = vals + c * poch * Npow
-        if want_prime:
-            dvals = dvals + c * (dpoch - poch * lnN) * Npow
-    if want_prime:
-        return vals, dvals
-    return vals, None
+    return _em_tail(s, N, np.exp(-s * lnN), lnN, _B2K_OVER_FACT[1:M + 1],
+                    vals, dvals)
 
 
 def _f64_errors(s, N, M, want_prime, trunc):
@@ -338,27 +337,47 @@ def log_deriv_batch(s_arr, cfg: PrecisionConfig):
     """Vectorized zeta'/zeta with propagated error bounds (double engine);
     PrecisionExhausted where zeta's error bound reaches |zeta|."""
     vals, dvals, errs, derrs = zeta_batch(s_arr, cfg, want_prime=True)
-    az = np.abs(vals)
-    if np.any(errs >= az):
-        raise PrecisionExhausted("|zeta| within its error bound at a batch point")
-    ld = dvals / vals
-    lerr = (derrs + np.abs(ld) * errs) / az
-    return ld, lerr
+    return _log_deriv(vals, dvals, errs, derrs)
+
+
+def _log_deriv(v, dv, e, de):
+    """(zeta'/zeta, its bound (de + |zeta'/zeta| e) / |zeta|) from zeta = v
+    and zeta' = dv with bounds e and de, as complex128 arrays or as mpmath
+    scalars (whose quotient runs at the current digits); PrecisionExhausted
+    where e reaches |v|, since the quotient has no bound there."""
+    # np.abs, not abs: the builtin rounds complex128 moduli differently
+    av = np.abs(v)
+    if np.any(e >= av):
+        raise PrecisionExhausted("|zeta| within its error bound")
+    ld = dv / v
+    return ld, (de + np.abs(ld) * e) / av
+
+
+def _reflection_err(az, ad, acot, unit):
+    """Bound on the error that psi(z) = psi(1-z) - pi cot(pi d) adds, with
+    d = z - round(Re z) formed exactly, az = |z|, ad = |d|, acot = |pi cot(pi d)|
+    and ``unit`` at least 8 unit roundoffs of the engine. Rounding 1 - z moves
+    psi(1-z) by at most |psi'| |1 - z| unit/8, |psi'| <= pi^2/2 for Re >= 1/2.
+    Rounding pi d moves it by 2 pi ad unit/8, and pi cot by
+    pi |1 + cot^2| <= pi + acot^2/pi per unit of that; tan or cot, the division
+    and the final subtraction add a few unit/8 acot."""
+    return unit * ((1.0 + az) + ad * (math.pi ** 2 + acot ** 2) + acot)
 
 
 def digamma_batch(z_arr):
     """Vectorized digamma for complex128 arrays, poles excluded by caller.
 
-    Upward recurrence psi(z) = psi(z+1) - 1/z into |z| >= 12, then the
-    standard asymptotic series with eight Bernoulli terms.
+    Reflection psi(z) = psi(1-z) - pi cot(pi z) for Re z < 1/2, with cot
+    taken at z less its nearest integer so that it stays accurate by the
+    poles; then upward recurrence psi(w) = psi(w+1) - 1/w into |w| >= 12 (at
+    most 12 steps from Re w >= 1/2), then the standard asymptotic series with
+    eight Bernoulli terms.
     """
     z = np.asarray(z_arr, dtype=np.complex128)
+    left = z.real < 0.5
     val = np.zeros_like(z)
-    w = z.copy()
-    for _ in range(16):
-        mask = np.abs(w) < 12.0
-        if not mask.any():
-            break
+    w = np.where(left, 1.0 - z, z)
+    while (mask := np.abs(w) < 12.0).any():
         val[mask] -= 1.0 / w[mask]
         w[mask] += 1.0
     r = 1.0 / w
@@ -369,6 +388,12 @@ def digamma_batch(z_arr):
         val = val - (float(mp.bernoulli(2 * n)) / (2 * n)) * p
         p = p * r2
     err = np.full(z.shape, 5e-14) * (1.0 + np.abs(val))
+    if left.any():
+        zl = z[left]
+        d = zl - np.round(zl.real)
+        cot = np.pi / np.tan(np.pi * d)
+        val[left] -= cot
+        err[left] += _reflection_err(np.abs(zl), np.abs(d), np.abs(cot), 1e-15)
     return val, err
 
 
@@ -430,27 +455,9 @@ def _em_mp(s: mp.mpc, cfg: PrecisionConfig, want_prime: bool):
             acc += terms[n]
             if want_prime and n > 1:
                 dacc -= logs[n] * terms[n]
-        NmS = mp.power(N, -s)
-        lnN = mp.log(N)
-        acc += N * NmS / (s - 1) + NmS / 2
-        if want_prime:
-            dacc += -lnN * N * NmS / (s - 1) - N * NmS / (s - 1) ** 2
-            dacc += -lnN * NmS / 2
-        poch = mp.mpc(1)
-        dpoch = mp.mpc(0)
-        Npow = NmS * N
-        j = 0
-        for k in range(1, M + 1):
-            while j <= 2 * k - 2:
-                if want_prime:
-                    dpoch = dpoch * (s + j) + poch
-                poch = poch * (s + j)
-                j += 1
-            Npow = Npow / (N * N)
-            c = mp.bernoulli(2 * k) / mp.factorial(2 * k)
-            acc += c * poch * Npow
-            if want_prime:
-                dacc += c * (dpoch - poch * lnN) * Npow
+        coeffs = [mp.bernoulli(2 * k) / mp.factorial(2 * k) for k in range(1, M + 1)]
+        acc, dacc = _em_tail(s, N, mp.power(N, -s), mp.log(N), coeffs,
+                             acc, dacc if want_prime else None)
         trunc = math.exp(float(log_bound(N)))
         ro = 10.0 ** (-(cfg.dps - 3)) * (3.0 + N ** max(0.0, 1.0 - sigma))
         err = trunc + ro
@@ -503,8 +510,8 @@ def _zeta_scalar(s: mp.mpc, cfg: PrecisionConfig, want_prime: bool):
 # ---------------------------------------------------------------------------
 
 def _check_pole(s):
-    if abs(as_complex(s) - 1.0) < EXCLUSION_RADIUS:
-        raise PoleAtOne(f"s={as_complex(s)} within {EXCLUSION_RADIUS:g} of the pole")
+    if abs(complex(s) - 1.0) < EXCLUSION_RADIUS:
+        raise PoleAtOne(f"s={complex(s)} within {EXCLUSION_RADIUS:g} of the pole")
 
 
 def _scalar_cfg(cfg: PrecisionConfig) -> PrecisionConfig:
@@ -523,7 +530,7 @@ def _zeta_and_prime(s, cfg: PrecisionConfig, want_prime: bool):
     for Re s > -1 with a double config, scalar mpmath at ``_scalar_cfg``
     otherwise.
     """
-    sc = as_complex(s)
+    sc = complex(s)
     if cfg.uses_f64 and sc.real > -1.0:
         vals, dvals, errs, derrs = zeta_batch([sc], cfg, want_prime=want_prime)
         if not want_prime:
@@ -623,7 +630,7 @@ def log_deriv_zeta(s, cfg: PrecisionConfig = DEFAULT_CONFIG,
     TableTooShort unless ``zeros`` reaches |Im s| + FLAG_RADIUS;
     PrecisionExhausted where zeta's error bound reaches |zeta|.
     """
-    sc = as_complex(s)
+    sc = complex(s)
     flag = None
     candidates = [("pole s=1", abs(sc - 1.0))]
     if zeros is not None:
@@ -641,23 +648,19 @@ def log_deriv_zeta(s, cfg: PrecisionConfig = DEFAULT_CONFIG,
         raise NearSingularity(which, dist)
     if dist < FLAG_RADIUS:
         flag = f"within {FLAG_RADIUS:g} of {which}"
-    v, dv, e, de = _zeta_and_prime(s, cfg, want_prime=True)
-    # np.abs, not abs: the builtin rounds complex128 moduli differently
-    av = float(np.abs(v))
-    if e >= av:
-        raise PrecisionExhausted(f"|zeta| = {av:.2e} within its bound at s = {sc}")
     # mpmath operands carry the engine's digits; so must their quotient
     with mp.workdps(_scalar_cfg(cfg).dps):
-        ld = dv / v
-    err = (de + float(np.abs(ld)) * e) / av
-    return ComplexValue(ld.real, ld.imag, err, flag)
+        ld, err = _log_deriv(*_zeta_and_prime(s, cfg, want_prime=True))
+    return ComplexValue(ld.real, ld.imag, float(err), flag)
 
 
 def digamma(s, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ComplexValue:
-    """psi(s) by upward recurrence psi(s+1) = psi(s) + 1/s into the regime
-    where the asymptotic series psi(w) ~ log w - 1/2w - sum B_2n/(2n w^2n)
-    (A&S 6.3.18) meets the tolerance."""
-    sc = as_complex(s)
+    """psi(s) for every s but the poles 0, -1, -2, ...: reflection
+    psi(s) = psi(1-s) - pi cot(pi s) for Re s < 1/2, then upward recurrence
+    psi(w+1) = psi(w) + 1/w into the regime where the asymptotic series
+    psi(w) ~ log w - 1/2w - sum B_2n/(2n w^2n) (A&S 6.3.18) meets the
+    tolerance."""
+    sc = complex(s)
     near = round(sc.real)
     if near <= 0 and abs(sc - near) < EXCLUSION_RADIUS:
         raise PoleAtNonpositiveInteger(f"digamma pole at {near}")
@@ -666,13 +669,13 @@ def digamma(s, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ComplexValue:
         return ComplexValue(v[0].real, v[0].imag, float(e[0]))
     R = max(10.0, 0.9 * cfg.working_digits)
     with mp.workdps(cfg.dps):
-        w = as_mpc(s)
+        sm = as_mpc(s)
+        left = sc.real < 0.5
+        w = 1 - sm if left else sm
         acc = mp.mpc(0)
-        guard = 0
-        while abs(w) < R and guard < int(R) + 4:
+        while abs(w) < R:
             acc -= 1 / w
             w += 1
-            guard += 1
         r = 1 / w
         acc += mp.log(w) - r / 2
         r2 = r * r
@@ -695,6 +698,12 @@ def digamma(s, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ComplexValue:
         if err is None or err > tol:
             raise PrecisionExhausted("digamma asymptotic series stalled above tolerance")
         err += 10.0 ** (-(cfg.dps - 3)) * (1 + float(abs(acc)))
+        if left:
+            d = sm - mp.nint(sm.real)
+            cot = mp.pi * mp.cot(mp.pi * d)
+            acc -= cot
+            err += _reflection_err(abs(sc), float(abs(d)), float(abs(cot)),
+                                   10.0 ** (-(cfg.dps - 2)))
         return ComplexValue(acc.real, acc.imag, err)
 
 
@@ -715,7 +724,7 @@ def xi(s, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ComplexValue:
     """
     with mp.workdps(cfg.dps):
         sm = as_mpc(s)
-        if abs(as_complex(s)) < 1e-4:
+        if abs(complex(s)) < 1e-4:
             return xi(1 - sm, cfg)
         if abs(complex(sm - 1)) < 1e-4:
             u = sm - 1
@@ -743,7 +752,7 @@ def xi(s, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ComplexValue:
 
 def principal_log_arg(z) -> Tuple[float, float]:
     """Principal branch: log z = log|z| + i arg(z) with arg in (-pi, pi]."""
-    zc = as_complex(z)
+    zc = complex(z)
     if zc == 0:
         raise ZeroArgument("principal log/arg of 0")
     a = math.atan2(zc.imag, zc.real)

@@ -43,7 +43,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 import mpmath as mp
@@ -57,7 +57,7 @@ from .errors import (
     PrecisionExhausted,
     TableTooShort,
 )
-from .precision import DEFAULT_CONFIG, FAST_CONFIG, PrecisionConfig
+from .precision import DEFAULT_CONFIG, FAST_CONFIG, PrecisionConfig, as_mpc
 from .special_functions import zeta, zeta_batch
 
 _TWO_PI = 2.0 * math.pi
@@ -73,7 +73,7 @@ _MAX_STEPS = 100        # refinement steps before PrecisionExhausted
 
 # theta asymptotic coefficients c_n = (1 - 2^(1-2n)) |B_2n| / (4n(2n-1))
 _THETA_C = [float((1 - mp.mpf(2) ** (1 - 2 * n)) * abs(mp.bernoulli(2 * n))
-                  / (4 * n * (2 * n - 1))) for n in range(1, 9)]
+                  / (4 * n * (2 * n - 1))) for n in range(1, 7)]
 
 
 def backlund_count_bound(t: float) -> float:
@@ -98,29 +98,14 @@ def _theta_f64(t):
 
 
 def riemann_siegel_theta(t, cfg: PrecisionConfig = DEFAULT_CONFIG):
-    """Rotation phase theta(t); asymptotic when its own remainder meets the
-    tolerance, log-gamma continuation otherwise (small t at high precision)."""
+    """Rotation phase theta(t): the asymptotic series ``_theta_f64`` on the
+    double engine from t = 8 up, otherwise the log-gamma form
+    Im log Gamma(1/4 + it/2) - (t/2) log pi, exact to the working digits."""
     tf = float(t)
     if tf < 0:
         raise DomainError("theta defined here for t >= 0")
-    if tf >= 8.0:
-        terms = min(8, len(_THETA_C))
-        first_omitted = _THETA_C[5] / tf ** 11 if terms >= 6 else float("inf")
-        if cfg.uses_f64 or first_omitted <= cfg.target_abs_tol:
-            if cfg.uses_f64:
-                return float(_theta_f64(tf))
-            with mp.workdps(cfg.dps):
-                tm = mp.mpf(t)
-                th = tm / 2 * mp.log(tm / (2 * mp.pi)) - tm / 2 - mp.pi / 8
-                ti = 1 / tm
-                p = ti
-                for n in range(1, 9):
-                    c = (1 - mp.mpf(2) ** (1 - 2 * n)) * abs(mp.bernoulli(2 * n)) \
-                        / (4 * n * (2 * n - 1))
-                    th += c * p
-                    p = p * ti * ti
-                return th
-    # continuation for small t (or very tight tolerances)
+    if cfg.uses_f64 and tf >= 8.0:
+        return float(_theta_f64(tf))
     with mp.workdps(max(cfg.dps, 25)):
         tm = mp.mpf(t)
         return mp.im(mp.loggamma(mp.mpf(1) / 4 + mp.mpc(0, 1) * tm / 2)) \
@@ -131,30 +116,26 @@ def hardy_z_components(t, cfg: PrecisionConfig = DEFAULT_CONFIG):
     """(value, imag_residual, err_bound) of the rotated zeta at height t.
 
     The imaginary residual of exp(i theta) zeta(1/2+it) measures the combined
-    phase/evaluation error; realness holds within err_bound.
+    phase/evaluation error; realness holds within err_bound. On the mpmath
+    engine theta carries only rounding, relative to its own size.
     """
     tf = float(t)
     if tf < 0:
         raise DomainError("hardy_z requires t >= 0")
+    th = riemann_siegel_theta(tf, cfg)
     if cfg.uses_f64:
         z = zeta(complex(0.5, tf), cfg)
-        th = riemann_siegel_theta(tf, cfg)
         w = complex(math.cos(th), math.sin(th)) * complex(z)
         theta_err = (_THETA_C[5] / tf ** 11) if tf >= 8.0 else 1e-14
-        bound = z.abs_err + abs(complex(z)) * theta_err + 1e-15 * (1 + abs(w))
-        return w.real, abs(w.imag), bound
-    with mp.workdps(cfg.dps):
-        z = zeta(mp.mpc(0.5, tf), cfg)
-        zv = mp.mpc(z.re, z.im)
-        th = riemann_siegel_theta(tf, cfg)
-        w = mp.exp(mp.mpc(0, 1) * th) * zv
-        if tf >= 8.0:
-            theta_err = _THETA_C[5] / tf ** 11 + 10.0 ** (-(cfg.dps - 3))
-        else:
-            theta_err = 10.0 ** (-(cfg.dps - 5))
-        bound = z.abs_err + float(abs(zv)) * theta_err \
-            + 10.0 ** (-(cfg.dps - 3)) * (1 + float(abs(w)))
-        return w.real, float(abs(w.imag)), bound
+        unit = 1e-15
+    else:
+        with mp.workdps(cfg.dps):
+            z = zeta(mp.mpc(0.5, tf), cfg)
+            w = mp.exp(mp.mpc(0, 1) * th) * as_mpc(z)
+        theta_err = 10.0 ** (-(cfg.dps - 5)) * (1 + abs(float(th)))
+        unit = 10.0 ** (-(cfg.dps - 3))
+    bound = z.abs_err + abs(complex(z)) * theta_err + unit * (1 + float(abs(w)))
+    return w.real, float(abs(w.imag)), bound
 
 
 def hardy_z(t, cfg: PrecisionConfig = DEFAULT_CONFIG):
@@ -294,15 +275,9 @@ class ZeroTable:
     max_height: float
 
     def __post_init__(self):
-        if self.accuracy <= 0:
-            raise ValueError("accuracy must be positive")
-        g = self.gammas
-        if any(b <= a for a, b in zip(g, g[1:])):
-            raise ValueError("ordinates must be strictly increasing")
-        if g and g[0] <= 0:
-            raise ValueError("ordinates must be positive")
-        if g and g[-1] > self.max_height + self.accuracy:
-            raise ValueError("ordinate above max_height")
+        fault = _table_fault(self.gammas, self.accuracy, self.max_height)
+        if fault:
+            raise ValueError(fault[1])
 
     def __len__(self) -> int:
         return len(self.gammas)
@@ -339,6 +314,24 @@ class ZeroTable:
                     f"T={self.max_height}")
 
 
+def _table_fault(gammas, accuracy, max_height) -> Optional[Tuple[int, str]]:
+    """The first fault of a table as (line, message), the line being where
+    the field sits in a table file (``save_table``); None for a sound table.
+    Comparisons are written so that nan fails them."""
+    if not 0 < accuracy < math.inf:
+        return 2, f"accuracy {accuracy!r} is not positive and finite"
+    if not math.isfinite(max_height):
+        return 3, f"max_height {max_height!r} is not finite"
+    prev = 0.0
+    for line, g in enumerate(gammas, start=4):
+        if not g > prev:
+            return line, f"ordinate {g!r} is not positive and above the one before"
+        if g > max_height + accuracy:
+            return line, f"ordinate {g!r} above max_height"
+        prev = g
+    return None
+
+
 def save_table(table: ZeroTable, path) -> None:
     """Write the table: 'zctab v1' header, accuracy, max_height, one ordinate
     per line, then an sha256 footer over all preceding bytes."""
@@ -361,15 +354,8 @@ def load_table(path) -> ZeroTable:
         raise FormatError(max(1, len(lines)), "truncated table file")
     if lines[0] != "zctab v1":
         raise FormatError(1, f"bad magic {lines[0]!r}")
-    if not lines[1].startswith("accuracy="):
-        raise FormatError(2, "missing accuracy header")
-    if not lines[2].startswith("max_height="):
-        raise FormatError(3, "missing max_height header")
-    try:
-        accuracy = float(lines[1][len("accuracy="):])
-        max_height = float(lines[2][len("max_height="):])
-    except ValueError as e:
-        raise FormatError(2 if "accuracy" in str(e) else 3, str(e)) from None
+    accuracy = _header(lines, 2, "accuracy")
+    max_height = _header(lines, 3, "max_height")
     footer = lines[-1]
     if not footer.startswith("sha256="):
         raise FormatError(len(lines), "missing sha256 footer")
@@ -383,7 +369,21 @@ def load_table(path) -> ZeroTable:
             gammas.append(float(line))
         except ValueError:
             raise FormatError(i, f"bad ordinate {line!r}") from None
-    return ZeroTable(tuple(gammas), accuracy, max_height)
+    try:
+        return ZeroTable(tuple(gammas), accuracy, max_height)
+    except ValueError:
+        raise FormatError(*_table_fault(gammas, accuracy, max_height)) from None
+
+
+def _header(lines, line: int, key: str) -> float:
+    """The number on header line ``line`` (1-based), written ``key=value``."""
+    text = lines[line - 1]
+    if not text.startswith(key + "="):
+        raise FormatError(line, f"missing {key} header")
+    try:
+        return float(text[len(key) + 1:])
+    except ValueError as e:
+        raise FormatError(line, str(e)) from None
 
 
 # ---------------------------------------------------------------------------

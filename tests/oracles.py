@@ -22,7 +22,6 @@ from zetacontour.precision import (
     DEFAULT_CONFIG,
     EXCLUSION_RADIUS,
     PrecisionConfig,
-    as_complex,
     as_mpc,
 )
 from zetacontour.telescope import DEGENERATE_TOL
@@ -43,7 +42,7 @@ def digamma_asymptotic(s, terms: int = 8, dps: int = 50) -> mp.mpc:
 
 def digamma_asymptotic_remainder(s, terms: int = 8) -> float:
     """Magnitude bound for the first omitted term of ``digamma_asymptotic``."""
-    w = abs(as_complex(s))
+    w = abs(complex(s))
     n = terms + 1
     return 2.0 * abs(float(mp.bernoulli(2 * n))) / (2 * n * w ** (2 * n))
 
@@ -56,7 +55,7 @@ def digamma_weierstrass(s, terms: int = 200_000) -> complex:
     The tail beyond ``terms`` is corrected through second order in 1/K, good
     to ~|z|^3/K^3. Intended for |z| <= ~20.
     """
-    z = as_complex(s)
+    z = complex(s)
     k = np.arange(1, terms + 1, dtype=np.float64)
     ssum = np.sum(z / (k * (z + k)))
     K = float(terms)

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -195,6 +196,28 @@ class TestCli:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "tau,sup_distance,skipped_flag"
         assert len(lines) == 4
+
+    def test_probe_with_every_shift_skipped(self, tmp_path, table_path, capsys):
+        # the one shift puts the segment 5e-4 from the first zero
+        out = tmp_path / "scan.csv"
+        rc = main(["probe", "--tau", "14.134725141734693:14.134725141734693:1",
+                   "--K", "0.5005:0.8", "--zeros", table_path, "--out", str(out)])
+        assert rc == 0
+        assert "scanned 0 shifts (skipped 1)" in capsys.readouterr().out
+        lines = out.read_text().strip().split("\n")
+        assert lines[1:] == ["14.134725141734693,,1"]
+
+    def test_malformed_table_exits_2(self, tmp_path, capsys):
+        for body, line in ((b"zctab v1\naccuracy=0\nmax_height=30.0\n", 2),
+                           (b"zctab v1\naccuracy=1e-09\nmax_height=30.0\n"
+                            b"21.02204\n14.134725\n", 5)):
+            p = tmp_path / "bad.zctab"
+            p.write_bytes(body + f"sha256={hashlib.sha256(body).hexdigest()}\n"
+                          .encode())
+            rc = main(["integrate", "--general", "0.4", "0.6", "14", "14.3",
+                       "--zeros", str(p)])
+            assert rc == 2
+            assert f"error: line {line}:" in capsys.readouterr().err
 
     def test_suite_exit_code_and_export(self, tmp_path):
         out = tmp_path / "suite.json"

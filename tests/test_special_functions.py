@@ -12,10 +12,15 @@ from oracles import (
     digamma_weierstrass,
 )
 from zetacontour import errors
-from zetacontour.precision import FAST_CONFIG, ComplexValue, PrecisionConfig
+from zetacontour.precision import (
+    DEFAULT_CONFIG,
+    FAST_CONFIG,
+    ComplexValue,
+    PrecisionConfig,
+)
 from zetacontour.special_functions import (
     _dirichlet_terms,
-    _extend_sieve,
+    _build_sieve,
     _phase_table,
     _sieve,
     digamma,
@@ -222,15 +227,9 @@ class TestDoubleEngineLattice:
 class TestSieve:
     """The smallest-prime-factor sieve and the two term tables built on it."""
 
-    EMPTY = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int8))
-
-    def test_grown_in_steps_equals_built_at_full_size(self):
-        spf, omega = _extend_sieve(*self.EMPTY, 3000)
-        steps = self.EMPTY
-        for n in (1, 2, 3, 5, 30, 31, 97, 1000, 1024, 2999, 3000):
-            steps = _extend_sieve(*steps, n)
-        assert np.array_equal(steps[0], spf) and np.array_equal(steps[1], omega)
-        for n in range(2, 3000):  # trial division
+    def test_matches_trial_division(self):
+        spf, omega = _build_sieve(3000)
+        for n in range(2, 3000):
             m, p, count = n, 2, 0
             while m > 1:
                 while m % p:
@@ -324,6 +323,26 @@ class TestDigamma:
         for s in (1.5, complex(2.0, 3.0), complex(0.7, -4.0), 5.25):
             fd = (mp.loggamma(mp.mpc(s) + h) - mp.loggamma(mp.mpc(s) - h)) / (2 * h)
             assert abs(mp.mpc(*(lambda z: (z.re, z.im))(digamma(s, mp_cfg))) - fd) < 1e-8
+
+    @pytest.mark.parametrize("cfg", [FAST_CONFIG, DEFAULT_CONFIG],
+                             ids=["double", "mpmath"])
+    def test_bound_holds_across_the_plane(self, cfg):
+        # seeded, strict: Re s in [-60, 60], |Im s| <= 40, at least 0.01 from
+        # the poles, against mpmath at 50 digits; before them, three points
+        # where the recurrence alone never leaves the negative real axis and
+        # two beside poles
+        rng = np.random.default_rng(2026)
+        points = [-20.3, complex(-30.6, 1.0), -100.5, complex(-3 + 1e-5, 1e-6),
+                  -1e-5]
+        while len(points) < 200:
+            s = complex(rng.uniform(-60.0, 60.0), rng.uniform(-40.0, 40.0))
+            if abs(s - min(round(s.real), 0)) >= 0.01:
+                points.append(s)
+        for s in points:
+            v = digamma(s, cfg)
+            with mp.workdps(50):
+                err = abs(mp.mpc(v.re, v.im) - mp.digamma(mp.mpc(s)))
+            assert err <= v.abs_err, s
 
     def test_weierstrass_product_route(self, mp_cfg):
         for s in (1.5, complex(2.0, 3.0), complex(0.3, 1.0)):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from pathlib import Path
 
@@ -243,6 +244,41 @@ class TestTableFile:
         with pytest.raises(errors.FormatError) as exc:
             load_table(p)
         assert exc.value.line == 1
+
+    @staticmethod
+    def _write(path, body: bytes):
+        path.write_bytes(body + f"sha256={hashlib.sha256(body).hexdigest()}\n"
+                         .encode())
+
+    @pytest.mark.parametrize("header, line", [
+        (b"accuracy=1e-9x\nmax_height=30.0\n", 2),
+        (b"accuracy=0.0\nmax_height=30.0\n", 2),
+        (b"accuracy=nan\nmax_height=30.0\n", 2),
+        (b"accuracy=1e-09\nmax_height=nan\n", 3),
+        (b"accuracy=1e-09\nmax_height=inf\n", 3),
+    ], ids=["accuracy-text", "accuracy-zero", "accuracy-nan", "height-nan",
+            "height-inf"])
+    def test_bad_header_value_names_its_line(self, tmp_path, header, line):
+        p = tmp_path / "bad.zctab"
+        self._write(p, b"zctab v1\n" + header + b"14.134725\n")
+        with pytest.raises(errors.FormatError) as exc:
+            load_table(p)
+        assert exc.value.line == line
+
+    def test_unsorted_ordinates_name_their_line(self, tmp_path):
+        p = tmp_path / "bad.zctab"
+        self._write(p, b"zctab v1\naccuracy=1e-09\nmax_height=30.0\n"
+                       b"14.134725\n25.010858\n21.02204\n")
+        with pytest.raises(errors.FormatError) as exc:
+            load_table(p)
+        assert exc.value.line == 6
+
+    def test_nan_height_rejected(self):
+        # a nan max_height would pass every require_height guard
+        for accuracy, height in ((1e-9, math.nan), (math.nan, 30.0),
+                                 (1e-9, math.inf)):
+            with pytest.raises(ValueError):
+                ZeroTable((14.134725,), accuracy, height)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.floats(min_value=0.1, max_value=900.0), min_size=0,
