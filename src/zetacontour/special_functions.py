@@ -17,9 +17,13 @@ An independent cross-check route, ``zeta_alternating``, sums the alternating
 Dirichlet eta series with an Euler-transformed tail and divides by
 (1 - 2^(1-s)). It is the oracle used by the verification suite. It shares
 one thing with the Euler-Maclaurin path: the Dirichlet term table n^-s
-(``_dirichlet_terms``: transcendentals at primes, products of smaller
-entries elsewhere). Nothing else is shared; a test holds that table to
-``mp.power(n, -s)``.
+(``_dirichlet_terms``), a fixed-point integer kernel. Each term is a pair
+of Python integers scaled by 2^wp, wp the working precision plus guard
+bits derived from s and N (``_kernel_bits``); a prime takes one exp and
+one cos/sin from mpmath's fixed-point primitives, a composite is an
+integer product of smaller entries. Both routes add the terms as integers
+and round once, when the sum becomes an mpc. Nothing else is shared; a
+test holds that table to ``mp.power(n, -s)``.
 
 Both engines of ``PrecisionConfig`` are implemented: scalar mpmath at
 configured digits, and a vectorized complex128 path (``*_batch``) used by the
@@ -27,11 +31,16 @@ quadrature, zero-scan, and universality modules.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from typing import Tuple
 
 import numpy as np
 import mpmath as mp
+from mpmath.libmp import from_man_exp, ln2_fixed, log_int_fixed, pi_fixed, \
+    round_nearest, to_fixed
+from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed
 
 from .errors import (
     DomainError,
@@ -119,7 +128,7 @@ def _sieve(N):
 # Euler-Maclaurin plan selection and closed-form tail
 # ---------------------------------------------------------------------------
 
-def _em_plan(sigma, t, M, tol, rounds):
+def _em_plan(sigma, t, M, tol, rounds, lever=None):
     """Per-point truncation N meeting tol, and the log remainder bound as a
     function of N (vectorized over inputs; a pure function of them).
 
@@ -127,7 +136,8 @@ def _em_plan(sigma, t, M, tol, rounds):
     the Bernoulli constant, lp the log of |(s)_{2M+1}| and tail the factor
     |s + 2M + 1| / (sigma + 2M + 1); lb + lp and ln tail are computed once
     per point. N starts at max(0.55 (|t| + 2M) + 8, 1.1 (-log10 tol)) and
-    grows by 30% where the bound misses tol/4, at most ``rounds`` times.
+    grows by 30% where the bound, times ``lever(N)`` if given, misses tol/4,
+    at most ``rounds`` times.
     """
     sigma = np.asarray(sigma, dtype=float)
     t = np.abs(np.asarray(t, dtype=float))
@@ -145,7 +155,10 @@ def _em_plan(sigma, t, M, tol, rounds):
                    math.ceil(1.1 * (-math.log10(tol)))).astype(np.int64)
     logtol = math.log(0.25 * tol)
     for _ in range(rounds):
-        bad = log_bound(N) > logtol
+        lb = log_bound(N)
+        if lever is not None:
+            lb = lb + np.log(lever(N))
+        bad = lb > logtol
         if not np.any(bad):
             return N, log_bound
         N = np.where(bad, (N * 13) // 10 + 4, N)
@@ -279,6 +292,12 @@ def _em_f64_group(s, N, M, want_prime):
                     vals, dvals)
 
 
+def _prime_lever(lnN, M, abs_s):
+    """ln N + 2M + 2 + 1/max(|s|, 0.1): zeta's remainder bound times this
+    bounds the remainder of zeta' (both engines)."""
+    return lnN + 2 * M + 2 + 1.0 / np.maximum(abs_s, 0.1)
+
+
 def _f64_errors(s, N, M, want_prime, trunc):
     sigma = s.real
     with np.errstate(divide="ignore"):
@@ -293,8 +312,7 @@ def _f64_errors(s, N, M, want_prime, trunc):
     if not want_prime:
         return err, None
     lnN = np.log(N.astype(float))
-    lever = lnN + 2 * M + 2 + 1.0 / np.maximum(np.abs(s), 0.1)
-    derr = trunc * lever + ro * (1.0 + lnN)
+    derr = trunc * _prime_lever(lnN, M, np.abs(s)) + ro * (1.0 + lnN)
     return err, derr
 
 
@@ -401,68 +419,144 @@ def digamma_batch(z_arr):
 # mpmath engine
 # ---------------------------------------------------------------------------
 
-def _dirichlet_terms(s, N):
-    """n^-s and ln n for 1 <= n < N at the working precision, as two lists
-    indexed by n (entry 0 unused).
+def _kernel_bits(s, N):
+    """Bits wp of the fixed-point kernel for n^-s, n < N, at the working
+    precision prec = mp.prec: prec + 1 + ceil(log2 E), with
 
-    A prime p costs one mp.log and one mp.exp, both at 10 guard bits over
-    the magnitude of s ln N; p^-s and ln p are kept at that precision, off by
-    well under one rounding 2^-prec of the working precision. A composite
-    n = p m, p its smallest prime factor, is the product of the entries of p
-    and m, and ln n their sum: Omega(n) - 1 <= log2 n roundings, so every
-    term is off by at most 1 + log2 N roundings relative.
+        E = (2 + |sigma| + |t|)(2 + ln N) + 31 + 3 N^max(0, sigma)
+
+    the relative error of a prime's term in units u = 2^-wp
+    (``_dirichlet_terms``)."""
+    sigma, t = float(mp.re(s)), float(mp.im(s))
+    a = (2 + abs(sigma) + abs(t)) * (2 + math.log(N)) + 31
+    b = math.log2(3) + max(0.0, sigma) * math.log2(N)  # log2 of 3 N^max(0, sigma)
+    # log2 E = log2(a + 2^b), without overflow at large sigma
+    return mp.mp.prec + 1 + math.ceil(b + math.log2(1 + a * 2.0 ** -b))
+
+
+def _dirichlet_terms(s, N, wp):
+    """n^-s and ln n for 0 <= n < N (N >= 2) as fixed-point integers scaled
+    by 2^wp: lists ``re``, ``im`` and ``logs``, entry 0 zero.
+
+    A prime p takes one real exp and one cos/sin of the fixed-point
+    exponent sigma ln p and angle t ln p, with ln p from ``log_int_fixed``.
+    In units u = 2^-wp: ln p is within 2 u, sigma and t are truncated to
+    within 1 u, so the exponent is off by at most (2|sigma| + ln p + 1) u
+    and the angle by (2|t| + ln p + 1) u; reducing the angle by pi/2 (known
+    to 1 u) adds (2|t| ln p / pi + 1) u; mpmath's fixed-point exp and
+    cos/sin, which work at added guard bits, are within 16 u each (they
+    reach 8 at most over random arguments at 80 to 1400 bits); the shift
+    of exp and the product of modulus and phase truncate by at most 3 u
+    absolute, that is 3 p^max(0, sigma) u relative. Together a prime's
+    term is within E u relative (``_kernel_bits``). A composite
+    n = p m, p its smallest prime factor, is the complex product of the
+    entries of p and m, truncated to wp bits (at most 2 n^max(0, sigma) u
+    relative, below E u), and ln n is their sum; by induction over the
+    Omega(n) prime factors, term n is off by at most (2 Omega(n) - 1) E u
+    relative to first order, which is Omega(n) 2^-prec at the bits of
+    ``_kernel_bits``, and ln n by 2 Omega(n) u.
     """
     spf = _sieve(N)[0][:N].tolist()
-    terms = [mp.mpc(0), mp.mpc(1)]
-    logs = [mp.mpf(0), mp.mpf(0)]
-    guard = 10 + math.ceil(math.log2(1.0 + abs(complex(s)) * math.log(N)))
+    sig = to_fixed(mp.re(s)._mpf_, wp)
+    tf = to_fixed(mp.im(s)._mpf_, wp)
+    ln2, pi2 = ln2_fixed(wp), pi_fixed(wp - 1)
+    re, im, logs = [0, 1 << wp], [0, 0], [0, 0]
     for n in range(2, N):
         p = spf[n]
         if p == n:
-            with mp.extraprec(guard):
-                lnp = mp.log(n)
-                term = mp.exp(-s * lnp)
+            L = log_int_fixed(n, wp)
+            a = exp_fixed(-((sig * L) >> wp), wp, ln2)
+            c, sn = cos_sin_fixed((tf * L) >> wp, wp, pi2)
+            re.append((a * c) >> wp)
+            im.append(-((a * sn) >> wp))
         else:
             m = n // p
-            term = terms[p] * terms[m]
-            lnp = logs[p] + logs[m]
-        terms.append(term)
-        logs.append(lnp)
-    return terms, logs
+            ar, ai, br, bi = re[p], im[p], re[m], im[m]
+            re.append((ar * br - ai * bi) >> wp)
+            im.append((ar * bi + ai * br) >> wp)
+            L = logs[p] + logs[m]
+        logs.append(L)
+    return re, im, logs
 
 
-def _em_mp(s: mp.mpc, cfg: PrecisionConfig, want_prime: bool):
+def _fixed_to_mpc(re, im, shift):
+    """The complex number (re + i im) 2^-shift, rounded once to mp.prec."""
+    prec = mp.mp.prec
+    return mp.mp.make_mpc((from_man_exp(re, -shift, prec, round_nearest),
+                           from_man_exp(im, -shift, prec, round_nearest)))
+
+
+_BERNOULLI = {}
+
+
+def _bernoulli_coeffs(M):
+    """B_2k/(2k)!, k = 1..M, at the current precision; computed once per
+    (precision, M) and kept at module level."""
+    key = (mp.mp.prec, M)
+    coeffs = _BERNOULLI.get(key)
+    if coeffs is None:
+        coeffs = _BERNOULLI[key] = [mp.bernoulli(2 * k) / mp.factorial(2 * k)
+                                    for k in range(1, M + 1)]
+    return coeffs
+
+
+def _em_mp(s: mp.mpc, cfg: PrecisionConfig, want_prime: bool, scale: float = 1.0):
     """Scalar Euler-Maclaurin in mpmath at cfg.dps digits; (zeta, zeta' or
     None, err, derr or None).
 
-    Rounding allowance ro = 10^-(dps-3) (3 + N^max(0, 1-sigma)): each sieved
-    term n^-s carries at most 1 + log2 N roundings of 2^-prec <= 10^-(dps+1)
-    (``_dirichlet_terms``), so together they are off by at most
-    10^-(dps+1) (1 + log2 N) sum n^-sigma, which is below ro for N < 2^60.
+    N is planned so that the remainder bound, times the zeta' lever
+    ln N + 2M + 2 + 1/|s| when ``want_prime`` and times ``scale`` when that
+    exceeds 1 (the reflected branch of ``_zeta_scalar`` multiplies this
+    engine's bounds by it), meets tol/4: the bound that is checked.
+
+    The direct sums run in fixed point (``_dirichlet_terms``, wp bits from
+    ``_kernel_bits`` at prec = mp.prec): sum n^-s adds the terms exactly and
+    rounds once to prec, sum ln n n^-s adds the exact products of ln n and
+    n^-s at 2 wp bits and rounds once. Term n is within Omega(n) 2^-prec
+    <= log2 N 2^-prec relative, so the zeta sum is off by at most
+    (1 + log2 N) 2^-prec S, S = sum_{n<N} n^-sigma <= N^max(0, 1-sigma)
+    (1 + ln N), and the zeta' sum by ln N times that and the 2 Omega(n) u
+    of ln n. With 2^-prec <= sqrt(2) 10^-(dps+1) (mpmath's digits-to-bits
+    rounding), the zeta sum is off by at most
+    sqrt(2) (1 + log2 N)(1 + ln N) 10^-(dps+1) N^max(0, 1-sigma), below a
+    fifth of the rounding allowance
+
+        ro = 10^-(dps-3) (3 + N^max(0, 1-sigma))
+
+    for N < 2^40. The rest of ro covers ``_em_tail``, a few dozen mpmath
+    operations at prec, while its terms N^(1-s)/(s-1) (and their
+    derivative, for zeta') stay near N^max(0, 1-sigma) in size. zeta' is
+    allowed ro (1 + ln N). Neither allowance scales with 1/|s - 1|, so
+    within about 10^-2 of s = 1 the roundings of values of size 1/|s - 1|
+    (zeta) and 1/|s - 1|^2 (zeta') exceed them.
     """
     M = MP_EM_TERMS
     sigma = float(mp.re(s))
     if sigma + 2 * M + 1 <= 0:
         raise PrecisionExhausted("need sigma + 2M + 1 > 0 for the remainder bound")
     t = abs(float(mp.im(s)))
-    N, log_bound = _em_plan(sigma, t, M, cfg.target_abs_tol, 40)
+    abs_s = abs(complex(s))
+    plan_lever = (lambda N: _prime_lever(np.log(N), M, abs_s)) if want_prime else None
+    tol = cfg.target_abs_tol / max(scale, 1.0)
+    if not tol > 0:
+        raise PrecisionExhausted(f"tol={cfg.target_abs_tol:g} over a factor {scale:g}")
+    N, log_bound = _em_plan(sigma, t, M, tol, 40, plan_lever)
     N = int(N)
     with mp.workdps(cfg.dps):
-        terms, logs = _dirichlet_terms(s, N)
-        acc = mp.mpc(0)
-        dacc = mp.mpc(0)
-        for n in range(1, N):
-            acc += terms[n]
-            if want_prime and n > 1:
-                dacc -= logs[n] * terms[n]
-        coeffs = [mp.bernoulli(2 * k) / mp.factorial(2 * k) for k in range(1, M + 1)]
-        acc, dacc = _em_tail(s, N, mp.power(N, -s), mp.log(N), coeffs,
-                             acc, dacc if want_prime else None)
+        wp = _kernel_bits(s, N)
+        re, im, logs = _dirichlet_terms(s, N, wp)
+        acc = _fixed_to_mpc(sum(re), sum(im), wp)
+        dacc = None
+        if want_prime:
+            dacc = _fixed_to_mpc(-sum(map(operator.mul, logs, re)),
+                                 -sum(map(operator.mul, logs, im)), 2 * wp)
+        acc, dacc = _em_tail(s, N, mp.power(N, -s), mp.log(N), _bernoulli_coeffs(M),
+                             acc, dacc)
         trunc = math.exp(float(log_bound(N)))
         ro = 10.0 ** (-(cfg.dps - 3)) * (3.0 + N ** max(0.0, 1.0 - sigma))
         err = trunc + ro
         if want_prime:
-            lever = math.log(N) + 2 * M + 2 + 1.0 / max(abs(complex(s)), 0.1)
+            lever = float(_prime_lever(math.log(N), M, abs_s))
             derr = trunc * lever + ro * (1.0 + math.log(N))
             return acc, dacc, err, derr
         return acc, None, err, None
@@ -478,27 +572,34 @@ def _chi_mp(s) -> mp.mpc:
 
 
 def _zeta_scalar(s: mp.mpc, cfg: PrecisionConfig, want_prime: bool):
-    """Scalar zeta/zeta' at any s != 1 (functional equation for Re s <= -1)."""
+    """Scalar zeta/zeta' at any s != 1 (functional equation for Re s <= -1).
+
+    The reflected bounds are |chi| e1 for zeta and |chi| de1 + |chi'| e1 for
+    zeta', with e1, de1 the bounds at 1 - s, so N at 1 - s is planned
+    against |chi| (|chi| + |chi'| for zeta') times them."""
     if float(mp.re(s)) > -1.0:
         return _em_mp(s, cfg, want_prime)
     with mp.workdps(cfg.dps):
-        s1 = 1 - s
-        v1, d1, e1, de1 = _em_mp(s1, cfg, want_prime)
         chi = _chi_mp(s)
-        val = chi * v1
         scale = float(abs(chi))
+        dchi = None
+        if want_prime:
+            half = s / 2
+            near_trivial = abs(half - mp.nint(half)) < 0.01 and float(mp.re(half)) < 0.25
+            if near_trivial:
+                # log-derivative form degenerates at the Gamma pole; chi is
+                # entire, so differentiate it directly
+                dchi = mp.diff(_chi_mp, s)
+            else:
+                dchi = chi * (mp.log(mp.pi) - mp.digamma((1 - s) / 2) / 2
+                              - mp.digamma(s / 2) / 2)
+        v1, d1, e1, de1 = _em_mp(
+            1 - s, cfg, want_prime,
+            scale + float(abs(dchi)) if want_prime else scale)
+        val = chi * v1
         err = scale * e1 + 10.0 ** (-(cfg.dps - 4)) * float(abs(val) + 1)
         if not want_prime:
             return val, None, err, None
-        half = s / 2
-        near_trivial = abs(half - mp.nint(half)) < 0.01 and float(mp.re(half)) < 0.25
-        if near_trivial:
-            # log-derivative form degenerates at the Gamma pole; chi is
-            # entire, so differentiate it directly
-            dchi = mp.diff(_chi_mp, s)
-        else:
-            dchi = chi * (mp.log(mp.pi) - mp.digamma((1 - s) / 2) / 2
-                          - mp.digamma(s / 2) / 2)
         dval = dchi * v1 - chi * d1
         derr = scale * de1 + float(abs(dchi)) * e1 \
             + 10.0 ** (-(cfg.dps - 6)) * float(abs(dval) + 1)
@@ -559,10 +660,10 @@ def zeta_prime(s, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ComplexValue:
     return _within_tol(dv, de, cfg)
 
 
-def _euler_average(partial, r):
-    """Partial sums averaged pairwise r times, in closed form:
-    2^-r sum_i C(r, i) partial[i]."""
-    return mp.fsum(math.comb(r, i) * partial[i] for i in range(r + 1)) / 2 ** r
+def _euler_sum(partial, r):
+    """sum_i C(r, i) partial[i], i = 0..r: 2^r times the partial sums
+    averaged pairwise r times, exactly (integers in, integer out)."""
+    return sum(map(operator.mul, (math.comb(r, i) for i in range(r + 1)), partial))
 
 
 def zeta_alternating(s, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ComplexValue:
@@ -576,11 +677,17 @@ def zeta_alternating(s, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ComplexValue:
     of the denominator; shares only the term table ``_dirichlet_terms`` with
     the Euler-Maclaurin route.
 
-    Rounding allowance 10^-(dps+2) (K + J), summed at dps + 6 digits: each of
-    the K + J terms (|n^-s| <= 1) carries at most 1 + log2(K + J) roundings
-    of 10^-(dps+7), and the K + J additions one each of at most K + J, so
-    together (K + J)(K + J + 1 + log2(K + J)) 10^-(dps+7), below the
-    allowance for K + J < 9 10^4.
+    Rounding allowance 10^-(dps+2) (K + J). The series is summed at
+    dps + 6 digits, prec bits with 2^-prec <= sqrt(2) 10^-(dps+7), in fixed
+    point: the head, the tail's partial sums and their weighted sums with
+    the exact weights C(J, i) are integers, and head + tail takes one shift
+    by J and one rounding to prec. Each of the K + J terms (|n^-s| <= 1) is
+    within Omega(n) 2^-prec <= log2(K + J) 2^-prec (``_dirichlet_terms``);
+    a weighted mean of partial sums is off by at most what its longest
+    partial sum is; the rounding adds 2^-prec |eta| <= 2^-prec (K + J). So
+    eta is off by at most sqrt(2) (K + J)(1 + log2(K + J)) 10^-(dps+7), a
+    fifth of the allowance or less for K + J < 2^10000; the rest covers the
+    few roundings at prec of 1 - 2^(1-s) and of the quotient.
     """
     _check_pole(s)
     sm = as_mpc(s)
@@ -592,26 +699,27 @@ def zeta_alternating(s, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ComplexValue:
     J = int(math.ceil(2.2 * digits)) + 16
     for _attempt in range(2):
         with mp.workdps(cfg.dps + 6):
-            terms, _ = _dirichlet_terms(sm, K + J + 1)
-            head = mp.mpc(0)
-            sign = 1
-            for n in range(1, K):
-                head += sign * terms[n]
-                sign = -sign
-            partial = []
-            acc = mp.mpc(0)
-            sgn = 1
-            for m_ in range(J + 1):
-                acc += sgn * terms[K + m_]
-                partial.append(acc)
-                sgn = -sgn
-            tail = _euler_average(partial, J)
-            prev2 = _euler_average(partial, J - 1)
+            wp = _kernel_bits(sm, K + J + 1)
+            re, im, _ = _dirichlet_terms(sm, K + J + 1, wp)
+            # head sum_{n<K} (-1)^(n-1) n^-s, then the sign (-1)^(K-1) of
+            # the tail's first term K
+            head = [sum(x[1:K:2]) - sum(x[2:K:2]) for x in (re, im)]
+            sign = 1 if K % 2 else -1
+            tail, gap = [], []
+            for x in (re, im):
+                alt = x[K:K + J + 1]
+                alt[1::2] = [-v for v in alt[1::2]]
+                partial = list(itertools.accumulate(alt))
+                tail.append(_euler_sum(partial, J))
+                gap.append(tail[-1] - 2 * _euler_sum(partial, J - 1))
+            eta = _fixed_to_mpc(*((h << J) + sign * a for h, a in zip(head, tail)),
+                                wp + J)
             denom = 1 - mp.power(2, 1 - sm)
             if abs(denom) < 1e-3:
                 raise PrecisionExhausted("near a zero of 1 - 2^(1-s)")
-            eta_err = float(abs(tail - prev2)) * 4
-            val = (head + sign * tail) / denom
+            # the last two Euler averages differ by gap 2^-(wp+J)
+            eta_err = float(abs(_fixed_to_mpc(*gap, wp + J))) * 4
+            val = eta / denom
             err = (eta_err + 10.0 ** (-(cfg.dps + 2)) * (K + J)) / float(abs(denom))
             if err <= cfg.target_abs_tol:
                 return ComplexValue(val.real, val.imag, err)
@@ -659,14 +767,15 @@ def digamma(s, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ComplexValue:
     psi(s) = psi(1-s) - pi cot(pi s) for Re s < 1/2, then upward recurrence
     psi(w+1) = psi(w) + 1/w into the regime where the asymptotic series
     psi(w) ~ log w - 1/2w - sum B_2n/(2n w^2n) (A&S 6.3.18) meets the
-    tolerance."""
+    tolerance. PrecisionExhausted where the final bound, rounding and
+    reflection included, exceeds cfg.target_abs_tol."""
     sc = complex(s)
     near = round(sc.real)
     if near <= 0 and abs(sc - near) < EXCLUSION_RADIUS:
         raise PoleAtNonpositiveInteger(f"digamma pole at {near}")
     if cfg.uses_f64:
         v, e = digamma_batch(np.array([sc]))
-        return ComplexValue(v[0].real, v[0].imag, float(e[0]))
+        return _within_tol(v[0], float(e[0]), cfg)
     R = max(10.0, 0.9 * cfg.working_digits)
     with mp.workdps(cfg.dps):
         sm = as_mpc(s)
@@ -695,7 +804,7 @@ def digamma(s, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ComplexValue:
             if tmag < tol / 8:
                 err = 2 * tmag
                 break
-        if err is None or err > tol:
+        if err is None:
             raise PrecisionExhausted("digamma asymptotic series stalled above tolerance")
         err += 10.0 ** (-(cfg.dps - 3)) * (1 + float(abs(acc)))
         if left:
@@ -704,7 +813,7 @@ def digamma(s, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ComplexValue:
             acc -= cot
             err += _reflection_err(abs(sc), float(abs(d)), float(abs(cot)),
                                    10.0 ** (-(cfg.dps - 2)))
-        return ComplexValue(acc.real, acc.imag, err)
+        return _within_tol(acc, err, cfg)
 
 
 def xi(s, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ComplexValue:

@@ -21,6 +21,7 @@ from zetacontour.precision import (
 from zetacontour.special_functions import (
     _dirichlet_terms,
     _build_sieve,
+    _kernel_bits,
     _phase_table,
     _sieve,
     digamma,
@@ -262,8 +263,12 @@ class TestSieve:
                       complex(0.75, 117.3)):
                 with mp.workdps(dps):
                     sm = mp.mpc(s)
-                    terms, logs = _dirichlet_terms(sm, 300)
+                    wp = _kernel_bits(sm, 300)
+                    re, im, fixed_logs = _dirichlet_terms(sm, 300, wp)
                 with mp.workdps(dps + 20):
+                    terms = [mp.mpc(mp.ldexp(a, -wp), mp.ldexp(b, -wp))
+                             for a, b in zip(re, im)]
+                    logs = [mp.ldexp(L, -wp) for L in fixed_logs]
                     for n in range(1, 300):
                         ref = mp.power(n, -sm)
                         rel = abs(terms[n] - ref) / abs(ref)
@@ -272,10 +277,34 @@ class TestSieve:
                             * 10.0 ** -dps * mp.log(n)
 
 
-class TestMpEngineProperty:
-    """Seeded strict check of the mpmath engine against mp.zeta at 50 digits."""
+class TestMpEnginePlan:
+    """N is planned against the bound the tolerance is checked against."""
 
-    def test_bounds_hold(self, mp_cfg):
+    def test_zeta_prime_plans_for_its_lever(self):
+        # zeta' multiplies the remainder by ln N + 2M + 2 + 1/|s| (about 40)
+        s = complex(3.914, 97.25)
+        v = zeta_prime(s, PrecisionConfig(40, 1e-30))
+        assert v.abs_err <= 1e-30
+        with mp.workdps(60):
+            assert abs(mp.mpc(v.re, v.im) - mp.zeta(mp.mpc(s), derivative=1)) <= v.abs_err
+
+    def test_reflected_zeta_plans_for_chi(self):
+        # Re s <= -1: the bound at 1 - s is multiplied by |chi(s)| (about 3e3)
+        s = complex(-2.96, 66.12)
+        v = zeta(s, PrecisionConfig(40, 1e-30))
+        assert v.abs_err <= 1e-30
+        with mp.workdps(60):
+            assert abs(mp.mpc(v.re, v.im) - mp.zeta(mp.mpc(s))) <= v.abs_err
+
+
+class TestMpEngineProperty:
+    """Seeded strict check of the mpmath engine against mp.zeta at 20 digits
+    more than it works at; the tolerance leaves it 12 of its digits, as the
+    default config (30 digits, 1e-18) does."""
+
+    @pytest.mark.parametrize("digits", [20, 30, 60])
+    def test_bounds_hold(self, digits):
+        cfg = PrecisionConfig(digits, 10.0 ** -(digits - 12))
         rng = np.random.default_rng(808)
         checked = 0
         while checked < 40:
@@ -283,15 +312,15 @@ class TestMpEngineProperty:
             if abs(s - 1) < 0.05:
                 continue
             checked += 1
-            with mp.workdps(50):
+            with mp.workdps(digits + 20):
                 sm = mp.mpc(s)
                 ref = mp.zeta(sm)
                 dref = mp.zeta(sm, derivative=1)
-                v, dv = zeta(s, mp_cfg), zeta_prime(s, mp_cfg)
+                v, dv = zeta(s, cfg), zeta_prime(s, cfg)
                 assert abs(mp.mpc(v.re, v.im) - ref) <= v.abs_err, s
                 assert abs(mp.mpc(dv.re, dv.im) - dref) <= dv.abs_err, s
                 if s.real > 0.05 and abs(1 - mp.power(2, 1 - sm)) >= 1e-3:
-                    a = zeta_alternating(s, mp_cfg)
+                    a = zeta_alternating(s, cfg)
                     assert abs(mp.mpc(a.re, a.im) - ref) <= a.abs_err, s
 
 
@@ -330,16 +359,24 @@ class TestDigamma:
         # seeded, strict: Re s in [-60, 60], |Im s| <= 40, at least 0.01 from
         # the poles, against mpmath at 50 digits; before them, three points
         # where the recurrence alone never leaves the negative real axis and
-        # two beside poles
+        # two beside poles, whose bound the double engine cannot hold to its
+        # tolerance (2e-10 against 1e-11 at -3 + 1e-5), so it refuses them
         rng = np.random.default_rng(2026)
-        points = [-20.3, complex(-30.6, 1.0), -100.5, complex(-3 + 1e-5, 1e-6),
-                  -1e-5]
+        points = [-20.3, complex(-30.6, 1.0), -100.5]
+        beside_poles = [complex(-3 + 1e-5, 1e-6), -1e-5]
+        if cfg.uses_f64:
+            for s in beside_poles:
+                with pytest.raises(errors.PrecisionExhausted):
+                    digamma(s, cfg)
+        else:
+            points += beside_poles
         while len(points) < 200:
             s = complex(rng.uniform(-60.0, 60.0), rng.uniform(-40.0, 40.0))
             if abs(s - min(round(s.real), 0)) >= 0.01:
                 points.append(s)
         for s in points:
             v = digamma(s, cfg)
+            assert v.abs_err <= cfg.target_abs_tol, s
             with mp.workdps(50):
                 err = abs(mp.mpc(v.re, v.im) - mp.digamma(mp.mpc(s)))
             assert err <= v.abs_err, s
