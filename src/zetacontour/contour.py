@@ -108,12 +108,14 @@ class Rectangle:
         return self.x0 < p.real < self.x1 and self.y0 < p.imag < self.y1
 
 
-def _segment_distances(a: complex, b: complex, p: np.ndarray) -> np.ndarray:
-    """Distance from the segment [a, b] to each point of the complex array p."""
+def _segment_distances(a, b, p):
+    """Distance from the segment [a, b] to the point p, elementwise over
+    broadcast complex arrays; a segment of length zero is its point a."""
     ab = b - a
-    L2 = (ab.real * ab.real + ab.imag * ab.imag)
-    t = 0.0 if L2 == 0.0 else np.clip(
-        ((p.real - a.real) * ab.real + (p.imag - a.imag) * ab.imag) / L2, 0.0, 1.0)
+    L2 = ab.real * ab.real + ab.imag * ab.imag
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(L2 == 0.0, 0.0, np.clip(
+            ((p.real - a.real) * ab.real + (p.imag - a.imag) * ab.imag) / L2, 0.0, 1.0))
     return np.hypot(a.real + t * ab.real - p.real, a.imag + t * ab.imag - p.imag)
 
 
@@ -174,35 +176,69 @@ class EdgeIntegral:
 def _presplit(a: complex, b: complex,
               sings: Sequence[complex]) -> Tuple[np.ndarray, np.ndarray]:
     """Endpoint arrays (pa, pb) of panels of [a, b] no longer than twice their
-    distance d to the nearest singularity, nor than a quarter of [a, b].
+    distance d to the nearest singularity, nor than a quarter of [a, b],
+    ordered by position from b back to a.
 
-    Panels that fail the rule are halved depth first, and the panels come out
-    as the stack pops them, from b back to a. Each half is measured only
-    against the singularities within d + L of its parent (L the parent's
-    length): every point of a half is within L of the parent's point nearest
-    to its nearest singularity, so the half's nearest singularity is among
-    them, and the half's d is the one the whole set would give.
+    The panels are halved breadth first, one level at a time: each level
+    measures every pending panel at once, keeps those that meet the rule
+    and replaces the rest by their two halves in place. A half is measured
+    only against the singularities within R = d + L of its parent (L the
+    parent's length): the parent's point nearest to its nearest singularity
+    is within L/2 of the half, so the half's own nearest singularity lies
+    within d + L/2 of it. Those candidates are found along the line through a and b: each
+    singularity is projected onto it once and sorted, and projection does
+    not increase distances, so the candidates of a panel projecting to
+    [u0, u1] all project into [u0 - R, u1 + R]. The window only filters
+    (the slack L/2 and a small pad absorb the rounding of the projections);
+    d is the minimum of the same distances as over the whole set, so the
+    panels are those of a depth-first search over it, in its pop order.
+    Every panel lies inside [a, b], so SingularityOnPath, raised for a panel
+    within EXCLUSION_RADIUS of a singularity, is raised for [a, b] itself.
     """
-    out_a, out_b = [], []
-    stack = [(a, b, np.array(sings, dtype=np.complex128))]
-    total = abs(b - a)
-    while stack:
-        pa, pb, near = stack.pop()
-        L = abs(pb - pa)
-        dist = _segment_distances(pa, pb, near)
-        d = float(np.min(dist, initial=math.inf))
-        if d < EXCLUSION_RADIUS:
-            raise SingularityOnPath(
-                f"segment [{pa}, {pb}] within {d:.2e} of a singularity")
-        if L > 2.0 * d or L > total / 4.0 + 1e-300:
-            m = 0.5 * (pa + pb)
-            near = near[dist <= d + L]
-            stack.append((pa, m, near))
-            stack.append((m, pb, near))
-        else:
-            out_a.append(pa)
-            out_b.append(pb)
-    return np.array(out_a, dtype=np.complex128), np.array(out_b, dtype=np.complex128)
+    ab = b - a
+    total = abs(ab)
+
+    def along(z):  # projection onto the line through a and b, in lengths
+        return ((z.real - a.real) * ab.real + (z.imag - a.imag) * ab.imag) / total
+
+    pts = np.asarray(sings, dtype=np.complex128)
+    u = along(pts)
+    order = np.argsort(u)
+    u, pts = u[order], pts[order]
+    pa = np.array([a], dtype=np.complex128)
+    pb = np.array([b], dtype=np.complex128)
+    radius = np.array([math.inf])
+    pending = np.array([True])
+    while pending.any():
+        i = np.flatnonzero(pending)
+        qa, qb = pa[i], pb[i]
+        ua, ub = along(qa), along(qb)
+        r = radius[i] * (1.0 + 1e-9)
+        lo = np.searchsorted(u, np.minimum(ua, ub) - r, side="left")
+        n = np.searchsorted(u, np.maximum(ua, ub) + r, side="right") - lo
+        start = np.cumsum(n) - n
+        owner = np.repeat(np.arange(len(i)), n)
+        cand = np.arange(n.sum()) + np.repeat(lo - start, n)
+        dist = _segment_distances(qa[owner], qb[owner], pts[cand])
+        d = np.full(len(i), math.inf)
+        if len(dist):
+            d[n > 0] = np.minimum.reduceat(dist, start[n > 0])
+        k = int(np.argmin(d))
+        if d[k] < EXCLUSION_RADIUS:
+            raise SingularityOnPath(f"segment [{complex(qa[k])}, {complex(qb[k])}] "
+                                    f"within {d[k]:.2e} of a singularity")
+        L = np.hypot((qb - qa).real, (qb - qa).imag)
+        pending[i] = (L > 2.0 * d) | (L > total / 4.0 + 1e-300)
+        radius[i] = d + L
+        # each pending panel becomes its halves (pa, m), (m, pb) in place
+        split = np.flatnonzero(pending)
+        m = 0.5 * (pa[split] + pb[split])
+        rep = 1 + pending
+        at = (np.cumsum(rep) - rep)[split]
+        pa, pb, radius, pending = (np.repeat(x, rep) for x in (pa, pb, radius, pending))
+        pb[at] = m
+        pa[at + 1] = m
+    return pa[::-1], pb[::-1]
 
 
 def integrate_edge(f: Callable[[np.ndarray], np.ndarray], a: complex, b: complex,
@@ -328,7 +364,8 @@ def integrate_rectangle(rect: Rectangle, zeros: ZeroTable, *,
     """
     sings = singularity_set(rect, zeros)
     pts = np.array(sings, dtype=np.complex128)
-    dist = np.min([_segment_distances(a, b, pts) for _, a, b in rect.edges()], axis=0)
+    ends = np.array([(a, b) for _, a, b in rect.edges()])
+    dist = _segment_distances(ends[:, :1], ends[:, 1:], pts).min(axis=0)
     k = int(np.argmin(dist))
     clearance = float(dist[k])
     if clearance < EXCLUSION_RADIUS:

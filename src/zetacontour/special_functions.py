@@ -521,14 +521,19 @@ def _em_mp(s: mp.mpc, cfg: PrecisionConfig, want_prime: bool, scale: float = 1.0
     sqrt(2) (1 + log2 N)(1 + ln N) 10^-(dps+1) N^max(0, 1-sigma), below a
     fifth of the rounding allowance
 
-        ro = 10^-(dps-3) (3 + N^max(0, 1-sigma))
+        ro = 10^-(dps-3) (3 + N^max(0, 1-sigma) / r),  r = min(1, |s - 1|),
 
-    for N < 2^40. The rest of ro covers ``_em_tail``, a few dozen mpmath
-    operations at prec, while its terms N^(1-s)/(s-1) (and their
-    derivative, for zeta') stay near N^max(0, 1-sigma) in size. zeta' is
-    allowed ro (1 + ln N). Neither allowance scales with 1/|s - 1|, so
-    within about 10^-2 of s = 1 the roundings of values of size 1/|s - 1|
-    (zeta) and 1/|s - 1|^2 (zeta') exceed them.
+    for N < 2^40. The rest of ro covers ``_em_tail``: a few dozen mpmath
+    operations at prec, each within 2^-prec relative of a value no larger
+    than the direct sum plus the edge term, whose modulus
+    |N^(1-s)/(s-1)| = N^(1-sigma)/|s - 1| is at most N^max(0, 1-sigma)/r;
+    forty such roundings are off by at most 6 (2 + ln N) 10^-dps
+    N^max(0, 1-sigma)/r, within the other four fifths of ro for N < 2^40.
+    zeta' is allowed ro (1 + ln N)/r: its edge terms
+    ln N N^(1-s)/(s-1) and N^(1-s)/(s-1)^2 are at most
+    N^max(0, 1-sigma)(ln N + 1/r)/r <= N^max(0, 1-sigma)(1 + ln N)/r^2.
+    Beside s = 1 both allowances thus grow as |zeta| ~ 1/|s - 1| and
+    |zeta'| ~ 1/|s - 1|^2 do; for |s - 1| >= 1, r = 1 and 1/r drops out.
     """
     M = MP_EM_TERMS
     sigma = float(mp.re(s))
@@ -553,11 +558,12 @@ def _em_mp(s: mp.mpc, cfg: PrecisionConfig, want_prime: bool, scale: float = 1.0
         acc, dacc = _em_tail(s, N, mp.power(N, -s), mp.log(N), _bernoulli_coeffs(M),
                              acc, dacc)
         trunc = math.exp(float(log_bound(N)))
-        ro = 10.0 ** (-(cfg.dps - 3)) * (3.0 + N ** max(0.0, 1.0 - sigma))
+        r = min(1.0, abs(complex(s) - 1.0))
+        ro = 10.0 ** (-(cfg.dps - 3)) * (3.0 + N ** max(0.0, 1.0 - sigma) / r)
         err = trunc + ro
         if want_prime:
             lever = float(_prime_lever(math.log(N), M, abs_s))
-            derr = trunc * lever + ro * (1.0 + math.log(N))
+            derr = trunc * lever + ro * (1.0 + math.log(N)) / r
             return acc, dacc, err, derr
         return acc, None, err, None
 

@@ -127,17 +127,40 @@ class TestIntegrateEdge:
                            complex(0.5, -1.0), complex(0.5, 1.0), tol=1e-12)
 
     def test_presplit_matches_the_full_set_presplit(self, big_table):
-        # measuring each half only against its parent's nearby singularities
-        # must give the same panels, in the same order, as the whole set
+        # the breadth-first presplit over candidate windows along the edge
+        # must give the panels of a depth-first search over the whole set,
+        # in the order its stack pops them
         boxes = [Rectangle.box(0.9, 1.1, -1.0, 1.0),
                  Rectangle.box(0.4, 0.6, 14.0, 14.3)]
         boxes += [Rectangle.paper_mode(ALPHA, BETA, T)
-                  for T in (20.0, 50.0, 100.0, 250.0, 500.0)]
-        for rect in boxes:
-            sings = singularity_set(rect, big_table)
-            for _, a, b in rect.edges():
-                pa, pb = contour._presplit(a, b, sings)
-                assert list(zip(pa, pb)) == presplit_full_set(a, b, sings)
+                  for T in (20.0, 50.0, 100.0, 250.0, 500.0, 1000.0)]
+        cases = [(a, b, singularity_set(rect, big_table))
+                 for rect in boxes for _, a, b in rect.edges()]
+        tall = Rectangle.paper_mode(ALPHA, BETA, 3000.0)
+        c = tall.corners()
+        cases.append((c["b"], c["c"], singularity_set(tall, big_table)))
+        # integrate_edge takes any segment: slanted ones, both ways round
+        sings = singularity_set(Rectangle.paper_mode(ALPHA, BETA, 100.0), big_table)
+        cases += [(0.2 - 90j, 0.9 + 95j, sings), (1.7 + 60j, -0.3 + 10j, sings)]
+        for a, b, sings in cases:
+            pa, pb = contour._presplit(a, b, sings)
+            assert list(zip(pa, pb)) == presplit_full_set(a, b, sings)
+
+    def test_presplit_without_singularities_cuts_quarters(self):
+        pa, pb = contour._presplit(0.5 - 2j, 0.5 + 2j, [])
+        assert list(zip(pa, pb)) == [(0.5 + 1j, 0.5 + 2j), (0.5 + 0j, 0.5 + 1j),
+                                     (0.5 - 1j, 0.5 + 0j), (0.5 - 2j, 0.5 - 1j)]
+
+    def test_presplit_refuses_an_edge_through_a_zero(self, big_table):
+        g = big_table.gammas[2]
+        sings = singularity_set(Rectangle.box(0.3, 0.7, g - 3.0, g + 3.0), big_table)
+        for a, b in [(complex(0.3, g), complex(0.7, g)),
+                     (complex(0.5, g - 3.0), complex(0.5, g + 3.0))]:
+            with pytest.raises(errors.SingularityOnPath) as got:
+                contour._presplit(a, b, sings)
+            with pytest.raises(errors.SingularityOnPath) as want:
+                presplit_full_set(a, b, sings)
+            assert str(got.value) == str(want.value)
 
     def test_tall_presplit_wave_is_not_refused(self, big_table):
         # the left edge BC of D(3/5, 4/5, 3000) presplits into more than

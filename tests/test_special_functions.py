@@ -66,6 +66,21 @@ class TestZeta:
         with pytest.raises(errors.PoleAtOne):
             zeta(1.0 + 1e-9j, mp_cfg)
 
+    def test_bounds_hold_beside_the_pole(self, mp_cfg):
+        # |zeta| ~ 1/|s - 1| and |zeta'| ~ 1/|s - 1|^2: the rounding
+        # allowance must grow with them
+        rng = np.random.default_rng(1101)
+        r = 10.0 ** rng.uniform(-6.0, -2.0, 60)
+        angle = rng.uniform(0.0, 2.0 * math.pi, 60)
+        for s in 1.0 + r * np.exp(1j * angle):
+            s = complex(s)
+            with mp.workdps(80):
+                ref = mp.zeta(mp.mpc(s))
+                dref = mp.zeta(mp.mpc(s), derivative=1)
+            for v, want in ((zeta(s, mp_cfg), ref), (zeta_prime(s, mp_cfg), dref)):
+                with mp.workdps(80):
+                    assert abs(mp.mpc(v.re, v.im) - want) <= v.abs_err, s
+
     def test_reflection_below_strip(self, mp_cfg):
         # Re s <= -1 goes through the functional equation
         v = zeta(complex(-2.5, 3.0), mp_cfg)
