@@ -22,12 +22,17 @@ roundoff of the main sum. Below RS_MIN_T, and wherever |Z| does not exceed
 that declared error, the point is re-evaluated by Euler-Maclaurin
 (``zeta_batch``), so no sign is ever read from inside the Riemann-Siegel
 error. The grid scan at SCAN_STEP and an Illinois regula falsi down to
-brackets of width ~1e-6 use this per-point Z. Each bracket is then finished
-in Euler-Maclaurin alone: a secant estimate, and a sign-change bracket of
-width <= ORDINATE_ACCURACY/4 whose endpoint signs are both Euler-Maclaurin
-values; its midpoint is the ordinate. The search certifies with that
-Euler-Maclaurin Z (``_em_z``); ``hardy_z`` is the scalar Z at a configured
-precision, for callers and checks, and the search never uses it.
+brackets of width ~1e-6 use this per-point Z, and so the end signs of every
+coarse bracket are per-point Z signs. Each bracket is then certified by
+Euler-Maclaurin probes (``_em_z``): a secant estimate x from the per-point
+end values, Euler-Maclaurin Z at x - d and x + d, and further rounds of
+probes only where that pair does not straddle the zero. The result is a
+sign-change bracket of width <= ORDINATE_ACCURACY/4 whose end signs are
+both Euler-Maclaurin values (a final end never probed is evaluated once
+more, and a sign that contradicts the per-point Z at the same height raises
+PrecisionExhausted); its midpoint is the ordinate. ``hardy_z`` is the
+scalar Z at a configured precision, for callers and checks, and the search
+never uses it.
 
 Completeness is audited against the counting estimate
 
@@ -398,20 +403,23 @@ def _scan_brackets(T: float, step: float):
     return ts[idx], ts[idx + 1], zv[idx], zv[idx + 1]
 
 
-def _narrow_brackets(lo, hi, flo, fhi):
+def _narrow_brackets(lo, hi, zlo, zhi):
     """Illinois regula falsi on the per-point Z until every bracket is at
     most COARSE_WIDTH wide: the new point replaces the end of its own sign,
-    and an end kept twice in a row has its value halved. A point closer than
-    COARSE_WIDTH/2 to the end replaced last moves to that distance, so that
-    it can land past the zero and close the bracket (and stays out of the
-    band where the Riemann-Siegel sign is not trusted)."""
-    lo, hi, flo, fhi = lo.copy(), hi.copy(), flo.copy(), fhi.copy()
+    and an end kept twice in a row has its working value halved. A point
+    closer than COARSE_WIDTH/2 to the end replaced last moves to that
+    distance, so that it can land past the zero and close the bracket (and
+    stays out of the band where the Riemann-Siegel sign is not trusted).
+    Returns the brackets and the per-point Z at their ends, not the halved
+    working values."""
+    lo, hi, zlo, zhi = lo.copy(), hi.copy(), zlo.copy(), zhi.copy()
+    flo, fhi = zlo.copy(), zhi.copy()
     last = np.zeros(len(lo), dtype=np.int8)  # end replaced last: -1 lo, 1 hi
     h = 0.5 * COARSE_WIDTH
     for _ in range(_MAX_STEPS):
         i = np.nonzero(hi - lo > COARSE_WIDTH)[0]
         if not len(i):
-            return lo, hi
+            return lo, hi, zlo, zhi
         x = hi[i] - fhi[i] * (hi[i] - lo[i]) / (fhi[i] - flo[i])
         x = np.where((last[i] == 1) & (x > hi[i] - h), hi[i] - h, x)
         x = np.where((last[i] == -1) & (x < lo[i] + h), lo[i] + h, x)
@@ -420,27 +428,32 @@ def _narrow_brackets(lo, hi, flo, fhi):
         j, k = i[to_hi], i[~to_hi]
         flo[j[last[j] == 1]] *= 0.5
         fhi[k[last[k] == -1]] *= 0.5
-        hi[j], fhi[j], last[j] = x[to_hi], fx[to_hi], 1
-        lo[k], flo[k], last[k] = x[~to_hi], fx[~to_hi], -1
+        hi[j], zhi[j], fhi[j], last[j] = x[to_hi], fx[to_hi], fx[to_hi], 1
+        lo[k], zlo[k], flo[k], last[k] = x[~to_hi], fx[~to_hi], fx[~to_hi], -1
     raise PrecisionExhausted(f"regula falsi left {len(i)} brackets wider than "
                              f"{COARSE_WIDTH:g}")
 
 
-def _certify_brackets(lo, hi):
-    """Ordinates from Euler-Maclaurin signs alone: a secant estimate x from
-    the bracket's end values, then the sign change among [lo, x - d],
-    [x - d, x + d] and [x + d, hi], d = ORDINATE_ACCURACY/20, until the
-    bracket is at most ORDINATE_ACCURACY/4 wide; returns its midpoint."""
-    n = len(lo)
-    f = _em_z(np.concatenate([lo, hi]))
-    flo, fhi = f[:n], f[n:]
-    if np.any(np.signbit(flo) == np.signbit(fhi)):
-        raise PrecisionExhausted("Euler-Maclaurin signs do not confirm a bracket")
+def _certify_brackets(lo, hi, zlo, zhi):
+    """Ordinates from brackets [lo, hi] whose end signs are the per-point Z
+    values zlo, zhi. Each round takes a secant estimate x from the current
+    end values and evaluates Euler-Maclaurin Z at x - d and x + d,
+    d = ORDINATE_ACCURACY/20; the bracket becomes whichever of [lo, x - d],
+    [x - d, x + d] and [x + d, hi] holds the sign change, until it is at
+    most ORDINATE_ACCURACY/4 wide. Where the first pair of probes straddles
+    the zero, that takes two evaluations. A final end that is still a
+    per-point Z end is re-evaluated by Euler-Maclaurin, so both end signs
+    of every returned bracket are Euler-Maclaurin values; a sign that
+    disagrees with the per-point Z at the same height raises
+    PrecisionExhausted. Returns the brackets' midpoints."""
+    lo, hi, flo, fhi = lo.copy(), hi.copy(), zlo.copy(), zhi.copy()
+    em_lo = np.zeros(len(lo), dtype=bool)  # end sign is Euler-Maclaurin's
+    em_hi = np.zeros(len(lo), dtype=bool)
     d = 0.05 * ORDINATE_ACCURACY
     for _ in range(_MAX_STEPS):
         i = np.nonzero(hi - lo > 0.25 * ORDINATE_ACCURACY)[0]
         if not len(i):
-            return 0.5 * (lo + hi)
+            break
         x = lo[i] - flo[i] * (hi[i] - lo[i]) / (fhi[i] - flo[i])
         x = np.clip(x, lo[i] + d, hi[i] - d)
         a, b = x - d, x + d
@@ -451,26 +464,40 @@ def _certify_brackets(lo, hi):
         mid = ~left & ~right
         lo[i] = np.where(left, lo[i], np.where(mid, a, b))
         flo[i] = np.where(left, flo[i], np.where(mid, fa, fb))
+        em_lo[i] |= ~left
         hi[i] = np.where(left, a, np.where(mid, b, hi[i]))
         fhi[i] = np.where(left, fa, np.where(mid, fb, fhi[i]))
-    raise PrecisionExhausted(f"{len(i)} brackets did not narrow to "
-                             f"{0.25 * ORDINATE_ACCURACY:g}")
+        em_hi[i] |= ~right
+    else:
+        raise PrecisionExhausted(f"{len(i)} brackets did not narrow to "
+                                 f"{0.25 * ORDINATE_ACCURACY:g}")
+    j, k = np.nonzero(~em_lo)[0], np.nonzero(~em_hi)[0]
+    if len(j) + len(k):
+        f = _em_z(np.concatenate([lo[j], hi[k]]))
+        z = np.concatenate([flo[j], fhi[k]])
+        if np.any(np.signbit(f) != np.signbit(z)):
+            raise PrecisionExhausted(
+                "Euler-Maclaurin and per-point Z signs disagree at a bracket end")
+    return 0.5 * (lo + hi)
 
 
 def _locate(T: float, step: float) -> ZeroTable:
-    lo, hi, flo, fhi = _scan_brackets(T, step)
-    gammas = _certify_brackets(*_narrow_brackets(lo, hi, flo, fhi)) if len(lo) else lo
+    lo, hi, zlo, zhi = _scan_brackets(T, step)
+    gammas = _certify_brackets(*_narrow_brackets(lo, hi, zlo, zhi)) if len(lo) else lo
     return ZeroTable(tuple(float(g) for g in gammas), ORDINATE_ACCURACY, float(T))
 
 
 def find_zeros_up_to(T: float) -> ZeroTable:
     """All ordinates in (0, T] to 1e-9, complete to max_height = T.
 
-    Grid scan at SCAN_STEP on Hardy-Z sign changes, regula falsi to ~1e-6 on
-    the per-point Z, and Euler-Maclaurin-certified brackets of width
-    ORDINATE_ACCURACY/4 (see the module docstring); the census is audited
-    against the counting estimate and rescanned at SCAN_STEP/5 once on
-    disagreement before MissedZeroSuspected is raised.
+    Grid scan at SCAN_STEP on the signs of the per-point Z (Riemann-Siegel,
+    or Euler-Maclaurin below RS_MIN_T and inside its declared error),
+    regula falsi on the same Z to ~1e-6, then brackets of width
+    ORDINATE_ACCURACY/4 whose end signs are both Euler-Maclaurin values,
+    about two Euler-Maclaurin evaluations per zero (see the module
+    docstring). The census is audited against the counting estimate and
+    rescanned at SCAN_STEP/5 once on disagreement before
+    MissedZeroSuspected is raised.
     """
     if T < 10:
         raise DomainError("find_zeros_up_to requires T >= 10")

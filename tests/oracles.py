@@ -169,23 +169,43 @@ def zero_ordinate(k: int, dps: int = 30) -> float:
 def presplit_full_set(a: complex, b: complex, sings) -> list:
     """The quadrature presplit with every panel measured against the whole
     singularity set: panels of [a, b] no longer than twice their distance to
-    the nearest singularity, nor than a quarter of [a, b], halved depth first
-    and listed as the stack pops them."""
-    out = []
-    stack = [(a, b)]
+    the nearest singularity, nor than a quarter of [a, b], listed by position
+    from b back to a.
+
+    The panels are halved one level at a time. Each level compares every
+    pending panel with every singularity, in chunks of panels: a singularity
+    farther than L/2 + max(L/2, EXCLUSION_RADIUS) from the midpoint of a
+    panel of length L is farther than L/2 and than EXCLUSION_RADIUS from the
+    whole panel, so it cannot split or refuse it, and only the pairs closer
+    than that are measured exactly."""
     total = abs(b - a)
     pts = np.array(sings, dtype=np.complex128)
-    while stack:
-        pa, pb = stack.pop()
-        L = abs(pb - pa)
-        d = float(np.min(_segment_distances(pa, pb, pts), initial=math.inf))
-        if d < EXCLUSION_RADIUS:
-            raise SingularityOnPath(
-                f"segment [{pa}, {pb}] within {d:.2e} of a singularity")
-        if L > 2.0 * d or L > total / 4.0 + 1e-300:
-            m = 0.5 * (pa + pb)
-            stack.append((pa, m))
-            stack.append((m, pb))
-        else:
-            out.append((pa, pb))
-    return out
+    rows = max(1, (1 << 14) // max(1, len(pts)))
+    pa = np.array([a], dtype=np.complex128)
+    pb = np.array([b], dtype=np.complex128)
+    pending = np.array([True])
+    while pending.any():
+        i = np.flatnonzero(pending)
+        qa, qb = pa[i], pb[i]
+        L = np.hypot((qb - qa).real, (qb - qa).imag)
+        reach = (0.5 * L + np.maximum(0.5 * L, EXCLUSION_RADIUS)) * (1.0 + 1e-9)
+        mid = 0.5 * (qa + qb)
+        d = np.full(len(i), math.inf)
+        for c in range(0, len(i), rows):
+            dx = pts.real - mid.real[c:c + rows, None]
+            dy = pts.imag - mid.imag[c:c + rows, None]
+            r, k = np.nonzero(dx * dx + dy * dy <= (reach[c:c + rows, None]) ** 2)
+            np.minimum.at(d, c + r, _segment_distances(qa[c + r], qb[c + r], pts[k]))
+        near = np.flatnonzero(d < EXCLUSION_RADIUS)
+        if len(near):
+            k = near[-1]
+            raise SingularityOnPath(f"segment [{complex(qa[k])}, {complex(qb[k])}] "
+                                    f"within {d[k]:.2e} of a singularity")
+        pending[i] = (L > 2.0 * d) | (L > total / 4.0 + 1e-300)
+        # a split panel becomes (pa, m), (m, pb); a kept one fills the first slot
+        m = 0.5 * (pa + pb)
+        slots = np.stack((np.ones_like(pending), pending), axis=1)
+        pa = np.stack((pa, m), axis=1)[slots]
+        pb = np.stack((np.where(pending, m, pb), pb), axis=1)[slots]
+        pending = np.stack((pending, pending), axis=1)[slots]
+    return [(complex(x), complex(y)) for x, y in zip(pa[::-1], pb[::-1])]

@@ -117,7 +117,9 @@ class TestFindZeros:
 
     def test_session_table_against_mpmath(self, big_table):
         assert len(big_table.gammas) == mp.nzeros(big_table.max_height) == 4680
-        for k in (1, 100, 1000, 4000, 4680):
+        # 617, 1472, 2049 and 3881 are the ordinates an earlier double engine
+        # placed furthest from mpmath
+        for k in (1, 100, 617, 1000, 1472, 2049, 3881, 4000, 4680):
             assert abs(big_table.gammas[k - 1] - zero_ordinate(k)) < 1e-9
 
     def test_euler_maclaurin_everywhere_gives_same_table(self, monkeypatch):
@@ -134,6 +136,40 @@ class TestFindZeros:
         assert np.isin(grid, heights).all()
         assert len(em_only.gammas) == len(table.gammas)
         assert np.max(np.abs(np.subtract(em_only.gammas, table.gammas))) <= 2.5e-10
+
+    def test_certification_spends_about_two_euler_maclaurin_points_per_zero(
+            self, monkeypatch):
+        # the bracket ends carry per-point Z signs already; only the probes
+        # around the secant estimate need Euler-Maclaurin
+        counted = []
+        _route_certifying_em(monkeypatch, lambda em, ts: counted.append(len(ts)) or em(ts))
+        table = find_zeros_up_to(1000.0)
+        assert sum(counted) <= 2.5 * len(table.gammas)
+
+    def test_euler_maclaurin_contradicting_per_point_z_refuses(self, monkeypatch):
+        # below RS_MIN_T the per-point Z is Euler-Maclaurin itself, so the
+        # negated values contradict it at every probe
+        _route_certifying_em(monkeypatch, lambda em, ts: -em(ts))
+        with pytest.raises(errors.PrecisionExhausted):
+            find_zeros_up_to(100.0)
+
+
+def _route_certifying_em(monkeypatch, wrap):
+    """Send the Euler-Maclaurin Z that ``_certify_brackets`` evaluates through
+    ``wrap(em, ts)``; the scan and the regula falsi see the plain one."""
+    em, certify = zero_finder._em_z, zero_finder._certify_brackets
+    inside = []
+
+    def certify_marked(*args):
+        inside.append(True)
+        try:
+            return certify(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(zero_finder, "_certify_brackets", certify_marked)
+    monkeypatch.setattr(zero_finder, "_em_z",
+                        lambda ts: wrap(em, ts) if inside else em(ts))
 
 
 class TestRiemannSiegel:
