@@ -9,12 +9,15 @@ A ``PrecisionConfig`` is two numbers, ``working_digits`` and
 * ``working_digits > 15``: mpmath at ``working_digits`` decimal digits plus
   guard digits. Scalar only.
 
-Each engine's Euler-Maclaurin truncation (its Bernoulli-term count, and the
-direct-sum length N escalated with |Im s| until the remainder bound meets
-``target_abs_tol``) is fixed in ``special_functions``, not configured here.
+Each engine's Euler-Maclaurin truncation is planned in ``special_functions``,
+not configured here: the direct-sum length N grows with |Im s| until the
+remainder bound meets ``target_abs_tol``, with 14 Bernoulli terms in the
+double engine and, in the mpmath engine, the count from 4 to 16 that makes
+the call cheapest.
 
-Raising ``working_digits`` with fixed inputs never increases a reported
-error estimate (larger truncation depth, smaller roundoff floor).
+Within the mpmath engine, raising ``working_digits`` at a fixed
+``target_abs_tol`` never increases a reported error estimate: the plan
+depends on the tolerance alone, and the roundoff floor falls.
 """
 from __future__ import annotations
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from types import SimpleNamespace
 from typing import Tuple
 
 import numpy as np
@@ -67,9 +68,13 @@ _B2K_OVER_FACT = [float(mp.bernoulli(2 * k) / mp.factorial(2 * k)) for k in rang
 
 _F64_MAX_T = 2.5e4  # desk-scale ceiling; beyond this the plan escalation gives up
 
-# Bernoulli correction terms M of each engine's Euler-Maclaurin sum
+# Bernoulli correction terms M of the double engine's Euler-Maclaurin sum,
+# and the most the mpmath engine plans with
 F64_EM_TERMS = 14
 MP_EM_TERMS = 16
+# what one Bernoulli term of the mpmath engine costs, in Dirichlet terms
+# (``_em_mp_plan``)
+_MP_TERM_COST = 6
 
 # The double engine contracts a batch over the grid of its distinct heights x
 # abscissae only when that grid has at most this many cells per point;
@@ -128,41 +133,63 @@ def _sieve(N):
 # Euler-Maclaurin plan selection and closed-form tail
 # ---------------------------------------------------------------------------
 
-def _em_plan(sigma, t, M, tol, rounds, lever=None):
-    """Per-point truncation N meeting tol, and the log remainder bound as a
-    function of N (vectorized over inputs; a pure function of them).
+# The plan below runs on numpy arrays (the double engine, one batch) and on
+# Python floats (the mpmath engine, one point); for floats it calls these
+# stand-ins for the numpy functions, since numpy's per-call overhead on
+# scalars would cost several times the arithmetic.
+_FLOAT_OPS = SimpleNamespace(log=math.log, hypot=math.hypot, ceil=math.ceil,
+                             maximum=max, any=bool,
+                             where=lambda cond, a, b: a if cond else b)
+
+
+def _em_bounds(sigma, t, Ms, tol, xp=np):
+    """For each M of the increasing ``Ms``, at sigma and t = |Im s|:
+    (M, N0, log_bound), with N0 the starting truncation
+    max(0.55 (t + 2M) + 8, 1.1 (-log10 tol)) and
+    log_bound(ln N) the log of the remainder bound at N (a pure function of
+    its inputs; sigma + 2M + 1 > 0 is the caller's to ensure).
 
     The log bound is ((lb + lp) - (sigma + 2M + 1) ln N) + ln tail, with lb
     the Bernoulli constant, lp the log of |(s)_{2M+1}| and tail the factor
     |s + 2M + 1| / (sigma + 2M + 1); lb + lp and ln tail are computed once
-    per point. N starts at max(0.55 (|t| + 2M) + 8, 1.1 (-log10 tol)) and
-    grows by 30% where the bound, times ``lever(N)`` if given, misses tol/4,
-    at most ``rounds`` times.
+    per point and M, and lp's sum runs on from one M to the next. ``xp`` is
+    ``np`` for arrays and ``_FLOAT_OPS`` for floats.
     """
-    sigma = np.asarray(sigma, dtype=float)
-    t = np.abs(np.asarray(t, dtype=float))
-    lp = np.zeros(np.broadcast(sigma, t).shape)
-    for j in range(2 * M + 1):
-        # the clip only matters where a factor of (s)_{2M+1} vanishes exactly
-        lp = lp + 0.5 * np.log(np.maximum((sigma + j) ** 2 + t * t, 1e-300))
-    base = math.log(2.2) - (2 * M + 2) * math.log(_TWO_PI) + lp
-    tail = np.log(np.hypot(sigma + 2 * M + 1, t) / (sigma + 2 * M + 1))
+    lp, j = 0.0, 0
+    for M in Ms:
+        while j <= 2 * M:
+            # the clip only matters where a factor of (s)_{2M+1} vanishes exactly
+            lp = lp + 0.5 * xp.log(xp.maximum((sigma + j) ** 2 + t * t, 1e-300))
+            j += 1
+        base = math.log(2.2) - (2 * M + 2) * math.log(_TWO_PI) + lp
+        tail = xp.log(xp.hypot(sigma + 2 * M + 1, t) / (sigma + 2 * M + 1))
 
-    def log_bound(N):
-        return base + (-sigma - 2 * M - 1) * np.log(np.asarray(N, dtype=float)) + tail
+        def log_bound(lnN, base=base, tail=tail, M=M):
+            return base + (-sigma - 2 * M - 1) * lnN + tail
 
-    N = np.maximum(np.ceil(0.55 * (t + 2 * M)) + 8,
-                   math.ceil(1.1 * (-math.log10(tol)))).astype(np.int64)
+        N0 = xp.maximum(xp.ceil(0.55 * (t + 2 * M)) + 8,
+                        math.ceil(1.1 * (-math.log10(tol))))
+        yield M, N0, log_bound
+
+
+def _em_escalate(N, M, log_bound, tol, rounds, lever=None, xp=np, cap=None):
+    """N grown by 30% (N -> 1.3 N + 4) where log_bound(ln N), plus
+    ln lever(ln N, M) if a lever is given, misses ln(tol/4), checked at most
+    ``rounds`` times; None if it still misses then, or (a float N only) as
+    soon as N passes ``cap``."""
     logtol = math.log(0.25 * tol)
     for _ in range(rounds):
-        lb = log_bound(N)
+        if cap is not None and N > cap:
+            return None
+        lnN = xp.log(N)
+        lb = log_bound(lnN)
         if lever is not None:
-            lb = lb + np.log(lever(N))
+            lb = lb + xp.log(lever(lnN, M))
         bad = lb > logtol
-        if not np.any(bad):
-            return N, log_bound
-        N = np.where(bad, (N * 13) // 10 + 4, N)
-    raise PrecisionExhausted(f"Euler-Maclaurin bound stuck above tol={tol:g}")
+        if not xp.any(bad):
+            return N
+        N = xp.where(bad, (N * 13) // 10 + 4, N)
+    return None
 
 
 def _em_tail(s, N, NmS, lnN, coeffs, acc, dacc):
@@ -174,24 +201,29 @@ def _em_tail(s, N, NmS, lnN, coeffs, acc, dacc):
     and its termwise derivative; returns (acc, dacc). Both engines run it:
     ``s`` is a complex128 array or an mpmath scalar, and NmS = N^-s,
     lnN = ln N and coeffs = B_2k/(2k)! come at that engine's precision.
+
+    The sum over k is nested (Horner): N^(-1-s) s P_1, with P_M = c_M,
+    P_k = c_k + q_k P_{k+1} and q_k = (s + 2k - 1)(s + 2k) / N^2, the ratio
+    of consecutive terms over that of their coefficients; P' runs through
+    the same recursion, with q_k' = (2s + 4k - 1) / N^2. N^2 is an integer,
+    so each division rounds once at the engine's precision.
     """
     acc = acc + N * NmS / (s - 1.0) + 0.5 * NmS
     if dacc is not None:
         dacc = dacc - lnN * N * NmS / (s - 1.0) - N * NmS / (s - 1.0) ** 2
         dacc = dacc - 0.5 * lnN * NmS
-    poch, dpoch = 1, 0
-    Npow = NmS * N  # N^(1-s)
-    j = 0
-    for k, c in enumerate(coeffs, start=1):
-        while j <= 2 * k - 2:
-            if dacc is not None:
-                dpoch = dpoch * (s + j) + poch
-            poch = poch * (s + j)
-            j += 1
-        Npow = Npow / (N * N)  # N^(1-s-2k)
-        acc = acc + c * poch * Npow
+    N2 = N * N
+    P, dP = coeffs[-1], 0
+    for k in range(len(coeffs) - 1, 0, -1):
+        a, b = s + (2 * k - 1), s + 2 * k
+        q = a * b / N2
         if dacc is not None:
-            dacc = dacc + c * (dpoch - poch * lnN) * Npow
+            dP = (a + b) / N2 * P + q * dP
+        P = coeffs[k - 1] + q * P
+    Npow = NmS / N  # N^(-1-s)
+    acc = acc + Npow * s * P
+    if dacc is not None:
+        dacc = dacc + Npow * (P + s * (dP - lnN * P))
     return acc, dacc
 
 
@@ -287,15 +319,16 @@ def _em_f64_group(s, N, M, want_prime):
             main[:, sl] = np.einsum("pcn,bpn->bpc", cols, amp[:, v[sl]])
     vals = main[0, :, 0] - 1j * main[0, :, 1]
     dvals = main[1, :, 0] - 1j * main[1, :, 1] if want_prime else None
+    del phase, amp, main  # the tables go before the tail's temporaries come
     lnN = math.log(N)
     return _em_tail(s, N, np.exp(-s * lnN), lnN, _B2K_OVER_FACT[1:M + 1],
                     vals, dvals)
 
 
-def _prime_lever(lnN, M, abs_s):
+def _prime_lever(lnN, M, abs_s, xp=np):
     """ln N + 2M + 2 + 1/max(|s|, 0.1): zeta's remainder bound times this
     bounds the remainder of zeta' (both engines)."""
-    return lnN + 2 * M + 2 + 1.0 / np.maximum(abs_s, 0.1)
+    return lnN + 2 * M + 2 + 1.0 / xp.maximum(abs_s, 0.1)
 
 
 def _f64_errors(s, N, M, want_prime, trunc):
@@ -336,9 +369,13 @@ def zeta_batch(s_arr, cfg: PrecisionConfig, want_prime: bool = False):
     if np.any(np.abs(s.imag) > _F64_MAX_T):
         raise PrecisionExhausted(f"|Im s| beyond the desk ceiling {_F64_MAX_T:g}")
     M = F64_EM_TERMS
-    N, log_bound = _em_plan(s.real, s.imag, M, cfg.target_abs_tol, 14)
+    tol = cfg.target_abs_tol
+    (_, N, log_bound), = _em_bounds(s.real, np.abs(s.imag), [M], tol)
+    N = _em_escalate(N, M, log_bound, tol, 14)
+    if N is None:
+        raise PrecisionExhausted(f"Euler-Maclaurin bound stuck above tol={tol:g}")
     # quantize upward so batches share few distinct N (bound only improves)
-    N = ((N + 15) // 16) * 16
+    N = ((N.astype(np.int64) + 15) // 16) * 16
     vals = np.empty_like(s)
     dvals = np.empty_like(s) if want_prime else None
     for Nv in np.unique(N):
@@ -347,7 +384,7 @@ def zeta_batch(s_arr, cfg: PrecisionConfig, want_prime: bool = False):
         vals[idx] = v
         if want_prime:
             dvals[idx] = dv
-    errs, derrs = _f64_errors(s, N, M, want_prime, np.exp(log_bound(N)))
+    errs, derrs = _f64_errors(s, N, M, want_prime, np.exp(log_bound(np.log(N))))
     return vals, dvals, errs, derrs
 
 
@@ -489,25 +526,56 @@ def _fixed_to_mpc(re, im, shift):
 _BERNOULLI = {}
 
 
-def _bernoulli_coeffs(M):
-    """B_2k/(2k)!, k = 1..M, at the current precision; computed once per
-    (precision, M) and kept at module level."""
-    key = (mp.mp.prec, M)
-    coeffs = _BERNOULLI.get(key)
+def _bernoulli_coeffs():
+    """B_2k/(2k)!, k = 1..MP_EM_TERMS, at the current precision; computed
+    once per precision and kept at module level. A plan with M terms reads
+    the first M."""
+    coeffs = _BERNOULLI.get(mp.mp.prec)
     if coeffs is None:
-        coeffs = _BERNOULLI[key] = [mp.bernoulli(2 * k) / mp.factorial(2 * k)
-                                    for k in range(1, M + 1)]
+        coeffs = _BERNOULLI[mp.mp.prec] = [mp.bernoulli(2 * k) / mp.factorial(2 * k)
+                                           for k in range(1, MP_EM_TERMS + 1)]
     return coeffs
+
+
+def _em_mp_plan(sigma, t, tol, lever=None):
+    """(N, M, log_bound) of the mpmath engine at one point: the least
+    N + c M over M = 4, 6, ..., MP_EM_TERMS with sigma + 2M + 1 > 0, each
+    M's N planned by ``_em_bounds`` and ``_em_escalate`` (40 rounds) in
+    plain floats, with c = ``_MP_TERM_COST`` Dirichlet terms per Bernoulli
+    term, twice that with a ``lever`` (zeta' wanted). Candidates run from
+    the largest M down, and one stops growing its N once it can no longer
+    win; a tie keeps the larger M.
+
+    c is measured, as slopes over N = 40..160 and M = 4..16 at three points
+    (2 shared vCPUs, Python 3.11, mpmath 1.3.0): at 40 digits a Dirichlet
+    term (``_dirichlet_terms`` and its sums) costs 4.4-4.5 us, 4.8-5.1 us
+    with zeta', and a Bernoulli term of ``_em_tail`` 29-30 us, 54-61 us with
+    zeta': ratios 6.4-6.6 and 11-12; at 60 digits 5.0-5.1 and 10-11.
+    """
+    c = _MP_TERM_COST * (1 if lever is None else 2)
+    Ms = [M for M in range(4, MP_EM_TERMS + 1, 2) if sigma + 2 * M + 1 > 0]
+    if not Ms:
+        raise PrecisionExhausted("need sigma + 2M + 1 > 0 for the remainder bound")
+    best = None
+    for M, N, log_bound in reversed(list(_em_bounds(sigma, t, Ms, tol, _FLOAT_OPS))):
+        cap = None if best is None else best[0] - c * M
+        N = _em_escalate(N, M, log_bound, tol, 40, lever, _FLOAT_OPS, cap)
+        if N is not None and (best is None or N + c * M < best[0]):
+            best = N + c * M, N, M, log_bound
+    if best is None:
+        raise PrecisionExhausted(f"Euler-Maclaurin bound stuck above tol={tol:g}")
+    return best[1:]
 
 
 def _em_mp(s: mp.mpc, cfg: PrecisionConfig, want_prime: bool, scale: float = 1.0):
     """Scalar Euler-Maclaurin in mpmath at cfg.dps digits; (zeta, zeta' or
     None, err, derr or None).
 
-    N is planned so that the remainder bound, times the zeta' lever
-    ln N + 2M + 2 + 1/|s| when ``want_prime`` and times ``scale`` when that
-    exceeds 1 (the reflected branch of ``_zeta_scalar`` multiplies this
-    engine's bounds by it), meets tol/4: the bound that is checked.
+    (N, M) is planned (``_em_mp_plan``) so that the remainder bound, times
+    the zeta' lever ln N + 2M + 2 + 1/|s| when ``want_prime`` and times
+    ``scale`` when that exceeds 1 (the reflected branch of ``_zeta_scalar``
+    multiplies this engine's bounds by it), meets tol/4: the bound that is
+    checked.
 
     The direct sums run in fixed point (``_dirichlet_terms``, wp bits from
     ``_kernel_bits`` at prec = mp.prec): sum n^-s adds the terms exactly and
@@ -523,30 +591,40 @@ def _em_mp(s: mp.mpc, cfg: PrecisionConfig, want_prime: bool, scale: float = 1.0
 
         ro = 10^-(dps-3) (3 + N^max(0, 1-sigma) / r),  r = min(1, |s - 1|),
 
-    for N < 2^40. The rest of ro covers ``_em_tail``: a few dozen mpmath
-    operations at prec, each within 2^-prec relative of a value no larger
-    than the direct sum plus the edge term, whose modulus
-    |N^(1-s)/(s-1)| = N^(1-sigma)/|s - 1| is at most N^max(0, 1-sigma)/r;
-    forty such roundings are off by at most 6 (2 + ln N) 10^-dps
-    N^max(0, 1-sigma)/r, within the other four fifths of ro for N < 2^40.
-    zeta' is allowed ro (1 + ln N)/r: its edge terms
+    for N < 2^40. The rest of ro covers ``_em_tail``. Each of its operations
+    rounds once at prec, within 2^-prec relative of a value no larger than
+    the direct sum plus the edge term, whose modulus
+    |N^(1-s)/(s-1)| = N^(1-sigma)/|s - 1| is at most N^max(0, 1-sigma)/r.
+    That holds for the nest too: the floor N >= 0.55 (|t| + 2M) + 8 gives
+    |q_k| c_{k+1}/c_k < (|sigma| + 1.82 N)^2/(2 pi N)^2 <= 0.21 for
+    |sigma| <= N, so a rounding there moves the result by 2^-prec times at
+    most 1.3 times the first term, 1.3 |s| N^(-1-sigma)/12 <= N^-sigma/3
+    (farther right N^-sigma shrinks every term further). Counting the
+    rounding of N^-s as two and each coefficient c_k as one, zeta takes 8
+    roundings for the edge terms, M coefficients, 6 per step of the nest
+    and 4 to close it: 7M + 6 <= 118 for M <= 16, off by at most
+    17 (2 + ln N) 10^-dps N^max(0, 1-sigma)/r, within the other four fifths
+    of ro for N < 2^40. zeta' is allowed ro (1 + ln N)/r: its edge terms
     ln N N^(1-s)/(s-1) and N^(1-s)/(s-1)^2 are at most
-    N^max(0, 1-sigma)(ln N + 1/r)/r <= N^max(0, 1-sigma)(1 + ln N)/r^2.
+    N^max(0, 1-sigma)(ln N + 1/r)/r <= N^max(0, 1-sigma)(1 + ln N)/r^2,
+    and it takes 12 roundings more for them, 5 more per step of the nest
+    and 6 more to close it, 12M + 19 <= 211 in all, off by at most
+    30 (2 + ln N)(1 + ln N) 10^-dps N^max(0, 1-sigma)/r, within four
+    fifths of its allowance for N < 2^35.
     Beside s = 1 both allowances thus grow as |zeta| ~ 1/|s - 1| and
     |zeta'| ~ 1/|s - 1|^2 do; for |s - 1| >= 1, r = 1 and 1/r drops out.
     """
-    M = MP_EM_TERMS
     sigma = float(mp.re(s))
-    if sigma + 2 * M + 1 <= 0:
-        raise PrecisionExhausted("need sigma + 2M + 1 > 0 for the remainder bound")
     t = abs(float(mp.im(s)))
     abs_s = abs(complex(s))
-    plan_lever = (lambda N: _prime_lever(np.log(N), M, abs_s)) if want_prime else None
     tol = cfg.target_abs_tol / max(scale, 1.0)
     if not tol > 0:
         raise PrecisionExhausted(f"tol={cfg.target_abs_tol:g} over a factor {scale:g}")
-    N, log_bound = _em_plan(sigma, t, M, tol, 40, plan_lever)
-    N = int(N)
+    lever = None
+    if want_prime:
+        def lever(lnN, M):
+            return _prime_lever(lnN, M, abs_s, _FLOAT_OPS)
+    N, M, log_bound = _em_mp_plan(sigma, t, tol, lever)
     with mp.workdps(cfg.dps):
         wp = _kernel_bits(s, N)
         re, im, logs = _dirichlet_terms(s, N, wp)
@@ -555,15 +633,14 @@ def _em_mp(s: mp.mpc, cfg: PrecisionConfig, want_prime: bool, scale: float = 1.0
         if want_prime:
             dacc = _fixed_to_mpc(-sum(map(operator.mul, logs, re)),
                                  -sum(map(operator.mul, logs, im)), 2 * wp)
-        acc, dacc = _em_tail(s, N, mp.power(N, -s), mp.log(N), _bernoulli_coeffs(M),
+        acc, dacc = _em_tail(s, N, mp.power(N, -s), mp.log(N), _bernoulli_coeffs()[:M],
                              acc, dacc)
-        trunc = math.exp(float(log_bound(N)))
+        trunc = math.exp(log_bound(math.log(N)))
         r = min(1.0, abs(complex(s) - 1.0))
         ro = 10.0 ** (-(cfg.dps - 3)) * (3.0 + N ** max(0.0, 1.0 - sigma) / r)
         err = trunc + ro
         if want_prime:
-            lever = float(_prime_lever(math.log(N), M, abs_s))
-            derr = trunc * lever + ro * (1.0 + math.log(N)) / r
+            derr = trunc * lever(math.log(N), M) + ro * (1.0 + math.log(N)) / r
             return acc, dacc, err, derr
         return acc, None, err, None
 

@@ -4,8 +4,9 @@ Each shares no code with the library route it checks: the Weierstrass
 product and the bare asymptotic series for digamma, the harmonic-sum limit
 for Euler's constant, the generator h(k) behind a telescoped arctan sum, a
 brute-force scan for the fixed point of the limiting Riccati map, power-series
-arithmetic for the Riemann-Siegel corrections, mpmath's own zero routines, and
-the quadrature presplit measured against the whole singularity set.
+arithmetic for the Riemann-Siegel corrections, mpmath's own zero routines, the
+closed-form Euler-Maclaurin part summed term by term, and the quadrature
+presplit measured against the whole singularity set.
 """
 from __future__ import annotations
 
@@ -164,6 +165,33 @@ def zero_ordinate(k: int, dps: int = 30) -> float:
     """Ordinate of the k-th zero on the critical line, by mpmath."""
     with mp.workdps(dps):
         return float(mp.zetazero(k).imag)
+
+
+def em_closed_form(s, N: int, M: int, dps: int, NmS=None, lnN=None):
+    """The closed-form part of Euler-Maclaurin at ``dps`` digits, summed term
+    by term from k = 1 up,
+
+        N^(1-s)/(s-1) + N^-s/2 + sum_{k=1..M} B_2k/(2k)! (s)_{2k-1} N^(1-s-2k),
+
+    and its derivative in s, with d/ds (s)_n = (s)_n (psi(s+n) - psi(s)) (s
+    not a non-positive integer). N^-s and ln N are computed here unless given
+    (as the values another route rounded them to). Returns (value, derivative)
+    as mpc."""
+    with mp.workdps(dps):
+        sm = mp.mpc(s)
+        NmS = mp.power(N, -sm) if NmS is None else mp.mpc(NmS)
+        lnN = mp.log(N) if lnN is None else mp.mpf(lnN)
+        Nms1 = N * NmS  # N^(1-s)
+        val = Nms1 / (sm - 1) + NmS / 2
+        dval = -lnN * Nms1 / (sm - 1) - Nms1 / (sm - 1) ** 2 - lnN * NmS / 2
+        for k in range(1, M + 1):
+            c = mp.bernoulli(2 * k) / mp.factorial(2 * k)
+            poch = mp.rf(sm, 2 * k - 1)
+            dpoch = poch * (mp.digamma(sm + 2 * k - 1) - mp.digamma(sm))
+            power = Nms1 / mp.mpf(N) ** (2 * k)  # N^(1-s-2k)
+            val += c * poch * power
+            dval += c * (dpoch - lnN * poch) * power
+        return val, dval
 
 
 def presplit_full_set(a: complex, b: complex, sings) -> list:

@@ -10,6 +10,7 @@ from oracles import (
     digamma_asymptotic,
     digamma_asymptotic_remainder,
     digamma_weierstrass,
+    em_closed_form,
 )
 from zetacontour import errors
 from zetacontour.precision import (
@@ -19,10 +20,22 @@ from zetacontour.precision import (
     PrecisionConfig,
 )
 from zetacontour.special_functions import (
+    _B2K_OVER_FACT,
+    _FLOAT_OPS,
+    _MP_TERM_COST,
+    F64_EM_TERMS,
+    MP_EM_TERMS,
+    _bernoulli_coeffs,
     _dirichlet_terms,
     _build_sieve,
+    _em_bounds,
+    _em_escalate,
+    _em_mp_plan,
+    _em_tail,
+    _f64_errors,
     _kernel_bits,
     _phase_table,
+    _prime_lever,
     _sieve,
     digamma,
     log_deriv_batch,
@@ -311,15 +324,117 @@ class TestMpEnginePlan:
         with mp.workdps(60):
             assert abs(mp.mpc(v.re, v.im) - mp.zeta(mp.mpc(s))) <= v.abs_err
 
+    @staticmethod
+    def _plans(cfg, seed):
+        """(sigma, t, prime, (N, M, log_bound)) of the mpmath engine's plan at
+        40 seeded points, sigma in [-0.9, 4], t in [0, 100], for zeta and for
+        zeta' (with its lever)."""
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            sigma, t = rng.uniform(-0.9, 4.0), rng.uniform(0.0, 100.0)
+            abs_s = math.hypot(sigma, t)
+            yield sigma, t, False, _em_mp_plan(sigma, t, cfg.target_abs_tol)
+            lever = lambda lnN, M: _prime_lever(lnN, M, abs_s, _FLOAT_OPS)  # noqa: E731
+            yield sigma, t, True, _em_mp_plan(sigma, t, cfg.target_abs_tol, lever)
+
+    @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, PrecisionConfig(40, 1e-30)])
+    def test_plan_is_the_cheapest_candidate(self, cfg):
+        # every candidate M planned on its own, as the double engine plans a
+        # batch (numpy arrays); none costs less than the (N, M) chosen
+        tol = cfg.target_abs_tol
+        for sigma, t, prime, (N, M, _) in self._plans(cfg, 1313):
+            c = _MP_TERM_COST * (2 if prime else 1)
+            abs_s = math.hypot(sigma, t)
+            lever = (lambda lnN, M: _prime_lever(lnN, M, abs_s)) if prime else None
+            Ms = range(4, MP_EM_TERMS + 1, 2)
+            for Mc, N0, log_bound in _em_bounds(np.array([sigma]), np.array([t]), Ms, tol):
+                Nc = _em_escalate(N0, Mc, log_bound, tol, 40, lever)
+                if Nc is not None:
+                    assert N + c * M <= Nc[0] + c * Mc, (sigma, t, prime, Mc)
+
+    @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, PrecisionConfig(40, 1e-30)])
+    def test_plan_meets_a_quarter_of_tol(self, cfg):
+        # the classical remainder bound at the chosen (N, M), with the exact
+        # Bernoulli number, times the zeta' lever where zeta' is planned
+        tol = cfg.target_abs_tol
+        for sigma, t, prime, (N, M, _) in self._plans(cfg, 1414):
+            with mp.workdps(30):
+                s = mp.mpc(sigma, t)
+                bound = abs(mp.bernoulli(2 * M + 2) / mp.factorial(2 * M + 2)
+                            * mp.rf(s, 2 * M + 1) * mp.power(N, -s - 2 * M - 1)) \
+                    * abs(s + 2 * M + 1) / (sigma + 2 * M + 1)
+                if prime:
+                    bound *= math.log(N) + 2 * M + 2 + 1 / max(abs(s), 0.1)
+                assert bound <= tol / 4, (sigma, t, prime, N, M)
+
+    def test_default_plan_takes_fewer_terms_below_height_90(self):
+        # near t = 100 the floor N >= 0.55 (t + 2M) + 8 can make M = 16 the
+        # cheapest: at -0.2 + 91.5i zeta' costs N + 12 M = 268 with M = 16 at
+        # its floor N = 76 and with M = 14 at N = 100, one 30% growth past its
+        # floor 74; a tie keeps the larger M
+        for sigma, t, prime, (N, M, _) in self._plans(DEFAULT_CONFIG, 1515):
+            if t <= 90.0:
+                assert M < MP_EM_TERMS, (sigma, t, prime, N)
+
+
+class TestEmTail:
+    """The nested closed-form part of Euler-Maclaurin (``_em_tail``) against
+    the same terms summed one by one at twice the digits."""
+
+    @pytest.mark.parametrize("dps", [40, 60])
+    def test_mpmath_engine(self, dps):
+        rng = np.random.default_rng(dps)
+        for _ in range(12):
+            s = complex(rng.uniform(-0.9, 4.0), rng.uniform(-120.0, 120.0))
+            N, M, _ = _em_mp_plan(s.real, abs(s.imag), 10.0 ** -(dps - 12))
+            with mp.workdps(dps):
+                sm = mp.mpc(s)
+                v, dv = _em_tail(sm, N, mp.power(N, -sm), mp.log(N),
+                                 _bernoulli_coeffs()[:M], mp.mpc(0), mp.mpc(0))
+            ref, dref = em_closed_form(s, N, M, 2 * dps)
+            with mp.workdps(2 * dps):
+                assert abs(v - ref) <= 3 * 10.0 ** -dps * max(1, abs(ref)), (s, N, M)
+                assert abs(dv - dref) <= 3 * 10.0 ** -dps * max(1, abs(dref)), (s, N, M)
+
+    @pytest.mark.parametrize("want_prime", [False, True])
+    def test_double_engine(self, want_prime):
+        # the oracle reads the same rounded N^-s and ln N, so only the
+        # tail's own arithmetic is measured against its rounding allowance
+        rng = np.random.default_rng(17)
+        M = F64_EM_TERMS
+        s = rng.uniform(-1.0, 3.0, 40) + 1j * rng.uniform(-3000.0, 3000.0, 40)
+        (_, N, log_bound), = _em_bounds(s.real, np.abs(s.imag), [M], 1e-11)
+        N = _em_escalate(N, M, log_bound, 1e-11, 14).astype(np.int64)
+        ro, dro = _f64_errors(s, N, M, want_prime, 0.0)
+        for k in range(len(s)):
+            sk, Nk = s[k:k + 1], int(N[k])
+            lnN = math.log(Nk)
+            NmS = np.exp(-sk * lnN)
+            v, dv = _em_tail(sk, Nk, NmS, lnN, _B2K_OVER_FACT[1:M + 1], 0.0,
+                             0.0 if want_prime else None)
+            ref, dref = em_closed_form(s[k], Nk, M, 30, NmS=complex(NmS[0]), lnN=lnN)
+            assert abs(mp.mpc(v[0]) - ref) <= ro[k], (s[k], Nk)
+            if want_prime:
+                assert abs(mp.mpc(dv[0]) - dref) <= dro[k], (s[k], Nk)
+            else:
+                assert dv is None
+
 
 class TestMpEngineProperty:
     """Seeded strict check of the mpmath engine against mp.zeta at 20 digits
-    more than it works at; the tolerance leaves it 12 of its digits, as the
-    default config (30 digits, 1e-18) does."""
+    more than it works at. The tolerance leaves it 12 of its digits, as the
+    default config (30 digits, 1e-18) does, except in the 25-digit case,
+    which leaves 9: the config a double-config scalar call is promoted to
+    (``_scalar_cfg``)."""
 
-    @pytest.mark.parametrize("digits", [20, 30, 60])
-    def test_bounds_hold(self, digits):
-        cfg = PrecisionConfig(digits, 10.0 ** -(digits - 12))
+    @pytest.mark.parametrize("cfg", [
+        pytest.param(PrecisionConfig(20, 1e-8), id="20"),
+        pytest.param(PrecisionConfig(25, 1e-16), id="25"),
+        pytest.param(PrecisionConfig(30, 1e-18), id="30"),
+        pytest.param(PrecisionConfig(60, 1e-48), id="60"),
+    ])
+    def test_bounds_hold(self, cfg):
+        digits = cfg.working_digits
         rng = np.random.default_rng(808)
         checked = 0
         while checked < 40:
