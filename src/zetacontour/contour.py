@@ -24,6 +24,7 @@ the identity against direct quadrature can be verified numerically.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -132,12 +133,16 @@ def singularity_set(rect: Rectangle, zeros: ZeroTable) -> List[complex]:
     can be missing from the set."""
     zeros.require_height(max(abs(rect.y0), abs(rect.y1)) + _SING_MARGIN,
                          "screening this box")
+    lo, hi = rect.y0 - _SING_MARGIN, rect.y1 + _SING_MARGIN
+    g = zeros.gammas
+    up = range(bisect_left(g, lo), bisect_right(g, hi))  # lo <= g <= hi
+    down = range(bisect_left(g, -hi), bisect_right(g, -lo))  # lo <= -g <= hi
     sings = [complex(1.0, 0.0)]
-    for g in zeros.gammas:
-        if rect.y0 - _SING_MARGIN <= g <= rect.y1 + _SING_MARGIN:
-            sings.append(complex(0.5, g))
-        if rect.y0 - _SING_MARGIN <= -g <= rect.y1 + _SING_MARGIN:
-            sings.append(complex(0.5, -g))
+    for i in sorted({*up, *down}):  # by ordinate, +g before -g
+        if i in up:
+            sings.append(complex(0.5, g[i]))
+        if i in down:
+            sings.append(complex(0.5, -g[i]))
     return sings
 
 

@@ -295,7 +295,11 @@ def _em_f64_group(s, N, M, want_prime):
     n = N-1 down to n = 1, smallest terms first: on sigma in [0.6, 0.8],
     t <= 500 that halved the mean rounding error of the ascending order (and
     beat the pairwise sum by a third). The last bits of a point's value
-    depend on which path its batch took.
+    depend on which path its batch took, and on the dgemm path also on its
+    column position in the grid product: BLAS kernels may block and
+    vectorize the sum over n differently for different output columns.
+    ``zeta_batch`` hands this function folded points (Im s >= 0), so a
+    symmetric edge fills one phase column per distinct |t|.
     """
     ln_n = np.log(np.arange(N - 1, 0, -1, dtype=np.float64))
     ts, h = np.unique(s.imag, return_inverse=True)
@@ -353,7 +357,17 @@ def zeta_batch(s_arr, cfg: PrecisionConfig, want_prime: bool = False):
     """Vectorized zeta (and optionally zeta') for complex128 inputs.
 
     Requires the double engine (cfg.working_digits <= 15) and Re s >= -1.
-    Returns (vals, dvals_or_None, errs, derrs_or_None).
+    Returns (vals, dvals_or_None, errs, derrs_or_None), in input order.
+
+    zeta has real Dirichlet coefficients, so zeta(conj s) = conj zeta(s), and
+    likewise zeta'. Each point is folded to sigma + i|t| and the folded
+    points are deduplicated, so the plan, the sums and the bounds run once
+    per distinct (sigma, |t|); a point with Im s < 0 (t = -0.0 is not
+    flipped) returns the exact conjugate of its folded value, with the same
+    bounds, which depend on (sigma, |t|) only. A symmetric edge of the
+    rectangles D(alpha, beta, T) thus costs half its nodes. The last bits of
+    a value can depend on the other points of its batch (``_em_f64_group``),
+    never its bounds.
     """
     if not cfg.uses_f64:
         raise DomainError("zeta_batch requires the double-precision engine")
@@ -368,23 +382,42 @@ def zeta_batch(s_arr, cfg: PrecisionConfig, want_prime: bool = False):
         raise PoleAtOne("batch point inside the exclusion radius of s=1")
     if np.any(np.abs(s.imag) > _F64_MAX_T):
         raise PrecisionExhausted(f"|Im s| beyond the desk ceiling {_F64_MAX_T:g}")
+    # zeta(conj s) = conj zeta(s): evaluate each distinct sigma + i|t| once.
+    # The distinct folded points u are those of np.unique, in its order, but
+    # found by sorting two float keys: numpy sorts complex128 with scalar
+    # comparisons, several times slower on batches of 1e4-1e5 points.
+    flip = s.imag < 0
+    folded = np.where(flip, s.conj(), s)
+    order = np.lexsort((folded.imag, folded.real))
+    folded = folded[order]
+    first = np.empty(s.size, dtype=bool)
+    first[0] = True
+    np.not_equal(folded[1:], folded[:-1], out=first[1:])
+    u = folded[first]
+    inv = np.empty(s.size, dtype=np.intp)
+    inv[order] = np.cumsum(first) - 1
     M = F64_EM_TERMS
     tol = cfg.target_abs_tol
-    (_, N, log_bound), = _em_bounds(s.real, np.abs(s.imag), [M], tol)
+    (_, N, log_bound), = _em_bounds(u.real, u.imag, [M], tol)
     N = _em_escalate(N, M, log_bound, tol, 14)
     if N is None:
         raise PrecisionExhausted(f"Euler-Maclaurin bound stuck above tol={tol:g}")
     # quantize upward so batches share few distinct N (bound only improves)
     N = ((N.astype(np.int64) + 15) // 16) * 16
-    vals = np.empty_like(s)
-    dvals = np.empty_like(s) if want_prime else None
+    vals = np.empty_like(u)
+    dvals = np.empty_like(u) if want_prime else None
     for Nv in np.unique(N):
         idx = np.nonzero(N == Nv)[0]
-        v, dv = _em_f64_group(s[idx], int(Nv), M, want_prime)
+        v, dv = _em_f64_group(u[idx], int(Nv), M, want_prime)
         vals[idx] = v
         if want_prime:
             dvals[idx] = dv
-    errs, derrs = _f64_errors(s, N, M, want_prime, np.exp(log_bound(np.log(N))))
+    errs, derrs = _f64_errors(u, N, M, want_prime, np.exp(log_bound(np.log(N))))
+    vals, errs = vals[inv], errs[inv]
+    np.conjugate(vals, out=vals, where=flip)
+    if want_prime:
+        dvals, derrs = dvals[inv], derrs[inv]
+        np.conjugate(dvals, out=dvals, where=flip)
     return vals, dvals, errs, derrs
 
 

@@ -72,13 +72,17 @@ class ScanSummary:
         return self.results[0] if self.results else None
 
 
-def _segment_zero_distance(K: SegmentK, tau: float, zeros: ZeroTable) -> float:
-    """Distance from the shifted segment to the nearest tabulated zero."""
+def _segment_zero_distances(K: SegmentK, taus, zeros: ZeroTable) -> np.ndarray:
+    """Distance from the segment shifted by each of ``taus`` to the nearest
+    tabulated zero (inf for an empty table)."""
+    t = np.abs(K.t_offset + np.asarray(taus, dtype=float))
     if not zeros.gammas:
-        return math.inf
-    t = K.t_offset + tau
-    g = zeros.nearest_gamma(abs(t))
-    return math.hypot(K.sigma_lo - 0.5, abs(t) - g)
+        return np.full(t.shape, math.inf)
+    g = np.asarray(zeros.gammas)
+    i = np.searchsorted(g, t)  # the first ordinate >= t
+    dt = np.minimum(np.abs(t - g[np.maximum(i - 1, 0)]),
+                    np.abs(t - g[np.minimum(i, len(g) - 1)]))
+    return np.hypot(K.sigma_lo - 0.5, dt)
 
 
 def sup_distance(tau: float, K: SegmentK, U: float, V: float,
@@ -87,7 +91,7 @@ def sup_distance(tau: float, K: SegmentK, U: float, V: float,
     NearSingularity when a tabulated zero is within FLAG_RADIUS of it."""
     zeros.require_height(abs(K.t_offset + tau) + FLAG_RADIUS,
                          "screening this shift")
-    d = _segment_zero_distance(K, tau, zeros)
+    d = float(_segment_zero_distances(K, [tau], zeros)[0])
     if d < FLAG_RADIUS:
         raise NearSingularity(f"zero near shifted segment at tau={tau}", d)
     s = K.grid() + 1j * (K.t_offset + tau)
@@ -109,18 +113,13 @@ def scan(tau_lo: float, tau_hi: float, step: float, K: SegmentK,
     taus = tau_lo + step * np.arange(count)
     zeros.require_height(float(np.max(np.abs(K.t_offset + taus))) + FLAG_RADIUS,
                          "screening these shifts")
-    keep = []
-    skipped: List[float] = []
-    for tau in taus:
-        if _segment_zero_distance(K, float(tau), zeros) < FLAG_RADIUS:
-            skipped.append(float(tau))
-        else:
-            keep.append(float(tau))
+    near = _segment_zero_distances(K, taus, zeros) < FLAG_RADIUS
+    keep = taus[~near]
     sig = K.grid()
     results: List[ProbeResult] = []
     target = complex(U, V)
     for lo in range(0, len(keep), _SCAN_BATCH):
-        chunk = np.asarray(keep[lo:lo + _SCAN_BATCH])
+        chunk = keep[lo:lo + _SCAN_BATCH]
         s = (sig[None, :] + 1j * (K.t_offset + chunk)[:, None]).ravel()
         vals, _ = log_deriv_batch(s, FAST_CONFIG)
         sup = np.abs(vals.reshape(len(chunk), K.samples) - target).max(axis=1)
@@ -132,4 +131,4 @@ def scan(tau_lo: float, tau_hi: float, step: float, K: SegmentK,
     results.sort(key=lambda r: (r.sup_distance, r.tau))
     return ScanSummary(results=tuple(results), eps=eps,
                        good_fraction=(good / n_eval) if n_eval else 0.0,
-                       skipped=tuple(skipped))
+                       skipped=tuple(taus[near].tolist()))

@@ -5,8 +5,9 @@ product and the bare asymptotic series for digamma, the harmonic-sum limit
 for Euler's constant, the generator h(k) behind a telescoped arctan sum, a
 brute-force scan for the fixed point of the limiting Riccati map, power-series
 arithmetic for the Riemann-Siegel corrections, mpmath's own zero routines, the
-closed-form Euler-Maclaurin part summed term by term, and the quadrature
-presplit measured against the whole singularity set.
+closed-form Euler-Maclaurin part summed term by term, the quadrature
+presplit measured against the whole singularity set, and the singularity set
+screened ordinate by ordinate.
 """
 from __future__ import annotations
 
@@ -237,3 +238,17 @@ def presplit_full_set(a: complex, b: complex, sings) -> list:
         pb = np.stack((np.where(pending, m, pb), pb), axis=1)[slots]
         pending = np.stack((pending, pending), axis=1)[slots]
     return [(complex(x), complex(y)) for x, y in zip(pa[::-1], pb[::-1])]
+
+
+def singularity_set_full_scan(rect, gammas, margin) -> list:
+    """The pole s = 1, then every tabulated zero 1/2 + ig and its mirror
+    1/2 - ig whose height lies within ``margin`` of the box's, found by
+    testing each ordinate in turn (+g before -g)."""
+    lo, hi = rect.y0 - margin, rect.y1 + margin
+    sings = [complex(1.0, 0.0)]
+    for g in gammas:
+        if lo <= g <= hi:
+            sings.append(complex(0.5, g))
+        if lo <= -g <= hi:
+            sings.append(complex(0.5, -g))
+    return sings

@@ -29,7 +29,7 @@ from zetacontour.special_functions import log_deriv_batch
 from zetacontour.telescope import s_n_direct
 from zetacontour.zero_finder import ZeroTable, backlund_count_bound
 
-from oracles import presplit_full_set
+from oracles import presplit_full_set, singularity_set_full_scan
 
 ALPHA, BETA = 3.0 / 5.0, 4.0 / 5.0
 
@@ -172,6 +172,34 @@ class TestIntegrateEdge:
                            singularities=singularity_set(rect, big_table))
         assert e.n_evals > contour._MAX_NODES
         assert abs(e.value - (c["c"] - c["b"])) < 1e-9
+
+
+class TestSingularitySet:
+    def test_matches_the_full_scan(self, big_table):
+        m = contour._SING_MARGIN
+        gs = big_table.gammas
+        boxes = [Rectangle.paper_mode(ALPHA, BETA, T) for T in (20.0, 100.0, 250.0)]
+        boxes += [Rectangle.box(0.3, 0.7, -40.0, -10.0), Rectangle.box(0.3, 0.7, 10.0, 40.0),
+                  Rectangle.box(0.3, 0.7, -30.0, 60.0), Rectangle.box(0.3, 0.7, -2.0, 2.0),
+                  Rectangle.box(0.9, 1.1, -1.0, 1.0)]
+        # ordinates exactly on the margin, above, below and in both half-planes
+        at_margin = []
+        for g in gs[5:60]:
+            if (g - m) + m == g:
+                boxes.append(Rectangle.box(0.4, 0.6, g - m - 3.0, g - m))
+                boxes.append(Rectangle.box(0.4, 0.6, m - g, m - g + 3.0))
+                at_margin += [complex(0.5, g), complex(0.5, -g)]
+            if (g + m) - m == g:
+                boxes.append(Rectangle.box(0.4, 0.6, g + m, g + m + 2.0))
+                boxes.append(Rectangle.box(0.4, 0.6, -g - m - 2.0, -g - m))
+                at_margin += [complex(0.5, g), complex(0.5, -g)]
+        assert len(at_margin) >= 8
+        found = set()
+        for rect in boxes:
+            got = singularity_set(rect, big_table)
+            assert got == singularity_set_full_scan(rect, gs, m)
+            found.update(got)
+        assert found.issuperset(at_margin)
 
 
 class TestWinding:

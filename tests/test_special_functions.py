@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath as mp
@@ -12,7 +13,7 @@ from oracles import (
     digamma_weierstrass,
     em_closed_form,
 )
-from zetacontour import errors
+from zetacontour import errors, special_functions
 from zetacontour.precision import (
     DEFAULT_CONFIG,
     FAST_CONFIG,
@@ -224,10 +225,12 @@ class TestDoubleEngineLattice:
          + 1j * np.linspace(2.0, 20.0, 40)[:, None]).ravel()
 
     def test_bounds_hold(self, fast_cfg):
-        vals, dvals, errs, derrs = zeta_batch(self.S, fast_cfg, want_prime=True)
-        ld, lerr = log_deriv_batch(self.S, fast_cfg)
+        # the mirrored lattice, t in [-20, -2], rides in the same batch
+        S = np.concatenate([self.S, self.S.conj()])
+        vals, dvals, errs, derrs = zeta_batch(S, fast_cfg, want_prime=True)
+        ld, lerr = log_deriv_batch(S, fast_cfg)
         with mp.workdps(30):
-            for k, s in enumerate(self.S):
+            for k, s in enumerate(S):
                 z = mp.zeta(mp.mpc(s))
                 dz = mp.zeta(mp.mpc(s), derivative=1)
                 assert abs(mp.mpc(vals[k]) - z) <= errs[k]
@@ -251,6 +254,66 @@ class TestDoubleEngineLattice:
         n = self.S.size
         assert np.all(np.abs(grid[0] - rows[0][:n]) <= grid[2] + rows[2][:n])
         assert np.all(np.abs(grid[1] - rows[1][:n]) <= grid[3] + rows[3][:n])
+
+
+def _gl_edge(sigma, T, panels):
+    """Gauss-Legendre nodes (16 per panel) of the vertical edge from
+    sigma - iT to sigma + iT, mirrored exactly about the real axis."""
+    x, _ = np.polynomial.legendre.leggauss(16)
+    half = T / (2 * panels)
+    mids = half * (2 * np.arange(panels) + 1)
+    t = (mids[:, None] + half * x[None, :]).ravel()
+    return sigma + 1j * np.concatenate([-t[::-1], t])
+
+
+class TestConjugateFold:
+    """zeta_batch evaluates each distinct (sigma, |t|) once and returns the
+    conjugate for Im s < 0."""
+
+    @staticmethod
+    def batch():
+        rng = np.random.default_rng(14)
+        edge = _gl_edge(0.6, 10.0, 4)  # one abscissa: a grid contraction
+        # scattered points at greater heights, another N: contracted point by point
+        scattered = rng.uniform(0.55, 0.9, 40) + 1j * rng.uniform(200.0, 230.0, 40)
+        scattered[::2] = scattered[::2].conj()
+        s = np.concatenate([edge, scattered, edge[:5], scattered[:3].conj(),
+                            [complex(0.6, 0.0), complex(0.6, -0.0), complex(0.6, 3.0)]])
+        return s[rng.permutation(len(s))]
+
+    def test_input_order_and_exact_conjugates(self, fast_cfg, monkeypatch):
+        s = self.batch()
+        einsum_points = []
+        einsum = np.einsum
+        monkeypatch.setattr(np, "einsum", lambda spec, cols, amp: (
+            einsum_points.append(len(cols)) or einsum(spec, cols, amp)))
+        vals, dvals, errs, derrs = zeta_batch(s, fast_cfg, want_prime=True)
+        distinct = len({(z.real, abs(z.imag)) for z in s})
+        # both contractions ran: some points went point by point, not all
+        assert 0 < sum(einsum_points) < distinct
+        for k, z in enumerate(s):
+            # a batch of one is a grid of one cell: same bounds, values within them
+            v1, dv1, e1, de1 = zeta_batch(np.array([z]), fast_cfg, want_prime=True)
+            assert (errs[k], derrs[k]) == (e1[0], de1[0])
+            assert abs(vals[k] - v1[0]) <= errs[k] + e1[0]
+            assert abs(dvals[k] - dv1[0]) <= derrs[k] + de1[0]
+        for k, j in itertools.product(range(len(s)), repeat=2):
+            if s[j] == s[k]:
+                assert (vals[j], dvals[j], errs[j]) == (vals[k], dvals[k], errs[k])
+            elif s[j] == s[k].conjugate():
+                assert vals[j] == vals[k].conjugate()
+                assert dvals[j] == dvals[k].conjugate()
+                assert (errs[j], derrs[j]) == (errs[k], derrs[k])
+
+    def test_each_distinct_height_is_evaluated_once(self, fast_cfg, monkeypatch):
+        s = self.batch()
+        seen = []
+        group = special_functions._em_f64_group
+        monkeypatch.setattr(special_functions, "_em_f64_group",
+                            lambda u, *a: seen.extend(u) or group(u, *a))
+        zeta_batch(s, fast_cfg, want_prime=True)
+        assert len(seen) == len({(z.real, abs(z.imag)) for z in s})
+        assert min(z.imag for z in seen) == 0.0
 
 
 class TestSieve:

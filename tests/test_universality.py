@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from zetacontour import errors
-from zetacontour.precision import FAST_CONFIG
+from zetacontour.precision import FAST_CONFIG, FLAG_RADIUS
 from zetacontour.special_functions import log_deriv_batch
 from zetacontour.universality import SegmentK, scan, sup_distance
 
@@ -101,6 +101,30 @@ class TestScan:
         summary = scan(g1 - 0.001, g1 + 0.001, 0.0005, K, 0.0, 0.0, 1.0, table120)
         assert len(summary.skipped) >= 1
         assert all(abs(t - g1) < 0.01 for t in summary.skipped)
+
+    def test_screen_matches_the_nearest_ordinate(self, table120):
+        # the vectorized screen skips exactly the shifts that the table's own
+        # nearest_gamma puts within FLAG_RADIUS, and sup_distance refuses them
+        K = SegmentK(0.5 + 2e-4, 0.8, samples=5, t_offset=-60.0)
+        for g in table120.gammas[:12]:
+            for tau0 in (60.0 + g, 60.0 - g):  # the shifted segment at +g, at -g
+                summary = scan(tau0 - 0.003, tau0 + 0.003, 0.0005, K, 0.0, 0.0, 1.0,
+                               table120)
+                taus = [r.tau for r in summary.results] + list(summary.skipped)
+                want = []
+                for tau in sorted(taus):
+                    t = abs(K.t_offset + tau)
+                    d = math.hypot(K.sigma_lo - 0.5, t - table120.nearest_gamma(t))
+                    if d < FLAG_RADIUS:
+                        want.append(tau)
+                assert len(taus) == 13 and want
+                assert list(summary.skipped) == want
+                for tau in taus:
+                    if tau in want:
+                        with pytest.raises(errors.NearSingularity):
+                            sup_distance(tau, K, 0.0, 0.0, table120)
+                    else:
+                        sup_distance(tau, K, 0.0, 0.0, table120)
 
     def test_matches_sup_distance(self, table120):
         # the scan contracts many shifts in one batch, sup_distance one shift:
