@@ -10,10 +10,10 @@ A ``PrecisionConfig`` is two numbers, ``working_digits`` and
   guard digits. Scalar only.
 
 Each engine's Euler-Maclaurin truncation is planned in ``special_functions``,
-not configured here: the direct-sum length N grows with |Im s| until the
-remainder bound meets ``target_abs_tol``, with 14 Bernoulli terms in the
-double engine and, in the mpmath engine, the count from 4 to 16 that makes
-the call cheapest.
+not configured here: the direct-sum length N is the least, at or above a
+floor growing with |Im s|, at which the remainder bound meets a quarter of
+``target_abs_tol``, with 14 Bernoulli terms in the double engine and, in the
+mpmath engine, the count from 4 to 16 that makes the call cheapest.
 
 Within the mpmath engine, raising ``working_digits`` at a fixed
 ``target_abs_tol`` never increases a reported error estimate: the plan

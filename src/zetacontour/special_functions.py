@@ -9,8 +9,9 @@ The workhorse is Euler-Maclaurin summation,
 
 with the classical remainder bound
 |R| <= |B_{2M+2}/(2M+2)! (s)_{2M+1} N^(-s-2M-1)| * |s+2M+1|/(sigma+2M+1),
-valid for sigma > -(2M+1). N is escalated with |Im s| until the bound meets
-the configured tolerance. zeta' is the termwise derivative with an analogous
+valid for sigma > -(2M+1). Both engines take the least N, at or above a floor
+growing with |Im s|, at which it meets a quarter of the tolerance: a closed
+form (``_em_plan``). zeta' is the termwise derivative with an analogous
 bound. For sigma <= -1 both are continued through the functional equation.
 
 An independent cross-check route, ``zeta_alternating``, sums the alternating
@@ -31,10 +32,10 @@ quadrature, zero-scan, and universality modules.
 """
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import operator
-from types import SimpleNamespace
 from typing import Tuple
 
 import numpy as np
@@ -66,7 +67,7 @@ _TWO_PI = 2.0 * math.pi
 # B_2k/(2k)! as floats, k = 0..40; enough for every double-engine plan.
 _B2K_OVER_FACT = [float(mp.bernoulli(2 * k) / mp.factorial(2 * k)) for k in range(41)]
 
-_F64_MAX_T = 2.5e4  # desk-scale ceiling; beyond this the plan escalation gives up
+_F64_MAX_T = 2.5e4  # desk-scale ceiling of |Im s| for the double engine
 
 # Bernoulli correction terms M of the double engine's Euler-Maclaurin sum,
 # and the most the mpmath engine plans with
@@ -75,6 +76,10 @@ MP_EM_TERMS = 16
 # what one Bernoulli term of the mpmath engine costs, in Dirichlet terms
 # (``_em_mp_plan``)
 _MP_TERM_COST = 6
+# the mpmath engine's candidate M, largest first so that a tie keeps it
+_MP_EM_MS = np.arange(MP_EM_TERMS, 3, -2)
+# an M whose least N passes this many times its floor is refused
+_EM_MAX_GROWTH = 1.3 ** 40
 
 # The double engine contracts a batch over the grid of its distinct heights x
 # abscissae only when that grid has at most this many cells per point;
@@ -130,66 +135,70 @@ def _sieve(N):
 
 
 # ---------------------------------------------------------------------------
-# Euler-Maclaurin plan selection and closed-form tail
+# Euler-Maclaurin plan and closed-form tail
 # ---------------------------------------------------------------------------
 
-# The plan below runs on numpy arrays (the double engine, one batch) and on
-# Python floats (the mpmath engine, one point); for floats it calls these
-# stand-ins for the numpy functions, since numpy's per-call overhead on
-# scalars would cost several times the arithmetic.
-_FLOAT_OPS = SimpleNamespace(log=math.log, hypot=math.hypot, ceil=math.ceil,
-                             maximum=max, any=bool,
-                             where=lambda cond, a, b: a if cond else b)
+def _em_plan(sigma, t, M, tol, abs_s=None):
+    """The Euler-Maclaurin truncation plan at sigma and t = |Im s| (arrays of
+    one shape, or scalars) and M (an int, or an array at scalar sigma and t;
+    sigma + 2M + 1 > 0 is the caller's to ensure): (N, log_bound), with
 
+        log_bound(ln N) = base - (sigma + 2M + 1) ln N + ln tail
 
-def _em_bounds(sigma, t, Ms, tol, xp=np):
-    """For each M of the increasing ``Ms``, at sigma and t = |Im s|:
-    (M, N0, log_bound), with N0 the starting truncation
-    max(0.55 (t + 2M) + 8, 1.1 (-log10 tol)) and
-    log_bound(ln N) the log of the remainder bound at N (a pure function of
-    its inputs; sigma + 2M + 1 > 0 is the caller's to ensure).
-
-    The log bound is ((lb + lp) - (sigma + 2M + 1) ln N) + ln tail, with lb
-    the Bernoulli constant, lp the log of |(s)_{2M+1}| and tail the factor
-    |s + 2M + 1| / (sigma + 2M + 1); lb + lp and ln tail are computed once
-    per point and M, and lp's sum runs on from one M to the next. ``xp`` is
-    ``np`` for arrays and ``_FLOAT_OPS`` for floats.
+    the log of the remainder bound at N, base the log of 2.2 (2 pi)^-(2M+2)
+    |(s)_{2M+1}| and tail = |s + 2M + 1| / (sigma + 2M + 1). N is the least
+    integer at or above the floor max(ceil(0.55 (t + 2M)) + 8,
+    ceil(1.1 (-log10 tol))) where log_bound(ln N), plus the log of the zeta'
+    lever ``_prime_lever`` when ``abs_s`` = |s| is given, meets ln(tol/4).
+    Linear in ln N, the bound alone gives N in closed form; the lever grows
+    with ln N, so N is stepped from the floor, never past the least N, until
+    it stops (two or three steps). One check of the inequality as written
+    adds 1 where rounding left N short. N is inf past ``_EM_MAX_GROWTH``
+    times its floor.
     """
-    lp, j = 0.0, 0
-    for M in Ms:
-        while j <= 2 * M:
-            # the clip only matters where a factor of (s)_{2M+1} vanishes exactly
-            lp = lp + 0.5 * xp.log(xp.maximum((sigma + j) ** 2 + t * t, 1e-300))
-            j += 1
-        base = math.log(2.2) - (2 * M + 2) * math.log(_TWO_PI) + lp
-        tail = xp.log(xp.hypot(sigma + 2 * M + 1, t) / (sigma + 2 * M + 1))
+    # ln |s + j| summed in order of j, so row 2M is ln |(s)_{2M+1}|, at most
+    # _ROW_BLOCK table entries at a time; the clip only matters where a
+    # factor vanishes exactly
+    rows = 2 * np.asarray(M)
+    j = np.arange(rows.max() + 1.0)
+    shape = np.asarray(sigma).shape
+    sig, t2 = np.asarray(sigma).ravel(), np.asarray(t * t).ravel()
+    lp = np.empty((rows.size, sig.size))
+    width = _ROW_BLOCK // len(j)
+    for lo in range(0, sig.size, width):
+        b = slice(lo, lo + width)
+        x = np.add.outer(j, sig[b])
+        np.square(x, out=x)
+        x += t2[b]
+        np.log(np.maximum(x, 1e-300, out=x), out=x)
+        x *= 0.5
+        # row after row, so that a point's sum never depends on its batch
+        # (np.add.reduce sums a one-column block pairwise; np.cumsum takes
+        # several times as long across a wide block)
+        for prev, row in zip(x, x[1:]):
+            row += prev
+        lp[:, b] = x[rows]
+    base = math.log(2.2) - (rows + 2) * math.log(_TWO_PI) + lp.reshape(rows.shape + shape)
+    k = sigma + rows + 1
+    tail = np.log(np.hypot(k, t) / k)
 
-        def log_bound(lnN, base=base, tail=tail, M=M):
-            return base + (-sigma - 2 * M - 1) * lnN + tail
+    def log_bound(lnN):
+        return base - k * lnN + tail
 
-        N0 = xp.maximum(xp.ceil(0.55 * (t + 2 * M)) + 8,
-                        math.ceil(1.1 * (-math.log10(tol))))
-        yield M, N0, log_bound
-
-
-def _em_escalate(N, M, log_bound, tol, rounds, lever=None, xp=np, cap=None):
-    """N grown by 30% (N -> 1.3 N + 4) where log_bound(ln N), plus
-    ln lever(ln N, M) if a lever is given, misses ln(tol/4), checked at most
-    ``rounds`` times; None if it still misses then, or (a float N only) as
-    soon as N passes ``cap``."""
     logtol = math.log(0.25 * tol)
-    for _ in range(rounds):
-        if cap is not None and N > cap:
-            return None
-        lnN = xp.log(N)
-        lb = log_bound(lnN)
-        if lever is not None:
-            lb = lb + xp.log(lever(lnN, M))
-        bad = lb > logtol
-        if not xp.any(bad):
-            return N
-        N = xp.where(bad, (N * 13) // 10 + 4, N)
-    return None
+    N0 = np.maximum(np.ceil(0.55 * (t + rows)) + 8, math.ceil(1.1 * (-math.log10(tol))))
+    excess = base + tail - logtol
+    N, lever = N0, 0.0
+    while True:
+        if abs_s is not None:
+            lever = np.log(_prime_lever(np.log(N), M, abs_s))
+        step = np.maximum(N0, np.ceil(np.exp((excess + lever) / k)))
+        # steps never shrink N, so none grew means every N is a fixed point
+        if abs_s is None or not (step > N).any():
+            break
+        N = step
+    N = step + (log_bound(np.log(step)) + lever > logtol)
+    return np.where(N > _EM_MAX_GROWTH * N0, np.inf, N), log_bound
 
 
 def _em_tail(s, N, NmS, lnN, coeffs, acc, dacc):
@@ -329,10 +338,10 @@ def _em_f64_group(s, N, M, want_prime):
                     vals, dvals)
 
 
-def _prime_lever(lnN, M, abs_s, xp=np):
+def _prime_lever(lnN, M, abs_s):
     """ln N + 2M + 2 + 1/max(|s|, 0.1): zeta's remainder bound times this
     bounds the remainder of zeta' (both engines)."""
-    return lnN + 2 * M + 2 + 1.0 / xp.maximum(abs_s, 0.1)
+    return lnN + 2 * M + 2 + 1.0 / np.maximum(abs_s, 0.1)
 
 
 def _f64_errors(s, N, M, want_prime, trunc):
@@ -376,6 +385,8 @@ def zeta_batch(s_arr, cfg: PrecisionConfig, want_prime: bool = False):
         z = np.empty(0, dtype=np.complex128)
         f = np.empty(0, dtype=float)
         return z, (z.copy() if want_prime else None), f, (f.copy() if want_prime else None)
+    if not np.all(np.isfinite(s)):
+        raise DomainError("batch points must be finite")
     if np.any(s.real < -1.0 - 1e-12):
         raise DomainError("batch evaluation covers Re s >= -1 only")
     if np.any(np.abs(s - 1.0) < EXCLUSION_RADIUS):
@@ -397,11 +408,7 @@ def zeta_batch(s_arr, cfg: PrecisionConfig, want_prime: bool = False):
     inv = np.empty(s.size, dtype=np.intp)
     inv[order] = np.cumsum(first) - 1
     M = F64_EM_TERMS
-    tol = cfg.target_abs_tol
-    (_, N, log_bound), = _em_bounds(u.real, u.imag, [M], tol)
-    N = _em_escalate(N, M, log_bound, tol, 14)
-    if N is None:
-        raise PrecisionExhausted(f"Euler-Maclaurin bound stuck above tol={tol:g}")
+    N, log_bound = _em_plan(u.real, u.imag, M, cfg.target_abs_tol)
     # quantize upward so batches share few distinct N (bound only improves)
     N = ((N.astype(np.int64) + 15) // 16) * 16
     vals = np.empty_like(u)
@@ -570,14 +577,13 @@ def _bernoulli_coeffs():
     return coeffs
 
 
-def _em_mp_plan(sigma, t, tol, lever=None):
-    """(N, M, log_bound) of the mpmath engine at one point: the least
-    N + c M over M = 4, 6, ..., MP_EM_TERMS with sigma + 2M + 1 > 0, each
-    M's N planned by ``_em_bounds`` and ``_em_escalate`` (40 rounds) in
-    plain floats, with c = ``_MP_TERM_COST`` Dirichlet terms per Bernoulli
-    term, twice that with a ``lever`` (zeta' wanted). Candidates run from
-    the largest M down, and one stops growing its N once it can no longer
-    win; a tie keeps the larger M.
+def _em_mp_plan(sigma, t, tol, abs_s=None):
+    """(N, M, ln trunc) of the mpmath engine at one point: the least N + c M
+    over M = 4, 6, ..., MP_EM_TERMS, each M's N from one ``_em_plan`` over
+    all of them, and trunc the remainder bound at the chosen (N, M). c is
+    ``_MP_TERM_COST`` Dirichlet terms per Bernoulli term, twice that with
+    ``abs_s`` = |s| (zeta' wanted, its lever planned); a tie keeps the larger
+    M. PrecisionExhausted where every M is refused.
 
     c is measured, as slopes over N = 40..160 and M = 4..16 at three points
     (2 shared vCPUs, Python 3.11, mpmath 1.3.0): at 40 digits a Dirichlet
@@ -585,19 +591,12 @@ def _em_mp_plan(sigma, t, tol, lever=None):
     with zeta', and a Bernoulli term of ``_em_tail`` 29-30 us, 54-61 us with
     zeta': ratios 6.4-6.6 and 11-12; at 60 digits 5.0-5.1 and 10-11.
     """
-    c = _MP_TERM_COST * (1 if lever is None else 2)
-    Ms = [M for M in range(4, MP_EM_TERMS + 1, 2) if sigma + 2 * M + 1 > 0]
-    if not Ms:
-        raise PrecisionExhausted("need sigma + 2M + 1 > 0 for the remainder bound")
-    best = None
-    for M, N, log_bound in reversed(list(_em_bounds(sigma, t, Ms, tol, _FLOAT_OPS))):
-        cap = None if best is None else best[0] - c * M
-        N = _em_escalate(N, M, log_bound, tol, 40, lever, _FLOAT_OPS, cap)
-        if N is not None and (best is None or N + c * M < best[0]):
-            best = N + c * M, N, M, log_bound
-    if best is None:
+    N, log_bound = _em_plan(sigma, t, _MP_EM_MS, tol, abs_s)
+    c = _MP_TERM_COST * (1 if abs_s is None else 2)
+    i = (N + c * _MP_EM_MS).argmin()
+    if not N[i] < math.inf:
         raise PrecisionExhausted(f"Euler-Maclaurin bound stuck above tol={tol:g}")
-    return best[1:]
+    return int(N[i]), int(_MP_EM_MS[i]), float(log_bound(math.log(N[i]))[i])
 
 
 def _em_mp(s: mp.mpc, cfg: PrecisionConfig, want_prime: bool, scale: float = 1.0):
@@ -653,11 +652,7 @@ def _em_mp(s: mp.mpc, cfg: PrecisionConfig, want_prime: bool, scale: float = 1.0
     tol = cfg.target_abs_tol / max(scale, 1.0)
     if not tol > 0:
         raise PrecisionExhausted(f"tol={cfg.target_abs_tol:g} over a factor {scale:g}")
-    lever = None
-    if want_prime:
-        def lever(lnN, M):
-            return _prime_lever(lnN, M, abs_s, _FLOAT_OPS)
-    N, M, log_bound = _em_mp_plan(sigma, t, tol, lever)
+    N, M, log_trunc = _em_mp_plan(sigma, t, tol, abs_s if want_prime else None)
     with mp.workdps(cfg.dps):
         wp = _kernel_bits(s, N)
         re, im, logs = _dirichlet_terms(s, N, wp)
@@ -668,12 +663,13 @@ def _em_mp(s: mp.mpc, cfg: PrecisionConfig, want_prime: bool, scale: float = 1.0
                                  -sum(map(operator.mul, logs, im)), 2 * wp)
         acc, dacc = _em_tail(s, N, mp.power(N, -s), mp.log(N), _bernoulli_coeffs()[:M],
                              acc, dacc)
-        trunc = math.exp(log_bound(math.log(N)))
+        trunc = math.exp(log_trunc)
         r = min(1.0, abs(complex(s) - 1.0))
         ro = 10.0 ** (-(cfg.dps - 3)) * (3.0 + N ** max(0.0, 1.0 - sigma) / r)
         err = trunc + ro
         if want_prime:
-            derr = trunc * lever(math.log(N), M) + ro * (1.0 + math.log(N)) / r
+            derr = trunc * float(_prime_lever(math.log(N), M, abs_s)) \
+                + ro * (1.0 + math.log(N)) / r
             return acc, dacc, err, derr
         return acc, None, err, None
 
@@ -748,6 +744,8 @@ def _zeta_and_prime(s, cfg: PrecisionConfig, want_prime: bool):
     otherwise.
     """
     sc = complex(s)
+    if not cmath.isfinite(sc):
+        raise DomainError(f"s={sc} is not finite")
     if cfg.uses_f64 and sc.real > -1.0:
         vals, dvals, errs, derrs = zeta_batch([sc], cfg, want_prime=want_prime)
         if not want_prime:
@@ -757,7 +755,7 @@ def _zeta_and_prime(s, cfg: PrecisionConfig, want_prime: bool):
 
 
 def _within_tol(v, e: float, cfg: PrecisionConfig) -> ComplexValue:
-    if e > cfg.target_abs_tol:
+    if not e <= cfg.target_abs_tol:
         raise PrecisionExhausted(f"abs_err={e:g} exceeds tol={cfg.target_abs_tol:g}")
     return ComplexValue(v.real, v.imag, e)
 

@@ -5,7 +5,8 @@ product and the bare asymptotic series for digamma, the harmonic-sum limit
 for Euler's constant, the generator h(k) behind a telescoped arctan sum, a
 brute-force scan for the fixed point of the limiting Riccati map, power-series
 arithmetic for the Riemann-Siegel corrections, mpmath's own zero routines, the
-closed-form Euler-Maclaurin part summed term by term, the quadrature
+closed-form Euler-Maclaurin part summed term by term, the least
+Euler-Maclaurin truncation found by stepping N one at a time, the quadrature
 presplit measured against the whole singularity set, and the singularity set
 screened ordinate by ordinate.
 """
@@ -193,6 +194,33 @@ def em_closed_form(s, N: int, M: int, dps: int, NmS=None, lnN=None):
             val += c * poch * power
             dval += c * (dpoch - lnN * poch) * power
         return val, dval
+
+
+def em_least_N(sigma, t, M, tol, prime=False, bernoulli=None, stop=None):
+    """The least N at or above the floor max(ceil(0.55 (t + 2M)) + 8,
+    ceil(1.1 (-log10 tol))) at which the classical Euler-Maclaurin remainder
+    bound at s = sigma + it,
+
+        |B_{2M+2}/(2M+2)! (s)_{2M+1} N^(-s-2M-1)| |s + 2M + 1| / (sigma + 2M + 1),
+
+    times the zeta' lever ln N + 2M + 2 + 1/max(|s|, 0.1) when ``prime``, is
+    at most tol/4, found in mpmath by stepping N up one at a time from the
+    floor; None if N passes ``stop`` first. |B_{2M+2}|/(2M+2)! is the exact
+    Bernoulli number unless ``bernoulli`` gives another value to use."""
+    with mp.workdps(30):
+        s = mp.mpc(sigma, t)
+        if bernoulli is None:
+            bernoulli = abs(mp.bernoulli(2 * M + 2) / mp.factorial(2 * M + 2))
+        head = bernoulli * abs(mp.rf(s, 2 * M + 1)) * abs(s + 2 * M + 1) / (sigma + 2 * M + 1)
+        N = max(math.ceil(0.55 * (t + 2 * M)) + 8, math.ceil(1.1 * -math.log10(tol)))
+        while stop is None or N <= stop:
+            bound = head * mp.power(N, -(sigma + 2 * M + 1))  # |N^-s| = N^-sigma
+            if prime:
+                bound *= mp.log(N) + 2 * M + 2 + 1 / max(abs(s), 0.1)
+            if bound <= tol / 4:
+                return N
+            N += 1
+        return None
 
 
 def presplit_full_set(a: complex, b: complex, sings) -> list:

@@ -12,31 +12,30 @@ from oracles import (
     digamma_asymptotic_remainder,
     digamma_weierstrass,
     em_closed_form,
+    em_least_N,
 )
 from zetacontour import errors, special_functions
 from zetacontour.precision import (
     DEFAULT_CONFIG,
     FAST_CONFIG,
     ComplexValue,
+    F64_MIN_TOL,
     PrecisionConfig,
 )
 from zetacontour.special_functions import (
     _B2K_OVER_FACT,
-    _FLOAT_OPS,
     _MP_TERM_COST,
     F64_EM_TERMS,
     MP_EM_TERMS,
     _bernoulli_coeffs,
     _dirichlet_terms,
     _build_sieve,
-    _em_bounds,
-    _em_escalate,
     _em_mp_plan,
+    _em_plan,
     _em_tail,
     _f64_errors,
     _kernel_bits,
     _phase_table,
-    _prime_lever,
     _sieve,
     digamma,
     log_deriv_batch,
@@ -123,6 +122,19 @@ class TestZeta:
         va, _, ea, _ = zeta_batch(s, fast_cfg)
         vb, _, eb, _ = zeta_batch(np.conj(s), fast_cfg)
         assert np.max(np.abs(vb - np.conj(va)) - (ea + eb)) <= 0.0
+
+    @pytest.mark.parametrize("s", [complex(math.nan, 5.0), complex(math.inf, 1.0),
+                                   complex(0.5, math.nan)])
+    def test_non_finite_points_raise(self, s, fast_cfg, mp_cfg):
+        with pytest.raises(errors.DomainError):
+            zeta_batch(np.array([0.6 + 30j, s]), fast_cfg)
+        with pytest.raises(errors.DomainError):
+            log_deriv_batch(np.array([s]), fast_cfg)
+        for cfg in (fast_cfg, mp_cfg):
+            with pytest.raises(errors.DomainError):
+                zeta(s, cfg)
+            with pytest.raises(errors.DomainError):
+                log_deriv_zeta(s, cfg)
 
     def test_eta_route_domain(self, mp_cfg):
         with pytest.raises(errors.DomainError):
@@ -225,14 +237,16 @@ class TestDoubleEngineLattice:
          + 1j * np.linspace(2.0, 20.0, 40)[:, None]).ravel()
 
     def test_bounds_hold(self, fast_cfg):
-        # the mirrored lattice, t in [-20, -2], rides in the same batch
+        # the mirrored lattice, t in [-20, -2], rides in the same batch; its
+        # references are the conjugates of the lattice's, since zeta and
+        # zeta' are real on the real axis
         S = np.concatenate([self.S, self.S.conj()])
         vals, dvals, errs, derrs = zeta_batch(S, fast_cfg, want_prime=True)
         ld, lerr = log_deriv_batch(S, fast_cfg)
         with mp.workdps(30):
-            for k, s in enumerate(S):
-                z = mp.zeta(mp.mpc(s))
-                dz = mp.zeta(mp.mpc(s), derivative=1)
+            refs = [(mp.zeta(mp.mpc(s)), mp.zeta(mp.mpc(s), derivative=1)) for s in self.S]
+            refs += [(mp.conj(z), mp.conj(dz)) for z, dz in refs]
+            for k, (z, dz) in enumerate(refs):
                 assert abs(mp.mpc(vals[k]) - z) <= errs[k]
                 assert abs(mp.mpc(dvals[k]) - dz) <= derrs[k]
                 assert abs(mp.mpc(ld[k]) - dz / z) <= lerr[k]
@@ -387,33 +401,72 @@ class TestMpEnginePlan:
         with mp.workdps(60):
             assert abs(mp.mpc(v.re, v.im) - mp.zeta(mp.mpc(s))) <= v.abs_err
 
+    def test_refuses_an_M_far_past_its_floor(self):
+        # at 1e-300 every M's least N is more than 1.3^40 times its floor
+        with pytest.raises(errors.PrecisionExhausted):
+            zeta(complex(0.5, 10.0), PrecisionConfig(400, 1e-300))
+
     @staticmethod
     def _plans(cfg, seed):
-        """(sigma, t, prime, (N, M, log_bound)) of the mpmath engine's plan at
+        """(sigma, t, prime, (N, M, ln trunc)) of the mpmath engine's plan at
         40 seeded points, sigma in [-0.9, 4], t in [0, 100], for zeta and for
         zeta' (with its lever)."""
         rng = np.random.default_rng(seed)
         for _ in range(40):
             sigma, t = rng.uniform(-0.9, 4.0), rng.uniform(0.0, 100.0)
-            abs_s = math.hypot(sigma, t)
             yield sigma, t, False, _em_mp_plan(sigma, t, cfg.target_abs_tol)
-            lever = lambda lnN, M: _prime_lever(lnN, M, abs_s, _FLOAT_OPS)  # noqa: E731
-            yield sigma, t, True, _em_mp_plan(sigma, t, cfg.target_abs_tol, lever)
+            yield sigma, t, True, _em_mp_plan(sigma, t, cfg.target_abs_tol,
+                                              math.hypot(sigma, t))
+
+    @staticmethod
+    def _majorant(M):
+        """The plan's stand-in for |B_{2M+2}|/(2M+2)! = 2 zeta(2M+2)/(2 pi)^(2M+2):
+        2 zeta(2M+2) <= 2 zeta(4) < 2.17 for M >= 1, rounded up to 2.2. The
+        exact value would give a smaller least N at about half the points."""
+        return 2.2 / (2 * math.pi) ** (2 * M + 2)
 
     @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, PrecisionConfig(40, 1e-30)])
     def test_plan_is_the_cheapest_candidate(self, cfg):
-        # every candidate M planned on its own, as the double engine plans a
-        # batch (numpy arrays); none costs less than the (N, M) chosen
+        # the chosen N is the least for its M, stepped one at a time, and no
+        # other M's least N costs less (or as much, with a larger M)
         tol = cfg.target_abs_tol
         for sigma, t, prime, (N, M, _) in self._plans(cfg, 1313):
+            assert N == em_least_N(sigma, t, M, tol, prime, self._majorant(M)), \
+                (sigma, t, prime, M)
             c = _MP_TERM_COST * (2 if prime else 1)
-            abs_s = math.hypot(sigma, t)
-            lever = (lambda lnN, M: _prime_lever(lnN, M, abs_s)) if prime else None
-            Ms = range(4, MP_EM_TERMS + 1, 2)
-            for Mc, N0, log_bound in _em_bounds(np.array([sigma]), np.array([t]), Ms, tol):
-                Nc = _em_escalate(N0, Mc, log_bound, tol, 40, lever)
-                if Nc is not None:
-                    assert N + c * M <= Nc[0] + c * Mc, (sigma, t, prime, Mc)
+            for Mc in range(4, MP_EM_TERMS + 1, 2):
+                if Mc != M:
+                    stop = N + c * (M - Mc) - (Mc < M)
+                    assert em_least_N(sigma, t, Mc, tol, prime, self._majorant(Mc),
+                                      stop) is None, (sigma, t, prime, Mc)
+
+    def test_plan_takes_the_least_N(self):
+        # N - 1 misses the bound unless N is the floor: for zeta' at
+        # -0.2 + 91.5i with M = 14, two past its floor 74, and at scattered
+        # double-engine points at its tightest tolerance
+        s = complex(-0.2, 91.5)
+        N, _ = _em_plan(s.real, s.imag, 14, 1e-18, abs(s))
+        assert N == 76 == em_least_N(s.real, s.imag, 14, 1e-18, True, self._majorant(14))
+        rng = np.random.default_rng(1515)
+        s = rng.uniform(-1.0, 3.0, 40) + 1j * 10.0 ** rng.uniform(0.0, 3.5, 40)
+        M = F64_EM_TERMS
+        for prime in (False, True):
+            N, _ = _em_plan(s.real, s.imag, M, F64_MIN_TOL, np.abs(s) if prime else None)
+            for k in range(len(s)):
+                assert N[k] == em_least_N(s[k].real, s[k].imag, M, F64_MIN_TOL, prime,
+                                          self._majorant(M)), (s[k], prime)
+
+    def test_double_engine_plan_stays_near_its_floor(self):
+        # over the double engine's domain (Re s >= -1, |t| <= 2.5e4) at its
+        # tightest tolerance, N is finite and at most twice its floor: the
+        # batch needs no refusal
+        M = F64_EM_TERMS
+        sigma, t = np.meshgrid(np.linspace(-1.0, 6.0, 57),
+                               np.concatenate([[0.0], np.geomspace(1e-3, 2.5e4, 200)]))
+        for abs_s in (None, np.hypot(sigma, t)):
+            N, _ = _em_plan(sigma, t, M, F64_MIN_TOL, abs_s)
+            floor = np.maximum(np.ceil(0.55 * (t + 2 * M)) + 8, 14)
+            assert np.all(np.isfinite(N)) and np.all(N <= 2 * floor)
 
     @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, PrecisionConfig(40, 1e-30)])
     def test_plan_meets_a_quarter_of_tol(self, cfg):
@@ -432,9 +485,9 @@ class TestMpEnginePlan:
 
     def test_default_plan_takes_fewer_terms_below_height_90(self):
         # near t = 100 the floor N >= 0.55 (t + 2M) + 8 can make M = 16 the
-        # cheapest: at -0.2 + 91.5i zeta' costs N + 12 M = 268 with M = 16 at
-        # its floor N = 76 and with M = 14 at N = 100, one 30% growth past its
-        # floor 74; a tie keeps the larger M
+        # cheapest, or nearly: at -0.2 + 91.5i zeta' costs N + 12 M = 268
+        # with M = 16 at its floor N = 76, 244 with M = 14 at N = 76, two past
+        # its floor 74, and 243 with M = 12 at N = 99, the plan chosen
         for sigma, t, prime, (N, M, _) in self._plans(DEFAULT_CONFIG, 1515):
             if t <= 90.0:
                 assert M < MP_EM_TERMS, (sigma, t, prime, N)
@@ -466,8 +519,7 @@ class TestEmTail:
         rng = np.random.default_rng(17)
         M = F64_EM_TERMS
         s = rng.uniform(-1.0, 3.0, 40) + 1j * rng.uniform(-3000.0, 3000.0, 40)
-        (_, N, log_bound), = _em_bounds(s.real, np.abs(s.imag), [M], 1e-11)
-        N = _em_escalate(N, M, log_bound, 1e-11, 14).astype(np.int64)
+        N = _em_plan(s.real, np.abs(s.imag), M, 1e-11)[0].astype(np.int64)
         ro, dro = _f64_errors(s, N, M, want_prime, 0.0)
         for k in range(len(s)):
             sk, Nk = s[k:k + 1], int(N[k])
