@@ -15,8 +15,10 @@ To compare two checkouts, snapshot each with the same table and diff:
 changes in anything else.
 
 The table must reach height 5200 (``zc zeros --up-to 5200 --out zc.tab``);
-it is only read. Each command's stdout goes to ``<name>.txt`` with its exit
-status; timings are cut from the measurement script's text.
+it is only read. The ``zeros`` command builds its own table to the same
+height, so that a change in the zero finder shows in ``zeros-5200.zctab``.
+Each command's stdout goes to ``<name>.txt`` with its exit status; timings
+are cut from the measurement script's text.
 """
 import argparse
 import os
@@ -42,9 +44,10 @@ def commands(table: str):
     the command and written to the current directory."""
     zc = [sys.executable, "-m", "zetacontour.cli"]
     box = ["--zeros", table, "--alpha", "0.6", "--beta", "0.8"]
-    runs = [(f"integrate-T{T}", zc + ["integrate", *box, "--T", T,
-                                      "--out", f"integrate-T{T}.json"])
-            for T in ("100", "250")]
+    runs = [("zeros", zc + ["zeros", "--up-to", "5200", "--out", "zeros-5200.zctab"])]
+    runs += [(f"integrate-T{T}", zc + ["integrate", *box, "--T", T,
+                                       "--out", f"integrate-T{T}.json"])
+             for T in ("100", "250")]
     runs += [(f"integrate-{name}", zc + ["integrate", "--zeros", table, "--general",
                                          *geom, "--out", f"integrate-{name}.json"])
              for name, geom in (("pole-box", ("0.9", "1.1", "-1", "1")),

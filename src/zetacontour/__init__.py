@@ -31,7 +31,6 @@ from .zero_finder import (
     count_zeros,
     find_zeros_up_to,
     hardy_z,
-    hardy_z_components,
     load_table,
     mangoldt_estimate,
     riemann_siegel_theta,
@@ -79,7 +78,7 @@ __all__ = [
     "digamma", "log_deriv_zeta", "principal_log_arg",
     "xi", "zeta", "zeta_alternating", "zeta_prime",
     "ZeroFreeBoundReport", "ZeroTable", "count_zeros", "find_zeros_up_to",
-    "hardy_z", "hardy_z_components", "load_table", "mangoldt_estimate",
+    "hardy_z", "load_table", "mangoldt_estimate",
     "riemann_siegel_theta", "save_table", "zero_free_bounds",
     "ContourReport", "DecompositionReport", "Rectangle", "decompose",
     "digamma_term_integral", "horizontal_edges_model", "integrate_edge",

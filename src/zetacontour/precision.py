@@ -95,10 +95,6 @@ class ComplexValue:
     def conjugate(self) -> "ComplexValue":
         return ComplexValue(self.re, -self.im, self.abs_err, self.flag)
 
-    def distance(self, other) -> float:
-        """|self - other| in double precision, for test assertions."""
-        return abs(complex(self) - complex(other))
-
 
 def as_mpc(s) -> mp.mpc:
     if isinstance(s, ComplexValue):

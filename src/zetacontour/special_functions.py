@@ -722,6 +722,14 @@ def _zeta_scalar(s: mp.mpc, cfg: PrecisionConfig, want_prime: bool):
 # public scalar operations
 # ---------------------------------------------------------------------------
 
+def _check_finite(s) -> complex:
+    """s as a complex; DomainError unless both parts are finite."""
+    sc = complex(s)
+    if not cmath.isfinite(sc):
+        raise DomainError(f"s={sc} is not finite")
+    return sc
+
+
 def _check_pole(s):
     if abs(complex(s) - 1.0) < EXCLUSION_RADIUS:
         raise PoleAtOne(f"s={complex(s)} within {EXCLUSION_RADIUS:g} of the pole")
@@ -743,9 +751,7 @@ def _zeta_and_prime(s, cfg: PrecisionConfig, want_prime: bool):
     for Re s > -1 with a double config, scalar mpmath at ``_scalar_cfg``
     otherwise.
     """
-    sc = complex(s)
-    if not cmath.isfinite(sc):
-        raise DomainError(f"s={sc} is not finite")
+    sc = _check_finite(s)
     if cfg.uses_f64 and sc.real > -1.0:
         vals, dvals, errs, derrs = zeta_batch([sc], cfg, want_prime=want_prime)
         if not want_prime:
@@ -803,6 +809,7 @@ def zeta_alternating(s, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ComplexValue:
     fifth of the allowance or less for K + J < 2^10000; the rest covers the
     few roundings at prec of 1 - 2^(1-s) and of the quotient.
     """
+    _check_finite(s)
     _check_pole(s)
     sm = as_mpc(s)
     if float(mp.re(sm)) <= 0.05:
@@ -883,7 +890,7 @@ def digamma(s, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ComplexValue:
     psi(w) ~ log w - 1/2w - sum B_2n/(2n w^2n) (A&S 6.3.18) meets the
     tolerance. PrecisionExhausted where the final bound, rounding and
     reflection included, exceeds cfg.target_abs_tol."""
-    sc = complex(s)
+    sc = _check_finite(s)
     near = round(sc.real)
     if near <= 0 and abs(sc - near) < EXCLUSION_RADIUS:
         raise PoleAtNonpositiveInteger(f"digamma pole at {near}")

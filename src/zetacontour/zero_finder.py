@@ -9,9 +9,9 @@ expansion
 
     theta(t) ~ t/2 log(t/2pi) - t/2 - pi/8 + 1/(48t) + 7/(5760 t^3) + ...
 
-The search evaluates Z in double precision, per point by one of two engines.
-From t = RS_MIN_T up it uses the Riemann-Siegel formula with a = sqrt(t/2pi),
-N = floor(a), p = a - N,
+The search evaluates Z in double precision, per point by one of two engines
+(``_z``). From t = RS_MIN_T up it uses the Riemann-Siegel formula with
+a = sqrt(t/2pi), N = floor(a), p = a - N,
 
     Z(t) = 2 sum_{n<=N} n^-1/2 cos(theta - t log n)
            + (-1)^(N-1) a^-1/2 sum_{k=0..4} C_k(p) a^-k + R(t),
@@ -21,18 +21,13 @@ Gabcke's |R| <= 0.017 t^(-11/4) (t >= 200) plus the double-precision phase
 roundoff of the main sum. Below RS_MIN_T, and wherever |Z| does not exceed
 that declared error, the point is re-evaluated by Euler-Maclaurin
 (``zeta_batch``), so no sign is ever read from inside the Riemann-Siegel
-error. The grid scan at SCAN_STEP and an Illinois regula falsi down to
-brackets of width ~1e-6 use this per-point Z, and so the end signs of every
-coarse bracket are per-point Z signs. Each bracket is then certified by
-Euler-Maclaurin probes (``_em_z``): a secant estimate x from the per-point
-end values, Euler-Maclaurin Z at x - d and x + d, and further rounds of
-probes only where that pair does not straddle the zero. The result is a
-sign-change bracket of width <= ORDINATE_ACCURACY/4 whose end signs are
-both Euler-Maclaurin values (a final end never probed is evaluated once
-more, and a sign that contradicts the per-point Z at the same height raises
-PrecisionExhausted); its midpoint is the ordinate. ``hardy_z`` is the
-scalar Z at a configured precision, for callers and checks, and the search
-never uses it.
+error. Every sign the search reads is this per-point Z: the grid scan at
+SCAN_STEP, then one refinement loop (``_refine_brackets``) that narrows
+each sign change by Illinois regula falsi to COARSE_WIDTH and then by
+probe pairs around a secant estimate to a bracket of width at most
+ORDINATE_ACCURACY/4, whose midpoint is the ordinate. ``hardy_z`` is the
+scalar front of the same Z for a double config, and the mpmath engine's Z
+otherwise.
 
 Completeness is audited against the counting estimate
 
@@ -63,7 +58,7 @@ from .errors import (
     TableTooShort,
 )
 from .precision import DEFAULT_CONFIG, FAST_CONFIG, PrecisionConfig, as_mpc
-from .special_functions import zeta, zeta_batch
+from .special_functions import _scalar_cfg, zeta, zeta_batch
 
 _TWO_PI = 2.0 * math.pi
 GAMMA_1 = 14.134725141734693  # first ordinate, for table sanity audits
@@ -78,7 +73,7 @@ _MAX_STEPS = 100        # refinement steps before PrecisionExhausted
 
 # theta asymptotic coefficients c_n = (1 - 2^(1-2n)) |B_2n| / (4n(2n-1))
 _THETA_C = [float((1 - mp.mpf(2) ** (1 - 2 * n)) * abs(mp.bernoulli(2 * n))
-                  / (4 * n * (2 * n - 1))) for n in range(1, 7)]
+                  / (4 * n * (2 * n - 1))) for n in range(1, 6)]
 
 
 def backlund_count_bound(t: float) -> float:
@@ -96,60 +91,50 @@ def _theta_f64(t):
     th = 0.5 * t * np.log(t / _TWO_PI) - 0.5 * t - math.pi / 8
     ti = 1.0 / t
     p = ti
-    for c in _THETA_C[:5]:
+    for c in _THETA_C:
         th = th + c * p
         p = p * ti * ti
     return th
 
 
 def riemann_siegel_theta(t, cfg: PrecisionConfig = DEFAULT_CONFIG):
-    """Rotation phase theta(t): the asymptotic series ``_theta_f64`` on the
-    double engine from t = 8 up, otherwise the log-gamma form
-    Im log Gamma(1/4 + it/2) - (t/2) log pi, exact to the working digits."""
+    """Rotation phase theta(t) = Im log Gamma(1/4 + it/2) - (t/2) log pi,
+    exact to max(cfg.dps, 25) digits."""
     tf = float(t)
     if tf < 0:
         raise DomainError("theta defined here for t >= 0")
-    if cfg.uses_f64 and tf >= 8.0:
-        return float(_theta_f64(tf))
     with mp.workdps(max(cfg.dps, 25)):
         tm = mp.mpf(t)
         return mp.im(mp.loggamma(mp.mpf(1) / 4 + mp.mpc(0, 1) * tm / 2)) \
             - tm / 2 * mp.log(mp.pi)
 
 
-def hardy_z_components(t, cfg: PrecisionConfig = DEFAULT_CONFIG):
-    """(value, imag_residual, err_bound) of the rotated zeta at height t.
+def hardy_z(t, cfg: PrecisionConfig = DEFAULT_CONFIG):
+    """Real rotated zeta Z(t); sign changes bracket critical-line zeros.
 
-    The imaginary residual of exp(i theta) zeta(1/2+it) measures the combined
-    phase/evaluation error; realness holds within err_bound. On the mpmath
-    engine theta carries only rounding, relative to its own size.
+    With a double config from t = SCAN_START up this is the zero finder's
+    own per-point Z (``_z``). Otherwise exp(i theta) zeta(1/2+it) is formed
+    by the mpmath engine (a double config promoted to 25 digits), and an
+    imaginary residual above the combined zeta, theta and rounding bound
+    raises PrecisionExhausted.
     """
     tf = float(t)
-    if tf < 0:
-        raise DomainError("hardy_z requires t >= 0")
+    if not 0 <= tf < math.inf:
+        raise DomainError("hardy_z requires finite t >= 0")
+    if cfg.uses_f64 and tf >= SCAN_START:
+        return float(_z(np.array([tf]))[0])
+    cfg = _scalar_cfg(cfg)
     th = riemann_siegel_theta(tf, cfg)
-    if cfg.uses_f64:
-        z = zeta(complex(0.5, tf), cfg)
-        w = complex(math.cos(th), math.sin(th)) * complex(z)
-        theta_err = (_THETA_C[5] / tf ** 11) if tf >= 8.0 else 1e-14
-        unit = 1e-15
-    else:
-        with mp.workdps(cfg.dps):
-            z = zeta(mp.mpc(0.5, tf), cfg)
-            w = mp.exp(mp.mpc(0, 1) * th) * as_mpc(z)
-        theta_err = 10.0 ** (-(cfg.dps - 5)) * (1 + abs(float(th)))
-        unit = 10.0 ** (-(cfg.dps - 3))
+    with mp.workdps(cfg.dps):
+        z = zeta(mp.mpc(0.5, tf), cfg)
+        w = mp.exp(mp.mpc(0, 1) * th) * as_mpc(z)
+    theta_err = 10.0 ** (-(cfg.dps - 5)) * (1 + abs(float(th)))
+    unit = 10.0 ** (-(cfg.dps - 3))
     bound = z.abs_err + abs(complex(z)) * theta_err + unit * (1 + float(abs(w)))
-    return w.real, float(abs(w.imag)), bound
-
-
-def hardy_z(t, cfg: PrecisionConfig = DEFAULT_CONFIG):
-    """Real rotated zeta Z(t); sign changes bracket critical-line zeros."""
-    value, imag_resid, bound = hardy_z_components(t, cfg)
-    if imag_resid > max(bound, 1e-9):
+    if abs(w.imag) > max(bound, 1e-9):
         raise PrecisionExhausted(
-            f"rotated value has imaginary residual {imag_resid:g} > bound {bound:g}")
-    return value
+            f"rotated value has imaginary residual {float(abs(w.imag)):g} > bound {bound:g}")
+    return w.real
 
 
 # Riemann-Siegel corrections C_0..C_4 as Taylor polynomials in z = 2p - 1:
@@ -241,15 +226,10 @@ def _rs_z(t: np.ndarray):
     return 2.0 * main + sign * np.sqrt(ainv) * corr, _rs_bound(t, N)
 
 
-def _em_z(ts: np.ndarray) -> np.ndarray:
-    """Z by Euler-Maclaurin (``zeta_batch``, double engine, t >= 6)."""
-    vals, _, _, _ = zeta_batch(0.5 + 1j * ts, FAST_CONFIG)
-    return (np.exp(1j * _theta_f64(ts)) * vals).real
-
-
 def _z(ts: np.ndarray) -> np.ndarray:
     """Z at each height: Riemann-Siegel where t >= RS_MIN_T and |Z| exceeds
-    its declared error, so that the sign is right; Euler-Maclaurin elsewhere."""
+    its declared error, so that the sign is right; Euler-Maclaurin
+    (``zeta_batch`` on the double engine, t >= SCAN_START) elsewhere."""
     ts = np.asarray(ts, dtype=np.float64)
     z = np.empty_like(ts)
     rs = np.nonzero(ts >= RS_MIN_T)[0]
@@ -258,7 +238,8 @@ def _z(ts: np.ndarray) -> np.ndarray:
         z[rs], err = _rs_z(ts[rs])
         em[rs] = np.abs(z[rs]) <= err
     if em.any():
-        z[em] = _em_z(ts[em])
+        vals, _, _, _ = zeta_batch(0.5 + 1j * ts[em], FAST_CONFIG)
+        z[em] = (np.exp(1j * _theta_f64(ts[em])) * vals).real
     return z
 
 
@@ -292,7 +273,7 @@ class ZeroTable:
 
     def require_height(self, height: float, what: str) -> None:
         """TableTooShort unless complete up to ``height``, which ``what`` needs."""
-        if self.max_height < height:
+        if not height <= self.max_height:
             raise TableTooShort(f"zero table reaches {self.max_height:g}; "
                                 f"{what} needs {height:g}")
 
@@ -403,87 +384,63 @@ def _scan_brackets(T: float, step: float):
     return ts[idx], ts[idx + 1], zv[idx], zv[idx + 1]
 
 
-def _narrow_brackets(lo, hi, zlo, zhi):
-    """Illinois regula falsi on the per-point Z until every bracket is at
-    most COARSE_WIDTH wide: the new point replaces the end of its own sign,
-    and an end kept twice in a row has its working value halved. A point
-    closer than COARSE_WIDTH/2 to the end replaced last moves to that
-    distance, so that it can land past the zero and close the bracket (and
-    stays out of the band where the Riemann-Siegel sign is not trusted).
-    Returns the brackets and the per-point Z at their ends, not the halved
-    working values."""
+def _refine_brackets(lo, hi, zlo, zhi):
+    """Ordinates from the scan's brackets [lo, hi], whose ends carry the
+    per-point Z values zlo, zhi. Every round makes one ``_z`` call with a
+    point for each bracket still too wide:
+
+    - wider than COARSE_WIDTH, an Illinois regula falsi point. It replaces
+      the end of its own sign, and an end kept twice in a row has its
+      working value halved. A point closer than COARSE_WIDTH/2 to the end
+      replaced last moves to that distance, so that it can land past the
+      zero and close the bracket (and stays out of the band where the
+      Riemann-Siegel sign is not trusted).
+    - wider than ORDINATE_ACCURACY/4, the probes x - d and x + d,
+      d = ORDINATE_ACCURACY/20, around the secant estimate x from the end
+      values. The bracket becomes whichever of [lo, x - d], [x - d, x + d]
+      and [x + d, hi] holds the sign change; where the first pair
+      straddles the zero, that takes two points.
+
+    Returns the brackets' midpoints."""
     lo, hi, zlo, zhi = lo.copy(), hi.copy(), zlo.copy(), zhi.copy()
-    flo, fhi = zlo.copy(), zhi.copy()
+    flo, fhi = zlo.copy(), zhi.copy()  # Illinois working values
     last = np.zeros(len(lo), dtype=np.int8)  # end replaced last: -1 lo, 1 hi
-    h = 0.5 * COARSE_WIDTH
+    h, d = 0.5 * COARSE_WIDTH, 0.05 * ORDINATE_ACCURACY
     for _ in range(_MAX_STEPS):
-        i = np.nonzero(hi - lo > COARSE_WIDTH)[0]
-        if not len(i):
-            return lo, hi, zlo, zhi
+        width = hi - lo
+        i = np.nonzero(width > COARSE_WIDTH)[0]
+        p = np.nonzero((width <= COARSE_WIDTH) & (width > 0.25 * ORDINATE_ACCURACY))[0]
+        if not len(i) + len(p):
+            return 0.5 * (lo + hi)
         x = hi[i] - fhi[i] * (hi[i] - lo[i]) / (fhi[i] - flo[i])
         x = np.where((last[i] == 1) & (x > hi[i] - h), hi[i] - h, x)
         x = np.where((last[i] == -1) & (x < lo[i] + h), lo[i] + h, x)
-        fx = _z(x)
+        c = lo[p] - zlo[p] * (hi[p] - lo[p]) / (zhi[p] - zlo[p])
+        c = np.clip(c, lo[p] + d, hi[p] - d)
+        a, b = c - d, c + d
+        fx, fa, fb = np.split(_z(np.concatenate([x, a, b])),
+                              [len(i), len(i) + len(p)])
+
         to_hi = np.signbit(fx) == np.signbit(fhi[i])
         j, k = i[to_hi], i[~to_hi]
         flo[j[last[j] == 1]] *= 0.5
         fhi[k[last[k] == -1]] *= 0.5
         hi[j], zhi[j], fhi[j], last[j] = x[to_hi], fx[to_hi], fx[to_hi], 1
         lo[k], zlo[k], flo[k], last[k] = x[~to_hi], fx[~to_hi], fx[~to_hi], -1
-    raise PrecisionExhausted(f"regula falsi left {len(i)} brackets wider than "
-                             f"{COARSE_WIDTH:g}")
 
-
-def _certify_brackets(lo, hi, zlo, zhi):
-    """Ordinates from brackets [lo, hi] whose end signs are the per-point Z
-    values zlo, zhi. Each round takes a secant estimate x from the current
-    end values and evaluates Euler-Maclaurin Z at x - d and x + d,
-    d = ORDINATE_ACCURACY/20; the bracket becomes whichever of [lo, x - d],
-    [x - d, x + d] and [x + d, hi] holds the sign change, until it is at
-    most ORDINATE_ACCURACY/4 wide. Where the first pair of probes straddles
-    the zero, that takes two evaluations. A final end that is still a
-    per-point Z end is re-evaluated by Euler-Maclaurin, so both end signs
-    of every returned bracket are Euler-Maclaurin values; a sign that
-    disagrees with the per-point Z at the same height raises
-    PrecisionExhausted. Returns the brackets' midpoints."""
-    lo, hi, flo, fhi = lo.copy(), hi.copy(), zlo.copy(), zhi.copy()
-    em_lo = np.zeros(len(lo), dtype=bool)  # end sign is Euler-Maclaurin's
-    em_hi = np.zeros(len(lo), dtype=bool)
-    d = 0.05 * ORDINATE_ACCURACY
-    for _ in range(_MAX_STEPS):
-        i = np.nonzero(hi - lo > 0.25 * ORDINATE_ACCURACY)[0]
-        if not len(i):
-            break
-        x = lo[i] - flo[i] * (hi[i] - lo[i]) / (fhi[i] - flo[i])
-        x = np.clip(x, lo[i] + d, hi[i] - d)
-        a, b = x - d, x + d
-        f = _em_z(np.concatenate([a, b]))
-        fa, fb = f[:len(i)], f[len(i):]
-        left = np.signbit(fa) != np.signbit(flo[i])
+        left = np.signbit(fa) != np.signbit(zlo[p])
         right = ~left & (np.signbit(fb) == np.signbit(fa))
         mid = ~left & ~right
-        lo[i] = np.where(left, lo[i], np.where(mid, a, b))
-        flo[i] = np.where(left, flo[i], np.where(mid, fa, fb))
-        em_lo[i] |= ~left
-        hi[i] = np.where(left, a, np.where(mid, b, hi[i]))
-        fhi[i] = np.where(left, fa, np.where(mid, fb, fhi[i]))
-        em_hi[i] |= ~right
-    else:
-        raise PrecisionExhausted(f"{len(i)} brackets did not narrow to "
-                                 f"{0.25 * ORDINATE_ACCURACY:g}")
-    j, k = np.nonzero(~em_lo)[0], np.nonzero(~em_hi)[0]
-    if len(j) + len(k):
-        f = _em_z(np.concatenate([lo[j], hi[k]]))
-        z = np.concatenate([flo[j], fhi[k]])
-        if np.any(np.signbit(f) != np.signbit(z)):
-            raise PrecisionExhausted(
-                "Euler-Maclaurin and per-point Z signs disagree at a bracket end")
-    return 0.5 * (lo + hi)
+        lo[p] = np.where(left, lo[p], np.where(mid, a, b))
+        zlo[p] = np.where(left, zlo[p], np.where(mid, fa, fb))
+        hi[p] = np.where(left, a, np.where(mid, b, hi[p]))
+        zhi[p] = np.where(left, fa, np.where(mid, fb, zhi[p]))
+    raise PrecisionExhausted(f"{len(i) + len(p)} brackets did not narrow to "
+                             f"{0.25 * ORDINATE_ACCURACY:g}")
 
 
 def _locate(T: float, step: float) -> ZeroTable:
-    lo, hi, zlo, zhi = _scan_brackets(T, step)
-    gammas = _certify_brackets(*_narrow_brackets(lo, hi, zlo, zhi)) if len(lo) else lo
+    gammas = _refine_brackets(*_scan_brackets(T, step))
     return ZeroTable(tuple(float(g) for g in gammas), ORDINATE_ACCURACY, float(T))
 
 
@@ -491,16 +448,14 @@ def find_zeros_up_to(T: float) -> ZeroTable:
     """All ordinates in (0, T] to 1e-9, complete to max_height = T.
 
     Grid scan at SCAN_STEP on the signs of the per-point Z (Riemann-Siegel,
-    or Euler-Maclaurin below RS_MIN_T and inside its declared error),
-    regula falsi on the same Z to ~1e-6, then brackets of width
-    ORDINATE_ACCURACY/4 whose end signs are both Euler-Maclaurin values,
-    about two Euler-Maclaurin evaluations per zero (see the module
-    docstring). The census is audited against the counting estimate and
+    or Euler-Maclaurin below RS_MIN_T and inside its declared error), then
+    regula falsi and secant probes on the same Z down to brackets of width
+    ORDINATE_ACCURACY/4 (see the module docstring). The census is audited against the counting estimate and
     rescanned at SCAN_STEP/5 once on disagreement before
     MissedZeroSuspected is raised.
     """
-    if T < 10:
-        raise DomainError("find_zeros_up_to requires T >= 10")
+    if not 10 <= T < math.inf:
+        raise DomainError("find_zeros_up_to requires finite T >= 10")
     table = _locate(T, SCAN_STEP)
     try:
         table.audit()
@@ -516,8 +471,8 @@ def count_zeros(T: float, table: ZeroTable) -> int:
     Raises TableTooShort when the table is not complete up to T, and
     AmbiguousHeight when T sits within table accuracy of an ordinate.
     """
-    if T <= 0:
-        raise DomainError("count_zeros requires T > 0")
+    if not 0 < T < math.inf:
+        raise DomainError("count_zeros requires finite T > 0")
     table.require_height(T, f"count_zeros({T:g})")
     if table.gammas:
         g = table.nearest_gamma(T)

@@ -131,10 +131,9 @@ class TestZeta:
         with pytest.raises(errors.DomainError):
             log_deriv_batch(np.array([s]), fast_cfg)
         for cfg in (fast_cfg, mp_cfg):
-            with pytest.raises(errors.DomainError):
-                zeta(s, cfg)
-            with pytest.raises(errors.DomainError):
-                log_deriv_zeta(s, cfg)
+            for f in (zeta, log_deriv_zeta, digamma, zeta_alternating):
+                with pytest.raises(errors.DomainError):
+                    f(s, cfg)
 
     def test_eta_route_domain(self, mp_cfg):
         with pytest.raises(errors.DomainError):

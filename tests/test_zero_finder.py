@@ -17,7 +17,6 @@ from zetacontour.zero_finder import (
     count_zeros,
     find_zeros_up_to,
     hardy_z,
-    hardy_z_components,
     load_table,
     mangoldt_estimate,
     riemann_siegel_theta,
@@ -52,10 +51,16 @@ class TestHardyZ:
     def test_zero_at_gamma1(self, mp_cfg, table120):
         assert abs(float(hardy_z(table120.gammas[0], mp_cfg))) < 1e-6
 
-    def test_realness_within_bound(self, mp_cfg):
-        for t in (10.0, 14.5, 60.0):
-            _, imag_resid, bound = hardy_z_components(t, mp_cfg)
-            assert imag_resid <= bound
+    def test_double_config_against_siegel_z(self, fast_cfg):
+        # Euler-Maclaurin below RS_MIN_T, Riemann-Siegel above where |Z|
+        # clears its declared error
+        for t in (12.0, 33.3, 90.0, 455.0, 5000.0):
+            assert abs(hardy_z(t, fast_cfg) - siegel_z(t)) < 1e-9, t
+
+    def test_mpmath_config_against_siegel_z(self, mp_cfg):
+        # t = 2 is below the asymptotic regime: theta from log-gamma
+        for t in (2.0, 10.0, 14.5, 60.0):
+            assert abs(hardy_z(t, mp_cfg) - siegel_z(t)) < mp_cfg.target_abs_tol, t
 
     def test_sign_change_bracket(self, mp_cfg):
         a, b = hardy_z(14.0, mp_cfg), hardy_z(14.2, mp_cfg)
@@ -66,11 +71,6 @@ class TestHardyZ:
     def test_engines_agree(self, mp_cfg, fast_cfg):
         for t in (12.0, 33.3, 90.0):
             assert abs(float(hardy_z(t, mp_cfg)) - hardy_z(t, fast_cfg)) < 1e-9
-
-    def test_small_t_continuation(self, mp_cfg):
-        # below the asymptotic regime theta comes from log-gamma
-        _, imag_resid, bound = hardy_z_components(2.0, mp_cfg)
-        assert imag_resid <= bound
 
     def test_theta_against_mpmath(self, mp_cfg):
         for t in (10.0, 50.0, 455.0, 5000.0):
@@ -98,6 +98,16 @@ class TestFindZeros:
     def test_precondition(self):
         with pytest.raises(errors.DomainError):
             find_zeros_up_to(5.0)
+
+    @pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf])
+    def test_non_finite_height_refused(self, T, table120):
+        with pytest.raises(errors.DomainError):
+            find_zeros_up_to(T)
+        with pytest.raises(errors.DomainError):
+            count_zeros(T, table120)
+        if not T < 0:
+            with pytest.raises(errors.TableTooShort):
+                table120.require_height(T, "a non-finite height")
 
     def test_interlacing(self, table500):
         diffs = np.diff(table500.gammas)
@@ -137,39 +147,15 @@ class TestFindZeros:
         assert len(em_only.gammas) == len(table.gammas)
         assert np.max(np.abs(np.subtract(em_only.gammas, table.gammas))) <= 2.5e-10
 
-    def test_certification_spends_about_two_euler_maclaurin_points_per_zero(
-            self, monkeypatch):
-        # the bracket ends carry per-point Z signs already; only the probes
-        # around the secant estimate need Euler-Maclaurin
+    def test_euler_maclaurin_points_per_zero(self, monkeypatch):
+        # the scan below RS_MIN_T and the refinement's points below it or
+        # inside the Riemann-Siegel error: 5679 points for 649 zeros
         counted = []
-        _route_certifying_em(monkeypatch, lambda em, ts: counted.append(len(ts)) or em(ts))
+        batch = zero_finder.zeta_batch
+        monkeypatch.setattr(zero_finder, "zeta_batch",
+                            lambda s, cfg: counted.append(len(s)) or batch(s, cfg))
         table = find_zeros_up_to(1000.0)
-        assert sum(counted) <= 2.5 * len(table.gammas)
-
-    def test_euler_maclaurin_contradicting_per_point_z_refuses(self, monkeypatch):
-        # below RS_MIN_T the per-point Z is Euler-Maclaurin itself, so the
-        # negated values contradict it at every probe
-        _route_certifying_em(monkeypatch, lambda em, ts: -em(ts))
-        with pytest.raises(errors.PrecisionExhausted):
-            find_zeros_up_to(100.0)
-
-
-def _route_certifying_em(monkeypatch, wrap):
-    """Send the Euler-Maclaurin Z that ``_certify_brackets`` evaluates through
-    ``wrap(em, ts)``; the scan and the regula falsi see the plain one."""
-    em, certify = zero_finder._em_z, zero_finder._certify_brackets
-    inside = []
-
-    def certify_marked(*args):
-        inside.append(True)
-        try:
-            return certify(*args)
-        finally:
-            inside.pop()
-
-    monkeypatch.setattr(zero_finder, "_certify_brackets", certify_marked)
-    monkeypatch.setattr(zero_finder, "_em_z",
-                        lambda ts: wrap(em, ts) if inside else em(ts))
+        assert sum(counted) <= 9.0 * len(table.gammas)
 
 
 class TestRiemannSiegel:
