@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from oracles import riemann_siegel_corrections, siegel_z, zero_ordinate
 from zetacontour import errors, zero_finder
 from zetacontour.contour import Rectangle, integrate_rectangle
-from zetacontour.precision import PrecisionConfig
-from zetacontour.special_functions import zeta_alternating
+from zetacontour.precision import PrecisionConfig, as_mpc
+from zetacontour.special_functions import zeta, zeta_alternating
 from zetacontour.zero_finder import (
     ZeroTable,
     count_zeros,
@@ -47,6 +47,17 @@ def _eta_bisect(lo: float, hi: float, iters: int = 40) -> float:
     return 0.5 * (lo + hi)
 
 
+def _assert_real_rotation(t: float, cfg: PrecisionConfig) -> None:
+    """exp(i theta) zeta(1/2+it) is real to cfg's tolerance, and hardy_z is
+    its real part, equal to mpmath's siegelz."""
+    with mp.workdps(cfg.dps):
+        w = (mp.exp(mp.mpc(0, 1) * riemann_siegel_theta(t, cfg))
+             * as_mpc(zeta(mp.mpc(0.5, t), cfg)))
+    assert abs(w.imag) < cfg.target_abs_tol, t
+    assert abs(hardy_z(t, cfg) - w.real) < cfg.target_abs_tol, t
+    assert abs(hardy_z(t, cfg) - siegel_z(t)) < cfg.target_abs_tol, t
+
+
 class TestHardyZ:
     def test_zero_at_gamma1(self, mp_cfg, table120):
         assert abs(float(hardy_z(table120.gammas[0], mp_cfg))) < 1e-6
@@ -57,10 +68,15 @@ class TestHardyZ:
         for t in (12.0, 33.3, 90.0, 455.0, 5000.0):
             assert abs(hardy_z(t, fast_cfg) - siegel_z(t)) < 1e-9, t
 
-    def test_mpmath_config_against_siegel_z(self, mp_cfg):
-        # t = 2 is below the asymptotic regime: theta from log-gamma
-        for t in (2.0, 10.0, 14.5, 60.0):
-            assert abs(hardy_z(t, mp_cfg) - siegel_z(t)) < mp_cfg.target_abs_tol, t
+    def test_realness_within_bound(self, mp_cfg, monkeypatch):
+        for t in (10.0, 14.5, 60.0):
+            _assert_real_rotation(t, mp_cfg)
+        # a phase off by 1e-6 leaves an imaginary residual above the bound
+        theta = zero_finder.riemann_siegel_theta
+        monkeypatch.setattr(zero_finder, "riemann_siegel_theta",
+                            lambda t, cfg: theta(t, cfg) + 1e-6)
+        with pytest.raises(errors.PrecisionExhausted):
+            hardy_z(14.5, mp_cfg)
 
     def test_sign_change_bracket(self, mp_cfg):
         a, b = hardy_z(14.0, mp_cfg), hardy_z(14.2, mp_cfg)
@@ -71,6 +87,10 @@ class TestHardyZ:
     def test_engines_agree(self, mp_cfg, fast_cfg):
         for t in (12.0, 33.3, 90.0):
             assert abs(float(hardy_z(t, mp_cfg)) - hardy_z(t, fast_cfg)) < 1e-9
+
+    def test_small_t_continuation(self, mp_cfg):
+        # below the asymptotic regime theta comes from log-gamma
+        _assert_real_rotation(2.0, mp_cfg)
 
     def test_theta_against_mpmath(self, mp_cfg):
         for t in (10.0, 50.0, 455.0, 5000.0):
