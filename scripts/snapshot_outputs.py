@@ -57,6 +57,10 @@ def commands(table: str):
              for T in ("50", "100")]
     runs += [("probe", zc + ["probe", "--zeros", table, "--tau", "0:60:0.05",
                              "--K", "0.6:0.8", "--out", "probe.csv"]),
+             # shifted segments at negative heights, screened by |t|
+             ("probe-offset", zc + ["probe", "--zeros", table, "--tau", "0:60:0.05",
+                                    "--K", "0.6:0.8", "--t-offset", "-60",
+                                    "--out", "probe-offset.csv"]),
              ("telescope", zc + ["telescope", *box, "--T", "100", "--N", "200",
                                  "--out", "telescope.csv"]),
              ("suite", zc + ["suite", "all", "--zeros", table, "--out", "suite.json"]),

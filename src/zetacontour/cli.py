@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .contour import Rectangle, decompose, integrate_rectangle
-from .errors import MissingTable, ZetaContourError
+from .errors import DomainError, MissingTable, ZetaContourError
 from .precision import PrecisionConfig
 from .reporting import (
     RunConfig,
@@ -142,6 +142,8 @@ def _parse_range(text: str, parts: int):
     vals = [float(v) for v in text.split(":")]
     if len(vals) != parts:
         raise ZetaContourError(f"expected {parts} colon-separated values in {text!r}")
+    if not all(map(math.isfinite, vals)):
+        raise DomainError(f"non-finite value in {text!r}")
     return vals
 
 

@@ -61,6 +61,8 @@ class Rectangle:
     paper: bool = False
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.x0, self.x1, self.y0, self.y1))):
+            raise DomainError("need finite corners")
         if not (self.x0 < self.x1 and self.y0 < self.y1):
             raise DomainError("need x0 < x1 and y0 < y1")
         if self.paper:
@@ -104,9 +106,6 @@ class Rectangle:
         c = self.corners()
         return [("da", c["d"], c["a"]), ("ab", c["a"], c["b"]),
                 ("bc", c["b"], c["c"]), ("cd", c["c"], c["d"])]
-
-    def contains(self, p: complex) -> bool:
-        return self.x0 < p.real < self.x1 and self.y0 < p.imag < self.y1
 
 
 def _segment_distances(a, b, p):
@@ -405,7 +404,6 @@ def pole_term_integral(rect: Rectangle) -> complex:
     Antiderivative -Log(1-s) on edges right of the pole gives
     2i (arg(1-beta+iT) - arg(1-alpha+iT)); each argument tends to pi/2, so
     the combination is o(1) as T grows."""
-    rect._need_paper()
     a, b, T = rect.alpha, rect.beta, rect.T
     return 2j * (math.atan2(T, 1.0 - b) - math.atan2(T, 1.0 - a))
 
@@ -470,7 +468,6 @@ class DigammaTerm:
 
 
 def digamma_term_integral(rect: Rectangle) -> DigammaTerm:
-    rect._need_paper()
     a, b, T = rect.alpha, rect.beta, rect.T
     endpoints = [complex(b, T), complex(b, -T), complex(a, T), complex(a, -T)]
     best_depth, best_bound = 1, math.inf
@@ -590,7 +587,6 @@ def zero_sum_term_integral(rect: Rectangle, zeros: ZeroTable,
     certify it. An explicit ``N`` overrides the rule and reports the bound
     at that truncation.
     """
-    rect._need_paper()
     T = rect.T
     n_table = len(zeros.gammas)
 
@@ -636,7 +632,6 @@ def horizontal_edges_model(rect: Rectangle, U: float, V: float) -> complex:
     """Universality-model value of int_AB + int_CD when zeta'/zeta tracks the
     constant U+iV along the top edge: 2i (alpha - beta) V. U cancels between
     the conjugate edges."""
-    rect._need_paper()
     del U  # cancels exactly in the AB + CD combination
     return 2j * (rect.alpha - rect.beta) * V
 
@@ -645,7 +640,6 @@ def paper_total(rect: Rectangle, V: float, Q: int) -> float:
     """The asserted closed-form value of (1/2 pi i) times the full rectangle
     integral, (beta-alpha)/4 + (alpha-beta) V / pi + Q. Reported verbatim for
     residual analysis against the measured winding; never asserted."""
-    rect._need_paper()
     a, b = rect.alpha, rect.beta
     return (b - a) / 4.0 + (a - b) * V / math.pi + Q
 
@@ -701,7 +695,6 @@ def decompose(rect: Rectangle, zeros: ZeroTable, *,
               eps2: Optional[float] = None,
               quad_tol: float = 1e-8) -> DecompositionReport:
     """Four-term decomposition of the vertical-edge pair with residual."""
-    rect._need_paper()
     T = rect.T
     if eps2 is None:
         eps2 = 1.0 / (T * T)

@@ -92,9 +92,6 @@ class ComplexValue:
     def value(self) -> complex:
         return complex(self)
 
-    def conjugate(self) -> "ComplexValue":
-        return ComplexValue(self.re, -self.im, self.abs_err, self.flag)
-
 
 def as_mpc(s) -> mp.mpc:
     if isinstance(s, ComplexValue):

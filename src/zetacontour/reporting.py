@@ -16,7 +16,7 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -35,7 +35,6 @@ from .contour import (
     paper_total,
     pole_integrand,
     pole_term_integral,
-    singularity_set,
     zero_sum_integrand,
     zero_sum_term_integral,
 )
@@ -75,13 +74,7 @@ class RunConfig:
     zero_table_path: Optional[str] = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "precision": {
-                "working_digits": self.precision.working_digits,
-                "target_abs_tol": self.precision.target_abs_tol,
-            },
-            "zero_table_path": self.zero_table_path,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "RunConfig":
@@ -124,16 +117,7 @@ class VerificationReport:
         return not self.failed
 
     def to_json_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "toolkit_version": self.toolkit_version,
-            "config_hash": self.config_hash,
-            "checks": [
-                {"name": c.name, "kind": c.kind, "measured": c.measured,
-                 "bound": c.bound, "passed": c.passed, "note": c.note}
-                for c in self.checks
-            ],
-        }
+        return asdict(self)
 
 
 def export_report(report: VerificationReport, fmt: str, path) -> Path:
@@ -288,6 +272,15 @@ def suite_argument_principle(cfg: RunConfig, table: ZeroTable) -> List[CheckReco
     return checks
 
 
+def _vertical_pair(f, rect: Rectangle, tol: float, singularities) -> complex:
+    """int_DA f ds + int_BC f ds by quadrature: the vertical-edge pair of a
+    paper-mode rectangle that the closed-form terms are checked against."""
+    c = rect.corners()
+    da = integrate_edge(f, c["d"], c["a"], tol=tol, singularities=singularities)
+    bc = integrate_edge(f, c["b"], c["c"], tol=tol, singularities=singularities)
+    return da.value + bc.value
+
+
 def suite_decomposition(cfg: RunConfig, table: ZeroTable) -> List[CheckRecord]:
     checks = []
     for T in (20.0, 50.0, 100.0):
@@ -297,13 +290,9 @@ def suite_decomposition(cfg: RunConfig, table: ZeroTable) -> List[CheckRecord]:
                           note=f"n_used_eps2={rep.n_used_eps2}"))
     # per-term closed form vs quadrature on D(3/5, 4/5, 50)
     rect = Rectangle.paper_mode(3.0 / 5.0, 4.0 / 5.0, 50.0)
-    c = rect.corners()
-    sings = singularity_set(rect, table)
 
-    def pair(f, s):
-        da = integrate_edge(f, c["d"], c["a"], tol=1e-10, singularities=s)
-        bc = integrate_edge(f, c["b"], c["c"], tol=1e-10, singularities=s)
-        return da.value + bc.value
+    def pair(f, singularities):
+        return _vertical_pair(f, rect, 1e-10, singularities)
 
     checks.append(_pf("pole term closed vs quadrature",
                       abs(pole_term_integral(rect) - pair(pole_integrand, [1.0 + 0j])),
@@ -376,15 +365,12 @@ def suite_telescoping(cfg: RunConfig, table=None) -> List[CheckRecord]:
 
 def suite_cross_module(cfg: RunConfig, table: ZeroTable) -> List[CheckRecord]:
     rect = Rectangle.paper_mode(3.0 / 5.0, 4.0 / 5.0, 100.0)
-    c = rect.corners()
     checks = []
     for N in (1, 5, 29):
         sn = s_n_direct(rect, table, N)
         sings = [complex(0.5, sg * g) for g in table.gammas[:N] for sg in (1, -1)]
-        f = zero_sum_integrand(table, N)
-        da = integrate_edge(f, c["d"], c["a"], tol=1e-11, singularities=sings)
-        bc = integrate_edge(f, c["b"], c["c"], tol=1e-11, singularities=sings)
-        gap = abs((da.value + bc.value) - 2j * sn.value)
+        quad = _vertical_pair(zero_sum_integrand(table, N), rect, 1e-11, sings)
+        gap = abs(quad - 2j * sn.value)
         checks.append(_pf(f"2i S_N vs vertical quadrature, N={N}", gap, 1e-9))
     return checks
 

@@ -856,18 +856,18 @@ def log_deriv_zeta(s, cfg: PrecisionConfig = DEFAULT_CONFIG,
     Raises NearSingularity inside EXCLUSION_RADIUS of the pole s=1, a
     tabulated nontrivial zero 1/2 +- i gamma, or a trivial zero -2k. Between
     EXCLUSION_RADIUS and FLAG_RADIUS the value is returned with ``flag`` set.
+    DomainError for a non-finite s, before the table is read;
     TableTooShort unless ``zeros`` reaches |Im s| + FLAG_RADIUS;
     PrecisionExhausted where zeta's error bound reaches |zeta|.
     """
-    sc = complex(s)
+    sc = _check_finite(s)
     flag = None
     candidates = [("pole s=1", abs(sc - 1.0))]
     if zeros is not None:
         zeros.require_height(abs(sc.imag) + FLAG_RADIUS, "screening this point")
-        if zeros.gammas:
-            g = zeros.nearest_gamma(abs(sc.imag))
-            d = math.hypot(sc.real - 0.5, abs(sc.imag) - g)
-            candidates.append((f"zero 1/2+{g:.6f}i", d))
+        g = zeros.nearest_gamma(abs(sc.imag))
+        d = math.hypot(sc.real - 0.5, abs(sc.imag) - g)
+        candidates.append((f"zero 1/2+{g:.6f}i", d))
     if sc.real < -1.0:
         k = max(1, round(-sc.real / 2.0))
         candidates.append((f"trivial zero -{2 * k}",

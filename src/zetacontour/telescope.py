@@ -45,10 +45,6 @@ class ArctanSum:
     value: float
     wrap_count: int
 
-    @property
-    def principal(self) -> float:
-        return self.value - self.wrap_count * math.pi
-
 
 def arctan_add(x: float, y: float) -> ArctanSum:
     """arctan x + arctan y via the case-split addition rule."""

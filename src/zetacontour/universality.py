@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -43,6 +43,8 @@ class SegmentK:
     def __post_init__(self):
         if not (0.5 < self.sigma_lo < self.sigma_hi < 1.0):
             raise DomainError("segment must satisfy 1/2 < sigma_lo < sigma_hi < 1")
+        if not math.isfinite(self.t_offset):
+            raise DomainError(f"t_offset {self.t_offset!r} is not finite")
         if self.samples < 2:
             raise DomainError("need at least 2 samples")
 
@@ -54,7 +56,6 @@ class SegmentK:
 class ProbeResult:
     tau: float
     sup_distance: float
-    samples_used: int
 
 
 @dataclass(frozen=True)
@@ -72,63 +73,62 @@ class ScanSummary:
         return self.results[0] if self.results else None
 
 
-def _segment_zero_distances(K: SegmentK, taus, zeros: ZeroTable) -> np.ndarray:
+def _zero_distances(taus: np.ndarray, K: SegmentK, zeros: ZeroTable) -> np.ndarray:
     """Distance from the segment shifted by each of ``taus`` to the nearest
-    tabulated zero (inf for an empty table)."""
-    t = np.abs(K.t_offset + np.asarray(taus, dtype=float))
-    if not zeros.gammas:
-        return np.full(t.shape, math.inf)
-    g = np.asarray(zeros.gammas)
-    i = np.searchsorted(g, t)  # the first ordinate >= t
-    dt = np.minimum(np.abs(t - g[np.maximum(i - 1, 0)]),
-                    np.abs(t - g[np.minimum(i, len(g) - 1)]))
-    return np.hypot(K.sigma_lo - 0.5, dt)
+    tabulated zero; TableTooShort unless the table reaches the tallest
+    shifted segment plus FLAG_RADIUS."""
+    t = np.abs(K.t_offset + taus)
+    zeros.require_height(float(t.max()) + FLAG_RADIUS, "screening these shifts")
+    return np.hypot(K.sigma_lo - 0.5, t - zeros.nearest_gamma(t))
+
+
+def _sup_distances(taus: np.ndarray, K: SegmentK, target: complex) -> np.ndarray:
+    """Grid sup of |zeta'/zeta - target| on the segment shifted by each of
+    ``taus``, in engine calls of at most _SCAN_BATCH shifts."""
+    sig = K.grid()
+    out = np.empty(len(taus))
+    for lo in range(0, len(taus), _SCAN_BATCH):
+        chunk = taus[lo:lo + _SCAN_BATCH]
+        s = (sig[None, :] + 1j * (K.t_offset + chunk)[:, None]).ravel()
+        vals, _ = log_deriv_batch(s, FAST_CONFIG)
+        out[lo:lo + len(chunk)] = np.abs(
+            vals.reshape(len(chunk), K.samples) - target).max(axis=1)
+    return out
 
 
 def sup_distance(tau: float, K: SegmentK, U: float, V: float,
                  zeros: ZeroTable) -> ProbeResult:
     """Grid sup of |zeta'/zeta on the shifted segment minus (U+iV)|; raises
     NearSingularity when a tabulated zero is within FLAG_RADIUS of it."""
-    zeros.require_height(abs(K.t_offset + tau) + FLAG_RADIUS,
-                         "screening this shift")
-    d = float(_segment_zero_distances(K, [tau], zeros)[0])
+    if not all(map(math.isfinite, (tau, U, V))):
+        raise DomainError("the shift and the target must be finite")
+    taus = np.array([tau], dtype=float)
+    d = float(_zero_distances(taus, K, zeros)[0])
     if d < FLAG_RADIUS:
         raise NearSingularity(f"zero near shifted segment at tau={tau}", d)
-    s = K.grid() + 1j * (K.t_offset + tau)
-    vals, _ = log_deriv_batch(s, FAST_CONFIG)
-    dist = np.abs(vals - complex(U, V))
-    return ProbeResult(tau=float(tau), sup_distance=float(dist.max()),
-                       samples_used=K.samples)
+    sup = _sup_distances(taus, K, complex(U, V))[0]
+    return ProbeResult(tau=float(tau), sup_distance=float(sup))
 
 
 def scan(tau_lo: float, tau_hi: float, step: float, K: SegmentK,
          U: float, V: float, eps: float, zeros: ZeroTable) -> ScanSummary:
     """Deterministic tau scan; shifts within FLAG_RADIUS of a tabulated zero
     are skipped and reported, not errored."""
+    if not all(map(math.isfinite, (tau_lo, tau_hi, step, U, V))):
+        raise DomainError("the shifts and the target must be finite")
     if step <= 0:
         raise DomainError("step must be positive")
     if tau_hi < tau_lo:
         raise DomainError("need tau_hi >= tau_lo")
     count = int(math.floor((tau_hi - tau_lo) / step + 1e-12)) + 1
     taus = tau_lo + step * np.arange(count)
-    zeros.require_height(float(np.max(np.abs(K.t_offset + taus))) + FLAG_RADIUS,
-                         "screening these shifts")
-    near = _segment_zero_distances(K, taus, zeros) < FLAG_RADIUS
+    near = _zero_distances(taus, K, zeros) < FLAG_RADIUS
     keep = taus[~near]
-    sig = K.grid()
-    results: List[ProbeResult] = []
-    target = complex(U, V)
-    for lo in range(0, len(keep), _SCAN_BATCH):
-        chunk = keep[lo:lo + _SCAN_BATCH]
-        s = (sig[None, :] + 1j * (K.t_offset + chunk)[:, None]).ravel()
-        vals, _ = log_deriv_batch(s, FAST_CONFIG)
-        sup = np.abs(vals.reshape(len(chunk), K.samples) - target).max(axis=1)
-        results.extend(ProbeResult(tau=float(t), sup_distance=float(sd),
-                                   samples_used=K.samples)
-                       for t, sd in zip(chunk, sup))
-    n_eval = len(results)
+    sups = _sup_distances(keep, K, complex(U, V))
+    results = sorted((ProbeResult(tau=float(t), sup_distance=float(sd))
+                      for t, sd in zip(keep, sups)),
+                     key=lambda r: (r.sup_distance, r.tau))
     good = sum(1 for r in results if r.sup_distance < eps)
-    results.sort(key=lambda r: (r.sup_distance, r.tau))
     return ScanSummary(results=tuple(results), eps=eps,
-                       good_fraction=(good / n_eval) if n_eval else 0.0,
+                       good_fraction=(good / len(results)) if results else 0.0,
                        skipped=tuple(taus[near].tolist()))

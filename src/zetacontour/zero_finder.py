@@ -101,8 +101,8 @@ def riemann_siegel_theta(t, cfg: PrecisionConfig = DEFAULT_CONFIG):
     """Rotation phase theta(t) = Im log Gamma(1/4 + it/2) - (t/2) log pi,
     exact to max(cfg.dps, 25) digits."""
     tf = float(t)
-    if tf < 0:
-        raise DomainError("theta defined here for t >= 0")
+    if not 0 <= tf < math.inf:
+        raise DomainError("theta defined here for finite t >= 0")
     with mp.workdps(max(cfg.dps, 25)):
         tm = mp.mpf(t)
         return mp.im(mp.loggamma(mp.mpf(1) / 4 + mp.mpc(0, 1) * tm / 2)) \
@@ -277,12 +277,19 @@ class ZeroTable:
             raise TableTooShort(f"zero table reaches {self.max_height:g}; "
                                 f"{what} needs {height:g}")
 
-    def nearest_gamma(self, t: float) -> float:
+    def nearest_gamma(self, t):
+        """The tabulated ordinate nearest to t, elementwise over an array (a
+        float for a scalar t); ties go to the lower ordinate, and an empty
+        table gives inf."""
+        t = np.asarray(t, dtype=np.float64)
         if not self.gammas:
-            raise ValueError("empty table")
-        i = bisect_left(self.gammas, t)
-        cands = [j for j in (i - 1, i) if 0 <= j < len(self.gammas)]
-        return min((self.gammas[j] for j in cands), key=lambda g: abs(g - t))
+            near = np.full(t.shape, math.inf)
+        else:
+            g = np.asarray(self.gammas)
+            i = np.searchsorted(g, t)  # the first ordinate >= t
+            lo, hi = g[np.maximum(i - 1, 0)], g[np.minimum(i, len(g) - 1)]
+            near = np.where(np.abs(t - lo) <= np.abs(t - hi), lo, hi)
+        return float(near) if near.ndim == 0 else near
 
     def audit(self) -> None:
         """Completeness and sanity audit; raises MissedZeroSuspected."""
@@ -474,17 +481,16 @@ def count_zeros(T: float, table: ZeroTable) -> int:
     if not 0 < T < math.inf:
         raise DomainError("count_zeros requires finite T > 0")
     table.require_height(T, f"count_zeros({T:g})")
-    if table.gammas:
-        g = table.nearest_gamma(T)
-        if abs(g - T) <= table.accuracy:
-            raise AmbiguousHeight(f"T={T} within accuracy of ordinate {g}")
+    g = table.nearest_gamma(T)
+    if abs(g - T) <= table.accuracy:
+        raise AmbiguousHeight(f"T={T} within accuracy of ordinate {g}")
     return table.count_below(T)
 
 
 def mangoldt_estimate(T: float) -> float:
     """Counting main term (T/2pi) log(T/2pi) - T/2pi + 7/8."""
-    if T <= _TWO_PI:
-        raise DomainError("estimate requires T > 2 pi")
+    if not _TWO_PI < T < math.inf:
+        raise DomainError("estimate requires finite T > 2 pi")
     x = T / _TWO_PI
     return x * math.log(x) - x + 7.0 / 8.0
 
@@ -506,8 +512,8 @@ def zero_free_bounds(t: float) -> ZeroFreeBoundReport:
     """Zero-free thresholds: 1 - 1/(57.54 (log t)^(2/3) (log log t)^(1/3))
     and 1 - 1/(5.573412 log t), the latter for |t| > 2."""
     ta = abs(t)
-    if ta <= 2:
-        raise DomainError("the log-reciprocal bound requires |t| > 2")
+    if not 2 < ta < math.inf:
+        raise DomainError("the log-reciprocal bound requires finite |t| > 2")
     if ta <= math.e:
         raise DomainError("the (log)^{2/3} bound requires log log t > 0, t > e")
     lt = math.log(ta)

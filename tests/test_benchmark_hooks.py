@@ -9,9 +9,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 SCRIPT = """
+import math
 import hostclock
 import tracing
-from zetacontour import reporting, zero_finder
+from zetacontour import reporting, universality, zero_finder
 
 tracer = tracing.Tracer()
 tracing.install(tracer)
@@ -23,6 +24,16 @@ table = zero_finder.find_zeros_up_to(300.0)
 m = tracer.layer_metrics()
 assert m["special_functions.batch_points.zero_finder"] > 0, m
 assert m["zero_finder.zeros_found"] == len(table.gammas), m
+# the suite workload counts shifts and their points through the wrapped
+# universality.scan and universality.log_deriv_batch, and quadrature nodes
+# through the wrapped reporting.integrate_edge
+K = universality.SegmentK(0.6, 0.8, samples=5)
+universality.scan(0.0, 2.0, 0.5, K, 0.0, -math.pi, 0.5, table)
+reporting.run_suite("cross-module", reporting.RunConfig())
+m = tracer.layer_metrics()
+assert m["universality.shifts"] > 0, m
+assert m["special_functions.batch_points.universality"] > 0, m
+assert m["contour.nodes"] > 0, m
 """
 
 

@@ -4,9 +4,19 @@ import numpy as np
 import pytest
 
 from zetacontour import errors
+from zetacontour.cli import _parse_range
+from zetacontour.contour import Rectangle
 from zetacontour.precision import FAST_CONFIG, FLAG_RADIUS
-from zetacontour.special_functions import log_deriv_batch
+from zetacontour.special_functions import log_deriv_batch, log_deriv_zeta
 from zetacontour.universality import SegmentK, scan, sup_distance
+from zetacontour.zero_finder import (
+    mangoldt_estimate,
+    riemann_siegel_theta,
+    zero_free_bounds,
+)
+
+NAN, INF = math.nan, math.inf
+_K = SegmentK(0.6, 0.8, samples=5)
 
 
 class TestSegmentK:
@@ -145,3 +155,31 @@ class TestScan:
         for dt in (-0.01, -0.005, 0.005, 0.01):
             r = sup_distance(star.tau + dt, K, 0.0, -math.pi, table120)
             assert r.sup_distance < eps
+
+
+@pytest.mark.parametrize("call", [
+    lambda tb: scan(NAN, 1.0, 0.1, _K, 0.0, -math.pi, 0.5, tb),
+    lambda tb: scan(0.0, 1.0, NAN, _K, 0.0, -math.pi, 0.5, tb),
+    lambda tb: scan(0.0, INF, 0.1, _K, 0.0, -math.pi, 0.5, tb),
+    lambda tb: scan(-INF, 1.0, 0.1, _K, 0.0, -math.pi, 0.5, tb),
+    lambda tb: scan(0.0, 1.0, INF, _K, 0.0, -math.pi, 0.5, tb),
+    lambda tb: sup_distance(NAN, _K, 0.0, -math.pi, tb),
+    lambda tb: log_deriv_zeta(complex(0.7, NAN), FAST_CONFIG, zeros=tb),
+    lambda tb: log_deriv_zeta(complex(0.7, NAN), FAST_CONFIG),
+    lambda tb: SegmentK(0.6, 0.8, t_offset=NAN),
+    lambda tb: Rectangle.paper_mode(0.6, 0.8, INF),
+    lambda tb: zero_free_bounds(NAN),
+    lambda tb: zero_free_bounds(INF),
+    lambda tb: mangoldt_estimate(NAN),
+    lambda tb: mangoldt_estimate(INF),
+    lambda tb: riemann_siegel_theta(NAN),
+    lambda tb: _parse_range("nan:1:0.1", 3),
+], ids=["scan-lo-nan", "scan-step-nan", "scan-hi-inf", "scan-lo-minus-inf",
+        "scan-step-inf", "sup-distance-nan", "log-deriv-screened",
+        "log-deriv-unscreened", "segment-offset-nan", "paper-T-inf",
+        "zero-free-nan", "zero-free-inf", "mangoldt-nan", "mangoldt-inf",
+        "theta-nan", "cli-range-nan"])
+def test_non_finite_inputs_refused(call, table120):
+    # a typed DomainError, raised before any zero-table screen
+    with pytest.raises(errors.DomainError):
+        call(table120)

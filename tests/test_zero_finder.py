@@ -227,6 +227,28 @@ class TestCounting:
         with pytest.raises(errors.DomainError):
             mangoldt_estimate(6.0)
 
+    def test_nearest_gamma_on_arrays(self, table120):
+        # elementwise on an array, equal to the scalar call and to a scan of
+        # the whole table; the midpoint of two ordinates goes to the lower one
+        g = table120.gammas
+        ts = np.concatenate([np.linspace(0.0, 120.0, 241), g,
+                             [(a + b) / 2 for a, b in zip(g, g[1:])]])
+        got = table120.nearest_gamma(ts)
+        assert got.shape == ts.shape
+        for t, near in zip(ts, got):
+            assert near == table120.nearest_gamma(float(t))
+            assert near == min(g, key=lambda x: abs(x - t))
+        small = ZeroTable((15.0, 16.0, 18.0), 1e-9, 20.0)
+        assert small.nearest_gamma(15.5) == 15.0
+        assert small.nearest_gamma(np.array([15.5, 17.0, 17.5])).tolist() == \
+            [15.0, 16.0, 18.0]
+        assert small.nearest_gamma(np.array([[1.0], [30.0]])).tolist() == \
+            [[15.0], [18.0]]
+        empty = ZeroTable((), 1e-9, 10.0)
+        assert empty.nearest_gamma(5.0) == math.inf
+        assert empty.nearest_gamma(np.array([1.0, 5.0])).tolist() == \
+            [math.inf, math.inf]
+
     @pytest.mark.parametrize("T", [30.0, 50.0, 100.0, 200.0, 500.0])
     def test_census_tracks_estimate(self, T, table500):
         assert abs(count_zeros(T, table500) - mangoldt_estimate(T)) <= 3.0
