@@ -19,6 +19,13 @@ it is only read. The ``zeros`` command builds its own table to the same
 height, so that a change in the zero finder shows in ``zeros-5200.zctab``.
 Each command's stdout goes to ``<name>.txt`` with its exit status; timings
 are cut from the measurement script's text.
+
+    python scripts/snapshot_outputs.py scalar
+
+prints the scalar engine's records alone (``scalar.txt`` of a snapshot):
+value and ``abs_err`` of ``zeta``, ``zeta_prime``, ``log_deriv_zeta`` and
+``xi`` on a fixed grid, which includes reflected points (Re s <= -1) and
+points beside s = 1, at the default config and at 40 digits.
 """
 import argparse
 import os
@@ -30,13 +37,25 @@ from pathlib import Path
 # this checkout's sources only when PYTHONPATH names no other
 sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
 
+import mpmath as mp  # noqa: E402
+
 import zetacontour  # noqa: E402
+from zetacontour.precision import DEFAULT_CONFIG, PrecisionConfig  # noqa: E402
+from zetacontour.special_functions import log_deriv_zeta, xi, zeta, zeta_prime  # noqa: E402
 from zetacontour.zero_finder import load_table  # noqa: E402
 
 TABLE_HEIGHT = 5200.0  # what run_paper_measurements.py asks for
 SRC = Path(zetacontour.__file__).resolve().parent.parent
 MEASURE = SRC.parent / "scripts" / "run_paper_measurements.py"
 TIMING = re.compile(r" \(\d+(\.\d+)?s\)")
+
+# the scalar grid: the critical strip, sigma = 4 at |t| = 120, the real
+# axis, reflected points, and points beside the pole s = 1
+SCALAR_GRID = (0.6 + 30j, 0.75 + 10j, 0.5 + 90j, -0.5 + 110j, 2.5 + 5j, 4 + 120j,
+               4 - 120j, 2 + 0j, 0.5 + 0j, -0.5 + 0j,
+               -1 + 0j, -1.5 + 3j, -2 + 0.5j, -3 + 20j, -7.5 + 50j,
+               1 + 1e-5j, 1.002 + 0j, 1 - 3e-4j, 1.001 + 0.001j, 1.5 + 0.5j)
+SCALAR_CONFIGS = (("default", DEFAULT_CONFIG), ("40 digits", PrecisionConfig(40, 1e-30)))
 
 
 def commands(table: str):
@@ -66,16 +85,42 @@ def commands(table: str):
              ("suite", zc + ["suite", "all", "--zeros", table, "--out", "suite.json"]),
              ("export", zc + ["export", "--report", "suite.json", "--out", "suite.csv"]),
              ("measurements", [sys.executable, str(MEASURE), "--zeros", table,
-                               "--out-dir", "measurements"])]
+                               "--out-dir", "measurements"]),
+             ("scalar", [sys.executable, str(Path(__file__).resolve()), "scalar"])]
     return runs
+
+
+def scalar_records():
+    """One line per config, function and grid point: the value and its
+    ``abs_err`` (and flag), or the error raised. Values print at the
+    config's digits, so that every stored bit shows."""
+    for label, cfg in SCALAR_CONFIGS:
+        for fn in (zeta, zeta_prime, log_deriv_zeta, xi):
+            for s in SCALAR_GRID:
+                try:
+                    v = fn(s, cfg)
+                except zetacontour.errors.ZetaContourError as exc:
+                    yield f"{label} {fn.__name__}({s}): {type(exc).__name__}"
+                    continue
+                with mp.workdps(cfg.dps):
+                    yield (f"{label} {fn.__name__}({s}): {v.re!r} {v.im!r} "
+                           f"abs_err={v.abs_err!r}" + (f" flag={v.flag!r}" if v.flag else ""))
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--zeros", required=True, help="zero-table file, height >= 5200")
-    ap.add_argument("--out-dir", required=True, help="snapshot directory")
+    ap.add_argument("command", nargs="?", choices=["scalar"],
+                    help="print the scalar records to stdout and stop")
+    ap.add_argument("--zeros", help="zero-table file, height >= 5200")
+    ap.add_argument("--out-dir", help="snapshot directory")
     args = ap.parse_args()
+    if args.command == "scalar":
+        for line in scalar_records():
+            print(line)
+        return 0
+    if not (args.zeros and args.out_dir):
+        ap.error("--zeros and --out-dir are required")
 
     table = str(Path(args.zeros).resolve())
     load_table(table).require_height(TABLE_HEIGHT, "the snapshot commands")

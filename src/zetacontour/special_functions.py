@@ -17,14 +17,15 @@ bound. For sigma <= -1 both are continued through the functional equation.
 An independent cross-check route, ``zeta_alternating``, sums the alternating
 Dirichlet eta series with an Euler-transformed tail and divides by
 (1 - 2^(1-s)). It is the oracle used by the verification suite. It shares
-one thing with the Euler-Maclaurin path: the Dirichlet term table n^-s
-(``_dirichlet_terms``), a fixed-point integer kernel. Each term is a pair
-of Python integers scaled by 2^wp, wp the working precision plus guard
-bits derived from s and N (``_kernel_bits``); a prime takes one exp and
-one cos/sin from mpmath's fixed-point primitives, a composite is an
+one thing with the mpmath engine's Euler-Maclaurin path: the Dirichlet term
+table n^-s (``_dirichlet_terms``), a fixed-point integer kernel. Each term
+is a pair of Python integers scaled by 2^wp, wp the working precision plus
+guard bits derived from s and N (``_kernel_bits``); a prime takes one exp
+and one cos/sin from mpmath's fixed-point primitives, a composite is an
 integer product of smaller entries. Both routes add the terms as integers
-and round once, when the sum becomes an mpc. Nothing else is shared; a
-test holds that table to ``mp.power(n, -s)``.
+and round once, when the sum becomes an mpc; the Euler-Maclaurin path also
+computes its closed-form terms in those integers (``_em_fixed``). Nothing
+else is shared; a test holds that table to ``mp.power(n, -s)``.
 
 Both engines of ``PrecisionConfig`` are implemented: scalar mpmath at
 configured digits, and a vectorized complex128 path (``*_batch``) used by the
@@ -75,9 +76,11 @@ F64_EM_TERMS = 14
 MP_EM_TERMS = 16
 # what one Bernoulli term of the mpmath engine costs, in Dirichlet terms
 # (``_em_mp_plan``)
-_MP_TERM_COST = 6
+_MP_TERM_COST = 0.65
 # the mpmath engine's candidate M, largest first so that a tie keeps it
-_MP_EM_MS = np.arange(MP_EM_TERMS, 3, -2)
+_MP_EM_MS = tuple(range(MP_EM_TERMS, 3, -2))
+# j = 0..2 MP_EM_TERMS, the factors s + j of the longest Pochhammer symbol
+_MP_POCH_J = np.arange(2 * MP_EM_TERMS + 1.0)
 # an M whose least N passes this many times its floor is refused
 _EM_MAX_GROWTH = 1.3 ** 40
 
@@ -207,15 +210,16 @@ def _em_tail(s, N, NmS, lnN, coeffs, acc, dacc):
 
         N^(1-s)/(s-1) + N^-s/2 + sum_{k=1..M} coeffs[k-1] (s)_{2k-1} N^(1-s-2k),
 
-    and its termwise derivative; returns (acc, dacc). Both engines run it:
-    ``s`` is a complex128 array or an mpmath scalar, and NmS = N^-s,
-    lnN = ln N and coeffs = B_2k/(2k)! come at that engine's precision.
+    and its termwise derivative; returns (acc, dacc). The double engine's:
+    ``s`` is a complex128 array, and NmS = N^-s, lnN = ln N and
+    coeffs = B_2k/(2k)! come as doubles. The mpmath engine computes the same
+    terms in fixed point (``_em_fixed``).
 
     The sum over k is nested (Horner): N^(-1-s) s P_1, with P_M = c_M,
     P_k = c_k + q_k P_{k+1} and q_k = (s + 2k - 1)(s + 2k) / N^2, the ratio
     of consecutive terms over that of their coefficients; P' runs through
     the same recursion, with q_k' = (2s + 4k - 1) / N^2. N^2 is an integer,
-    so each division rounds once at the engine's precision.
+    so each division rounds once.
     """
     acc = acc + N * NmS / (s - 1.0) + 0.5 * NmS
     if dacc is not None:
@@ -563,40 +567,163 @@ def _fixed_to_mpc(re, im, shift):
                            from_man_exp(im, -shift, prec, round_nearest)))
 
 
-_BERNOULLI = {}
+# c_{k+1}/c_k, c_k = B_2k/(2k)!, k = 1..MP_EM_TERMS-1, as exact integer
+# pairs (numerator, denominator): taken from mpmath on first use
+_BERNOULLI_RATIOS = []
+_FIXED_RATIOS = {}
 
 
-def _bernoulli_coeffs():
-    """B_2k/(2k)!, k = 1..MP_EM_TERMS, at the current precision; computed
-    once per precision and kept at module level. A plan with M terms reads
-    the first M."""
-    coeffs = _BERNOULLI.get(mp.mp.prec)
-    if coeffs is None:
-        coeffs = _BERNOULLI[mp.mp.prec] = [mp.bernoulli(2 * k) / mp.factorial(2 * k)
-                                           for k in range(1, MP_EM_TERMS + 1)]
-    return coeffs
+def _bernoulli_ratios(wp):
+    """``_BERNOULLI_RATIOS`` in fixed point at wp bits, each rounded down
+    (within 2^-wp); computed once per wp and kept at module level."""
+    ratios = _FIXED_RATIOS.get(wp)
+    if ratios is None:
+        if not _BERNOULLI_RATIOS:
+            B = [mp.bernfrac(2 * k) for k in range(1, MP_EM_TERMS + 1)]
+            _BERNOULLI_RATIOS[:] = [(p1 * q0, q1 * p0 * (2 * k + 1) * (2 * k + 2))
+                                    for k, ((p0, q0), (p1, q1)) in enumerate(zip(B, B[1:]), 1)]
+        ratios = _FIXED_RATIOS[wp] = [(a << wp) // b for a, b in _BERNOULLI_RATIOS]
+    return ratios
 
 
 def _em_mp_plan(sigma, t, tol, abs_s=None):
     """(N, M, ln trunc) of the mpmath engine at one point: the least N + c M
-    over M = 4, 6, ..., MP_EM_TERMS, each M's N from one ``_em_plan`` over
-    all of them, and trunc the remainder bound at the chosen (N, M). c is
+    over M = 4, 6, ..., MP_EM_TERMS, each M's N the one ``_em_plan`` plans,
+    and trunc the remainder bound at the chosen (N, M). c is
     ``_MP_TERM_COST`` Dirichlet terms per Bernoulli term, twice that with
     ``abs_s`` = |s| (zeta' wanted, its lever planned); a tie keeps the larger
     M. PrecisionExhausted where every M is refused.
 
-    c is measured, as slopes over N = 40..160 and M = 4..16 at three points
-    (2 shared vCPUs, Python 3.11, mpmath 1.3.0): at 40 digits a Dirichlet
-    term (``_dirichlet_terms`` and its sums) costs 4.4-4.5 us, 4.8-5.1 us
-    with zeta', and a Bernoulli term of ``_em_tail`` 29-30 us, 54-61 us with
-    zeta': ratios 6.4-6.6 and 11-12; at 60 digits 5.0-5.1 and 10-11.
+    This is ``_em_plan``'s formula for one point, operation for operation, on
+    Python floats: numpy's log, exp and hypot stand where math's could round
+    differently, and the Pochhammer logs are one cumulative sum, which adds
+    in the order of ``_em_plan``'s rows. So N and ln trunc are those of
+    ``_em_plan`` on the candidate array, bit for bit. The M are tried from
+    the largest down, and an M stops as soon as its floor, or a step of N
+    (steps never shrink N), costs at least the best cost found. That takes
+    about 25 us warm, against 70-140 us for ``_em_plan`` on all seven M.
+
+    c is measured, as slopes over N = 40..160 and M = 2..16 at three points
+    (2 shared vCPUs, Python 3.11, mpmath 1.3.0), medians of five: at 40
+    digits a Dirichlet term (``_dirichlet_terms`` and its sums) costs
+    2.4-2.5 us, 2.5-2.7 us with zeta', and a Bernoulli term of ``_em_fixed``
+    1.5-1.8 us, 3.0-3.4 us with zeta': ratios 0.59-0.75 and 1.2-1.3; at 60
+    digits 0.67-0.70 and 1.2-1.3.
     """
-    N, log_bound = _em_plan(sigma, t, _MP_EM_MS, tol, abs_s)
     c = _MP_TERM_COST * (1 if abs_s is None else 2)
-    i = (N + c * _MP_EM_MS).argmin()
-    if not N[i] < math.inf:
+    x = _MP_POCH_J + sigma
+    x *= x
+    x += t * t
+    np.log(np.maximum(x, 1e-300, out=x), out=x)
+    x *= 0.5
+    lp = np.add.accumulate(x, out=x).tolist()  # lp[j] = ln |(s)_{j+1}|
+    logtol = math.log(0.25 * tol)
+    floor = math.ceil(1.1 * (-math.log10(tol)))
+    inv = None if abs_s is None else 1.0 / max(abs_s, 0.1)  # as in _prime_lever
+    cost, M_best, N_best, log_trunc = math.inf, 0, math.inf, 0.0
+    for M in _MP_EM_MS:
+        N0 = float(max(math.ceil(0.55 * (t + 2 * M)) + 8, floor))
+        if N0 + c * M >= cost:
+            continue
+        rows = 2 * M
+        base = math.log(2.2) - (rows + 2) * math.log(_TWO_PI) + lp[rows]
+        k = sigma + rows + 1
+        tail = float(np.log(np.hypot(k, t) / k))
+        excess = base + tail - logtol
+        top = _EM_MAX_GROWTH * N0
+        N, lever = N0, 0.0
+        while True:
+            if inv is not None:
+                lever = float(np.log(float(np.log(N)) + rows + 2 + inv))
+            e = float(np.exp((excess + lever) / k))
+            step = float(max(N0, math.ceil(e))) if e <= top else math.inf
+            if step + c * M >= cost or step > top:
+                N = math.inf
+                break
+            if inv is None or not step > N:
+                N = step + (base - k * float(np.log(step)) + tail + lever > logtol)
+                break
+            N = step
+        if N <= top and N + c * M < cost:
+            cost, M_best, N_best = N + c * M, M, N
+            log_trunc = base - k * math.log(N) + tail
+    if not N_best < math.inf:
         raise PrecisionExhausted(f"Euler-Maclaurin bound stuck above tol={tol:g}")
-    return int(N[i]), int(_MP_EM_MS[i]), float(log_bound(math.log(N[i]))[i])
+    return int(N_best), M_best, log_trunc
+
+
+def _em_fixed(s, N, M, want_prime):
+    """Euler-Maclaurin for zeta(s) at (N, M), and zeta' when ``want_prime``,
+    in fixed point: (wp, (re, im), (dre, dim) or None), each value the
+    integer pair scaled by 2^(2 wp), wp = ``_kernel_bits`` for n <= N.
+
+    The direct sums are those of ``_dirichlet_terms`` over n < N, and its
+    entry N gives N^-s and ln N. The closed-form tail
+
+        N^(1-s)/(s-1) + N^-s/2 + sum_{k=1..M} c_k (s)_{2k-1} N^(1-s-2k),
+
+    c_k = B_2k/(2k)!, and its termwise derivative are computed in the same
+    integers. 1/(s-1) is the exact quotient of the parts of s, rounded down.
+    The sum over k is nested (Horner) and scaled so that every quantity is
+    O(1): N^-s s P'_1 / (12 N), with P'_M = 1,
+    P'_k = 1 + q'_k P'_{k+1} and q'_k = rho_k (s + 2k - 1)(s + 2k) / N^2,
+    rho_k = c_{k+1}/c_k (``_bernoulli_ratios``). The floor
+    N >= 0.55 (|t| + 2M) + 8 and |rho_k| < 1/(2 pi)^2 give
+    |q'_k| <= (|sigma| + 1.82 N)^2 / (2 pi N)^2 <= 0.21 for |sigma| <= N,
+    so |P'_k| <= 1.27. zeta' nests dP'_k = g_k P'_{k+1} + q'_k dP'_{k+1},
+    g_k = rho_k (2s + 4k - 1) / N^2, |g_k| <= 0.15/N, and closes with
+    N^-s (P'_1 + s (dP'_1 - ln N P'_1)) / (12 N). Every product is exact
+    but those that the nest truncates to wp bits and the divisions, each
+    rounded down once. ``_em_mp`` derives the error.
+    """
+    wp = _kernel_bits(s, N + 1)
+    re, im, logs = _dirichlet_terms(s, N + 1, wp)
+    xr, xi, L = re.pop(), im.pop(), logs.pop()  # N^-s and ln N
+    one = 1 << wp
+    sr, si = s.real._mpf_, s.imag._mpf_
+    sig, tf = to_fixed(sr, wp), to_fixed(si, wp)
+    # 1/(s - 1) from s - 1 held exactly, at F >= wp fractional bits
+    F = max(wp, -sr[2], -si[2])
+    wr, wi = to_fixed(sr, F) - (1 << F), to_fixed(si, F)
+    D = wr * wr + wi * wi
+    ir, ii = (wr << (F + wp)) // D, (-wi << (F + wp)) // D
+    # N^(1-s)/(s-1) + N^-s/2
+    er, ei = N * (xr * ir - xi * ii), N * (xr * ii + xi * ir)
+    accr, acci = er + (xr << (wp - 1)), ei + (xi << (wp - 1))
+    ratios = _bernoulli_ratios(wp)
+    qden, gden = (N * N) << (2 * wp), (N * N) << wp
+    tt = tf * tf
+    Pr, Pi, dPr, dPi = one, 0, 0, 0
+    for k in range(M - 1, 0, -1):
+        ar, br, R = sig + (2 * k - 1) * one, sig + 2 * k * one, ratios[k - 1]
+        qr, qi = (ar * br - tt) * R // qden, tf * (ar + br) * R // qden
+        if want_prime:
+            gr, gi = (ar + br) * R // gden, 2 * tf * R // gden
+            dPr, dPi = (gr * Pr - gi * Pi + qr * dPr - qi * dPi) >> wp, \
+                (gr * Pi + gi * Pr + qr * dPi + qi * dPr) >> wp
+        Pr, Pi = one + ((qr * Pr - qi * Pi) >> wp), (qr * Pi + qi * Pr) >> wp
+    # N^-s s P'_1 / (12 N)
+    xsr, xsi = xr * sig - xi * tf, xr * tf + xi * sig
+    close = (12 * N) << wp
+    accr += (xsr * Pr - xsi * Pi) // close
+    acci += (xsr * Pi + xsi * Pr) // close
+    accr, acci = accr + (sum(re) << wp), acci + (sum(im) << wp)
+    if not want_prime:
+        return wp, (accr, acci), None
+    # -(ln N + 1/(s-1)) N^(1-s)/(s-1) - ln N N^-s/2
+    lr = L + ir
+    dr = -((er * lr - ei * ii) >> wp) - ((L * xr) >> 1)
+    di = -((er * ii + ei * lr) >> wp) - ((L * xi) >> 1)
+    # N^-s (P'_1 + s (dP'_1 - ln N P'_1)) / (12 N)
+    ur, ui = (dPr << wp) - L * Pr, (dPi << wp) - L * Pi
+    vr = (Pr << (2 * wp)) + sig * ur - tf * ui
+    vi = (Pi << (2 * wp)) + sig * ui + tf * ur
+    close <<= wp
+    dr += (xr * vr - xi * vi) // close
+    di += (xr * vi + xi * vr) // close
+    dr -= sum(map(operator.mul, logs, re))
+    di -= sum(map(operator.mul, logs, im))
+    return wp, (accr, acci), (dr, di)
 
 
 def _em_mp(s: mp.mpc, cfg: PrecisionConfig, want_prime: bool, scale: float = 1.0):
@@ -609,42 +736,52 @@ def _em_mp(s: mp.mpc, cfg: PrecisionConfig, want_prime: bool, scale: float = 1.0
     multiplies this engine's bounds by it), meets tol/4: the bound that is
     checked.
 
-    The direct sums run in fixed point (``_dirichlet_terms``, wp bits from
-    ``_kernel_bits`` at prec = mp.prec): sum n^-s adds the terms exactly and
-    rounds once to prec, sum ln n n^-s adds the exact products of ln n and
-    n^-s at 2 wp bits and rounds once. Term n is within Omega(n) 2^-prec
-    <= log2 N 2^-prec relative, so the zeta sum is off by at most
-    (1 + log2 N) 2^-prec S, S = sum_{n<N} n^-sigma <= N^max(0, 1-sigma)
-    (1 + ln N), and the zeta' sum by ln N times that and the 2 Omega(n) u
-    of ln n. With 2^-prec <= sqrt(2) 10^-(dps+1) (mpmath's digits-to-bits
+    The whole sum runs in fixed point (``_em_fixed``) and is rounded once to
+    prec = mp.prec. Its wp bits are ``_kernel_bits`` for n <= N, so
+    u = 2^-wp is at most 2^-prec/64 and 2^-prec N^-sigma/6. Write
+    A = N^max(0, 1-sigma), r = min(1, |s - 1|) and eps = Omega(N) 2^-prec
+    <= log2 N 2^-prec, the relative error of table entry N.
+
+    Direct sums: term n is within Omega(n) 2^-prec <= log2 N 2^-prec
+    relative, so the zeta sum is off by at most (1 + log2 N) 2^-prec S,
+    S = sum_{n<N} n^-sigma <= A (1 + ln N), and the zeta' sum, which adds
+    the exact products of ln n and n^-s, by ln N times that and the
+    2 Omega(n) u of ln n.
+
+    Tail, to first order, for |sigma| <= N (so |s| <= 2.82 N and
+    N^-sigma <= N^(1-sigma)/8): N^-s is within eps relative, ln N within
+    2 log2 N u and 1/(s-1) within sqrt(2) u, so the edge terms are off by
+    eps N^(1-sigma)/|s-1| + sqrt(2) u N^(1-sigma) + eps N^-sigma/2. In the
+    nest, rho_k within u and |q_k| <= 7.95 put q'_k within 9.4 u; each step
+    truncates once, so P'_1 is within (9.4 * 1.27 + sqrt 2) u / 0.79 <= 17 u,
+    and with |s|/(12 N) <= 0.24 the Bernoulli part is within
+    N^-sigma (0.3 eps + 4 u). Together the tail is off by at most
+
+        T = (1 + log2 N) 2^-prec N^(1-sigma) (1 + 1/|s-1|).
+
+    zeta' adds the edge terms -ln N N^-s/2, off by eps ln N N^-sigma/2 +
+    2 log2 N u N^-sigma, and -(ln N + 1/(s-1)) N^(1-s)/(s-1), off by
+    (eps N^(1-sigma)/|s-1| + sqrt(2) u N^(1-sigma))(ln N + 1/|s-1|) +
+    (2 log2 N + sqrt 2) u N^(1-sigma)/|s-1|. dP'_1 is within 6 u
+    (|dP'_k| <= 0.24/N), so its Bernoulli part is within
+    N^-sigma (eps (0.2 + 0.3 ln N) + u (3 + 5 ln N)). Together the zeta'
+    tail is off by at most T (ln N + 1/|s-1|). For sigma > N, |q'_k| can
+    pass 0.21; but every term of the tail carries N^-sigma, as u does, and
+    that outweighs the growth of the nest from N >= 13, the least floor.
+
+    With 2^-prec <= sqrt(2) 10^-(dps+1) (mpmath's digits-to-bits
     rounding), the zeta sum is off by at most
-    sqrt(2) (1 + log2 N)(1 + ln N) 10^-(dps+1) N^max(0, 1-sigma), below a
-    fifth of the rounding allowance
+    sqrt(2) (1 + log2 N)(1 + ln N) 10^-(dps+1) A, below a fifth of the
+    rounding allowance
 
-        ro = 10^-(dps-3) (3 + N^max(0, 1-sigma) / r),  r = min(1, |s - 1|),
+        ro = 10^-(dps-3) (3 + N^max(0, 1-sigma) / r)
 
-    for N < 2^40. The rest of ro covers ``_em_tail``. Each of its operations
-    rounds once at prec, within 2^-prec relative of a value no larger than
-    the direct sum plus the edge term, whose modulus
-    |N^(1-s)/(s-1)| = N^(1-sigma)/|s - 1| is at most N^max(0, 1-sigma)/r.
-    That holds for the nest too: the floor N >= 0.55 (|t| + 2M) + 8 gives
-    |q_k| c_{k+1}/c_k < (|sigma| + 1.82 N)^2/(2 pi N)^2 <= 0.21 for
-    |sigma| <= N, so a rounding there moves the result by 2^-prec times at
-    most 1.3 times the first term, 1.3 |s| N^(-1-sigma)/12 <= N^-sigma/3
-    (farther right N^-sigma shrinks every term further). Counting the
-    rounding of N^-s as two and each coefficient c_k as one, zeta takes 8
-    roundings for the edge terms, M coefficients, 6 per step of the nest
-    and 4 to close it: 7M + 6 <= 118 for M <= 16, off by at most
-    17 (2 + ln N) 10^-dps N^max(0, 1-sigma)/r, within the other four fifths
-    of ro for N < 2^40. zeta' is allowed ro (1 + ln N)/r: its edge terms
-    ln N N^(1-s)/(s-1) and N^(1-s)/(s-1)^2 are at most
-    N^max(0, 1-sigma)(ln N + 1/r)/r <= N^max(0, 1-sigma)(1 + ln N)/r^2,
-    and it takes 12 roundings more for them, 5 more per step of the nest
-    and 6 more to close it, 12M + 19 <= 211 in all, off by at most
-    30 (2 + ln N)(1 + ln N) 10^-dps N^max(0, 1-sigma)/r, within four
-    fifths of its allowance for N < 2^35.
-    Beside s = 1 both allowances thus grow as |zeta| ~ 1/|s - 1| and
-    |zeta'| ~ 1/|s - 1|^2 do; for |s - 1| >= 1, r = 1 and 1/r drops out.
+    for N < 2^40. T is at most 2 sqrt(2) (1 + log2 N) 10^-(dps+1) A/r,
+    12 10^-dps A/r for N < 2^40, and the final rounding adds 2^-prec |zeta_N|
+    <= 2^-prec (S + 2 A/r); both lie far within the other four fifths. zeta'
+    is allowed ro (1 + ln N)/r, and each of its parts is at most (1 + ln N)/r
+    times zeta's. Beside s = 1 both allowances thus grow as |zeta| ~ 1/|s - 1|
+    and |zeta'| ~ 1/|s - 1|^2 do; for |s - 1| >= 1, r = 1 and 1/r drops out.
     """
     sigma = float(mp.re(s))
     t = abs(float(mp.im(s)))
@@ -654,15 +791,8 @@ def _em_mp(s: mp.mpc, cfg: PrecisionConfig, want_prime: bool, scale: float = 1.0
         raise PrecisionExhausted(f"tol={cfg.target_abs_tol:g} over a factor {scale:g}")
     N, M, log_trunc = _em_mp_plan(sigma, t, tol, abs_s if want_prime else None)
     with mp.workdps(cfg.dps):
-        wp = _kernel_bits(s, N)
-        re, im, logs = _dirichlet_terms(s, N, wp)
-        acc = _fixed_to_mpc(sum(re), sum(im), wp)
-        dacc = None
-        if want_prime:
-            dacc = _fixed_to_mpc(-sum(map(operator.mul, logs, re)),
-                                 -sum(map(operator.mul, logs, im)), 2 * wp)
-        acc, dacc = _em_tail(s, N, mp.power(N, -s), mp.log(N), _bernoulli_coeffs()[:M],
-                             acc, dacc)
+        wp, acc, dacc = _em_fixed(s, N, M, want_prime)
+        acc = _fixed_to_mpc(*acc, 2 * wp)
         trunc = math.exp(log_trunc)
         r = min(1.0, abs(complex(s) - 1.0))
         ro = 10.0 ** (-(cfg.dps - 3)) * (3.0 + N ** max(0.0, 1.0 - sigma) / r)
@@ -670,7 +800,7 @@ def _em_mp(s: mp.mpc, cfg: PrecisionConfig, want_prime: bool, scale: float = 1.0
         if want_prime:
             derr = trunc * float(_prime_lever(math.log(N), M, abs_s)) \
                 + ro * (1.0 + math.log(N)) / r
-            return acc, dacc, err, derr
+            return acc, _fixed_to_mpc(*dacc, 2 * wp), err, derr
         return acc, None, err, None
 
 

@@ -42,6 +42,7 @@ import hashlib
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Tuple
 
@@ -277,6 +278,14 @@ class ZeroTable:
             raise TableTooShort(f"zero table reaches {self.max_height:g}; "
                                 f"{what} needs {height:g}")
 
+    @cached_property
+    def _ordinates(self) -> np.ndarray:
+        """``gammas`` as a read-only float64 array, built on first use and
+        kept with the table (outside its fields, so equality is unchanged)."""
+        g = np.array(self.gammas, dtype=np.float64)
+        g.flags.writeable = False
+        return g
+
     def nearest_gamma(self, t):
         """The tabulated ordinate nearest to t, elementwise over an array (a
         float for a scalar t); ties go to the lower ordinate, and an empty
@@ -285,7 +294,7 @@ class ZeroTable:
         if not self.gammas:
             near = np.full(t.shape, math.inf)
         else:
-            g = np.asarray(self.gammas)
+            g = self._ordinates
             i = np.searchsorted(g, t)  # the first ordinate >= t
             lo, hi = g[np.maximum(i - 1, 0)], g[np.minimum(i, len(g) - 1)]
             near = np.where(np.abs(t - lo) <= np.abs(t - hi), lo, hi)

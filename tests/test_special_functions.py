@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 
 import mpmath as mp
 import numpy as np
@@ -24,12 +25,13 @@ from zetacontour.precision import (
 )
 from zetacontour.special_functions import (
     _B2K_OVER_FACT,
+    _MP_EM_MS,
     _MP_TERM_COST,
     F64_EM_TERMS,
     MP_EM_TERMS,
-    _bernoulli_coeffs,
     _dirichlet_terms,
     _build_sieve,
+    _em_fixed,
     _em_mp_plan,
     _em_plan,
     _em_tail,
@@ -482,34 +484,84 @@ class TestMpEnginePlan:
                     bound *= math.log(N) + 2 * M + 2 + 1 / max(abs(s), 0.1)
                 assert bound <= tol / 4, (sigma, t, prime, N, M)
 
-    def test_default_plan_takes_fewer_terms_below_height_90(self):
-        # near t = 100 the floor N >= 0.55 (t + 2M) + 8 can make M = 16 the
-        # cheapest, or nearly: at -0.2 + 91.5i zeta' costs N + 12 M = 268
-        # with M = 16 at its floor N = 76, 244 with M = 14 at N = 76, two past
-        # its floor 74, and 243 with M = 12 at N = 99, the plan chosen
+    def test_default_plan_takes_fewer_terms_below_height_76(self):
+        # near t = 76 the floor N >= 0.55 (t + 2M) + 8 can make M = 16 the
+        # cheapest for zeta': at -0.9 + 76.5i it costs N + 1.3 M = 88.8 with
+        # M = 16 at its floor N = 68, 89.2 with M = 14 at N = 71, three past
+        # its floor, and 109.6 with M = 12 at N = 94; at -0.9 + 75i M = 14
+        # still wins, 87.2 against 87.8 (least N from ``em_least_N``)
         for sigma, t, prime, (N, M, _) in self._plans(DEFAULT_CONFIG, 1515):
-            if t <= 90.0:
+            if t <= 76.0:
                 assert M < MP_EM_TERMS, (sigma, t, prime, N)
+
+    @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, PrecisionConfig(40, 1e-30)])
+    def test_one_point_plan_is_the_array_plan(self, cfg):
+        # at 400 seeded points the one-point plan's N and ln trunc are those
+        # of _em_plan on the candidate array, bit for bit, at the M of its
+        # least cost (the first, so the largest, on a tie)
+        rng = np.random.default_rng(1616)
+        tol = cfg.target_abs_tol
+        Ms = np.array(_MP_EM_MS)
+        for _ in range(400):
+            sigma, t = rng.uniform(-0.9, 4.0), rng.uniform(0.0, 120.0)
+            for abs_s in (None, math.hypot(sigma, t)):
+                N, M, log_trunc = _em_mp_plan(sigma, t, tol, abs_s)
+                Ns, log_bound = _em_plan(sigma, t, Ms, tol, abs_s)
+                i = (Ns + _MP_TERM_COST * (1 if abs_s is None else 2) * Ms).argmin()
+                assert (N, M) == (Ns[i], Ms[i]), (sigma, t, abs_s)
+                assert log_trunc == float(log_bound(math.log(Ns[i]))[i]), (sigma, t, abs_s)
+
+
+def _fixed_tail_errors(s, dps, tol):
+    """(error, allowance) of the closed-form tail of ``_em_fixed`` at s, for
+    zeta and for zeta', at dps digits and the zeta' plan for tol: the tail
+    (the fixed-point sums less the direct sums over n < N) against
+    ``em_closed_form`` at twice the digits, and the allowance that ``_em_mp``
+    derives, T = (1 + log2 N) 2^-prec N^(1-sigma) (1 + 1/|s-1|) for zeta and
+    T (ln N + 1/|s-1|) for zeta'."""
+    N, M, _ = _em_mp_plan(s.real, abs(s.imag), tol, abs(s))
+    with mp.workdps(dps):
+        sm = mp.mpc(s)
+        wp, acc, dacc = _em_fixed(sm, N, M, True)
+        re, im, logs = _dirichlet_terms(sm, N, wp)
+        unit = 2.0 ** -mp.mp.prec
+    with mp.workdps(2 * dps):
+        scale = mp.ldexp(1, -2 * wp)
+        tail = mp.mpc(acc[0] - (sum(re) << wp), acc[1] - (sum(im) << wp)) * scale
+        dtail = mp.mpc(dacc[0] + sum(map(operator.mul, logs, re)),
+                       dacc[1] + sum(map(operator.mul, logs, im))) * scale
+        ref, dref = em_closed_form(s, N, M, 2 * dps)
+        err, derr = float(abs(tail - ref)), float(abs(dtail - dref))
+    inv = 1.0 / abs(s - 1.0)
+    T = (1.0 + math.log2(N)) * unit * N ** (1.0 - s.real) * (1.0 + inv)
+    return (err, T), (derr, T * (math.log(N) + inv))
 
 
 class TestEmTail:
-    """The nested closed-form part of Euler-Maclaurin (``_em_tail``) against
-    the same terms summed one by one at twice the digits."""
+    """The nested closed-form part of Euler-Maclaurin against the same terms
+    summed one by one at twice the digits: the mpmath engine's fixed-point
+    tail (``_em_fixed``) and the double engine's ``_em_tail``."""
 
     @pytest.mark.parametrize("dps", [40, 60])
     def test_mpmath_engine(self, dps):
         rng = np.random.default_rng(dps)
         for _ in range(12):
             s = complex(rng.uniform(-0.9, 4.0), rng.uniform(-120.0, 120.0))
-            N, M, _ = _em_mp_plan(s.real, abs(s.imag), 10.0 ** -(dps - 12))
-            with mp.workdps(dps):
-                sm = mp.mpc(s)
-                v, dv = _em_tail(sm, N, mp.power(N, -sm), mp.log(N),
-                                 _bernoulli_coeffs()[:M], mp.mpc(0), mp.mpc(0))
-            ref, dref = em_closed_form(s, N, M, 2 * dps)
-            with mp.workdps(2 * dps):
-                assert abs(v - ref) <= 3 * 10.0 ** -dps * max(1, abs(ref)), (s, N, M)
-                assert abs(dv - dref) <= 3 * 10.0 ** -dps * max(1, abs(dref)), (s, N, M)
+            for err, allowed in _fixed_tail_errors(s, dps, 10.0 ** -(dps - 12)):
+                assert err <= allowed, (s, err, allowed)
+
+    @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, PrecisionConfig(40, 1e-30),
+                                     PrecisionConfig(60, 1e-48)], ids=["30", "40", "60"])
+    def test_mpmath_engine_edges(self, cfg):
+        # sigma just above -1, |s - 1| just above EXCLUSION_RADIUS, sigma = 4
+        # at |t| = 120, and t = 0
+        edges = (complex(-1.0 + 2.0 ** -20, 3.0), complex(-1.0 + 2.0 ** -20, 0.0),
+                 complex(1.0 + 1.5e-6, 0.0), complex(1.0, 1.1e-6), complex(1.0 - 1.2e-6, 0.0),
+                 complex(4.0, 120.0), complex(4.0, -120.0),
+                 complex(0.5, 0.0), complex(2.5, 0.0), complex(-0.5, 0.0))
+        for s in edges:
+            for err, allowed in _fixed_tail_errors(s, cfg.dps, cfg.target_abs_tol):
+                assert err <= allowed, (s, err, allowed)
 
     @pytest.mark.parametrize("want_prime", [False, True])
     def test_double_engine(self, want_prime):
