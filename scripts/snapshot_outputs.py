@@ -18,7 +18,11 @@ The table must reach height 5200 (``zc zeros --up-to 5200 --out zc.tab``);
 it is only read. The ``zeros`` command builds its own table to the same
 height, so that a change in the zero finder shows in ``zeros-5200.zctab``.
 Each command's stdout goes to ``<name>.txt`` with its exit status; timings
-are cut from the measurement script's text.
+are cut from the measurement script's text. Status 1 is a failed suite
+check and still a snapshot; any other nonzero status is an aborted command,
+whose stderr is printed but not kept, so two trees that abort alike would
+snapshot alike. The script therefore writes every file and then exits 1
+when any command's status was neither 0 nor 1, and 0 otherwise.
 
     python scripts/snapshot_outputs.py scalar
 
@@ -128,6 +132,7 @@ def main() -> int:
     out.mkdir(parents=True, exist_ok=True)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    aborted = []
     for name, argv in commands(table):
         proc = subprocess.run(argv, cwd=out, env=env, capture_output=True, text=True)
         text = proc.stdout
@@ -137,6 +142,10 @@ def main() -> int:
         print(f"{name}: exit status {proc.returncode}")
         if proc.returncode not in (0, 1):  # 1 is a failed suite check, still a snapshot
             sys.stderr.write(proc.stderr)
+            aborted.append(name)
+    if aborted:
+        print(f"aborted: {', '.join(aborted)}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -261,6 +261,8 @@ def integrate_edge(f: Callable[[np.ndarray], np.ndarray], a: complex, b: complex
     wave raises ToleranceNotMet instead; the first wave grows with the edge's
     length and zero density and is never refused.
     """
+    if math.isnan(tol):
+        raise DomainError("tol is NaN")
     if tol < 1e-13:
         raise ToleranceNotMet("requested tolerance below the double floor")
     a = complex(a)
@@ -582,10 +584,10 @@ def zero_sum_term_integral(rect: Rectangle, zeros: ZeroTable,
                            N: Optional[int] = None) -> ZeroSumTerm:
     """Truncated paired zero-sum over DA+BC in closed form.
 
-    With ``eps2`` (default 1/T^2), N_used is the smallest truncation whose
-    certified tail bound meets eps2 * 2T; TableTooShort if the table cannot
-    certify it. An explicit ``N`` overrides the rule and reports the bound
-    at that truncation.
+    With ``eps2`` (default 1/T^2; positive, inf allowed), N_used is the
+    smallest truncation whose certified tail bound meets eps2 * 2T;
+    TableTooShort if the table cannot certify it. An explicit ``N``
+    overrides the rule and reports the bound at that truncation.
     """
     T = rect.T
     n_table = len(zeros.gammas)
@@ -602,6 +604,8 @@ def zero_sum_term_integral(rect: Rectangle, zeros: ZeroTable,
     else:
         if eps2 is None:
             eps2 = 1.0 / (T * T)
+        if not eps2 > 0:
+            raise DomainError(f"eps2={eps2!r} must be positive")
         threshold = eps2 * 2.0 * T
         if bound_at(n_table) > threshold:
             raise TableTooShort(

@@ -10,9 +10,11 @@ The workhorse is Euler-Maclaurin summation,
 with the classical remainder bound
 |R| <= |B_{2M+2}/(2M+2)! (s)_{2M+1} N^(-s-2M-1)| * |s+2M+1|/(sigma+2M+1),
 valid for sigma > -(2M+1). Both engines take the least N, at or above a floor
-growing with |Im s|, at which it meets a quarter of the tolerance: a closed
-form (``_em_plan``). zeta' is the termwise derivative with an analogous
-bound. For sigma <= -1 both are continued through the functional equation.
+growing with |Im s|, at which it meets a quarter of the tolerance: the
+double engine at M = F64_EM_TERMS over a batch (``_em_f64_plan``), the
+mpmath engine at one point with its cheapest M (``_em_mp_plan``). zeta' is
+the termwise derivative with an analogous bound. For sigma <= -1 both are
+continued through the functional equation.
 
 An independent cross-check route, ``zeta_alternating``, sums the alternating
 Dirichlet eta series with an Euler-transformed tail and divides by
@@ -65,15 +67,15 @@ from .precision import (
 
 _TWO_PI = 2.0 * math.pi
 
-# B_2k/(2k)! as floats, k = 0..40; enough for every double-engine plan.
-_B2K_OVER_FACT = [float(mp.bernoulli(2 * k) / mp.factorial(2 * k)) for k in range(41)]
-
 _F64_MAX_T = 2.5e4  # desk-scale ceiling of |Im s| for the double engine
 
 # Bernoulli correction terms M of the double engine's Euler-Maclaurin sum,
 # and the most the mpmath engine plans with
 F64_EM_TERMS = 14
 MP_EM_TERMS = 16
+# B_2k/(2k)! as floats, k = 0..F64_EM_TERMS: the double engine's coefficients
+_B2K_OVER_FACT = [float(mp.bernoulli(2 * k) / mp.factorial(2 * k))
+                  for k in range(F64_EM_TERMS + 1)]
 # what one Bernoulli term of the mpmath engine costs, in Dirichlet terms
 # (``_em_mp_plan``)
 _MP_TERM_COST = 0.65
@@ -141,36 +143,31 @@ def _sieve(N):
 # Euler-Maclaurin plan and closed-form tail
 # ---------------------------------------------------------------------------
 
-def _em_plan(sigma, t, M, tol, abs_s=None):
-    """The Euler-Maclaurin truncation plan at sigma and t = |Im s| (arrays of
-    one shape, or scalars) and M (an int, or an array at scalar sigma and t;
-    sigma + 2M + 1 > 0 is the caller's to ensure): (N, log_bound), with
+def _em_f64_plan(sigma, t, tol):
+    """The double engine's Euler-Maclaurin truncation plan at the 1-d arrays
+    sigma and t = |Im s| and M = ``F64_EM_TERMS``: (N, log_bound), with
 
         log_bound(ln N) = base - (sigma + 2M + 1) ln N + ln tail
 
     the log of the remainder bound at N, base the log of 2.2 (2 pi)^-(2M+2)
     |(s)_{2M+1}| and tail = |s + 2M + 1| / (sigma + 2M + 1). N is the least
     integer at or above the floor max(ceil(0.55 (t + 2M)) + 8,
-    ceil(1.1 (-log10 tol))) where log_bound(ln N), plus the log of the zeta'
-    lever ``_prime_lever`` when ``abs_s`` = |s| is given, meets ln(tol/4).
-    Linear in ln N, the bound alone gives N in closed form; the lever grows
-    with ln N, so N is stepped from the floor, never past the least N, until
-    it stops (two or three steps). One check of the inequality as written
-    adds 1 where rounding left N short. N is inf past ``_EM_MAX_GROWTH``
-    times its floor.
+    ceil(1.1 (-log10 tol))) where log_bound(ln N) meets ln(tol/4). Linear in
+    ln N, the bound gives N in closed form; one check of the inequality as
+    written adds 1 where rounding left N short. Over the double engine's
+    domain N stays within twice its floor, so no N is refused.
     """
     # ln |s + j| summed in order of j, so row 2M is ln |(s)_{2M+1}|, at most
     # _ROW_BLOCK table entries at a time; the clip only matters where a
     # factor vanishes exactly
-    rows = 2 * np.asarray(M)
-    j = np.arange(rows.max() + 1.0)
-    shape = np.asarray(sigma).shape
-    sig, t2 = np.asarray(sigma).ravel(), np.asarray(t * t).ravel()
-    lp = np.empty((rows.size, sig.size))
+    rows = 2 * F64_EM_TERMS
+    j = np.arange(rows + 1.0)
+    t2 = t * t
+    lp = np.empty(len(sigma))
     width = _ROW_BLOCK // len(j)
-    for lo in range(0, sig.size, width):
+    for lo in range(0, len(sigma), width):
         b = slice(lo, lo + width)
-        x = np.add.outer(j, sig[b])
+        x = np.add.outer(j, sigma[b])
         np.square(x, out=x)
         x += t2[b]
         np.log(np.maximum(x, 1e-300, out=x), out=x)
@@ -180,8 +177,8 @@ def _em_plan(sigma, t, M, tol, abs_s=None):
         # several times as long across a wide block)
         for prev, row in zip(x, x[1:]):
             row += prev
-        lp[:, b] = x[rows]
-    base = math.log(2.2) - (rows + 2) * math.log(_TWO_PI) + lp.reshape(rows.shape + shape)
+        lp[b] = x[rows]
+    base = math.log(2.2) - (rows + 2) * math.log(_TWO_PI) + lp
     k = sigma + rows + 1
     tail = np.log(np.hypot(k, t) / k)
 
@@ -190,29 +187,19 @@ def _em_plan(sigma, t, M, tol, abs_s=None):
 
     logtol = math.log(0.25 * tol)
     N0 = np.maximum(np.ceil(0.55 * (t + rows)) + 8, math.ceil(1.1 * (-math.log10(tol))))
-    excess = base + tail - logtol
-    N, lever = N0, 0.0
-    while True:
-        if abs_s is not None:
-            lever = np.log(_prime_lever(np.log(N), M, abs_s))
-        step = np.maximum(N0, np.ceil(np.exp((excess + lever) / k)))
-        # steps never shrink N, so none grew means every N is a fixed point
-        if abs_s is None or not (step > N).any():
-            break
-        N = step
-    N = step + (log_bound(np.log(step)) + lever > logtol)
-    return np.where(N > _EM_MAX_GROWTH * N0, np.inf, N), log_bound
+    N = np.maximum(N0, np.ceil(np.exp((base + tail - logtol) / k)))
+    return N + (log_bound(np.log(N)) > logtol), log_bound
 
 
-def _em_tail(s, N, NmS, lnN, coeffs, acc, dacc):
+def _em_tail(s, N, acc, dacc):
     """The direct sums ``acc`` = sum_{n<N} n^-s and ``dacc`` (its derivative,
     or None) completed by the closed-form part of Euler-Maclaurin,
 
-        N^(1-s)/(s-1) + N^-s/2 + sum_{k=1..M} coeffs[k-1] (s)_{2k-1} N^(1-s-2k),
+        N^(1-s)/(s-1) + N^-s/2 + sum_{k=1..M} c_k (s)_{2k-1} N^(1-s-2k),
 
-    and its termwise derivative; returns (acc, dacc). The double engine's:
-    ``s`` is a complex128 array, and NmS = N^-s, lnN = ln N and
-    coeffs = B_2k/(2k)! come as doubles. The mpmath engine computes the same
+    M = ``F64_EM_TERMS`` and c_k = B_2k/(2k)! (``_B2K_OVER_FACT``), and its
+    termwise derivative; returns (acc, dacc). The double engine's: ``s`` is
+    a complex128 array and N an int. The mpmath engine computes the same
     terms in fixed point (``_em_fixed``).
 
     The sum over k is nested (Horner): N^(-1-s) s P_1, with P_M = c_M,
@@ -221,18 +208,20 @@ def _em_tail(s, N, NmS, lnN, coeffs, acc, dacc):
     the same recursion, with q_k' = (2s + 4k - 1) / N^2. N^2 is an integer,
     so each division rounds once.
     """
+    lnN = math.log(N)
+    NmS = np.exp(-s * lnN)
     acc = acc + N * NmS / (s - 1.0) + 0.5 * NmS
     if dacc is not None:
         dacc = dacc - lnN * N * NmS / (s - 1.0) - N * NmS / (s - 1.0) ** 2
         dacc = dacc - 0.5 * lnN * NmS
     N2 = N * N
-    P, dP = coeffs[-1], 0
-    for k in range(len(coeffs) - 1, 0, -1):
+    P, dP = _B2K_OVER_FACT[F64_EM_TERMS], 0
+    for k in range(F64_EM_TERMS - 1, 0, -1):
         a, b = s + (2 * k - 1), s + 2 * k
         q = a * b / N2
         if dacc is not None:
             dP = (a + b) / N2 * P + q * dP
-        P = coeffs[k - 1] + q * P
+        P = _B2K_OVER_FACT[k] + q * P
     Npow = NmS / N  # N^(-1-s)
     acc = acc + Npow * s * P
     if dacc is not None:
@@ -276,8 +265,8 @@ def _phase_table(ts, ln_n, N):
     return phase
 
 
-def _em_f64_group(s, N, M, want_prime):
-    """Euler-Maclaurin at shared (N, M) for a complex128 batch.
+def _em_f64_group(s, N, want_prime):
+    """Euler-Maclaurin at a shared N for a complex128 batch.
 
     The main sum, sum_{n<N} n^-sigma (cos(t ln n) - i sin(t ln n)), and its
     zeta' twin with amplitude -ln n n^-sigma, are contracted from two tables:
@@ -337,9 +326,7 @@ def _em_f64_group(s, N, M, want_prime):
     vals = main[0, :, 0] - 1j * main[0, :, 1]
     dvals = main[1, :, 0] - 1j * main[1, :, 1] if want_prime else None
     del phase, amp, main  # the tables go before the tail's temporaries come
-    lnN = math.log(N)
-    return _em_tail(s, N, np.exp(-s * lnN), lnN, _B2K_OVER_FACT[1:M + 1],
-                    vals, dvals)
+    return _em_tail(s, N, vals, dvals)
 
 
 def _prime_lever(lnN, M, abs_s):
@@ -348,7 +335,7 @@ def _prime_lever(lnN, M, abs_s):
     return lnN + 2 * M + 2 + 1.0 / np.maximum(abs_s, 0.1)
 
 
-def _f64_errors(s, N, M, want_prime, trunc):
+def _f64_errors(s, N, want_prime, trunc):
     sigma = s.real
     with np.errstate(divide="ignore"):
         sumabs = np.where(
@@ -362,7 +349,7 @@ def _f64_errors(s, N, M, want_prime, trunc):
     if not want_prime:
         return err, None
     lnN = np.log(N.astype(float))
-    derr = trunc * _prime_lever(lnN, M, np.abs(s)) + ro * (1.0 + lnN)
+    derr = trunc * _prime_lever(lnN, F64_EM_TERMS, np.abs(s)) + ro * (1.0 + lnN)
     return err, derr
 
 
@@ -411,19 +398,18 @@ def zeta_batch(s_arr, cfg: PrecisionConfig, want_prime: bool = False):
     u = folded[first]
     inv = np.empty(s.size, dtype=np.intp)
     inv[order] = np.cumsum(first) - 1
-    M = F64_EM_TERMS
-    N, log_bound = _em_plan(u.real, u.imag, M, cfg.target_abs_tol)
+    N, log_bound = _em_f64_plan(u.real, u.imag, cfg.target_abs_tol)
     # quantize upward so batches share few distinct N (bound only improves)
     N = ((N.astype(np.int64) + 15) // 16) * 16
     vals = np.empty_like(u)
     dvals = np.empty_like(u) if want_prime else None
     for Nv in np.unique(N):
         idx = np.nonzero(N == Nv)[0]
-        v, dv = _em_f64_group(u[idx], int(Nv), M, want_prime)
+        v, dv = _em_f64_group(u[idx], int(Nv), want_prime)
         vals[idx] = v
         if want_prime:
             dvals[idx] = dv
-    errs, derrs = _f64_errors(u, N, M, want_prime, np.exp(log_bound(np.log(N))))
+    errs, derrs = _f64_errors(u, N, want_prime, np.exp(log_bound(np.log(N))))
     vals, errs = vals[inv], errs[inv]
     np.conjugate(vals, out=vals, where=flip)
     if want_prime:
@@ -587,21 +573,24 @@ def _bernoulli_ratios(wp):
 
 
 def _em_mp_plan(sigma, t, tol, abs_s=None):
-    """(N, M, ln trunc) of the mpmath engine at one point: the least N + c M
-    over M = 4, 6, ..., MP_EM_TERMS, each M's N the one ``_em_plan`` plans,
-    and trunc the remainder bound at the chosen (N, M). c is
+    """(N, M, ln trunc) of the mpmath engine at one point, t = |Im s|: for
+    each M = 4, 6, ..., MP_EM_TERMS the least N at or above the floor
+    max(ceil(0.55 (t + 2M)) + 8, ceil(1.1 (-log10 tol))) where the classical
+    remainder bound, |B_{2M+2}|/(2M+2)! taken as 2.2 (2 pi)^-(2M+2), times
+    the zeta' lever ``_prime_lever`` when ``abs_s`` = |s| is given, meets
+    tol/4; the M whose N + c M is least, a tie keeping the larger M; and
+    trunc the bound, without the lever, at that (N, M). c is
     ``_MP_TERM_COST`` Dirichlet terms per Bernoulli term, twice that with
-    ``abs_s`` = |s| (zeta' wanted, its lever planned); a tie keeps the larger
-    M. PrecisionExhausted where every M is refused.
+    ``abs_s``. An M whose N passes ``_EM_MAX_GROWTH`` times its floor is
+    refused; PrecisionExhausted where every M is.
 
-    This is ``_em_plan``'s formula for one point, operation for operation, on
-    Python floats: numpy's log, exp and hypot stand where math's could round
-    differently, and the Pochhammer logs are one cumulative sum, which adds
-    in the order of ``_em_plan``'s rows. So N and ln trunc are those of
-    ``_em_plan`` on the candidate array, bit for bit. The M are tried from
-    the largest down, and an M stops as soon as its floor, or a step of N
-    (steps never shrink N), costs at least the best cost found. That takes
-    about 25 us warm, against 70-140 us for ``_em_plan`` on all seven M.
+    The lever grows with ln N, so N is stepped from the floor, never past
+    the least N, until it stops; without it the first step is the closed
+    form. One check of the inequality as written adds 1 where rounding left
+    N short. The M are tried from the largest down, and an M stops as soon
+    as its floor, or a step of N, costs at least the best cost found: about
+    25 us warm. numpy's log, exp and hypot stand where math's could round
+    differently.
 
     c is measured, as slopes over N = 40..160 and M = 2..16 at three points
     (2 shared vCPUs, Python 3.11, mpmath 1.3.0), medians of five: at 40

@@ -116,6 +116,8 @@ def scan(tau_lo: float, tau_hi: float, step: float, K: SegmentK,
     are skipped and reported, not errored."""
     if not all(map(math.isfinite, (tau_lo, tau_hi, step, U, V))):
         raise DomainError("the shifts and the target must be finite")
+    if math.isnan(eps):
+        raise DomainError("eps is NaN")
     if step <= 0:
         raise DomainError("step must be positive")
     if tau_hi < tau_lo:

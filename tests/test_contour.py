@@ -102,6 +102,17 @@ class TestIntegrateEdge:
         with pytest.raises(errors.ToleranceNotMet):
             integrate_edge(pole_integrand, 0j, 1j, tol=1e-15)
 
+    def test_nan_tolerance_refused_before_any_node(self):
+        seen = []
+
+        def f(z):
+            seen.append(z.size)
+            return pole_integrand(z)
+
+        with pytest.raises(errors.DomainError):
+            integrate_edge(f, 0j, 1j, tol=math.nan)
+        assert not seen
+
     def test_unscreened_zero_on_path_stops_at_the_node_budget(self):
         # the bottom edge of [0.4,0.6]x[-gamma_1,-13] runs through a zero that
         # is not passed as a singularity; its waves grow ~1.9x each, so only
@@ -336,6 +347,19 @@ class TestZeroSum:
             from zetacontour.contour import zero_tail_bound
             assert zero_tail_bound(rect, H) > term.threshold
 
+    @pytest.mark.parametrize("eps2", [math.nan, 0.0, -1e-4])
+    def test_eps2_must_be_positive(self, eps2, table120):
+        rect = Rectangle.paper_mode(ALPHA, BETA, 20.0)
+        with pytest.raises(errors.DomainError):
+            zero_sum_term_integral(rect, table120, eps2=eps2)
+        with pytest.raises(errors.DomainError):
+            decompose(rect, table120, eps2=eps2)
+
+    def test_infinite_eps2_certifies_with_no_zeros(self, table120):
+        rect = Rectangle.paper_mode(ALPHA, BETA, 20.0)
+        term = zero_sum_term_integral(rect, table120, eps2=math.inf)
+        assert term.n_used == 0 and term.threshold == math.inf
+
     def test_fluctuation_bound_covers_the_slope_integral(self):
         # beyond the boundary term 2 B(H) w(H), the closed form bounds
         # int_H^inf w(g) B'(g) dg from above and stays within 5% of it
@@ -411,6 +435,10 @@ class TestDecomposition:
         assert rep.residual <= rep.residual_budget
         assert rep.eps2 == pytest.approx(1.0 / (T * T))
         assert rep.n_summed == len(big_table.gammas)
+
+    def test_nan_quad_tol_refused(self, big_table):
+        with pytest.raises(errors.DomainError):
+            decompose(Rectangle.paper_mode(ALPHA, BETA, 20.0), big_table, quad_tol=math.nan)
 
     def test_json_keys(self, big_table):
         rep = decompose(Rectangle.paper_mode(ALPHA, BETA, 20.0), big_table)

@@ -314,6 +314,35 @@ def test_snapshot_script_starts():
     assert "--out-dir" in proc.stdout and "--zeros" in proc.stdout
 
 
+def test_snapshot_script_fails_on_an_aborted_command(tmp_path, monkeypatch, table120):
+    # status 1 (a failed suite check) is a snapshot; status 2 is an abort,
+    # and the script exits 1 after writing every file
+    import importlib.util
+    spec = importlib.util.spec_from_file_location(
+        "snapshot_outputs", ROOT / "scripts" / "snapshot_outputs.py")
+    snap = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(snap)
+    table = tmp_path / "t.zctab"
+    save_table(table120, table)
+    monkeypatch.setattr(snap, "TABLE_HEIGHT", 0.0)
+    out = tmp_path / "snap"
+    argv = ["snapshot_outputs.py", "--zeros", str(table), "--out-dir", str(out)]
+    monkeypatch.setattr(sys, "argv", argv)
+
+    def snapshot(exits):
+        monkeypatch.setattr(snap, "commands", lambda _: [
+            (name, [sys.executable, "-c", f"import sys; sys.exit({code})"])
+            for name, code in exits.items()])
+        return snap.main()
+
+    exits = {"ok": 0, "check": 1, "abort": 2, "last": 0}
+    assert snapshot(exits) == 1
+    for name, code in exits.items():
+        assert (out / f"{name}.txt").read_text() == f"exit status {code}\n"
+    del exits["abort"]
+    assert snapshot(exits) == 0
+
+
 def test_compare_snapshots_script_starts():
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "compare_snapshots.py"), "--help"],

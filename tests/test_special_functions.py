@@ -24,16 +24,14 @@ from zetacontour.precision import (
     PrecisionConfig,
 )
 from zetacontour.special_functions import (
-    _B2K_OVER_FACT,
-    _MP_EM_MS,
     _MP_TERM_COST,
     F64_EM_TERMS,
     MP_EM_TERMS,
     _dirichlet_terms,
     _build_sieve,
     _em_fixed,
+    _em_f64_plan,
     _em_mp_plan,
-    _em_plan,
     _em_tail,
     _f64_errors,
     _kernel_bits,
@@ -442,44 +440,54 @@ class TestMpEnginePlan:
                                       stop) is None, (sigma, t, prime, Mc)
 
     def test_plan_takes_the_least_N(self):
-        # N - 1 misses the bound unless N is the floor: for zeta' at
-        # -0.2 + 91.5i with M = 14, two past its floor 74, and at scattered
+        # N - 1 misses the bound unless N is the floor, at scattered
         # double-engine points at its tightest tolerance
-        s = complex(-0.2, 91.5)
-        N, _ = _em_plan(s.real, s.imag, 14, 1e-18, abs(s))
-        assert N == 76 == em_least_N(s.real, s.imag, 14, 1e-18, True, self._majorant(14))
         rng = np.random.default_rng(1515)
         s = rng.uniform(-1.0, 3.0, 40) + 1j * 10.0 ** rng.uniform(0.0, 3.5, 40)
         M = F64_EM_TERMS
-        for prime in (False, True):
-            N, _ = _em_plan(s.real, s.imag, M, F64_MIN_TOL, np.abs(s) if prime else None)
-            for k in range(len(s)):
-                assert N[k] == em_least_N(s[k].real, s[k].imag, M, F64_MIN_TOL, prime,
-                                          self._majorant(M)), (s[k], prime)
+        N, _ = _em_f64_plan(s.real, s.imag, F64_MIN_TOL)
+        for k in range(len(s)):
+            assert N[k] == em_least_N(s[k].real, s[k].imag, M, F64_MIN_TOL, False,
+                                      self._majorant(M)), s[k]
+
+    @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, PrecisionConfig(40, 1e-30)])
+    def test_zeta_prime_plan_steps_to_the_least_N(self, cfg):
+        # where the zeta' lever lifts N above its floor and above the least N
+        # for zeta alone, so that N was stepped, it is still the least N
+        tol = cfg.target_abs_tol
+        stepped = 0
+        for sigma, t, prime, (N, M, _) in self._plans(cfg, 1919):
+            floor = max(math.ceil(0.55 * (t + 2 * M)) + 8, math.ceil(1.1 * -math.log10(tol)))
+            if prime and N > floor:
+                assert N == em_least_N(sigma, t, M, tol, True, self._majorant(M)), \
+                    (sigma, t, M)
+                stepped += N > em_least_N(sigma, t, M, tol, False, self._majorant(M))
+        assert stepped
 
     def test_double_engine_plan_stays_near_its_floor(self):
         # over the double engine's domain (Re s >= -1, |t| <= 2.5e4) at its
-        # tightest tolerance, N is finite and at most twice its floor: the
-        # batch needs no refusal
+        # tightest tolerance, N is at most twice its floor: the batch needs
+        # no refusal
         M = F64_EM_TERMS
-        sigma, t = np.meshgrid(np.linspace(-1.0, 6.0, 57),
-                               np.concatenate([[0.0], np.geomspace(1e-3, 2.5e4, 200)]))
-        for abs_s in (None, np.hypot(sigma, t)):
-            N, _ = _em_plan(sigma, t, M, F64_MIN_TOL, abs_s)
-            floor = np.maximum(np.ceil(0.55 * (t + 2 * M)) + 8, 14)
-            assert np.all(np.isfinite(N)) and np.all(N <= 2 * floor)
+        sigma, t = (g.ravel() for g in np.meshgrid(
+            np.linspace(-1.0, 6.0, 57), np.concatenate([[0.0], np.geomspace(1e-3, 2.5e4, 200)])))
+        N, _ = _em_f64_plan(sigma, t, F64_MIN_TOL)
+        floor = np.maximum(np.ceil(0.55 * (t + 2 * M)) + 8, 14)
+        assert np.all(np.isfinite(N)) and np.all(N <= 2 * floor)
 
     @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, PrecisionConfig(40, 1e-30)])
     def test_plan_meets_a_quarter_of_tol(self, cfg):
         # the classical remainder bound at the chosen (N, M), with the exact
-        # Bernoulli number, times the zeta' lever where zeta' is planned
+        # Bernoulli number, lies within the reported trunc, and times the
+        # zeta' lever where zeta' is planned within tol/4
         tol = cfg.target_abs_tol
-        for sigma, t, prime, (N, M, _) in self._plans(cfg, 1414):
+        for sigma, t, prime, (N, M, log_trunc) in self._plans(cfg, 1414):
             with mp.workdps(30):
                 s = mp.mpc(sigma, t)
                 bound = abs(mp.bernoulli(2 * M + 2) / mp.factorial(2 * M + 2)
                             * mp.rf(s, 2 * M + 1) * mp.power(N, -s - 2 * M - 1)) \
                     * abs(s + 2 * M + 1) / (sigma + 2 * M + 1)
+                assert bound <= math.exp(log_trunc), (sigma, t, prime, N, M)
                 if prime:
                     bound *= math.log(N) + 2 * M + 2 + 1 / max(abs(s), 0.1)
                 assert bound <= tol / 4, (sigma, t, prime, N, M)
@@ -493,23 +501,6 @@ class TestMpEnginePlan:
         for sigma, t, prime, (N, M, _) in self._plans(DEFAULT_CONFIG, 1515):
             if t <= 76.0:
                 assert M < MP_EM_TERMS, (sigma, t, prime, N)
-
-    @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, PrecisionConfig(40, 1e-30)])
-    def test_one_point_plan_is_the_array_plan(self, cfg):
-        # at 400 seeded points the one-point plan's N and ln trunc are those
-        # of _em_plan on the candidate array, bit for bit, at the M of its
-        # least cost (the first, so the largest, on a tie)
-        rng = np.random.default_rng(1616)
-        tol = cfg.target_abs_tol
-        Ms = np.array(_MP_EM_MS)
-        for _ in range(400):
-            sigma, t = rng.uniform(-0.9, 4.0), rng.uniform(0.0, 120.0)
-            for abs_s in (None, math.hypot(sigma, t)):
-                N, M, log_trunc = _em_mp_plan(sigma, t, tol, abs_s)
-                Ns, log_bound = _em_plan(sigma, t, Ms, tol, abs_s)
-                i = (Ns + _MP_TERM_COST * (1 if abs_s is None else 2) * Ms).argmin()
-                assert (N, M) == (Ns[i], Ms[i]), (sigma, t, abs_s)
-                assert log_trunc == float(log_bound(math.log(Ns[i]))[i]), (sigma, t, abs_s)
 
 
 def _fixed_tail_errors(s, dps, tol):
@@ -568,17 +559,17 @@ class TestEmTail:
         # the oracle reads the same rounded N^-s and ln N, so only the
         # tail's own arithmetic is measured against its rounding allowance
         rng = np.random.default_rng(17)
-        M = F64_EM_TERMS
         s = rng.uniform(-1.0, 3.0, 40) + 1j * rng.uniform(-3000.0, 3000.0, 40)
-        N = _em_plan(s.real, np.abs(s.imag), M, 1e-11)[0].astype(np.int64)
-        ro, dro = _f64_errors(s, N, M, want_prime, 0.0)
+        N = _em_f64_plan(s.real, np.abs(s.imag), 1e-11)[0].astype(np.int64)
+        ro, dro = _f64_errors(s, N, want_prime, 0.0)
         for k in range(len(s)):
             sk, Nk = s[k:k + 1], int(N[k])
+            v, dv = _em_tail(sk, Nk, 0.0, 0.0 if want_prime else None)
+            # the N^-s and ln N that _em_tail forms
             lnN = math.log(Nk)
             NmS = np.exp(-sk * lnN)
-            v, dv = _em_tail(sk, Nk, NmS, lnN, _B2K_OVER_FACT[1:M + 1], 0.0,
-                             0.0 if want_prime else None)
-            ref, dref = em_closed_form(s[k], Nk, M, 30, NmS=complex(NmS[0]), lnN=lnN)
+            ref, dref = em_closed_form(s[k], Nk, F64_EM_TERMS, 30, NmS=complex(NmS[0]),
+                                       lnN=lnN)
             assert abs(mp.mpc(v[0]) - ref) <= ro[k], (s[k], Nk)
             if want_prime:
                 assert abs(mp.mpc(dv[0]) - dref) <= dro[k], (s[k], Nk)

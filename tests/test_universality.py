@@ -163,6 +163,7 @@ class TestScan:
     lambda tb: scan(0.0, INF, 0.1, _K, 0.0, -math.pi, 0.5, tb),
     lambda tb: scan(-INF, 1.0, 0.1, _K, 0.0, -math.pi, 0.5, tb),
     lambda tb: scan(0.0, 1.0, INF, _K, 0.0, -math.pi, 0.5, tb),
+    lambda tb: scan(0.0, 1.0, 0.1, _K, 0.0, -math.pi, NAN, tb),
     lambda tb: sup_distance(NAN, _K, 0.0, -math.pi, tb),
     lambda tb: log_deriv_zeta(complex(0.7, NAN), FAST_CONFIG, zeros=tb),
     lambda tb: log_deriv_zeta(complex(0.7, NAN), FAST_CONFIG),
@@ -175,7 +176,7 @@ class TestScan:
     lambda tb: riemann_siegel_theta(NAN),
     lambda tb: _parse_range("nan:1:0.1", 3),
 ], ids=["scan-lo-nan", "scan-step-nan", "scan-hi-inf", "scan-lo-minus-inf",
-        "scan-step-inf", "sup-distance-nan", "log-deriv-screened",
+        "scan-step-inf", "scan-eps-nan", "sup-distance-nan", "log-deriv-screened",
         "log-deriv-unscreened", "segment-offset-nan", "paper-T-inf",
         "zero-free-nan", "zero-free-inf", "mangoldt-nan", "mangoldt-inf",
         "theta-nan", "cli-range-nan"])
