@@ -427,21 +427,32 @@ class TestMpEnginePlan:
     @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, PrecisionConfig(40, 1e-30)])
     def test_plan_is_the_cheapest_candidate(self, cfg):
         # the chosen N is the least for its M, stepped one at a time, and no
-        # other M's least N costs less (or as much, with a larger M)
+        # other M's least N costs less (or as much, with a larger M); the
+        # sample holds points where the zeta' lever lifts N above the least
+        # N for zeta alone, so that N was stepped past its floor
         tol = cfg.target_abs_tol
+        stepped = 0
         for sigma, t, prime, (N, M, _) in self._plans(cfg, 1313):
             assert N == em_least_N(sigma, t, M, tol, prime, self._majorant(M)), \
                 (sigma, t, prime, M)
+            stepped += prime and N > em_least_N(sigma, t, M, tol, False, self._majorant(M))
             c = _MP_TERM_COST * (2 if prime else 1)
             for Mc in range(4, MP_EM_TERMS + 1, 2):
                 if Mc != M:
                     stop = N + c * (M - Mc) - (Mc < M)
                     assert em_least_N(sigma, t, Mc, tol, prime, self._majorant(Mc),
                                       stop) is None, (sigma, t, prime, Mc)
+        assert stepped
 
     def test_plan_takes_the_least_N(self):
-        # N - 1 misses the bound unless N is the floor, at scattered
-        # double-engine points at its tightest tolerance
+        # N - 1 misses the bound unless N is the floor: for zeta' at
+        # -0.2 + 47.5i with M = 12, four past its floor 48 (one step with the
+        # lever taken at the floor gives 51), and at scattered double-engine
+        # points at its tightest tolerance
+        s = complex(-0.2, 47.5)
+        N, M, _ = _em_mp_plan(s.real, s.imag, 1e-18, abs(s))
+        assert (N, M) == (52, 12)
+        assert N == em_least_N(s.real, s.imag, M, 1e-18, True, self._majorant(M))
         rng = np.random.default_rng(1515)
         s = rng.uniform(-1.0, 3.0, 40) + 1j * 10.0 ** rng.uniform(0.0, 3.5, 40)
         M = F64_EM_TERMS
@@ -449,20 +460,6 @@ class TestMpEnginePlan:
         for k in range(len(s)):
             assert N[k] == em_least_N(s[k].real, s[k].imag, M, F64_MIN_TOL, False,
                                       self._majorant(M)), s[k]
-
-    @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, PrecisionConfig(40, 1e-30)])
-    def test_zeta_prime_plan_steps_to_the_least_N(self, cfg):
-        # where the zeta' lever lifts N above its floor and above the least N
-        # for zeta alone, so that N was stepped, it is still the least N
-        tol = cfg.target_abs_tol
-        stepped = 0
-        for sigma, t, prime, (N, M, _) in self._plans(cfg, 1919):
-            floor = max(math.ceil(0.55 * (t + 2 * M)) + 8, math.ceil(1.1 * -math.log10(tol)))
-            if prime and N > floor:
-                assert N == em_least_N(sigma, t, M, tol, True, self._majorant(M)), \
-                    (sigma, t, M)
-                stepped += N > em_least_N(sigma, t, M, tol, False, self._majorant(M))
-        assert stepped
 
     def test_double_engine_plan_stays_near_its_floor(self):
         # over the double engine's domain (Re s >= -1, |t| <= 2.5e4) at its
