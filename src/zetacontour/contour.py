@@ -17,7 +17,8 @@ The vertical-edge pair of the classical logarithmic-derivative expansion
     zeta'/zeta(s) = 1/(1-s) + (1/2) log pi - (1/2) psi(s/2 + 1)
                     + sum_rho 1/(s - rho)        (conjugate-paired sum)
 
-is materialized term by term with closed forms, a truncated zero sum, and a
+is materialized term by term with closed forms (the psi term as
+2 log Gamma(s/2+1) at the edge ends), a truncated zero sum, and a
 counting-density tail estimate whose uncertainty is bounded explicitly, so
 the identity against direct quadrature can be verified numerically.
 """
@@ -429,62 +430,49 @@ def logpi_edge_integral(rect: Rectangle, edge: str = "da") -> complex:
     raise DomainError(f"unknown edge {edge!r}")
 
 
-# Stirling-type antiderivative of psi(s/2+1): the displayed two-term form
-#   (s+2)log(1+s/2) - (s+2) - log(2+s)
-# extended with Bernoulli endpoint corrections  + sum B_2n/(n(2n-1)) z^(1-2n),
-# z=(s+2)/2. The correction depth is chosen per endpoint to minimize the
-# Stirling remainder there; only endpoint values enter the error.
-
-def _psi_antiderivative(s: complex, depth: int) -> complex:
-    z = (s + 2.0) / 2.0
-    v = (s + 2.0) * np.log(z) - (s + 2.0) - np.log(s + 2.0)
-    zz = 1.0 / z
-    p = zz
-    for n in range(1, depth + 1):
-        v += (float(mp.bernoulli(2 * n)) / (n * (2 * n - 1))) * p
-        p = p * zz * zz
-    return complex(v)
-
-
-def _stirling_endpoint_bound(s: complex, depth: int) -> float:
-    z = (s + 2.0) / 2.0
-    n = depth + 1
-    sec = 1.0 / max(math.cos(0.5 * math.atan2(abs(z.imag), z.real)), 1e-3)
-    return (abs(float(mp.bernoulli(2 * n))) / (n * (2 * n - 1))
-            / abs(z) ** (2 * n - 1)) * sec ** (2 * n)
-
-
 @dataclass(frozen=True)
 class DigammaTerm:
     """The -1/2 psi(s/2+1) contribution over DA+BC.
 
     ``value`` carries the -1/2 prefactor of the expansion; ``edge_half_sum``
     is +1/2 (int_DA + int_BC) psi, whose large-T limit is (beta-alpha)(pi/2)i,
-    and ``limit_gap`` measures the distance to that limit."""
+    and ``limit_gap`` measures the distance to that limit.
+    ``closed_form_err`` bounds the error of ``value``."""
 
     value: complex
     edge_half_sum: complex
     limit_gap: float
     closed_form_err: float
-    depth: int
 
 
 def digamma_term_integral(rect: Rectangle) -> DigammaTerm:
+    """Closed form of -1/2 int_{DA+BC} psi(s/2+1) ds.
+
+    F(s) = 2 log Gamma(s/2+1) is an antiderivative of psi(s/2+1). On both
+    edges Re(s/2+1) lies in (5/4, 3/2), so F is analytic along them, and F
+    is real on the real axis, so F(x - iT) = conj F(x + iT). The half-sum is
+
+        1/2 [F(b+iT) - F(b-iT) - F(a+iT) + F(a-iT)] = i d,
+        d = Im F(b+iT) - Im F(a+iT),
+
+    purely imaginary: two ``mp.loggamma`` calls at 100 bits, on arguments
+    that are exact there, and d rounded once to a double.
+
+    ``closed_form_err``: each log Gamma value G is allowed an absolute error
+    of 2^-80 |G|, 2^20 units in its last place: an allowance for mpmath,
+    which works with 20 or more guard bits and rounds once. The two F values
+    contribute 2^-79 (|G_b| + |G_a|). The subtraction at 100 bits and the
+    rounding of d to a double add at most (2^-100 + 2^-53)|d|, allowed as
+    2^-52 |d|."""
     a, b, T = rect.alpha, rect.beta, rect.T
-    endpoints = [complex(b, T), complex(b, -T), complex(a, T), complex(a, -T)]
-    best_depth, best_bound = 1, math.inf
-    for depth in range(1, 9):
-        bound = sum(_stirling_endpoint_bound(s, depth) for s in endpoints)
-        if bound < best_bound:
-            best_depth, best_bound = depth, bound
-    d = best_depth
-    int_da = _psi_antiderivative(complex(b, T), d) - _psi_antiderivative(complex(b, -T), d)
-    int_bc = -(_psi_antiderivative(complex(a, T), d) - _psi_antiderivative(complex(a, -T), d))
-    half = 0.5 * (int_da + int_bc)
-    limit = complex(0.0, 0.5 * math.pi * (b - a))
-    return DigammaTerm(value=-half, edge_half_sum=half,
-                       limit_gap=abs(half - limit),
-                       closed_form_err=0.5 * best_bound, depth=d)
+    with mp.workprec(100):
+        g_b = mp.loggamma(mp.mpc(b, T) / 2 + 1)
+        g_a = mp.loggamma(mp.mpc(a, T) / 2 + 1)
+        d = float(2 * (g_b.imag - g_a.imag))
+        err = 2.0 ** -79 * float(abs(g_b) + abs(g_a)) + 2.0 ** -52 * abs(d)
+    limit = 0.5 * math.pi * (b - a)
+    return DigammaTerm(value=complex(0.0, -d), edge_half_sum=complex(0.0, d),
+                       limit_gap=abs(d - limit), closed_form_err=err)
 
 
 def digamma_integrand(z: np.ndarray) -> np.ndarray:

@@ -50,6 +50,7 @@ from .telescope import (
 )
 from .universality import SegmentK, scan
 from .zero_finder import (
+    COUNT_SLACK,
     ZeroTable,
     count_zeros,
     find_zeros_up_to,
@@ -250,7 +251,7 @@ def suite_zeros(cfg: RunConfig, table: ZeroTable) -> List[CheckRecord]:
                       note=f"count={n100}"))
     for T in (30.0, 50.0, 100.0, 200.0, 500.0):
         gap = abs(count_zeros(T, table) - mangoldt_estimate(T))
-        checks.append(_pf(f"census vs estimate at T={T:g}", gap, 3.0))
+        checks.append(_pf(f"census vs estimate at T={T:g}", gap, COUNT_SLACK))
     return checks
 
 

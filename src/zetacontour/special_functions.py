@@ -1101,7 +1101,7 @@ def xi(s, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ComplexValue:
 
 def principal_log_arg(z) -> Tuple[float, float]:
     """Principal branch: log z = log|z| + i arg(z) with arg in (-pi, pi]."""
-    zc = complex(z)
+    zc = _check_finite(z)
     if zc == 0:
         raise ZeroArgument("principal log/arg of 0")
     a = math.atan2(zc.imag, zc.real)

@@ -48,6 +48,8 @@ class ArctanSum:
 
 def arctan_add(x: float, y: float) -> ArctanSum:
     """arctan x + arctan y via the case-split addition rule."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise DomainError(f"arctan_add needs finite x, y (got {x!r}, {y!r})")
     prod = x * y
     if abs(prod - 1.0) < DEGENERATE_TOL:
         raise DegenerateProduct(f"xy = {prod} too close to 1")
@@ -68,6 +70,8 @@ def telescope_sum(f: Callable[[int], float], n: int) -> TelescopeResult:
     if n < 1:
         raise DomainError("need n >= 1")
     fk = [float(f(k)) for k in range(1, n + 2)]
+    if not all(map(math.isfinite, fk)):
+        raise DomainError(f"f(k) must be finite for k = 1..{n + 1}")
     wraps: List[Tuple[int, int]] = []
     for k in range(1, n + 1):
         prod = fk[k] * fk[k - 1]
@@ -268,7 +272,8 @@ class LinearizationReport:
 
 def linearize_riccati(trace: RiccatiTrace, C: float) -> LinearizationReport:
     """P(n), R(n) sequences from the trace parameters plus the limit-model
-    characteristic roots. Requires C > 1."""
+    characteristic roots, the double root (C, C). Requires C > 1 and T off
+    every ordinate the trace used."""
     if not C > 1.0:
         raise DomainError("linearization defined for C > 1")
     a, b, T = trace.alpha, trace.beta, trace.T
@@ -276,6 +281,9 @@ def linearize_riccati(trace: RiccatiTrace, C: float) -> LinearizationReport:
     us = [(T - g) if trace.kind == "f" else (T + g) for g in trace.gammas_used]
     if len(us) < 3:
         raise DomainError("trace too short to linearize")
+    if 0.0 in us:
+        k = us.index(0.0) + 1
+        raise DomainError(f"T equals gamma_{k}: u_{k} = 0 leaves H = C/u^2 undefined")
     a_n = [u * u + ab for u in us]
     b_n = [(a - b) * u for u in us]
     H = [C / (u * u) for u in us]
@@ -298,11 +306,9 @@ def linearize_riccati(trace: RiccatiTrace, C: float) -> LinearizationReport:
             break
     else:
         tail_start = max(0, len(P) - max(3, len(P) // 2))
-    disc = (2.0 * C) ** 2 - 4.0 * C * C
-    root = (2.0 * C + math.copysign(math.sqrt(abs(disc)), 1.0)) / 2.0
     return LinearizationReport(C=C, P_seq=tuple(P), R_seq=tuple(R),
                                P_limit=P[-1], R_limit=R[-1],
-                               char_roots=(root, 2.0 * C - root),
+                               char_roots=(C, C),
                                p_gaps=p_gaps, r_gaps=r_gaps,
                                tail_start=tail_start)
 
@@ -328,6 +334,8 @@ class FixedPointVerdict:
 def fixed_point_check(a: float, b: float) -> FixedPointVerdict:
     """x* = (a x* + b)/(-b x* + a) reduces to b (x*^2 + 1) = 0: no real
     solution for b != 0; every x* is fixed when b = 0."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(f"fixed_point_check needs finite a, b (got {a!r}, {b!r})")
     if b == 0.0:
         return FixedPointVerdict(a=a, b=b, degenerate=True, has_real_fixed_point=True)
     return FixedPointVerdict(a=a, b=b, degenerate=False, has_real_fixed_point=False)

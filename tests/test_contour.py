@@ -326,6 +326,18 @@ class TestDigammaTerm:
             assert abs(term.value - (-0.5) * quad) <= max(
                 1e-8, term.closed_form_err + qerr)
 
+    @pytest.mark.parametrize("a,b", [(0.6, 0.8), (0.51, 0.99), (0.7, 0.75)])
+    def test_bound_against_loggamma(self, a, b):
+        """closed_form_err bounds the error against 2 log Gamma(s/2+1) at 50
+        digits, with no floor."""
+        F = lambda x, y: 2 * mp.loggamma(mp.mpc(x, y) / 2 + 1)
+        for T in (1.0, 5.0, 20.0, 50.0, 100.0, 250.0, 1000.0, 3000.0, 2e4):
+            term = digamma_term_integral(Rectangle.paper_mode(a, b, T))
+            with mp.workdps(50):
+                ref = -(F(b, T) - F(b, -T) - F(a, T) + F(a, -T)) / 2
+                err = abs(mp.mpc(term.value) - ref)
+            assert err <= term.closed_form_err, (T, float(err), term.closed_form_err)
+
 
 class TestZeroSum:
     def test_single_zero_closed_vs_quadrature(self, table120):

@@ -187,6 +187,14 @@ class TestCli:
         assert all(len(r.split(",")) == 14 for r in rows)
         assert len(load_table(path)) >= 100
 
+    def test_telescope_at_an_ordinate_exits_2(self, tmp_path, table_path, capsys):
+        T = repr(load_table(table_path).gammas[0])
+        rc = main(["telescope", "--alpha", "0.6", "--beta", "0.8", "--T", T,
+                   "--N", "5", "--zeros", table_path,
+                   "--out", str(tmp_path / "trace.csv")])
+        assert rc == 2
+        assert "gamma_1" in capsys.readouterr().err
+
     def test_probe_csv(self, tmp_path, table_path):
         out = tmp_path / "scan.csv"
         rc = main(["probe", "--tau", "0:1:0.5", "--K", "0.6:0.8",

@@ -184,20 +184,34 @@ class TestRiccati:
         assert exc.value.k == 2
 
     def test_long_trace_diagnostics(self, big_table):
-        tr = riccati_iterate("f", 2000, RECT, big_table)
-        assert tr.denominator_min > 0
-        assert max(tr.step_residuals) < 1e-10
-        # wraps occur once the accumulated angle crosses pi/2
-        assert tr.wrap_count == len(tr.wrap_steps) or tr.wrap_count == sum(
-            s for _, s in tr.wrap_steps)
+        # the telescoped identity over 2000 steps; RECT's traces never wrap,
+        # D(0.51, 0.99, 1000)'s f trace wraps at k = 639 and 820
+        for rect in (RECT, Rectangle.paper_mode(0.51, 0.99, 1000.0)):
+            trf = riccati_iterate("f", 2000, rect, big_table)
+            trg = riccati_iterate("g", 2000, rect, big_table)
+            assert trf.denominator_min > 0
+            assert max(trf.step_residuals) < 1e-10
+            val = (math.atan(trf.final()) + math.pi * trf.wrap_count
+                   + math.atan(trg.final()) + math.pi * trg.wrap_count)
+            assert abs(val - s_n_direct(rect, big_table, 2000).value) < 1e-9
 
 
 class TestLinearization:
     def test_char_double_root(self, table120):
         tr = riccati_iterate("f", 29, RECT, table120)
-        lin = linearize_riccati(tr, C=2.0)
-        assert lin.char_roots[0] == pytest.approx(2.0, abs=1e-9)
-        assert lin.char_roots[1] == pytest.approx(2.0, abs=1e-9)
+        # at C = 35.6791027722567 the rounded discriminant (2C)^2 - 4C^2 is
+        # not 0, so roots formed from it split by about 5e-7
+        for C in (2.0, 35.6791027722567):
+            lin = linearize_riccati(tr, C=C)
+            assert lin.char_roots[0] == pytest.approx(C, abs=1e-9)
+            assert lin.char_roots[1] == pytest.approx(C, abs=1e-9)
+
+    def test_T_at_an_ordinate_refused(self):
+        # u_2 = T - gamma_2 = 0: H = C/u^2 is undefined at k = 2
+        table = ZeroTable((20.0, 30.0, 40.0, 50.0), 1e-9, 50.0)
+        tr = riccati_iterate("f", 4, Rectangle.paper_mode(0.6, 0.8, 30.0), table)
+        with pytest.raises(errors.DomainError, match="gamma_2"):
+            linearize_riccati(tr, C=2.0)
 
     def test_requires_c_above_one(self, table120):
         tr = riccati_iterate("f", 10, RECT, table120)

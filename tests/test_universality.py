@@ -7,7 +7,12 @@ from zetacontour import errors
 from zetacontour.cli import _parse_range
 from zetacontour.contour import Rectangle
 from zetacontour.precision import FAST_CONFIG, FLAG_RADIUS
-from zetacontour.special_functions import log_deriv_batch, log_deriv_zeta
+from zetacontour.special_functions import (
+    log_deriv_batch,
+    log_deriv_zeta,
+    principal_log_arg,
+)
+from zetacontour.telescope import arctan_add, fixed_point_check, telescope_sum
 from zetacontour.universality import SegmentK, scan, sup_distance
 from zetacontour.zero_finder import (
     mangoldt_estimate,
@@ -175,11 +180,17 @@ class TestScan:
     lambda tb: mangoldt_estimate(INF),
     lambda tb: riemann_siegel_theta(NAN),
     lambda tb: _parse_range("nan:1:0.1", 3),
+    lambda tb: arctan_add(NAN, 1.0),
+    lambda tb: arctan_add(INF, 0.0),
+    lambda tb: telescope_sum(lambda k: INF if k == 2 else 1.0, 3),
+    lambda tb: fixed_point_check(1.0, NAN),
+    lambda tb: principal_log_arg(complex(NAN, 1.0)),
 ], ids=["scan-lo-nan", "scan-step-nan", "scan-hi-inf", "scan-lo-minus-inf",
         "scan-step-inf", "scan-eps-nan", "sup-distance-nan", "log-deriv-screened",
         "log-deriv-unscreened", "segment-offset-nan", "paper-T-inf",
         "zero-free-nan", "zero-free-inf", "mangoldt-nan", "mangoldt-inf",
-        "theta-nan", "cli-range-nan"])
+        "theta-nan", "cli-range-nan", "arctan-add-nan", "arctan-add-inf",
+        "telescope-f-inf", "fixed-point-nan", "log-arg-nan"])
 def test_non_finite_inputs_refused(call, table120):
     # a typed DomainError, raised before any zero-table screen
     with pytest.raises(errors.DomainError):
