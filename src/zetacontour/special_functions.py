@@ -91,6 +91,13 @@ _EM_MAX_GROWTH = 1.3 ** 40
 # scattered points would otherwise build a grid quadratic in the batch.
 _GRID_FILL = 2
 _ROW_BLOCK = 1 << 16  # table entries gathered per block (phase fill, scattered path)
+# N quanta holding fewer points than this share one Euler-Maclaurin group
+# (``_em_f64_groups``). Of 64, 128, 256 and 512, 64 to 256 ran
+# find_zeros_up_to(2600) in times within noise of each other and 512 slower;
+# at T = 25,000, where a merged group's tables run to N ~ 14,000, 128 kept
+# the peak memory at the unmerged engine's 117 MB, 256 reached 164 MB, in
+# like times (one BLAS thread, 2 shared vCPUs)
+_MERGE_BELOW = 128
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +206,8 @@ def _em_tail(s, N, acc, dacc):
 
     M = ``F64_EM_TERMS`` and c_k = B_2k/(2k)! (``_B2K_OVER_FACT``), and its
     termwise derivative; returns (acc, dacc). The double engine's: ``s`` is
-    a complex128 array and N an int. The mpmath engine computes the same
-    terms in fixed point (``_em_fixed``).
+    a complex128 array and N an integer array, each point's own N. The
+    mpmath engine computes the same terms in fixed point (``_em_fixed``).
 
     The sum over k is nested (Horner): N^(-1-s) s P_1, with P_M = c_M,
     P_k = c_k + q_k P_{k+1} and q_k = (s + 2k - 1)(s + 2k) / N^2, the ratio
@@ -208,13 +215,25 @@ def _em_tail(s, N, acc, dacc):
     the same recursion, with q_k' = (2s + 4k - 1) / N^2. N^2 is an integer,
     so each division rounds once.
     """
-    lnN = math.log(N)
+    # ln N by math.log once per distinct N, so that it does not depend on the
+    # batch (numpy's log of a long array can differ from it in the last bit);
+    # N and N^2 enter only complex products and quotients, so each is cast
+    # once, or stays a Python scalar where the batch has one N
+    lo, hi = int(N.min()), int(N.max())
+    if lo == hi:
+        lnN, Nc, N2 = math.log(lo), lo, lo * lo
+    else:
+        seen = np.zeros(hi - lo + 1, dtype=bool)
+        seen[N - lo] = True
+        logs = np.zeros(len(seen))
+        logs[seen] = [math.log(n) for n in (np.flatnonzero(seen) + lo).tolist()]
+        lnN = logs[N - lo]
+        Nc, N2 = N.astype(np.complex128), (N * N).astype(np.complex128)
     NmS = np.exp(-s * lnN)
-    acc = acc + N * NmS / (s - 1.0) + 0.5 * NmS
+    acc = acc + Nc * NmS / (s - 1.0) + 0.5 * NmS
     if dacc is not None:
-        dacc = dacc - lnN * N * NmS / (s - 1.0) - N * NmS / (s - 1.0) ** 2
+        dacc = dacc - lnN * Nc * NmS / (s - 1.0) - Nc * NmS / (s - 1.0) ** 2
         dacc = dacc - 0.5 * lnN * NmS
-    N2 = N * N
     P, dP = _B2K_OVER_FACT[F64_EM_TERMS], 0
     for k in range(F64_EM_TERMS - 1, 0, -1):
         a, b = s + (2 * k - 1), s + 2 * k
@@ -222,7 +241,7 @@ def _em_tail(s, N, acc, dacc):
         if dacc is not None:
             dP = (a + b) / N2 * P + q * dP
         P = _B2K_OVER_FACT[k] + q * P
-    Npow = NmS / N  # N^(-1-s)
+    Npow = NmS / Nc  # N^(-1-s)
     acc = acc + Npow * s * P
     if dacc is not None:
         dacc = dacc + Npow * (P + s * (dP - lnN * P))
@@ -266,24 +285,31 @@ def _phase_table(ts, ln_n, N):
 
 
 def _em_f64_group(s, N, want_prime):
-    """Euler-Maclaurin at a shared N for a complex128 batch.
+    """Euler-Maclaurin for a complex128 batch, each point at its own N (an
+    integer array), from tables that run to the largest, Nmax.
 
     The main sum, sum_{n<N} n^-sigma (cos(t ln n) - i sin(t ln n)), and its
     zeta' twin with amplitude -ln n n^-sigma, are contracted from two tables:
     a phase table exp(i t ln n) (``_phase_table``: transcendentals on prime
     rows, products elsewhere), one column per distinct height, and an
     amplitude table n^-sigma, -ln n n^-sigma, one row pair per distinct
-    abscissa. Where the grid of distinct heights x distinct abscissae has at
-    most ``_GRID_FILL`` cells per point (a line, a lattice of shifted
-    segments), one real matrix product (BLAS dgemm) contracts the whole grid,
-    with the complex phase table read as its (cos, sin) float pairs, and each
-    point reads its cell. Scattered points instead contract their own phase
-    column with their own amplitude row (``np.einsum``), ``_ROW_BLOCK``
-    table entries at a time, taken in order of height so that a block reads
-    neighbouring columns. The zeta' block is built even when only zeta is
-    wanted: it keeps the product matrix-matrix, and dgemm splits its output
-    across BLAS threads, never the sum over n, so results do not depend on
-    the thread count (threaded dgemv's do).
+    abscissa. A point's entries for N <= n < Nmax are zeroed before the
+    contraction, by slices, once per distinct N, so its sum has exactly the
+    terms it would have alone. Where every height has one N and the grid of
+    distinct heights x distinct abscissae has at most ``_GRID_FILL`` cells
+    per point (a line, a lattice of shifted segments), the phase columns are
+    cut at their height's N and one real matrix product (BLAS dgemm)
+    contracts the whole grid, with the complex phase table read as its
+    (cos, sin) float pairs, and each point reads its cell. Scattered points
+    instead contract their own phase column, cut at their own N, with their
+    own amplitude row (``np.einsum``), ``_ROW_BLOCK`` table entries at a
+    time, taken in order of height so that a block reads neighbouring
+    columns. The zeta' block is built even when only zeta is wanted: it
+    keeps the product matrix-matrix (a threaded dgemv may split the sum over
+    n). The last bits of a value can still depend on the BLAS thread count,
+    through the columns each thread takes: on a 2048 x 33 lattice at
+    t in [100, 202], 96 of its 270,336 real and imaginary parts of zeta and
+    zeta' moved, by at most 1.8e-15, between one and two OpenBLAS threads.
 
     Rounding of the phase: a prime's phase is off by about t ln p u (u the
     unit roundoff), and these add up over the prime factors of n to the
@@ -294,34 +320,50 @@ def _em_f64_group(s, N, want_prime):
     not numpy's pairwise sum, so its worst-case rounding error grows like
     N u times the summed magnitudes, not log2(N) u; the per-term allowance
     F64_ROUNDOFF of ``_f64_errors`` models neither. The tables run from
-    n = N-1 down to n = 1, smallest terms first: on sigma in [0.6, 0.8],
-    t <= 500 that halved the mean rounding error of the ascending order (and
-    beat the pairwise sum by a third). The last bits of a point's value
-    depend on which path its batch took, and on the dgemm path also on its
-    column position in the grid product: BLAS kernels may block and
+    n = Nmax-1 down to n = 1, smallest terms first (a point cut at a smaller
+    N adds exact zeros first): on sigma in [0.6, 0.8], t <= 500 that halved
+    the mean rounding error of the ascending order (and beat the pairwise
+    sum by a third). The last bits of a point's value depend on which path
+    its batch took, and on the dgemm path also on its column position in the
+    grid product and the length of the sum: BLAS kernels may block and
     vectorize the sum over n differently for different output columns.
     ``zeta_batch`` hands this function folded points (Im s >= 0), so a
     symmetric edge fills one phase column per distinct |t|.
     """
-    ln_n = np.log(np.arange(N - 1, 0, -1, dtype=np.float64))
+    Nmax = int(N.max())
+    ln_n = np.log(np.arange(Nmax - 1, 0, -1, dtype=np.float64))
     ts, h = np.unique(s.imag, return_inverse=True)
     sigmas, v = np.unique(s.real, return_inverse=True)
     H, V = len(ts), len(sigmas)
-    phase = _phase_table(ts, ln_n, N).view(np.float64).reshape(N - 1, H, 2)
+    phase = _phase_table(ts, ln_n, Nmax).view(np.float64).reshape(Nmax - 1, H, 2)
     amp = np.exp(-np.multiply.outer(sigmas, ln_n))[None]
     amp = np.concatenate((amp, -ln_n * amp))
+    # row r holds n = Nmax-1-r, so a point at N drops its first Nmax - N rows
+    merged = N.min() < Nmax
+    on_grid = H * V <= _GRID_FILL * len(s)
+    if merged and on_grid:
+        Nh = np.empty(H, dtype=N.dtype)
+        Nh[h] = N  # each height's N, if its points share one
+        on_grid = np.array_equal(Nh[h], N)
+        if on_grid:
+            for Nv in np.unique(Nh)[:-1].tolist():
+                phase[:Nmax - Nv, Nh == Nv] = 0.0
     # main[b, point, c]: amplitude b (n^-sigma, -ln n n^-sigma) times cos (c = 0)
     # or sin (c = 1)
-    if H * V <= _GRID_FILL * len(s):
-        grid = amp.reshape(2 * V, N - 1) @ phase.reshape(N - 1, 2 * H)
+    if on_grid:
+        grid = amp.reshape(2 * V, Nmax - 1) @ phase.reshape(Nmax - 1, 2 * H)
         main = grid.reshape(2, V, H, 2)[:, v, h]
     else:
         main = np.empty((2, len(s), 2))
-        step = max(1, _ROW_BLOCK // (N - 1))
+        step = max(1, _ROW_BLOCK // (Nmax - 1))
         by_height = np.argsort(h, kind="stable")
         for lo in range(0, len(s), step):
             sl = by_height[lo:lo + step]
             cols = phase[:, h[sl]].transpose(1, 2, 0).copy()  # n contiguous, as amp
+            if merged:
+                Ns = N[sl]
+                for Nv in np.unique(Ns[Ns < Nmax]).tolist():
+                    cols[Ns == Nv, :, :Nmax - Nv] = 0.0
             main[:, sl] = np.einsum("pcn,bpn->bpc", cols, amp[:, v[sl]])
     vals = main[0, :, 0] - 1j * main[0, :, 1]
     dvals = main[1, :, 0] - 1j * main[1, :, 1] if want_prime else None
@@ -337,12 +379,15 @@ def _prime_lever(lnN, M, abs_s):
 
 def _f64_errors(s, N, want_prime, trunc):
     sigma = s.real
-    with np.errstate(divide="ignore"):
-        sumabs = np.where(
-            np.abs(sigma - 1.0) > 1e-9,
-            1.0 + np.abs((np.power(N.astype(float), 1.0 - sigma) - 1.0) / (1.0 - sigma)),
-            1.0 + np.log(N.astype(float)),
-        )
+    # sum_{n<N} n^-sigma <= 1 + (N^(1-sigma) - 1)/(1 - sigma), 1 + ln N at
+    # sigma = 1, where the quotient is 0/0 and is not formed
+    d = 1.0 - sigma
+    far = np.abs(d) > 1e-9
+    sumabs = np.where(
+        far,
+        1.0 + np.abs((np.power(N.astype(float), d) - 1.0) / np.where(far, d, 1.0)),
+        1.0 + np.log(N.astype(float)),
+    )
     edge = np.power(N.astype(float), 1.0 - sigma) / np.maximum(np.abs(s - 1.0), 1e-3)
     ro = F64_ROUNDOFF * (3.0 + sumabs + edge)
     err = trunc + ro
@@ -351,6 +396,29 @@ def _f64_errors(s, N, want_prime, trunc):
     lnN = np.log(N.astype(float))
     derr = trunc * _prime_lever(lnN, F64_EM_TERMS, np.abs(s)) + ro * (1.0 + lnN)
     return err, derr
+
+
+def _em_f64_groups(N):
+    """The ``_em_f64_group`` calls of a batch whose points plan the N of
+    array ``N``, as index arrays: a quantum (one N) of at least
+    ``_MERGE_BELOW`` points alone, and runs of adjacent smaller quanta
+    merged, a run closing once it holds ``_MERGE_BELOW`` points. A call
+    costs about 200 us even for one point (at N = 1008, half of it the phase
+    table's levels, half the closed-form tail), which scattered points spread
+    over many quanta then share."""
+    order = np.argsort(N, kind="stable")
+    starts = np.flatnonzero(np.diff(N[order])) + 1
+    groups, run = [], 0
+    for lo, hi in zip([0, *starts.tolist()], [*starts.tolist(), len(N)]):
+        if hi - lo >= _MERGE_BELOW and run < lo:
+            groups.append(order[run:lo])
+            run = lo
+        if hi - run >= _MERGE_BELOW:
+            groups.append(order[run:hi])
+            run = hi
+    if run < len(N):
+        groups.append(order[run:])
+    return groups
 
 
 def zeta_batch(s_arr, cfg: PrecisionConfig, want_prime: bool = False):
@@ -399,13 +467,15 @@ def zeta_batch(s_arr, cfg: PrecisionConfig, want_prime: bool = False):
     inv = np.empty(s.size, dtype=np.intp)
     inv[order] = np.cumsum(first) - 1
     N, log_bound = _em_f64_plan(u.real, u.imag, cfg.target_abs_tol)
-    # quantize upward so batches share few distinct N (bound only improves)
+    # quantize each point's N upward to a multiple of 16, so that a batch
+    # falls into few N groups. A larger N lowers the truncation bound but
+    # raises the rounding allowance, so the quantum is per point and a bound
+    # never depends on the batch; merged groups keep each point's own N.
     N = ((N.astype(np.int64) + 15) // 16) * 16
     vals = np.empty_like(u)
     dvals = np.empty_like(u) if want_prime else None
-    for Nv in np.unique(N):
-        idx = np.nonzero(N == Nv)[0]
-        v, dv = _em_f64_group(u[idx], int(Nv), want_prime)
+    for idx in _em_f64_groups(N):
+        v, dv = _em_f64_group(u[idx], N[idx], want_prime)
         vals[idx] = v
         if want_prime:
             dvals[idx] = dv

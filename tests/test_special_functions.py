@@ -1,6 +1,6 @@
-import itertools
 import math
 import operator
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -269,6 +269,89 @@ class TestDoubleEngineLattice:
         assert np.all(np.abs(grid[1] - rows[1][:n]) <= grid[3] + rows[3][:n])
 
 
+class TestMergedGroups:
+    """N quanta with few points share one ``_em_f64_group`` call, each point
+    keeping its own N; a quantum of many points keeps a call of its own."""
+
+    @staticmethod
+    def _count_groups(monkeypatch):
+        calls = []
+        group = special_functions._em_f64_group
+        monkeypatch.setattr(special_functions, "_em_f64_group",
+                            lambda u, N, *a: calls.append(N) or group(u, N, *a))
+        return calls
+
+    def test_scattered_heights_share_calls(self, fast_cfg, monkeypatch):
+        # the shape of a zero finder's refinement round: about 80 N quanta of
+        # a few points each
+        rng = np.random.default_rng(21)
+        s = 0.5 + 1j * rng.uniform(200.0, 2600.0, 600)
+        calls = self._count_groups(monkeypatch)
+        vals, dvals, errs, derrs = zeta_batch(s, fast_cfg, want_prime=True)
+        quanta = len(np.unique(np.concatenate(calls)))
+        assert quanta > 60
+        assert len(calls) <= math.ceil(len(s) / special_functions._MERGE_BELOW) + 1
+        assert any(len(np.unique(N)) > 1 for N in calls)
+        for k in rng.choice(len(s), 12, replace=False):
+            v1, dv1, e1, de1 = zeta_batch(s[k:k + 1], fast_cfg, want_prime=True)
+            assert (errs[k], derrs[k]) == (e1[0], de1[0])
+            assert abs(vals[k] - v1[0]) <= errs[k] + e1[0]
+            assert abs(dvals[k] - dv1[0]) <= derrs[k] + de1[0]
+
+    def test_merged_points_keep_their_terms(self, monkeypatch):
+        # a point cut at its own N inside a merged group sums what it sums
+        # alone, on either contraction, to within the rounding allowance;
+        # one term too many or too few would be off by about N^-sigma
+        s = np.array([0.5 + 300j, 0.5 + 900j, 0.5 + 2400j, 0.7 + 900j, 0.5 + 2410j])
+        N = np.array([176, 512, 1328, 496, 1344])
+        group = special_functions._em_f64_group
+        einsum_points = []
+        einsum = np.einsum
+        monkeypatch.setattr(np, "einsum", lambda spec, cols, amp: (
+            einsum_points.append(len(cols)) or einsum(spec, cols, amp)))
+        # one N per height: the grid contraction; then height 900 at two N:
+        # point by point
+        for pts, Ns, by_point in ((s[:3], N[:3], 0), (s, N, len(s))):
+            v, dv = group(pts, Ns, True)
+            assert sum(einsum_points) == by_point
+            ro, dro = _f64_errors(pts, Ns, True, 0.0)
+            for k in range(len(pts)):
+                v1, dv1 = group(pts[k:k + 1], Ns[k:k + 1], True)
+                assert abs(v[k] - v1[0]) <= 2 * ro[k]
+                assert abs(dv[k] - dv1[0]) <= 2 * dro[k]
+
+    def test_scan_lattice_keeps_one_call_per_quantum(self, fast_cfg, monkeypatch):
+        # 2048 shifts x 33 abscissae, the batch universality.scan sends
+        sig = np.linspace(0.6, 0.8, 33)
+        s = (sig[None, :] + 1j * (300.0 + 0.05 * np.arange(2048))[:, None]).ravel()
+        calls = self._count_groups(monkeypatch)
+        einsum_calls = []
+        einsum = np.einsum
+        monkeypatch.setattr(np, "einsum",
+                            lambda *a, **kw: einsum_calls.append(1) or einsum(*a, **kw))
+        log_deriv_batch(s, fast_cfg)
+        assert all(len(np.unique(N)) == 1 for N in calls)
+        assert len(calls) == len(np.unique(np.concatenate(calls))) > 1
+        assert not einsum_calls
+
+
+class TestSigmaOne:
+    """On the line sigma = 1 the rounding allowance takes its ln N limit."""
+
+    def test_no_warning_and_bounds_hold(self, fast_cfg):
+        s = np.array([1.0 + 5.0j, 1.0 - 20.0j])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals, dvals, errs, derrs = zeta_batch(s, fast_cfg, want_prime=True)
+            ld, lerr = log_deriv_batch(s, fast_cfg)
+        with mp.workdps(30):
+            for k, z in enumerate(s):
+                zt, dzt = mp.zeta(mp.mpc(z)), mp.zeta(mp.mpc(z), derivative=1)
+                assert abs(mp.mpc(vals[k]) - zt) <= errs[k]
+                assert abs(mp.mpc(dvals[k]) - dzt) <= derrs[k]
+                assert abs(mp.mpc(ld[k]) - dzt / zt) <= lerr[k]
+
+
 def _gl_edge(sigma, T, panels):
     """Gauss-Legendre nodes (16 per panel) of the vertical edge from
     sigma - iT to sigma + iT, mirrored exactly about the real axis."""
@@ -286,8 +369,11 @@ class TestConjugateFold:
     @staticmethod
     def batch():
         rng = np.random.default_rng(14)
-        edge = _gl_edge(0.6, 10.0, 4)  # one abscissa: a grid contraction
-        # scattered points at greater heights, another N: contracted point by point
+        # one abscissa, one N, enough points for a group of its own: a grid
+        # contraction
+        edge = _gl_edge(0.6, 10.0, 40)
+        # scattered points at greater heights, two other N merged into one
+        # group: contracted point by point
         scattered = rng.uniform(0.55, 0.9, 40) + 1j * rng.uniform(200.0, 230.0, 40)
         scattered[::2] = scattered[::2].conj()
         s = np.concatenate([edge, scattered, edge[:5], scattered[:3].conj(),
@@ -310,13 +396,14 @@ class TestConjugateFold:
             assert (errs[k], derrs[k]) == (e1[0], de1[0])
             assert abs(vals[k] - v1[0]) <= errs[k] + e1[0]
             assert abs(dvals[k] - dv1[0]) <= derrs[k] + de1[0]
-        for k, j in itertools.product(range(len(s)), repeat=2):
-            if s[j] == s[k]:
-                assert (vals[j], dvals[j], errs[j]) == (vals[k], dvals[k], errs[k])
-            elif s[j] == s[k].conjugate():
-                assert vals[j] == vals[k].conjugate()
-                assert dvals[j] == dvals[k].conjugate()
-                assert (errs[j], derrs[j]) == (errs[k], derrs[k])
+        # every pair (j, k), at once
+        same = s[:, None] == s[None, :]
+        j, k = np.nonzero(same)
+        assert np.all(vals[j] == vals[k]) and np.all(dvals[j] == dvals[k])
+        assert np.all(errs[j] == errs[k])
+        j, k = np.nonzero(~same & (s[:, None] == s.conj()[None, :]))
+        assert np.all(vals[j] == vals[k].conj()) and np.all(dvals[j] == dvals[k].conj())
+        assert np.all(errs[j] == errs[k]) and np.all(derrs[j] == derrs[k])
 
     def test_each_distinct_height_is_evaluated_once(self, fast_cfg, monkeypatch):
         s = self.batch()
@@ -559,9 +646,12 @@ class TestEmTail:
         s = rng.uniform(-1.0, 3.0, 40) + 1j * rng.uniform(-3000.0, 3000.0, 40)
         N = _em_f64_plan(s.real, np.abs(s.imag), 1e-11)[0].astype(np.int64)
         ro, dro = _f64_errors(s, N, want_prime, 0.0)
+        # the whole batch, each point at its own N, as the point alone
+        v_all, dv_all = _em_tail(s, N, 0.0, 0.0 if want_prime else None)
         for k in range(len(s)):
             sk, Nk = s[k:k + 1], int(N[k])
-            v, dv = _em_tail(sk, Nk, 0.0, 0.0 if want_prime else None)
+            v, dv = _em_tail(sk, N[k:k + 1], 0.0, 0.0 if want_prime else None)
+            assert v_all[k] == v[0] and (not want_prime or dv_all[k] == dv[0])
             # the N^-s and ln N that _em_tail forms
             lnN = math.log(Nk)
             NmS = np.exp(-sk * lnN)
