@@ -14,6 +14,12 @@ To compare two checkouts, snapshot each with the same table and diff:
 ``compare_snapshots.py`` separates changes in the last bits of numbers from
 changes in anything else.
 
+The double engine's values move in their last bits with the number of BLAS
+threads, so the script sets ``OMP_NUM_THREADS`` and ``OPENBLAS_NUM_THREADS``
+to 1, for itself and for every command it runs, before numpy is imported.
+A value already set in the environment is kept; two snapshots then compare
+byte for byte only if both were taken with the same setting.
+
 The table must reach height 5200 (``zc zeros --up-to 5200 --out zc.tab``);
 it is only read. The ``zeros`` command builds its own table to the same
 height, so that a change in the zero finder shows in ``zeros-5200.zctab``.
@@ -37,6 +43,11 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+# one BLAS thread, here and in every command spawned below, unless the caller
+# chose: double-engine values move in their last bits with the thread count
+for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
+    os.environ.setdefault(var, "1")
 
 # this checkout's sources only when PYTHONPATH names no other
 sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))

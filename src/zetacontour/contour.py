@@ -6,11 +6,13 @@ so DA is the right vertical edge upward, AB the top edge leftward, BC the
 left vertical downward, CD the bottom rightward. General axis-aligned boxes
 use the same edge naming.
 
-Quadrature is adaptive composite Gauss-Legendre: panels are pre-split until
-their length is at most twice their distance to the nearest tabulated
-singularity, then each panel is compared against its two halves and
-subdivided until the difference meets its share of the tolerance. Node
-evaluation is batched through the double-precision engine at FAST_CONFIG.
+Quadrature is adaptive composite Gauss-Kronrod (G16/K33): panels are
+pre-split until their length is at most twice their distance to the nearest
+tabulated singularity, then each panel's 33 Kronrod nodes give its value and,
+from the 16 Gauss nodes among them, the 16-point Gauss sum to compare it
+with; a panel is halved until the difference meets its share of the
+tolerance. Node evaluation is batched through the double-precision engine at
+FAST_CONFIG.
 
 The vertical-edge pair of the classical logarithmic-derivative expansion
 
@@ -147,19 +149,46 @@ def singularity_set(rect: Rectangle, zeros: ZeroTable) -> List[complex]:
 
 
 # ---------------------------------------------------------------------------
-# adaptive Gauss-Legendre on a segment
+# adaptive Gauss-Kronrod on a segment
 # ---------------------------------------------------------------------------
 
-_GL_ORDER = 16
-# numpy.polynomial.legendre.leggauss(16), written out: computing it at import
-# loads numpy.polynomial and LAPACK, which adds to every start-up.
-_GL_X = np.array([
-    -0.9894009349916499, -0.9445750230732326, -0.8656312023878318,
-    -0.755404408355003, -0.6178762444026438, -0.45801677765722737,
-    -0.2816035507792589, -0.09501250983763744, 0.09501250983763744,
-    0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
-    0.755404408355003, 0.8656312023878318, 0.9445750230732326,
-    0.9894009349916499])
+# The 33-point Kronrod extension of the 16-point Gauss-Legendre rule on
+# [-1, 1], written out: the 16 Gauss roots (odd indices) and the 17 roots of
+# the Stieltjes polynomial E_17, which is orthogonal to every polynomial of
+# degree below 17 against the weight P_16. E_17's coefficients were solved in
+# rationals, its roots bracketed between the Gauss roots and found in mpmath
+# at 120 digits, and the weights solved from exactness on P_0 .. P_32 there;
+# each value was then rounded once to a double (the Gauss roots round to
+# numpy's leggauss(16) nodes bit for bit). The rule is exact to degree
+# 49, its weights are positive, and it is mirrored exactly (x[16] = 0), so a
+# panel and its mirror image about the real axis have exactly conjugate nodes.
+_GK_X = np.array([
+    -0.9982392741454446, -0.9894009349916499, -0.9715059509693926,
+    -0.9445750230732326, -0.9091576670123429, -0.8656312023878318,
+    -0.8142402870624444, -0.755404408355003, -0.6897411066817623,
+    -0.6178762444026438, -0.5404076763521397, -0.45801677765722737,
+    -0.37148378087841627, -0.2816035507792589, -0.18916857901808373,
+    -0.09501250983763744, 0.0, 0.09501250983763744, 0.18916857901808373,
+    0.2816035507792589, 0.37148378087841627, 0.45801677765722737,
+    0.5404076763521397, 0.6178762444026438, 0.6897411066817623,
+    0.755404408355003, 0.8142402870624444, 0.8656312023878318,
+    0.9091576670123429, 0.9445750230732326, 0.9715059509693926,
+    0.9894009349916499, 0.9982392741454446])
+_GK_W = np.array([
+    0.004742777049247318, 0.013257930688091158, 0.022498859440049444,
+    0.031260543647380526, 0.039512951202421966, 0.047506215976407015,
+    0.055205633095422174, 0.062358806011834855, 0.06886299519153125,
+    0.07476982388559955, 0.08005394126371929, 0.08459580379259064,
+    0.08833750257911273, 0.09129203282819166, 0.09343867406092123,
+    0.09472840124723005, 0.0951542160804983, 0.09472840124723005,
+    0.09343867406092123, 0.09129203282819166, 0.08833750257911273,
+    0.08459580379259064, 0.08005394126371929, 0.07476982388559955,
+    0.06886299519153125, 0.062358806011834855, 0.055205633095422174,
+    0.047506215976407015, 0.039512951202421966, 0.031260543647380526,
+    0.022498859440049444, 0.013257930688091158, 0.004742777049247318])
+# weights of the Gauss nodes _GK_X[1::2], numpy.polynomial.legendre.leggauss(16)
+# written out: computing it at import loads numpy.polynomial and LAPACK, which
+# adds to every start-up
 _GL_W = np.array([
     0.027152459411754176, 0.062253523938647456, 0.0951585116824926,
     0.12462897125553407, 0.1495959888165767, 0.16915651939500265,
@@ -249,18 +278,19 @@ def _presplit(a: complex, b: complex,
 def integrate_edge(f: Callable[[np.ndarray], np.ndarray], a: complex, b: complex,
                    *, tol: float = 1e-9,
                    singularities: Sequence[complex] = ()) -> EdgeIntegral:
-    """Adaptive composite Gauss-Legendre along the segment [a, b].
+    """Adaptive composite Gauss-Kronrod (G16/K33) along the segment [a, b].
 
     ``f`` maps a complex128 array of nodes to integrand values. The pending
-    panels are two endpoint arrays; each refinement wave evaluates every
-    pending panel and its two halves in one call. A panel is accepted when
-    |two-half refinement - single panel| falls below its length-proportional
-    share of ``tol`` (the halved estimate is kept, which is the
-    Richardson-favored value); otherwise its halves enter the next wave.
-    Accepted panels are summed in panel order. A refinement wave that would
-    take the edge past _MAX_NODES evaluations beyond the first (presplit)
-    wave raises ToleranceNotMet instead; the first wave grows with the edge's
-    length and zero density and is never refused.
+    panels are two endpoint arrays; each wave evaluates the 33 Kronrod nodes
+    of every pending panel in one call. The 16 Gauss nodes among them give
+    the Gauss sum, the 33 the Kronrod sum. A panel is accepted when
+    |Kronrod - Gauss| falls below its length-proportional share of ``tol``
+    (the Kronrod sum is kept, and half the difference is added to ``err``);
+    otherwise its halves enter the next wave. Accepted panels are summed in
+    panel order. A refinement wave that would take the edge past _MAX_NODES
+    evaluations beyond the first (presplit) wave raises ToleranceNotMet
+    instead; the first wave grows with the edge's length and zero density
+    and is never refused.
     """
     if math.isnan(tol):
         raise DomainError("tol is NaN")
@@ -275,26 +305,25 @@ def integrate_edge(f: Callable[[np.ndarray], np.ndarray], a: complex, b: complex
     value = 0.0 + 0.0j
     err = 0.0
     n_evals = 0
-    first_wave = 3 * _GL_ORDER * len(pa)
+    first_wave = _GK_X.size * len(pa)
     for wave in range(_MAX_WAVES):
         if not len(pa):
             break
-        if n_evals - first_wave + 3 * _GL_ORDER * len(pa) > _MAX_NODES:
+        if n_evals - first_wave + _GK_X.size * len(pa) > _MAX_NODES:
             raise ToleranceNotMet(
                 f"{len(pa)} panels pending after {n_evals} nodes; the next "
                 f"wave would pass the budget of {_MAX_NODES} refinement nodes")
         m = 0.5 * (pa + pb)
-        lo = np.stack((pa, pa, m), axis=1)  # each panel, then its two halves
-        hi = np.stack((pb, m, pb), axis=1)
-        z = (0.5 * (lo + hi))[..., None] + (0.5 * (hi - lo))[..., None] * _GL_X
+        half = 0.5 * (pb - pa)
+        z = m[:, None] + half[:, None] * _GK_X
         n_evals += z.size
         fv = np.asarray(f(z.ravel()), dtype=np.complex128).reshape(z.shape)
-        sums = (_GL_W * fv).sum(axis=2) * (hi - lo) / 2.0
-        fine = sums[:, 1] + sums[:, 2]
+        fine = (_GK_W * fv).sum(axis=1) * half
+        coarse = (_GL_W * fv[:, 1::2]).sum(axis=1) * half
         # moduli by hypot (np.abs rounds complex moduli differently) and
         # running sums in panel order (np.sum adds pairwise) fix the last
         # bits of value and err
-        diff = np.hypot((fine - sums[:, 0]).real, (fine - sums[:, 0]).imag)
+        diff = np.hypot((fine - coarse).real, (fine - coarse).imag)
         L = np.hypot((pb - pa).real, (pb - pa).imag)
         ok = diff <= tol * (L / total_len)
         if wave == _MAX_WAVES - 1 and not ok.all():
@@ -567,6 +596,38 @@ class ZeroSumTerm:
     threshold: Optional[float]
 
 
+def _tail_bound_beyond(rect: Rectangle, zeros: ZeroTable, n: int) -> float:
+    """``zero_tail_bound`` once the first ``n`` ordinates are summed: from
+    the next ordinate, or from the table's height when all are summed."""
+    H = zeros.gammas[n] if n < len(zeros.gammas) else zeros.max_height
+    return zero_tail_bound(rect, H)
+
+
+def _eps2_truncation(rect: Rectangle, zeros: ZeroTable,
+                     eps2: float) -> Tuple[int, float]:
+    """(N, eps2 * 2T): the smallest truncation N whose certified tail bound
+    meets eps2 * 2T, found by bisection over the table (the bound falls
+    as N grows). DomainError unless eps2 > 0; TableTooShort if the whole
+    table cannot certify it."""
+    if not eps2 > 0:
+        raise DomainError(f"eps2={eps2!r} must be positive")
+    threshold = eps2 * 2.0 * rect.T
+    n_table = len(zeros.gammas)
+    least = _tail_bound_beyond(rect, zeros, n_table)
+    if least > threshold:
+        raise TableTooShort(
+            f"tail bound {least:.3e} above eps2*2T={threshold:.3e} "
+            f"with table height {zeros.max_height}")
+    lo_n, hi_n = 0, n_table
+    while lo_n < hi_n:
+        mid = (lo_n + hi_n) // 2
+        if _tail_bound_beyond(rect, zeros, mid) <= threshold:
+            hi_n = mid
+        else:
+            lo_n = mid + 1
+    return lo_n, threshold
+
+
 def zero_sum_term_integral(rect: Rectangle, zeros: ZeroTable,
                            eps2: Optional[float] = None,
                            N: Optional[int] = None) -> ZeroSumTerm:
@@ -577,39 +638,19 @@ def zero_sum_term_integral(rect: Rectangle, zeros: ZeroTable,
     TableTooShort if the table cannot certify it. An explicit ``N``
     overrides the rule and reports the bound at that truncation.
     """
-    T = rect.T
     n_table = len(zeros.gammas)
-
-    def bound_at(n: int) -> float:
-        H = zeros.gammas[n] if n < n_table else zeros.max_height
-        return zero_tail_bound(rect, H)
-
     if N is not None:
         if N < 0 or N > n_table:
             raise DomainError(f"N={N} outside the table (size {n_table})")
-        n_used = N
-        threshold = None
+        n_used, threshold = N, None
     else:
         if eps2 is None:
-            eps2 = 1.0 / (T * T)
-        if not eps2 > 0:
-            raise DomainError(f"eps2={eps2!r} must be positive")
-        threshold = eps2 * 2.0 * T
-        if bound_at(n_table) > threshold:
-            raise TableTooShort(
-                f"tail bound {bound_at(n_table):.3e} above eps2*2T={threshold:.3e} "
-                f"with table height {zeros.max_height}")
-        lo_n, hi_n = 0, n_table
-        while lo_n < hi_n:
-            mid = (lo_n + hi_n) // 2
-            if bound_at(mid) <= threshold:
-                hi_n = mid
-            else:
-                lo_n = mid + 1
-        n_used = lo_n
+            eps2 = 1.0 / (rect.T * rect.T)
+        n_used, threshold = _eps2_truncation(rect, zeros, eps2)
     value = complex(0.0, 2.0 * zero_pair_arctan_sum(rect, zeros.gammas[:n_used]))
     return ZeroSumTerm(value=value, n_used=n_used,
-                       tail_bound=float(bound_at(n_used)), threshold=threshold)
+                       tail_bound=float(_tail_bound_beyond(rect, zeros, n_used)),
+                       threshold=threshold)
 
 
 def zero_tail_estimate(rect: Rectangle, H: float) -> complex:
@@ -691,8 +732,8 @@ def decompose(rect: Rectangle, zeros: ZeroTable, *,
     if eps2 is None:
         eps2 = 1.0 / (T * T)
     # certification per the eps2 rule (raises TableTooShort when impossible)
-    certified = zero_sum_term_integral(rect, zeros, eps2=eps2)
-    full = zero_sum_term_integral(rect, zeros, N=len(zeros.gammas))
+    n_used_eps2, _ = _eps2_truncation(rect, zeros, eps2)
+    zero_sum = complex(0.0, 2.0 * zero_pair_arctan_sum(rect, zeros.gammas))
     tail_est = zero_tail_estimate(rect, zeros.max_height)
     fluct = _tail_fluctuation_bound(rect.beta - rect.alpha, T, zeros.max_height)
     pole = pole_term_integral(rect)
@@ -703,13 +744,13 @@ def decompose(rect: Rectangle, zeros: ZeroTable, *,
     e_da, eval_da = _log_deriv_edge(c["d"], c["a"], quad_tol / 2, sings)
     e_bc, eval_bc = _log_deriv_edge(c["b"], c["c"], quad_tol / 2, sings)
     direct = e_da.value + e_bc.value
-    termwise = pole + logpi + dig.value + full.value + tail_est
+    termwise = pole + logpi + dig.value + zero_sum + tail_est
     return DecompositionReport(
         rect=rect, pole_term=pole, logpi_term=logpi, digamma_term=dig.value,
-        zero_sum_term=full.value, zero_tail_estimate=tail_est,
+        zero_sum_term=zero_sum, zero_tail_estimate=tail_est,
         tail_bound=fluct + dig.closed_form_err,
         termwise_total=termwise, direct_total=direct,
         residual=abs(termwise - direct),
         quad_error=e_da.err + eval_da + e_bc.err + eval_bc + quad_tol,
-        n_used_eps2=certified.n_used, n_summed=len(zeros.gammas),
+        n_used_eps2=n_used_eps2, n_summed=len(zeros.gammas),
         eps2=eps2, n_evals=e_da.n_evals + e_bc.n_evals)

@@ -60,10 +60,35 @@ class TestRectangle:
 
 
 class TestIntegrateEdge:
-    def test_rule_is_gauss_legendre_16(self):
-        x, w = np.polynomial.legendre.leggauss(16)
-        np.testing.assert_allclose(contour._GL_X, x, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(contour._GL_W, w, rtol=0, atol=1e-15)
+    def test_rule_is_kronrod_extension_of_gauss_legendre_16(self):
+        x, w = contour._GK_X, contour._GK_W
+        gx, gw = np.polynomial.legendre.leggauss(16)
+        np.testing.assert_allclose(x[1::2], gx, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(contour._GL_W, gw, rtol=0, atol=1e-15)
+        for k in range(50):  # G16/K33 is exact to degree 3*16 + 1
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(math.fsum(w * x ** k) - exact) < 1e-14, k
+        assert (w > 0).all()
+        assert (x == -x[::-1]).all() and (w == w[::-1]).all() and x[16] == 0.0
+
+    def test_one_batch_per_panel_closed_under_conjugation(self, big_table):
+        # the right edge DA of D(3/5, 4/5, 100) is accepted in its first
+        # wave: one 33-node batch per presplit panel, and a mirrored presplit
+        # gives exactly conjugate nodes, so zeta_batch's fold halves the work
+        rect = Rectangle.paper_mode(ALPHA, BETA, 100.0)
+        c = rect.corners()
+        sings = singularity_set(rect, big_table)
+        seen = []
+
+        def f(z):
+            seen.append(z.copy())
+            return log_deriv_batch(z, FAST_CONFIG)[0]
+
+        e = integrate_edge(f, c["d"], c["a"], tol=2.5e-8, singularities=sings)
+        assert e.n_evals == 33 * len(contour._presplit(c["d"], c["a"], sings)[0])
+        assert len(seen) == 1
+        z = seen[0]
+        assert set(z.tolist()) == set(z.conj().tolist())
 
     def test_constant_integrand(self):
         T = 7.0
@@ -174,10 +199,10 @@ class TestIntegrateEdge:
             assert str(got.value) == str(want.value)
 
     def test_tall_presplit_wave_is_not_refused(self, big_table):
-        # the left edge BC of D(3/5, 4/5, 3000) presplits into more than
+        # the left edge BC of D(3/5, 4/5, 4000) presplits into more than
         # _MAX_NODES first-wave nodes; only refinement counts against the
         # budget, so the edge integrates (a constant keeps the test cheap)
-        rect = Rectangle.paper_mode(ALPHA, BETA, 3000.0)
+        rect = Rectangle.paper_mode(ALPHA, BETA, 4000.0)
         c = rect.corners()
         e = integrate_edge(lambda z: np.ones_like(z), c["b"], c["c"], tol=2.5e-8,
                            singularities=singularity_set(rect, big_table))
