@@ -2,9 +2,12 @@
 
 Subcommands: zeros, integrate, decompose, telescope, probe, suite, export;
 only suite takes --precision-digits and --tol. The zero table defaults to
-the ZC_ZERO_TABLE environment variable when --zeros is not given. Exit
-status is nonzero only when a pass/fail check fails or an error aborts a
-command; measured-only records never fail.
+the ZC_ZERO_TABLE environment variable when --zeros is not given.
+
+Exit status: 0 when the command ran and every pass/fail check passed; 1 when
+a pass/fail check failed (suite only; measured-only records never fail);
+2 when the command aborted or its input was bad, with a one-line ``error:``
+message on stderr (after the usage line, for a flag argparse refuses).
 """
 from __future__ import annotations
 
@@ -49,6 +52,9 @@ def _rect_from_args(args) -> Rectangle:
     if getattr(args, "general", None):
         x0, x1, y0, y1 = args.general
         return Rectangle.box(x0, x1, y0, y1)
+    if None in (args.alpha, args.beta, args.T):
+        raise ZetaContourError("give --alpha, --beta and --T, "
+                               "or --general X0 X1 Y0 Y1")
     return Rectangle.paper_mode(args.alpha, args.beta, args.T)
 
 
@@ -187,7 +193,11 @@ def cmd_suite(args) -> int:
 
 
 def cmd_export(args) -> int:
-    report = load_report_json(args.report)
+    try:
+        report = load_report_json(args.report)
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        raise ZetaContourError(f"cannot read report {args.report}: "
+                               f"{type(e).__name__}: {e}") from e
     export_report(report, args.format, args.out)
     print(f"{args.report} -> {args.out} ({args.format})")
     return 0

@@ -105,3 +105,10 @@ class DenominatorVanished(ZetaContourError):
 
 class MissingTable(ZetaContourError):
     """A suite or CLI command needs a zero table that is neither given nor buildable."""
+
+
+class UnknownSuite(ZetaContourError, KeyError):
+    """``run_suite`` was given a suite name it does not know. A KeyError too,
+    as the lookup of a missing name."""
+
+    __str__ = Exception.__str__  # KeyError's would print the message quoted

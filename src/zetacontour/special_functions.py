@@ -969,12 +969,6 @@ def zeta_prime(s, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ComplexValue:
     return _within_tol(dv, de, cfg)
 
 
-def _euler_sum(partial, r):
-    """sum_i C(r, i) partial[i], i = 0..r: 2^r times the partial sums
-    averaged pairwise r times, exactly (integers in, integer out)."""
-    return sum(map(operator.mul, (math.comb(r, i) for i in range(r + 1)), partial))
-
-
 def zeta_alternating(s, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ComplexValue:
     """Cross-check route: alternating eta series with an Euler-transformed tail.
 
@@ -989,7 +983,7 @@ def zeta_alternating(s, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ComplexValue:
     Rounding allowance 10^-(dps+2) (K + J). The series is summed at
     dps + 6 digits, prec bits with 2^-prec <= sqrt(2) 10^-(dps+7), in fixed
     point: the head, the tail's partial sums and their weighted sums with
-    the exact weights C(J, i) are integers, and head + tail takes one shift
+    the exact weights C(J-1, i) are integers, and head + tail takes one shift
     by J and one rounding to prec. Each of the K + J terms (|n^-s| <= 1) is
     within Omega(n) 2^-prec <= log2(K + J) 2^-prec (``_dirichlet_terms``);
     a weighted mean of partial sums is off by at most what its longest
@@ -1015,13 +1009,18 @@ def zeta_alternating(s, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ComplexValue:
             # the tail's first term K
             head = [sum(x[1:K:2]) - sum(x[2:K:2]) for x in (re, im)]
             sign = 1 if K % 2 else -1
+            row = [math.comb(J - 1, i) for i in range(J)]
             tail, gap = [], []
             for x in (re, im):
                 alt = x[K:K + J + 1]
                 alt[1::2] = [-v for v in alt[1::2]]
                 partial = list(itertools.accumulate(alt))
-                tail.append(_euler_sum(partial, J))
-                gap.append(tail[-1] - 2 * _euler_sum(partial, J - 1))
+                # 2^(J-1) times the (J-1)-fold averages of partial[:J] and
+                # partial[1:]; by Pascal's rule a + b is 2^J times the J-fold
+                a = sum(map(operator.mul, row, partial))
+                b = sum(map(operator.mul, row, partial[1:]))
+                tail.append(a + b)
+                gap.append(b - a)
             eta = _fixed_to_mpc(*((h << J) + sign * a for h, a in zip(head, tail)),
                                 wp + J)
             denom = 1 - mp.power(2, 1 - sm)

@@ -13,6 +13,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from zetacontour import special_functions
 from zetacontour.contour import (
     Rectangle,
     decompose,
@@ -28,7 +29,7 @@ from zetacontour.contour import (
     zero_sum_term_integral,
 )
 from zetacontour.precision import DEFAULT_CONFIG
-from zetacontour.reporting import RunConfig, export_report, run_suite
+from zetacontour.reporting import RunConfig, export_report, run_suite, suite_identities
 from zetacontour.special_functions import xi, zeta, zeta_alternating
 from zetacontour.telescope import (
     fixed_point_check,
@@ -71,10 +72,10 @@ def test_criterion_1_zeta_values_and_oracle_grid():
              f"grid worst {worst:.1e}, {elapsed:.1f}s")
 
 
-def test_criterion_2_functional_equation_and_xi():
-    cfg = DEFAULT_CONFIG
+def _criterion_2_points():
+    """The identities suite's 100 seeded points, clear of s = 0, s = 1 and
+    the Gamma poles on both sides of the reflection."""
     rng = np.random.default_rng(20260810)
-    worst_fe = worst_xi = 0.0
     checked = 0
     while checked < 100:
         s = complex(rng.uniform(-3.0, 4.0), rng.uniform(-30.0, 30.0))
@@ -85,17 +86,44 @@ def test_criterion_2_functional_equation_and_xi():
                 or abs((1 - s.real) - 2 * round((1 - s.real) / 2)) < 0.3):
             continue
         checked += 1
-        with mp.workdps(cfg.dps):
-            sm = mp.mpc(s)
-            za, zb = zeta(sm, cfg), zeta(1 - sm, cfg)
-            lhs = mp.power(mp.pi, -sm / 2) * mp.gamma(sm / 2) * mp.mpc(za.re, za.im)
-            rhs = mp.power(mp.pi, -(1 - sm) / 2) * mp.gamma((1 - sm) / 2) \
-                * mp.mpc(zb.re, zb.im)
-            worst_fe = max(worst_fe, float(abs(lhs - rhs)))
+        yield s
+
+
+def _direct_fe_residual(s, cfg):
+    """|pi^(-s/2) Gamma(s/2) zeta(s) - (the same at 1 - s)|, each side from
+    zeta and the Gamma formula directly."""
+    with mp.workdps(cfg.dps):
+        sm = mp.mpc(s)
+        za, zb = zeta(sm, cfg), zeta(1 - sm, cfg)
+        lhs = mp.power(mp.pi, -sm / 2) * mp.gamma(sm / 2) * mp.mpc(za.re, za.im)
+        rhs = mp.power(mp.pi, -(1 - sm) / 2) * mp.gamma((1 - sm) / 2) \
+            * mp.mpc(zb.re, zb.im)
+        return float(abs(lhs - rhs))
+
+
+def test_criterion_2_functional_equation_and_xi():
+    cfg = DEFAULT_CONFIG
+    worst_fe = worst_xi = 0.0
+    for s in _criterion_2_points():
+        worst_fe = max(worst_fe, _direct_fe_residual(s, cfg))
         xa, xb = xi(s, cfg), xi(complex(1) - s, cfg)
         worst_xi = max(worst_xi, _mpdist(xa, xb))
     assert worst_fe <= 1e-10 and worst_xi <= 1e-10
     _line(2, f"functional-equation worst {worst_fe:.1e}, xi worst {worst_xi:.1e}")
+
+
+def test_identities_suite_takes_both_records_from_one_xi_pair(monkeypatch):
+    calls = []
+    scalar = special_functions._zeta_scalar
+    monkeypatch.setattr(special_functions, "_zeta_scalar",
+                        lambda *a: calls.append(a[0]) or scalar(*a))
+    fe, _ = suite_identities(RunConfig())
+    monkeypatch.undo()
+    # xi(s) and xi(1 - s) at each of the 100 points, one zeta each
+    assert len(calls) == 200
+    direct = max(_direct_fe_residual(s, DEFAULT_CONFIG)
+                 for s in _criterion_2_points())
+    assert abs(fe.measured - direct) <= 1e-9 * direct
 
 
 def test_criterion_3_zero_ordinates_and_counts(table500):

@@ -34,6 +34,12 @@ m = tracer.layer_metrics()
 assert m["universality.shifts"] > 0, m
 assert m["special_functions.batch_points.universality"] > 0, m
 assert m["contour.nodes"] > 0, m
+# the suite workload's scalar layer is the wrapped reporting.xi: one xi(s),
+# xi(1-s) pair at each of the identities suite's 100 points
+assert m["special_functions.scalar_calls"] == 0, m
+assert reporting.run_suite("identities", reporting.RunConfig()).ok
+m = tracer.layer_metrics()
+assert m["special_functions.scalar_calls"] == 200, m
 """
 
 

@@ -263,6 +263,29 @@ class TestCli:
                    "--zeros", table_path, "--out", str(tmp_path / "x.json")])
         assert rc == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["suite", "nosuch"],
+        ["integrate", "--alpha", "0.6", "--beta", "0.8"],
+        ["integrate"],
+        ["export", "--report", "missing.json", "--out", "out.csv"],
+        ["export", "--report", "not-json.txt", "--out", "out.csv"],
+        ["export", "--report", "no-suite.json", "--out", "out.csv"],
+        ["export", "--report", "a-list.json", "--out", "out.csv"],
+    ])
+    def test_bad_input_exits_2_with_one_error_line(self, argv, tmp_path,
+                                                   monkeypatch, capsys):
+        # status 1 means a failed check; a command that cannot run is 2
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("ZC_ZERO_TABLE", raising=False)
+        (tmp_path / "not-json.txt").write_text("not json\n")
+        (tmp_path / "no-suite.json").write_text('{"checks": []}\n')
+        (tmp_path / "a-list.json").write_text("[1]\n")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "a-list.json", "no-suite.json", "not-json.txt"]
+
     def test_each_subcommand_takes_only_the_flags_it_reads(self):
         sub = next(a for a in build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))
