@@ -35,7 +35,8 @@ when any command's status was neither 0 nor 1, and 0 otherwise.
 prints the scalar engine's records alone (``scalar.txt`` of a snapshot):
 value and ``abs_err`` of ``zeta``, ``zeta_prime``, ``log_deriv_zeta`` and
 ``xi`` on a fixed grid, which includes reflected points (Re s <= -1) and
-points beside s = 1, at the default config and at 40 digits.
+points beside s = 1, at the default config, at 40 digits and at
+``FAST_CONFIG`` (the double engine, promoted to mpmath for Re s <= -1).
 """
 import argparse
 import os
@@ -55,7 +56,7 @@ sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
 import mpmath as mp  # noqa: E402
 
 import zetacontour  # noqa: E402
-from zetacontour.precision import DEFAULT_CONFIG, PrecisionConfig  # noqa: E402
+from zetacontour.precision import DEFAULT_CONFIG, FAST_CONFIG, PrecisionConfig  # noqa: E402
 from zetacontour.special_functions import log_deriv_zeta, xi, zeta, zeta_prime  # noqa: E402
 from zetacontour.zero_finder import load_table  # noqa: E402
 
@@ -70,7 +71,8 @@ SCALAR_GRID = (0.6 + 30j, 0.75 + 10j, 0.5 + 90j, -0.5 + 110j, 2.5 + 5j, 4 + 120j
                4 - 120j, 2 + 0j, 0.5 + 0j, -0.5 + 0j,
                -1 + 0j, -1.5 + 3j, -2 + 0.5j, -3 + 20j, -7.5 + 50j,
                1 + 1e-5j, 1.002 + 0j, 1 - 3e-4j, 1.001 + 0.001j, 1.5 + 0.5j)
-SCALAR_CONFIGS = (("default", DEFAULT_CONFIG), ("40 digits", PrecisionConfig(40, 1e-30)))
+SCALAR_CONFIGS = (("default", DEFAULT_CONFIG), ("40 digits", PrecisionConfig(40, 1e-30)),
+                  ("fast", FAST_CONFIG))
 
 
 def commands(table: str):

@@ -6,8 +6,9 @@ the ZC_ZERO_TABLE environment variable when --zeros is not given.
 
 Exit status: 0 when the command ran and every pass/fail check passed; 1 when
 a pass/fail check failed (suite only; measured-only records never fail);
-2 when the command aborted or its input was bad, with a one-line ``error:``
-message on stderr (after the usage line, for a flag argparse refuses).
+2 when the command aborted, its input was bad or its output could not be
+written, with a one-line ``error:`` message on stderr (after the usage line,
+for a flag argparse refuses).
 """
 from __future__ import annotations
 
@@ -267,7 +268,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ZetaContourError as e:
+    except (ZetaContourError, OSError) as e:  # OSError: an unwritable output
         print(f"error: {e}", file=sys.stderr)
         return 2
 

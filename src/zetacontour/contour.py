@@ -11,8 +11,8 @@ pre-split until their length is at most twice their distance to the nearest
 tabulated singularity, then each panel's 33 Kronrod nodes give its value and,
 from the 16 Gauss nodes among them, the 16-point Gauss sum to compare it
 with; a panel is halved until the difference meets its share of the
-tolerance. Node evaluation is batched through the double-precision engine at
-FAST_CONFIG.
+tolerance. Node evaluation is batched through the double-precision engine
+(``log_deriv_batch``).
 
 The vertical-edge pair of the classical logarithmic-derivative expansion
 
@@ -41,7 +41,7 @@ from .errors import (
     TableTooShort,
     ToleranceNotMet,
 )
-from .precision import EXCLUSION_RADIUS, FAST_CONFIG
+from .precision import EXCLUSION_RADIUS
 from .special_functions import digamma_batch, log_deriv_batch
 from .zero_finder import ZeroTable, backlund_count_bound
 
@@ -380,7 +380,7 @@ def _log_deriv_edge(a: complex, b: complex, tol: float,
 
     def f(z):
         nonlocal node_err
-        vals, errs = log_deriv_batch(z, FAST_CONFIG)
+        vals, errs = log_deriv_batch(z)
         if errs.size:
             node_err = max(node_err, float(np.max(errs)))
         return vals
@@ -688,8 +688,9 @@ class DecompositionReport:
     termwise_total = pole + logpi + digamma + zero_sum + zero_tail_estimate;
     residual = |termwise_total - direct_total| and must stay within
     quad_error + tail_bound + closed-form budgets. ``n_used_eps2`` is the
-    eps2-certified truncation (diagnostic); the sum itself uses the whole
-    table, with the density tail estimate covering the rest.
+    eps2-certified truncation (diagnostic), None where the table is too
+    short to certify it; the sum itself uses the whole table, with the
+    density tail estimate covering the rest.
     """
 
     rect: Rectangle
@@ -703,7 +704,7 @@ class DecompositionReport:
     direct_total: complex
     residual: float
     quad_error: float
-    n_used_eps2: int
+    n_used_eps2: Optional[int]
     n_summed: int
     eps2: float
     n_evals: int
@@ -731,8 +732,12 @@ def decompose(rect: Rectangle, zeros: ZeroTable, *,
     T = rect.T
     if eps2 is None:
         eps2 = 1.0 / (T * T)
-    # certification per the eps2 rule (raises TableTooShort when impossible)
-    n_used_eps2, _ = _eps2_truncation(rect, zeros, eps2)
+    # the eps2 truncation is a diagnostic the residual budget never reads:
+    # None where the table cannot certify it (DomainError for a bad eps2)
+    try:
+        n_used_eps2, _ = _eps2_truncation(rect, zeros, eps2)
+    except TableTooShort:
+        n_used_eps2 = None
     zero_sum = complex(0.0, 2.0 * zero_pair_arctan_sum(rect, zeros.gammas))
     tail_est = zero_tail_estimate(rect, zeros.max_height)
     fluct = _tail_fluctuation_bound(rect.beta - rect.alpha, T, zeros.max_height)

@@ -4,16 +4,18 @@ A ``PrecisionConfig`` is two numbers, ``working_digits`` and
 ``target_abs_tol``, and the digits pick one of two engines:
 
 * ``working_digits <= 15``: IEEE double / numpy complex128, vectorized.
-  Error estimates carry a roundoff floor of a few 1e-16 times the summed
-  magnitudes, so target tolerances below ~1e-12 are rejected.
+  The engine plans every evaluation at the one tolerance ``F64_TOL``; a
+  double config must not ask for less (DomainError), and a looser one is
+  met by the same evaluation. ``FAST_CONFIG`` is that config.
 * ``working_digits > 15``: mpmath at ``working_digits`` decimal digits plus
   guard digits. Scalar only.
 
 Each engine's Euler-Maclaurin truncation is planned in ``special_functions``,
 not configured here: the direct-sum length N is the least, at or above a
 floor growing with |Im s|, at which the remainder bound meets a quarter of
-``target_abs_tol``, with 14 Bernoulli terms in the double engine and, in the
-mpmath engine, the count from 4 to 16 that makes the call cheapest.
+the tolerance (``F64_TOL`` or ``target_abs_tol``), with 14 Bernoulli terms
+in the double engine and, in the mpmath engine, the count from 4 to 16 that
+makes the call cheapest.
 
 Within the mpmath engine, raising ``working_digits`` at a fixed
 ``target_abs_tol`` never increases a reported error estimate: the plan
@@ -26,6 +28,8 @@ from typing import Any, Optional
 
 import mpmath as mp
 
+from .errors import DomainError
+
 # Exclusion radii around singularities (pole s=1, tabulated zeros).
 # Inside EXCLUSION_RADIUS evaluation raises; inside FLAG_RADIUS the value is
 # returned but flagged. Quadrature nodes must never enter EXCLUSION_RADIUS.
@@ -33,7 +37,7 @@ EXCLUSION_RADIUS = 1e-6
 FLAG_RADIUS = 1e-3
 
 F64_ROUNDOFF = 5e-16  # per-term roundoff allowance in the double engine
-F64_MIN_TOL = 1e-12   # tightest honest target for the double engine
+F64_TOL = 1e-11       # the double engine's one planning tolerance
 
 
 @dataclass(frozen=True)
@@ -46,13 +50,13 @@ class PrecisionConfig:
 
     def __post_init__(self):
         if self.working_digits <= 0:
-            raise ValueError("working_digits must be positive")
+            raise DomainError("working_digits must be positive")
         if not self.target_abs_tol > 0:
-            raise ValueError("target_abs_tol must be positive")
-        if self.uses_f64 and self.target_abs_tol < F64_MIN_TOL:
-            raise ValueError(
-                f"target_abs_tol={self.target_abs_tol:g} is below the double-"
-                f"precision floor {F64_MIN_TOL:g}; use working_digits > 15"
+            raise DomainError("target_abs_tol must be positive")
+        if self.uses_f64 and self.target_abs_tol < F64_TOL:
+            raise DomainError(
+                f"target_abs_tol={self.target_abs_tol:g} is below the double "
+                f"engine's tolerance {F64_TOL:g}; use working_digits > 15"
             )
 
     @property
@@ -67,7 +71,7 @@ class PrecisionConfig:
 
 DEFAULT_CONFIG = PrecisionConfig()
 # the one double-engine configuration: quadrature, decomposition, scans, zeros
-FAST_CONFIG = PrecisionConfig(working_digits=15, target_abs_tol=1e-11)
+FAST_CONFIG = PrecisionConfig(working_digits=15, target_abs_tol=F64_TOL)
 
 
 @dataclass(frozen=True)

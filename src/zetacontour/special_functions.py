@@ -30,8 +30,9 @@ computes its closed-form terms in those integers (``_em_fixed``). Nothing
 else is shared; a test holds that table to ``mp.power(n, -s)``.
 
 Both engines of ``PrecisionConfig`` are implemented: scalar mpmath at
-configured digits, and a vectorized complex128 path (``*_batch``) used by the
-quadrature, zero-scan, and universality modules.
+configured digits, and a vectorized complex128 path (``*_batch``) at the one
+tolerance ``F64_TOL``, used by the quadrature, zero-scan, and universality
+modules and by the scalar operations at a double config.
 """
 from __future__ import annotations
 
@@ -59,6 +60,7 @@ from .precision import (
     DEFAULT_CONFIG,
     EXCLUSION_RADIUS,
     F64_ROUNDOFF,
+    F64_TOL,
     FLAG_RADIUS,
     ComplexValue,
     PrecisionConfig,
@@ -421,10 +423,9 @@ def _em_f64_groups(N):
     return groups
 
 
-def zeta_batch(s_arr, cfg: PrecisionConfig, want_prime: bool = False):
-    """Vectorized zeta (and optionally zeta') for complex128 inputs.
-
-    Requires the double engine (cfg.working_digits <= 15) and Re s >= -1.
+def zeta_batch(s_arr, want_prime: bool = False):
+    """Vectorized zeta (and optionally zeta') for complex128 inputs, by the
+    double engine at its one tolerance ``F64_TOL`` (Re s >= -1).
     Returns (vals, dvals_or_None, errs, derrs_or_None), in input order.
 
     zeta has real Dirichlet coefficients, so zeta(conj s) = conj zeta(s), and
@@ -437,8 +438,6 @@ def zeta_batch(s_arr, cfg: PrecisionConfig, want_prime: bool = False):
     a value can depend on the other points of its batch (``_em_f64_group``),
     never its bounds.
     """
-    if not cfg.uses_f64:
-        raise DomainError("zeta_batch requires the double-precision engine")
     s = np.asarray(s_arr, dtype=np.complex128).ravel()
     if s.size == 0:
         z = np.empty(0, dtype=np.complex128)
@@ -466,7 +465,7 @@ def zeta_batch(s_arr, cfg: PrecisionConfig, want_prime: bool = False):
     u = folded[first]
     inv = np.empty(s.size, dtype=np.intp)
     inv[order] = np.cumsum(first) - 1
-    N, log_bound = _em_f64_plan(u.real, u.imag, cfg.target_abs_tol)
+    N, log_bound = _em_f64_plan(u.real, u.imag, F64_TOL)
     # quantize each point's N upward to a multiple of 16, so that a batch
     # falls into few N groups. A larger N lowers the truncation bound but
     # raises the rounding allowance, so the quantum is per point and a bound
@@ -488,10 +487,10 @@ def zeta_batch(s_arr, cfg: PrecisionConfig, want_prime: bool = False):
     return vals, dvals, errs, derrs
 
 
-def log_deriv_batch(s_arr, cfg: PrecisionConfig):
+def log_deriv_batch(s_arr):
     """Vectorized zeta'/zeta with propagated error bounds (double engine);
     PrecisionExhausted where zeta's error bound reaches |zeta|."""
-    vals, dvals, errs, derrs = zeta_batch(s_arr, cfg, want_prime=True)
+    vals, dvals, errs, derrs = zeta_batch(s_arr, want_prime=True)
     return _log_deriv(vals, dvals, errs, derrs)
 
 
@@ -924,13 +923,15 @@ def _check_pole(s):
         raise PoleAtOne(f"s={complex(s)} within {EXCLUSION_RADIUS:g} of the pole")
 
 
+# the mpmath config a double config is promoted to (the double engine stops
+# at Re s = -1); 1e-16 is tighter than any double config's tolerance
+_PROMOTED_CFG = PrecisionConfig(working_digits=25, target_abs_tol=1e-16)
+
+
 def _scalar_cfg(cfg: PrecisionConfig) -> PrecisionConfig:
-    """The config the mpmath engine runs at: ``cfg`` itself, or a double
-    config promoted to 25 digits (the double engine stops at Re s = -1)."""
-    if not cfg.uses_f64:
-        return cfg
-    return PrecisionConfig(working_digits=25,
-                           target_abs_tol=min(cfg.target_abs_tol, 1e-16))
+    """The config the mpmath engine runs at: ``cfg`` itself, or
+    ``_PROMOTED_CFG`` for a double config."""
+    return _PROMOTED_CFG if cfg.uses_f64 else cfg
 
 
 def _zeta_and_prime(s, cfg: PrecisionConfig, want_prime: bool):
@@ -942,7 +943,7 @@ def _zeta_and_prime(s, cfg: PrecisionConfig, want_prime: bool):
     """
     sc = _check_finite(s)
     if cfg.uses_f64 and sc.real > -1.0:
-        vals, dvals, errs, derrs = zeta_batch([sc], cfg, want_prime=want_prime)
+        vals, dvals, errs, derrs = zeta_batch([sc], want_prime=want_prime)
         if not want_prime:
             return vals[0], None, float(errs[0]), None
         return vals[0], dvals[0], float(errs[0]), float(derrs[0])

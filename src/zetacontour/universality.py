@@ -22,7 +22,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import DomainError, NearSingularity
-from .precision import FAST_CONFIG, FLAG_RADIUS
+from .precision import FLAG_RADIUS
 from .special_functions import log_deriv_batch
 from .zero_finder import ZeroTable
 
@@ -90,7 +90,7 @@ def _sup_distances(taus: np.ndarray, K: SegmentK, target: complex) -> np.ndarray
     for lo in range(0, len(taus), _SCAN_BATCH):
         chunk = taus[lo:lo + _SCAN_BATCH]
         s = (sig[None, :] + 1j * (K.t_offset + chunk)[:, None]).ravel()
-        vals, _ = log_deriv_batch(s, FAST_CONFIG)
+        vals, _ = log_deriv_batch(s)
         out[lo:lo + len(chunk)] = np.abs(
             vals.reshape(len(chunk), K.samples) - target).max(axis=1)
     return out

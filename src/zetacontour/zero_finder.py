@@ -58,7 +58,7 @@ from .errors import (
     PrecisionExhausted,
     TableTooShort,
 )
-from .precision import DEFAULT_CONFIG, FAST_CONFIG, PrecisionConfig, as_mpc
+from .precision import DEFAULT_CONFIG, PrecisionConfig, as_mpc
 from .special_functions import _scalar_cfg, zeta, zeta_batch
 
 _TWO_PI = 2.0 * math.pi
@@ -239,7 +239,7 @@ def _z(ts: np.ndarray) -> np.ndarray:
         z[rs], err = _rs_z(ts[rs])
         em[rs] = np.abs(z[rs]) <= err
     if em.any():
-        vals, _, _, _ = zeta_batch(0.5 + 1j * ts[em], FAST_CONFIG)
+        vals, _, _, _ = zeta_batch(0.5 + 1j * ts[em])
         z[em] = (np.exp(1j * _theta_f64(ts[em])) * vals).real
     return z
 

@@ -24,7 +24,6 @@ from zetacontour.contour import (
     zero_sum_term_integral,
     zero_tail_estimate,
 )
-from zetacontour.precision import FAST_CONFIG
 from zetacontour.special_functions import log_deriv_batch
 from zetacontour.telescope import s_n_direct
 from zetacontour.zero_finder import ZeroTable, backlund_count_bound
@@ -82,7 +81,7 @@ class TestIntegrateEdge:
 
         def f(z):
             seen.append(z.copy())
-            return log_deriv_batch(z, FAST_CONFIG)[0]
+            return log_deriv_batch(z)[0]
 
         e = integrate_edge(f, c["d"], c["a"], tol=2.5e-8, singularities=sings)
         assert e.n_evals == 33 * len(contour._presplit(c["d"], c["a"], sings)[0])
@@ -147,7 +146,7 @@ class TestIntegrateEdge:
 
         def f(z):
             seen.append(z.size)
-            return log_deriv_batch(z, FAST_CONFIG)[0]
+            return log_deriv_batch(z)[0]
 
         t0 = time.perf_counter()
         with pytest.raises(errors.ToleranceNotMet):
@@ -287,7 +286,7 @@ class TestWinding:
         from zetacontour.special_functions import log_deriv_batch
         rect = Rectangle.box(0.9, 1.1, -1.0, 1.0)
         sings = singularity_set(rect, table120)
-        f = lambda z: log_deriv_batch(z, FAST_CONFIG)[0]
+        f = lambda z: log_deriv_batch(z)[0]
         fwd = rev = 0j
         for _, a, b in rect.edges():
             fwd += integrate_edge(f, a, b, tol=1e-9,
@@ -472,6 +471,15 @@ class TestDecomposition:
         assert rep.residual <= rep.residual_budget
         assert rep.eps2 == pytest.approx(1.0 / (T * T))
         assert rep.n_summed == len(big_table.gammas)
+
+    @pytest.mark.parametrize("T", [200.0, 300.0])
+    def test_uncertified_eps2_truncation_is_null(self, T, big_table):
+        # the table cannot certify the eps2 = 1/T^2 tail here, but the
+        # residual budget never reads that truncation: the call returns
+        rep = decompose(Rectangle.paper_mode(ALPHA, BETA, T), big_table)
+        assert rep.residual <= rep.residual_budget
+        assert rep.n_used_eps2 is None
+        assert rep.to_json_dict()["n_used_eps2"] is None
 
     def test_nan_quad_tol_refused(self, big_table):
         with pytest.raises(errors.DomainError):

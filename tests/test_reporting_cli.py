@@ -271,6 +271,11 @@ class TestCli:
         ["export", "--report", "not-json.txt", "--out", "out.csv"],
         ["export", "--report", "no-suite.json", "--out", "out.csv"],
         ["export", "--report", "a-list.json", "--out", "out.csv"],
+        ["suite", "zeros", "--precision-digits", "0"],
+        ["suite", "zeros", "--tol", "-1"],
+        ["suite", "zeros", "--tol", "nan"],
+        # a double config tighter than the double engine's one tolerance
+        ["suite", "zeros", "--precision-digits", "15", "--tol", "1e-12"],
     ])
     def test_bad_input_exits_2_with_one_error_line(self, argv, tmp_path,
                                                    monkeypatch, capsys):
@@ -285,6 +290,26 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "a-list.json", "no-suite.json", "not-json.txt"]
+
+    @pytest.mark.parametrize("argv", [
+        ["integrate", "--general", "0.9", "1.1", "-1", "1", "--out", "nodir/o.json"],
+        ["telescope", "--alpha", "0.6", "--beta", "0.8", "--T", "30", "--N", "3",
+         "--out", "nodir/trace.csv"],
+        ["export", "--report", "suite.json", "--out", "nodir/suite.csv"],
+    ])
+    def test_unwritable_output_exits_2_with_one_error_line(
+            self, argv, tmp_path, table_path, monkeypatch, capsys):
+        # an output path in a missing directory aborts the command: status 2,
+        # not the status 1 of a failed check
+        monkeypatch.chdir(tmp_path)
+        assert main(["suite", "telescoping", "--out", "suite.json"]) == 0
+        capsys.readouterr()
+        if argv[0] != "export":
+            argv = argv + ["--zeros", table_path]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "nodir" in err
 
     def test_each_subcommand_takes_only_the_flags_it_reads(self):
         sub = next(a for a in build_parser()._actions

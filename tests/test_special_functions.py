@@ -18,9 +18,9 @@ from oracles import (
 from zetacontour import errors, special_functions
 from zetacontour.precision import (
     DEFAULT_CONFIG,
+    F64_TOL,
     FAST_CONFIG,
     ComplexValue,
-    F64_MIN_TOL,
     PrecisionConfig,
 )
 from zetacontour.special_functions import (
@@ -116,20 +116,31 @@ class TestZeta:
         for s in (complex(0.6, 30.0), complex(0.75, 10.0)):
             assert zeta(s, hi).abs_err <= zeta(s, lo).abs_err
 
-    def test_conjugate_symmetry_bulk(self, fast_cfg):
+    def test_double_configs_share_one_tolerance(self):
+        # a double config tighter than F64_TOL is refused; a looser one, at
+        # any digit count up to 15, gets the bits FAST_CONFIG gets
+        for tol in (1e-12, 0.99 * F64_TOL):
+            with pytest.raises(errors.DomainError):
+                PrecisionConfig(15, tol)
+        loose = PrecisionConfig(working_digits=8, target_abs_tol=1e-6)
+        for s in (complex(0.6, 30.0), complex(-0.5, 9.0)):
+            a, b = zeta(s, loose), zeta(s, FAST_CONFIG)
+            assert (a.re, a.im, a.abs_err) == (b.re, b.im, b.abs_err)
+
+    def test_conjugate_symmetry_bulk(self):
         rng = np.random.default_rng(7)
         s = rng.uniform(0.01, 1.99, 1000) + 1j * rng.uniform(-80.0, 80.0, 1000)
-        va, _, ea, _ = zeta_batch(s, fast_cfg)
-        vb, _, eb, _ = zeta_batch(np.conj(s), fast_cfg)
+        va, _, ea, _ = zeta_batch(s)
+        vb, _, eb, _ = zeta_batch(np.conj(s))
         assert np.max(np.abs(vb - np.conj(va)) - (ea + eb)) <= 0.0
 
     @pytest.mark.parametrize("s", [complex(math.nan, 5.0), complex(math.inf, 1.0),
                                    complex(0.5, math.nan)])
     def test_non_finite_points_raise(self, s, fast_cfg, mp_cfg):
         with pytest.raises(errors.DomainError):
-            zeta_batch(np.array([0.6 + 30j, s]), fast_cfg)
+            zeta_batch(np.array([0.6 + 30j, s]))
         with pytest.raises(errors.DomainError):
-            log_deriv_batch(np.array([s]), fast_cfg)
+            log_deriv_batch(np.array([s]))
         for cfg in (fast_cfg, mp_cfg):
             for f in (zeta, log_deriv_zeta, digamma, zeta_alternating):
                 with pytest.raises(errors.DomainError):
@@ -202,9 +213,9 @@ class TestLogDeriv:
                 ref = mp.zeta(sm, derivative=1) / mp.zeta(sm)
             assert _dist(v, ref) <= v.abs_err
 
-    def test_batch_matches_scalar(self, fast_cfg, mp_cfg):
+    def test_batch_matches_scalar(self, mp_cfg):
         s = np.array([0.6 + 30j, 0.75 + 10j, 2.0 + 0j])
-        vals, errs = log_deriv_batch(s, fast_cfg)
+        vals, errs = log_deriv_batch(s)
         for si, vi, ei in zip(s, vals, errs):
             ref = log_deriv_zeta(complex(si), mp_cfg)
             assert abs(vi - complex(ref)) <= ei + ref.abs_err
@@ -214,7 +225,7 @@ class TestLogDeriv:
         # the quotient has no bound at all
         s = complex(0.5, 14.134725141734693)
         with pytest.raises(errors.PrecisionExhausted):
-            log_deriv_batch(np.array([0.6 + 30j, s]), fast_cfg)
+            log_deriv_batch(np.array([0.6 + 30j, s]))
         with pytest.raises(errors.PrecisionExhausted):
             log_deriv_zeta(s, fast_cfg)
 
@@ -235,13 +246,13 @@ class TestDoubleEngineLattice:
     S = (np.linspace(0.6, 0.8, 33)[None, :]
          + 1j * np.linspace(2.0, 20.0, 40)[:, None]).ravel()
 
-    def test_bounds_hold(self, fast_cfg):
+    def test_bounds_hold(self):
         # the mirrored lattice, t in [-20, -2], rides in the same batch; its
         # references are the conjugates of the lattice's, since zeta and
         # zeta' are real on the real axis
         S = np.concatenate([self.S, self.S.conj()])
-        vals, dvals, errs, derrs = zeta_batch(S, fast_cfg, want_prime=True)
-        ld, lerr = log_deriv_batch(S, fast_cfg)
+        vals, dvals, errs, derrs = zeta_batch(S, want_prime=True)
+        ld, lerr = log_deriv_batch(S)
         with mp.workdps(30):
             refs = [(mp.zeta(mp.mpc(s)), mp.zeta(mp.mpc(s), derivative=1)) for s in self.S]
             refs += [(mp.conj(z), mp.conj(dz)) for z, dz in refs]
@@ -250,7 +261,7 @@ class TestDoubleEngineLattice:
                 assert abs(mp.mpc(dvals[k]) - dz) <= derrs[k]
                 assert abs(mp.mpc(ld[k]) - dz / z) <= lerr[k]
 
-    def test_grid_and_scattered_contractions_agree(self, fast_cfg, monkeypatch):
+    def test_grid_and_scattered_contractions_agree(self, monkeypatch):
         # padding the lattice with scattered points in the same N groups
         # makes its grid of distinct heights x abscissae far larger than the
         # batch, so the same points are contracted row by row (einsum)
@@ -260,9 +271,9 @@ class TestDoubleEngineLattice:
         einsum = np.einsum
         monkeypatch.setattr(np, "einsum",
                             lambda *a, **kw: einsum_calls.append(1) or einsum(*a, **kw))
-        grid = zeta_batch(self.S, fast_cfg, want_prime=True)
+        grid = zeta_batch(self.S, want_prime=True)
         assert not einsum_calls
-        rows = zeta_batch(np.concatenate([self.S, pad]), fast_cfg, want_prime=True)
+        rows = zeta_batch(np.concatenate([self.S, pad]), want_prime=True)
         assert einsum_calls
         n = self.S.size
         assert np.all(np.abs(grid[0] - rows[0][:n]) <= grid[2] + rows[2][:n])
@@ -281,19 +292,19 @@ class TestMergedGroups:
                             lambda u, N, *a: calls.append(N) or group(u, N, *a))
         return calls
 
-    def test_scattered_heights_share_calls(self, fast_cfg, monkeypatch):
+    def test_scattered_heights_share_calls(self, monkeypatch):
         # the shape of a zero finder's refinement round: about 80 N quanta of
         # a few points each
         rng = np.random.default_rng(21)
         s = 0.5 + 1j * rng.uniform(200.0, 2600.0, 600)
         calls = self._count_groups(monkeypatch)
-        vals, dvals, errs, derrs = zeta_batch(s, fast_cfg, want_prime=True)
+        vals, dvals, errs, derrs = zeta_batch(s, want_prime=True)
         quanta = len(np.unique(np.concatenate(calls)))
         assert quanta > 60
         assert len(calls) <= math.ceil(len(s) / special_functions._MERGE_BELOW) + 1
         assert any(len(np.unique(N)) > 1 for N in calls)
         for k in rng.choice(len(s), 12, replace=False):
-            v1, dv1, e1, de1 = zeta_batch(s[k:k + 1], fast_cfg, want_prime=True)
+            v1, dv1, e1, de1 = zeta_batch(s[k:k + 1], want_prime=True)
             assert (errs[k], derrs[k]) == (e1[0], de1[0])
             assert abs(vals[k] - v1[0]) <= errs[k] + e1[0]
             assert abs(dvals[k] - dv1[0]) <= derrs[k] + de1[0]
@@ -320,7 +331,7 @@ class TestMergedGroups:
                 assert abs(v[k] - v1[0]) <= 2 * ro[k]
                 assert abs(dv[k] - dv1[0]) <= 2 * dro[k]
 
-    def test_scan_lattice_keeps_one_call_per_quantum(self, fast_cfg, monkeypatch):
+    def test_scan_lattice_keeps_one_call_per_quantum(self, monkeypatch):
         # 2048 shifts x 33 abscissae, the batch universality.scan sends
         sig = np.linspace(0.6, 0.8, 33)
         s = (sig[None, :] + 1j * (300.0 + 0.05 * np.arange(2048))[:, None]).ravel()
@@ -329,7 +340,7 @@ class TestMergedGroups:
         einsum = np.einsum
         monkeypatch.setattr(np, "einsum",
                             lambda *a, **kw: einsum_calls.append(1) or einsum(*a, **kw))
-        log_deriv_batch(s, fast_cfg)
+        log_deriv_batch(s)
         assert all(len(np.unique(N)) == 1 for N in calls)
         assert len(calls) == len(np.unique(np.concatenate(calls))) > 1
         assert not einsum_calls
@@ -338,12 +349,12 @@ class TestMergedGroups:
 class TestSigmaOne:
     """On the line sigma = 1 the rounding allowance takes its ln N limit."""
 
-    def test_no_warning_and_bounds_hold(self, fast_cfg):
+    def test_no_warning_and_bounds_hold(self):
         s = np.array([1.0 + 5.0j, 1.0 - 20.0j])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            vals, dvals, errs, derrs = zeta_batch(s, fast_cfg, want_prime=True)
-            ld, lerr = log_deriv_batch(s, fast_cfg)
+            vals, dvals, errs, derrs = zeta_batch(s, want_prime=True)
+            ld, lerr = log_deriv_batch(s)
         with mp.workdps(30):
             for k, z in enumerate(s):
                 zt, dzt = mp.zeta(mp.mpc(z)), mp.zeta(mp.mpc(z), derivative=1)
@@ -380,19 +391,19 @@ class TestConjugateFold:
                             [complex(0.6, 0.0), complex(0.6, -0.0), complex(0.6, 3.0)]])
         return s[rng.permutation(len(s))]
 
-    def test_input_order_and_exact_conjugates(self, fast_cfg, monkeypatch):
+    def test_input_order_and_exact_conjugates(self, monkeypatch):
         s = self.batch()
         einsum_points = []
         einsum = np.einsum
         monkeypatch.setattr(np, "einsum", lambda spec, cols, amp: (
             einsum_points.append(len(cols)) or einsum(spec, cols, amp)))
-        vals, dvals, errs, derrs = zeta_batch(s, fast_cfg, want_prime=True)
+        vals, dvals, errs, derrs = zeta_batch(s, want_prime=True)
         distinct = len({(z.real, abs(z.imag)) for z in s})
         # both contractions ran: some points went point by point, not all
         assert 0 < sum(einsum_points) < distinct
         for k, z in enumerate(s):
             # a batch of one is a grid of one cell: same bounds, values within them
-            v1, dv1, e1, de1 = zeta_batch(np.array([z]), fast_cfg, want_prime=True)
+            v1, dv1, e1, de1 = zeta_batch(np.array([z]), want_prime=True)
             assert (errs[k], derrs[k]) == (e1[0], de1[0])
             assert abs(vals[k] - v1[0]) <= errs[k] + e1[0]
             assert abs(dvals[k] - dv1[0]) <= derrs[k] + de1[0]
@@ -405,13 +416,13 @@ class TestConjugateFold:
         assert np.all(vals[j] == vals[k].conj()) and np.all(dvals[j] == dvals[k].conj())
         assert np.all(errs[j] == errs[k]) and np.all(derrs[j] == derrs[k])
 
-    def test_each_distinct_height_is_evaluated_once(self, fast_cfg, monkeypatch):
+    def test_each_distinct_height_is_evaluated_once(self, monkeypatch):
         s = self.batch()
         seen = []
         group = special_functions._em_f64_group
         monkeypatch.setattr(special_functions, "_em_f64_group",
                             lambda u, *a: seen.extend(u) or group(u, *a))
-        zeta_batch(s, fast_cfg, want_prime=True)
+        zeta_batch(s, want_prime=True)
         assert len(seen) == len({(z.real, abs(z.imag)) for z in s})
         assert min(z.imag for z in seen) == 0.0
 
@@ -535,7 +546,7 @@ class TestMpEnginePlan:
         # N - 1 misses the bound unless N is the floor: for zeta' at
         # -0.2 + 47.5i with M = 12, four past its floor 48 (one step with the
         # lever taken at the floor gives 51), and at scattered double-engine
-        # points at its tightest tolerance
+        # points at 1e-12, tighter than the engine's F64_TOL
         s = complex(-0.2, 47.5)
         N, M, _ = _em_mp_plan(s.real, s.imag, 1e-18, abs(s))
         assert (N, M) == (52, 12)
@@ -543,19 +554,19 @@ class TestMpEnginePlan:
         rng = np.random.default_rng(1515)
         s = rng.uniform(-1.0, 3.0, 40) + 1j * 10.0 ** rng.uniform(0.0, 3.5, 40)
         M = F64_EM_TERMS
-        N, _ = _em_f64_plan(s.real, s.imag, F64_MIN_TOL)
+        N, _ = _em_f64_plan(s.real, s.imag, 1e-12)
         for k in range(len(s)):
-            assert N[k] == em_least_N(s[k].real, s[k].imag, M, F64_MIN_TOL, False,
+            assert N[k] == em_least_N(s[k].real, s[k].imag, M, 1e-12, False,
                                       self._majorant(M)), s[k]
 
     def test_double_engine_plan_stays_near_its_floor(self):
-        # over the double engine's domain (Re s >= -1, |t| <= 2.5e4) at its
-        # tightest tolerance, N is at most twice its floor: the batch needs
-        # no refusal
+        # over the double engine's domain (Re s >= -1, |t| <= 2.5e4) at
+        # 1e-12, tighter than its F64_TOL, N is at most twice its floor: the
+        # batch needs no refusal
         M = F64_EM_TERMS
         sigma, t = (g.ravel() for g in np.meshgrid(
             np.linspace(-1.0, 6.0, 57), np.concatenate([[0.0], np.geomspace(1e-3, 2.5e4, 200)])))
-        N, _ = _em_f64_plan(sigma, t, F64_MIN_TOL)
+        N, _ = _em_f64_plan(sigma, t, 1e-12)
         floor = np.maximum(np.ceil(0.55 * (t + 2 * M)) + 8, 14)
         assert np.all(np.isfinite(N)) and np.all(N <= 2 * floor)
 

@@ -39,7 +39,7 @@ class TestSupDistance:
         # a hairline segment against its own value: distance ~ evaluation error
         K = SegmentK(0.7, 0.7 + 1e-9, samples=2)
         s = complex(0.7, 100.0)
-        val, _ = log_deriv_batch(np.array([s]), FAST_CONFIG)
+        val, _ = log_deriv_batch(np.array([s]))
         r = sup_distance(100.0, K, val[0].real, val[0].imag, table120)
         assert r.sup_distance < 1e-6
 
@@ -63,8 +63,8 @@ class TestSupDistance:
         b = sup_distance(tau + delta, K, 0.0, -math.pi, table120).sup_distance
         # a crude Lipschitz estimate of zeta'/zeta along the sweep
         s = K.grid() + 1j * tau
-        v0, _ = log_deriv_batch(s, FAST_CONFIG)
-        v1, _ = log_deriv_batch(s + 1j * delta, FAST_CONFIG)
+        v0, _ = log_deriv_batch(s)
+        v1, _ = log_deriv_batch(s + 1j * delta)
         lip = float(np.max(np.abs(v1 - v0))) / delta
         assert abs(b - a) <= 3.0 * lip * delta + 1e-9
 
@@ -148,7 +148,7 @@ class TestScan:
         summary = scan(0.0, 100.0, 0.25, K, 0.0, -math.pi, 0.5, table120)
         for r in summary.results[::80]:
             direct = sup_distance(r.tau, K, 0.0, -math.pi, table120)
-            _, lerr = log_deriv_batch(K.grid() + 1j * r.tau, FAST_CONFIG)
+            _, lerr = log_deriv_batch(K.grid() + 1j * r.tau)
             assert abs(r.sup_distance - direct.sup_distance) <= 2.0 * lerr.max()
 
     def test_neighborhood_of_good_shift(self, table120):

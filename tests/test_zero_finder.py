@@ -145,6 +145,28 @@ class TestFindZeros:
         with pytest.raises(errors.MissedZeroSuspected):
             broken.audit()
 
+    def test_failed_audit_rescans_once_at_a_fifth_of_the_step(self, monkeypatch):
+        steps, failures = [], [1]
+        locate, audit = zero_finder._locate, ZeroTable.audit
+
+        def failing_audit(table):
+            if failures:
+                failures.pop()
+                raise errors.MissedZeroSuspected("forced")
+            audit(table)
+
+        monkeypatch.setattr(zero_finder, "_locate",
+                            lambda T, step: steps.append(step) or locate(T, step))
+        monkeypatch.setattr(ZeroTable, "audit", failing_audit)
+        table = find_zeros_up_to(40.0)
+        assert steps == [zero_finder.SCAN_STEP, zero_finder.SCAN_STEP / 5.0]
+        assert len(table.gammas) == 6
+        # a second failure, after the rescan, propagates
+        failures[:] = [1, 1]
+        with pytest.raises(errors.MissedZeroSuspected):
+            find_zeros_up_to(40.0)
+        assert steps[2:] == [zero_finder.SCAN_STEP, zero_finder.SCAN_STEP / 5.0]
+
     def test_session_table_against_mpmath(self, big_table):
         assert len(big_table.gammas) == mp.nzeros(big_table.max_height) == 4680
         # 617, 1472, 2049 and 3881 are the ordinates an earlier double engine
@@ -160,7 +182,7 @@ class TestFindZeros:
         heights = []
         batch = zero_finder.zeta_batch
         monkeypatch.setattr(zero_finder, "zeta_batch",
-                            lambda s, cfg: heights.extend(np.imag(s)) or batch(s, cfg))
+                            lambda s: heights.extend(np.imag(s)) or batch(s))
         em_only = find_zeros_up_to(600.0)
         grid = np.arange(zero_finder.SCAN_START, 600.0, zero_finder.SCAN_STEP)
         assert np.isin(grid, heights).all()
@@ -173,7 +195,7 @@ class TestFindZeros:
         counted = []
         batch = zero_finder.zeta_batch
         monkeypatch.setattr(zero_finder, "zeta_batch",
-                            lambda s, cfg: counted.append(len(s)) or batch(s, cfg))
+                            lambda s: counted.append(len(s)) or batch(s))
         table = find_zeros_up_to(1000.0)
         assert sum(counted) <= 9.0 * len(table.gammas)
 
