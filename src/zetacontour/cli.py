@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .contour import Rectangle, decompose, integrate_rectangle
+from .contour import Rectangle, decompose, decompose_height, integrate_rectangle
 from .errors import DomainError, MissingTable, ZetaContourError
 from .precision import PrecisionConfig
 from .reporting import (
@@ -89,8 +89,7 @@ def cmd_decompose(args) -> int:
     rect = _rect_from_args(args)
     if not rect.paper:
         raise ZetaContourError("decompose requires a paper-mode rectangle")
-    # the eps2 certification typically needs a table far above T
-    table = ensure_table(args.zeros, max(rect.T * 52.0, rect.T + 10.0))
+    table = ensure_table(args.zeros, decompose_height(rect, args.eps2))
     contour = integrate_rectangle(rect, table, tol=args.quad_tol)
     dec = decompose(rect, table, eps2=args.eps2, quad_tol=args.quad_tol)
     payload = contour.to_json_dict()

@@ -588,6 +588,35 @@ def zero_tail_bound(rect: Rectangle, H: float) -> float:
     return _tail_density_integral(b_a, rect.T, H) + _tail_fluctuation_bound(b_a, rect.T, H)
 
 
+def decompose_height(rect: Rectangle, eps2: Optional[float] = None) -> float:
+    """The table height ``decompose`` needs at ``eps2`` (default 1/T^2): the
+    least H >= T + 10 at which ``_tail_fluctuation_bound``, the one tail term
+    of its residual budget, meets eps2 * 2T. The bound falls as H grows, so
+    H is found by bisection, down to adjacent doubles. DomainError unless
+    eps2 > 0."""
+    T = rect.T
+    if eps2 is None:
+        eps2 = 1.0 / (T * T)
+    if not eps2 > 0:
+        raise DomainError(f"eps2={eps2!r} must be positive")
+    threshold = eps2 * 2.0 * T
+
+    def meets(H):
+        return _tail_fluctuation_bound(rect.beta - rect.alpha, T, H) <= threshold
+
+    lo = T + 10.0
+    if meets(lo):
+        return lo
+    hi = 2.0 * lo
+    while not meets(hi):
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi
+        lo, hi = (lo, mid) if meets(mid) else (mid, hi)
+
+
 @dataclass(frozen=True)
 class ZeroSumTerm:
     value: complex

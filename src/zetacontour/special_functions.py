@@ -93,6 +93,9 @@ _EM_MAX_GROWTH = 1.3 ** 40
 # scattered points would otherwise build a grid quadratic in the batch.
 _GRID_FILL = 2
 _ROW_BLOCK = 1 << 16  # table entries gathered per block (phase fill, scattered path)
+# points per block of the closed-form tail's nest (``_em_tail``): its four
+# complex temporaries then take 256 kB
+_TAIL_BLOCK = _ROW_BLOCK // 16
 # N quanta holding fewer points than this share one Euler-Maclaurin group
 # (``_em_f64_groups``). Of 64, 128, 256 and 512, 64 to 256 ran
 # find_zeros_up_to(2600) in times within noise of each other and 512 slower;
@@ -180,13 +183,13 @@ def _em_f64_plan(sigma, t, tol):
         np.square(x, out=x)
         x += t2[b]
         np.log(np.maximum(x, 1e-300, out=x), out=x)
-        x *= 0.5
         # row after row, so that a point's sum never depends on its batch
         # (np.add.reduce sums a one-column block pairwise; np.cumsum takes
-        # several times as long across a wide block)
+        # several times as long across a wide block); halving the sum once
+        # is exact, so it equals the sum of the halved logs
         for prev, row in zip(x, x[1:]):
             row += prev
-        lp[b] = x[rows]
+        np.multiply(x[rows], 0.5, out=lp[b])
     base = math.log(2.2) - (rows + 2) * math.log(_TWO_PI) + lp
     k = sigma + rows + 1
     tail = np.log(np.hypot(k, t) / k)
@@ -214,35 +217,62 @@ def _em_tail(s, N, acc, dacc):
     The sum over k is nested (Horner): N^(-1-s) s P_1, with P_M = c_M,
     P_k = c_k + q_k P_{k+1} and q_k = (s + 2k - 1)(s + 2k) / N^2, the ratio
     of consecutive terms over that of their coefficients; P' runs through
-    the same recursion, with q_k' = (2s + 4k - 1) / N^2. N^2 is an integer,
-    so each division rounds once.
+    the same recursion, with q_k' = (2s + 4k - 1) / N^2. The nest runs in
+    place, ``_TAIL_BLOCK`` points at a time, so that its temporaries stay in
+    cache. It divides by N^2 as a product with the rounded reciprocal 1/N^2
+    (a float per point, or a Python float where the batch has one N), which
+    is how numpy divides by the complex N^2 + 0i: q_k rounds in the product
+    (s + 2k - 1)(s + 2k), in 1/N^2 and in the scaling.
+
+    numpy's complex products can round differently in the two operand
+    orders (its vector loops may fuse a multiply and an add), so every
+    product keeps the order of the whole-array expressions it replaces. The
+    terms outside the nest stay whole-array expressions: numpy reuses a
+    temporary of at least 256 KiB (16,384 points) as the output of a
+    product, and multiplies in the other order, so the last bits of zeta'
+    in the final line depend on the batch's length.
     """
     # ln N by math.log once per distinct N, so that it does not depend on the
     # batch (numpy's log of a long array can differ from it in the last bit);
-    # N and N^2 enter only complex products and quotients, so each is cast
-    # once, or stays a Python scalar where the batch has one N
+    # N and 1/N^2 enter only complex products and quotients, so each is
+    # formed once, or stays a Python scalar where the batch has one N
     lo, hi = int(N.min()), int(N.max())
     if lo == hi:
-        lnN, Nc, N2 = math.log(lo), lo, lo * lo
+        lnN, Nc, rN2 = math.log(lo), lo, 1.0 / (lo * lo)
     else:
         seen = np.zeros(hi - lo + 1, dtype=bool)
         seen[N - lo] = True
         logs = np.zeros(len(seen))
         logs[seen] = [math.log(n) for n in (np.flatnonzero(seen) + lo).tolist()]
         lnN = logs[N - lo]
-        Nc, N2 = N.astype(np.complex128), (N * N).astype(np.complex128)
+        Nc, rN2 = N.astype(np.complex128), 1.0 / (N * N)
     NmS = np.exp(-s * lnN)
     acc = acc + Nc * NmS / (s - 1.0) + 0.5 * NmS
     if dacc is not None:
         dacc = dacc - lnN * Nc * NmS / (s - 1.0) - Nc * NmS / (s - 1.0) ** 2
         dacc = dacc - 0.5 * lnN * NmS
-    P, dP = _B2K_OVER_FACT[F64_EM_TERMS], 0
-    for k in range(F64_EM_TERMS - 1, 0, -1):
-        a, b = s + (2 * k - 1), s + 2 * k
-        q = a * b / N2
-        if dacc is not None:
-            dP = (a + b) / N2 * P + q * dP
-        P = _B2K_OVER_FACT[k] + q * P
+    P = np.full_like(s, _B2K_OVER_FACT[F64_EM_TERMS])
+    dP = np.zeros_like(s) if dacc is not None else None
+    a, b, q, w = (np.empty(min(len(s), _TAIL_BLOCK), dtype=np.complex128)
+                  for _ in range(4))
+    for start in range(0, len(s), _TAIL_BLOCK):
+        blk = slice(start, start + _TAIL_BLOCK)
+        sb, Pb, r = s[blk], P[blk], (rN2[blk] if np.ndim(rN2) else rN2)
+        dPb = dP[blk] if dP is not None else None
+        ab, bb, qb, wb = a[:len(sb)], b[:len(sb)], q[:len(sb)], w[:len(sb)]
+        for k in range(F64_EM_TERMS - 1, 0, -1):
+            np.add(sb, 2 * k - 1, out=ab)
+            np.add(sb, 2 * k, out=bb)
+            np.multiply(ab, bb, out=qb)
+            np.multiply(qb, r, out=qb)  # q_k
+            if dPb is not None:
+                np.add(ab, bb, out=wb)
+                np.multiply(wb, r, out=wb)
+                np.multiply(wb, Pb, out=wb)
+                np.multiply(qb, dPb, out=dPb)
+                np.add(wb, dPb, out=dPb)  # q_k' P + q_k P'
+            np.multiply(qb, Pb, out=Pb)
+            np.add(_B2K_OVER_FACT[k], Pb, out=Pb)  # c_k + q_k P
     Npow = NmS / Nc  # N^(-1-s)
     acc = acc + Npow * s * P
     if dacc is not None:
@@ -385,17 +415,15 @@ def _f64_errors(s, N, want_prime, trunc):
     # sigma = 1, where the quotient is 0/0 and is not formed
     d = 1.0 - sigma
     far = np.abs(d) > 1e-9
-    sumabs = np.where(
-        far,
-        1.0 + np.abs((np.power(N.astype(float), d) - 1.0) / np.where(far, d, 1.0)),
-        1.0 + np.log(N.astype(float)),
-    )
-    edge = np.power(N.astype(float), 1.0 - sigma) / np.maximum(np.abs(s - 1.0), 1e-3)
+    Nf = N.astype(float)
+    Npow = np.power(Nf, d)  # N^(1-sigma)
+    lnN = np.log(Nf)
+    sumabs = np.where(far, 1.0 + np.abs((Npow - 1.0) / np.where(far, d, 1.0)), 1.0 + lnN)
+    edge = Npow / np.maximum(np.abs(s - 1.0), 1e-3)
     ro = F64_ROUNDOFF * (3.0 + sumabs + edge)
     err = trunc + ro
     if not want_prime:
         return err, None
-    lnN = np.log(N.astype(float))
     derr = trunc * _prime_lever(lnN, F64_EM_TERMS, np.abs(s)) + ro * (1.0 + lnN)
     return err, derr
 
@@ -434,9 +462,11 @@ def zeta_batch(s_arr, want_prime: bool = False):
     per distinct (sigma, |t|); a point with Im s < 0 (t = -0.0 is not
     flipped) returns the exact conjugate of its folded value, with the same
     bounds, which depend on (sigma, |t|) only. A symmetric edge of the
-    rectangles D(alpha, beta, T) thus costs half its nodes. The last bits of
-    a value can depend on the other points of its batch (``_em_f64_group``),
-    never its bounds.
+    rectangles D(alpha, beta, T) thus costs half its nodes. A batch that is
+    already strictly ordered by (Re s, Im s), with no Im s < 0, is its own
+    folded set and is evaluated without a permutation, to the same bits. The
+    last bits of a value can depend on the other points of its batch
+    (``_em_f64_group``, ``_em_tail``), never its bounds.
     """
     s = np.asarray(s_arr, dtype=np.complex128).ravel()
     if s.size == 0:
@@ -454,17 +484,24 @@ def zeta_batch(s_arr, want_prime: bool = False):
     # zeta(conj s) = conj zeta(s): evaluate each distinct sigma + i|t| once.
     # The distinct folded points u are those of np.unique, in its order, but
     # found by sorting two float keys: numpy sorts complex128 with scalar
-    # comparisons, several times slower on batches of 1e4-1e5 points.
+    # comparisons, several times slower on batches of 1e4-1e5 points. A batch
+    # with no Im s < 0, strictly ordered by (Re s, Im s) (a sigma-major
+    # lattice, as the shift scan builds), is its own u and is not permuted.
     flip = s.imag < 0
-    folded = np.where(flip, s.conj(), s)
-    order = np.lexsort((folded.imag, folded.real))
-    folded = folded[order]
-    first = np.empty(s.size, dtype=bool)
-    first[0] = True
-    np.not_equal(folded[1:], folded[:-1], out=first[1:])
-    u = folded[first]
-    inv = np.empty(s.size, dtype=np.intp)
-    inv[order] = np.cumsum(first) - 1
+    re, im = s.real, s.imag
+    if flip.any() or not np.all((re[1:] > re[:-1])
+                                | ((re[1:] == re[:-1]) & (im[1:] > im[:-1]))):
+        folded = np.where(flip, s.conj(), s)
+        order = np.lexsort((folded.imag, folded.real))
+        folded = folded[order]
+        first = np.empty(s.size, dtype=bool)
+        first[0] = True
+        np.not_equal(folded[1:], folded[:-1], out=first[1:])
+        u = folded[first]
+        inv = np.empty(s.size, dtype=np.intp)
+        inv[order] = np.cumsum(first) - 1
+    else:
+        u, inv = s, None
     N, log_bound = _em_f64_plan(u.real, u.imag, F64_TOL)
     # quantize each point's N upward to a multiple of 16, so that a batch
     # falls into few N groups. A larger N lowers the truncation bound but
@@ -479,6 +516,8 @@ def zeta_batch(s_arr, want_prime: bool = False):
         if want_prime:
             dvals[idx] = dv
     errs, derrs = _f64_errors(u, N, want_prime, np.exp(log_bound(np.log(N))))
+    if inv is None:
+        return vals, dvals, errs, derrs
     vals, errs = vals[inv], errs[inv]
     np.conjugate(vals, out=vals, where=flip)
     if want_prime:

@@ -84,15 +84,17 @@ def _zero_distances(taus: np.ndarray, K: SegmentK, zeros: ZeroTable) -> np.ndarr
 
 def _sup_distances(taus: np.ndarray, K: SegmentK, target: complex) -> np.ndarray:
     """Grid sup of |zeta'/zeta - target| on the segment shifted by each of
-    ``taus``, in engine calls of at most _SCAN_BATCH shifts."""
+    ``taus``, in engine calls of at most _SCAN_BATCH shifts. Each call's
+    lattice is sigma-major, so that for increasing shifts at Im s >= 0 the
+    engine takes it in its own order (``zeta_batch``)."""
     sig = K.grid()
     out = np.empty(len(taus))
     for lo in range(0, len(taus), _SCAN_BATCH):
         chunk = taus[lo:lo + _SCAN_BATCH]
-        s = (sig[None, :] + 1j * (K.t_offset + chunk)[:, None]).ravel()
+        s = (sig[:, None] + 1j * (K.t_offset + chunk)[None, :]).ravel()
         vals, _ = log_deriv_batch(s)
         out[lo:lo + len(chunk)] = np.abs(
-            vals.reshape(len(chunk), K.samples) - target).max(axis=1)
+            vals.reshape(K.samples, len(chunk)) - target).max(axis=0)
     return out
 
 

@@ -5,7 +5,8 @@ product and the bare asymptotic series for digamma, the harmonic-sum limit
 for Euler's constant, the generator h(k) behind a telescoped arctan sum, a
 brute-force scan for the fixed point of the limiting Riccati map, power-series
 arithmetic for the Riemann-Siegel corrections, mpmath's own zero routines, the
-closed-form Euler-Maclaurin part summed term by term, the least
+closed-form Euler-Maclaurin part summed term by term (and, as a bitwise
+reference, nested in whole-array complex expressions), the least
 Euler-Maclaurin truncation found by stepping N one at a time, the quadrature
 presplit measured against the whole singularity set, and the singularity set
 screened ordinate by ordinate.
@@ -194,6 +195,39 @@ def em_closed_form(s, N: int, M: int, dps: int, NmS=None, lnN=None):
             val += c * poch * power
             dval += c * (dpoch - lnN * poch) * power
         return val, dval
+
+
+def em_tail_nest(s, N, acc, dacc, c):
+    """The double engine's closed-form Euler-Maclaurin tail as whole-array
+    complex expressions, dividing by N^2 cast to complex: the reference that
+    ``special_functions._em_tail``, in place and blocked, must match bit for
+    bit. Same arguments and result as ``_em_tail``, with M = len(c) - 1 and
+    c[k] the float B_2k/(2k)! to use, so that only the arithmetic is
+    compared."""
+    M = len(c) - 1
+    lo, hi = int(N.min()), int(N.max())
+    if lo == hi:
+        lnN, Nc, N2 = math.log(lo), lo, lo * lo
+    else:
+        lnN = np.array([math.log(n) for n in N.tolist()])
+        Nc, N2 = N.astype(np.complex128), (N * N).astype(np.complex128)
+    NmS = np.exp(-s * lnN)
+    acc = acc + Nc * NmS / (s - 1.0) + 0.5 * NmS
+    if dacc is not None:
+        dacc = dacc - lnN * Nc * NmS / (s - 1.0) - Nc * NmS / (s - 1.0) ** 2
+        dacc = dacc - 0.5 * lnN * NmS
+    P, dP = c[M], 0
+    for k in range(M - 1, 0, -1):
+        a, b = s + (2 * k - 1), s + 2 * k
+        q = a * b / N2
+        if dacc is not None:
+            dP = (a + b) / N2 * P + q * dP
+        P = c[k] + q * P
+    Npow = NmS / Nc  # N^(-1-s)
+    acc = acc + Npow * s * P
+    if dacc is not None:
+        dacc = dacc + Npow * (P + s * (dP - lnN * P))
+    return acc, dacc
 
 
 def em_least_N(sigma, t, M, tol, prime=False, bernoulli=None, stop=None):

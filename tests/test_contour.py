@@ -9,6 +9,7 @@ from zetacontour import contour, errors
 from zetacontour.contour import (
     Rectangle,
     decompose,
+    decompose_height,
     digamma_integrand,
     digamma_term_integral,
     horizontal_edges_model,
@@ -463,6 +464,28 @@ class TestHorizontalModelAndTotal:
 
 
 class TestDecomposition:
+    @pytest.mark.parametrize("T", [20.0, 100.0, 2000.0])
+    def test_table_height_is_the_least_that_meets_the_tail_bound(self, T):
+        # the fluctuation bound, the budget's one tail term, meets eps2 * 2T
+        # (eps2 = 1/T^2) at H and not one double below it
+        rect = Rectangle.paper_mode(ALPHA, BETA, T)
+        H = decompose_height(rect)
+
+        def bound(h):
+            return contour._tail_fluctuation_bound(rect.beta - rect.alpha, T, h)
+
+        assert T + 10.0 < H < 2.6 * T
+        assert bound(H) <= 2.0 / T < bound(np.nextafter(H, 0.0))
+        assert decompose_height(rect, eps2=1.0 / (T * T)) == H
+
+    def test_table_height_edges(self):
+        rect = Rectangle.paper_mode(ALPHA, BETA, 100.0)
+        assert decompose_height(rect, eps2=math.inf) == 110.0
+        assert decompose_height(rect, eps2=1e-2) < decompose_height(rect)
+        for eps2 in (0.0, -1.0, math.nan):
+            with pytest.raises(errors.DomainError):
+                decompose_height(rect, eps2=eps2)
+
     @pytest.mark.parametrize("T", [20.0, 50.0, 100.0])
     def test_residual_within_budget(self, T, big_table):
         rect = Rectangle.paper_mode(ALPHA, BETA, T)

@@ -164,6 +164,20 @@ class TestCli:
         assert rc == 0
         assert json.loads(out.read_text())["winding"] == -1
 
+    def test_decompose_reads_a_table_tall_enough(self, tmp_path, big_table):
+        # at T = 300 the tail bound needs a table to about 729: the 5150 file
+        # is read as it is, not rebuilt to 52 T and saved over
+        path = tmp_path / "zeros.zctab"
+        save_table(big_table, path)
+        before = path.read_bytes()
+        out = tmp_path / "dec.json"
+        rc = main(["decompose", "--alpha", "0.6", "--beta", "0.8", "--T", "300",
+                   "--zeros", str(path), "--out", str(out)])
+        assert rc == 0
+        assert path.read_bytes() == before
+        d = json.loads(out.read_text())["decomposition"]
+        assert d["residual"] <= d["quad_error"] + d["tail_bound"]
+
     def test_telescope_csv(self, tmp_path, table_path):
         out = tmp_path / "trace.csv"
         rc = main(["telescope", "--alpha", "0.6", "--beta", "0.8", "--T", "30",

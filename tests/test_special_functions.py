@@ -14,6 +14,7 @@ from oracles import (
     digamma_weierstrass,
     em_closed_form,
     em_least_N,
+    em_tail_nest,
 )
 from zetacontour import errors, special_functions
 from zetacontour.precision import (
@@ -373,6 +374,23 @@ def _gl_edge(sigma, T, panels):
     return sigma + 1j * np.concatenate([-t[::-1], t])
 
 
+def _assert_folded(s, vals, dvals, errs, derrs):
+    """Equal points of a batch get equal values and bounds, and a point
+    whose conjugate is in the batch gets its exact conjugate values."""
+    # every pair (j, k), at once
+    same = s[:, None] == s[None, :]
+    j, k = np.nonzero(same)
+    assert np.all(vals[j] == vals[k]) and np.all(dvals[j] == dvals[k])
+    assert np.all(errs[j] == errs[k])
+    j, k = np.nonzero(~same & (s[:, None] == s.conj()[None, :]))
+    assert np.all(vals[j] == vals[k].conj()) and np.all(dvals[j] == dvals[k].conj())
+    assert np.all(errs[j] == errs[k]) and np.all(derrs[j] == derrs[k])
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
 class TestConjugateFold:
     """zeta_batch evaluates each distinct (sigma, |t|) once and returns the
     conjugate for Im s < 0."""
@@ -407,14 +425,7 @@ class TestConjugateFold:
             assert (errs[k], derrs[k]) == (e1[0], de1[0])
             assert abs(vals[k] - v1[0]) <= errs[k] + e1[0]
             assert abs(dvals[k] - dv1[0]) <= derrs[k] + de1[0]
-        # every pair (j, k), at once
-        same = s[:, None] == s[None, :]
-        j, k = np.nonzero(same)
-        assert np.all(vals[j] == vals[k]) and np.all(dvals[j] == dvals[k])
-        assert np.all(errs[j] == errs[k])
-        j, k = np.nonzero(~same & (s[:, None] == s.conj()[None, :]))
-        assert np.all(vals[j] == vals[k].conj()) and np.all(dvals[j] == dvals[k].conj())
-        assert np.all(errs[j] == errs[k]) and np.all(derrs[j] == derrs[k])
+        _assert_folded(s, vals, dvals, errs, derrs)
 
     def test_each_distinct_height_is_evaluated_once(self, monkeypatch):
         s = self.batch()
@@ -425,6 +436,57 @@ class TestConjugateFold:
         zeta_batch(s, want_prime=True)
         assert len(seen) == len({(z.real, abs(z.imag)) for z in s})
         assert min(z.imag for z in seen) == 0.0
+
+
+class TestFoldOrder:
+    """A batch with no Im s < 0, strictly ordered by (Re s, Im s), is
+    evaluated in its own order; any other batch is folded, and both give the
+    same bits point by point."""
+
+    LATTICE = (np.linspace(0.6, 0.8, 33)[:, None]
+               + 1j * np.linspace(100.0, 120.0, 64)[None, :]).ravel()
+
+    @staticmethod
+    def _count_lexsorts(monkeypatch):
+        calls = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+        return calls
+
+    def test_lattice_shuffled_and_mirrored_agree_bitwise(self, monkeypatch):
+        s = self.LATTICE
+        n = len(s)
+        lexsorts = self._count_lexsorts(monkeypatch)
+        ref = zeta_batch(s, want_prime=True)
+        assert not lexsorts  # the sigma-major lattice is taken as it is
+        perm = np.random.default_rng(25).permutation(n)
+        shuffled = zeta_batch(s[perm], want_prime=True)
+        mirrored = zeta_batch(np.concatenate([s, s.conj()]), want_prime=True)
+        assert len(lexsorts) == 2
+        for i, r in enumerate(ref):
+            assert np.array_equal(_bits(shuffled[i]), _bits(r[perm]))
+            assert np.array_equal(_bits(mirrored[i][:n]), _bits(r))
+            back = r.conj() if i < 2 else r  # values conjugate, bounds do not
+            assert np.array_equal(_bits(mirrored[i][n:]), _bits(back))
+
+    @pytest.mark.parametrize("case", ["repeated", "minus-zero", "conjugate"])
+    def test_other_batches_still_fold(self, monkeypatch, case):
+        # in (Re s, Im s) order but not strictly (a repeat, or -0.0 beside
+        # +0.0), or with a point at Im s < 0: the batch folds
+        lat = self.LATTICE
+        s = {"repeated": np.insert(lat, 41, lat[40]),
+             "minus-zero": np.concatenate([[complex(0.6, -0.0), complex(0.6, 0.0)], lat]),
+             "conjugate": np.insert(lat, 41, lat[40].conjugate())}[case]
+        lexsorts = self._count_lexsorts(monkeypatch)
+        out = zeta_batch(s, want_prime=True)
+        assert lexsorts
+        _assert_folded(s, *out)
+        if case != "minus-zero":
+            # the lattice's distinct folded points: the lattice's bits
+            ref = zeta_batch(lat, want_prime=True)
+            keep = np.arange(len(s)) != 41
+            for i, r in enumerate(ref):
+                assert np.array_equal(_bits(out[i][keep]), _bits(r))
 
 
 class TestSieve:
@@ -673,6 +735,34 @@ class TestEmTail:
                 assert abs(mp.mpc(dv[0]) - dref) <= dro[k], (s[k], Nk)
             else:
                 assert dv is None
+
+    @pytest.mark.parametrize("want_prime", [False, True])
+    def test_double_engine_bits(self, want_prime):
+        # the in-place, blocked nest against the whole-array expressions it
+        # replaced (``em_tail_nest``), bit for bit
+        rng = np.random.default_rng(25)
+        sig = np.linspace(0.6, 0.8, 33)
+        lattice = (sig[:, None] + 1j * (300.0 + 0.05 * np.arange(2048))[None, :]).ravel()
+        assert len(lattice) > 2 * special_functions._TAIL_BLOCK
+        N_lat = _em_f64_plan(lattice.real, lattice.imag, F64_TOL)[0].astype(np.int64)
+        N_lat = (N_lat + 15) // 16 * 16
+        scattered = rng.uniform(-1.0, 2.0, 300) + 1j * rng.uniform(-2.5e4, 2.5e4, 300)
+        N_sc = _em_f64_plan(scattered.real, np.abs(scattered.imag), F64_TOL)[0].astype(np.int64)
+        assert len(np.unique(N_lat)) > 1 and len(np.unique(N_sc)) > 1
+        cases = [(lattice, N_lat), (lattice, np.full(len(lattice), 224)),
+                 (scattered, N_sc), (scattered[:50], np.full(50, 8000)),
+                 (scattered[7:8], N_sc[7:8]), (lattice[5:6], N_lat[5:6])]
+        for s, N in cases:
+            main = rng.standard_normal(len(s)) + 1j * rng.standard_normal(len(s))
+            for acc in (main, 0.0):
+                dacc = -acc if want_prime else None
+                got = _em_tail(s, N, acc, dacc)
+                ref = em_tail_nest(s, N, acc, dacc, special_functions._B2K_OVER_FACT)
+                assert np.array_equal(_bits(got[0]), _bits(ref[0])), (len(s), N[0])
+                if want_prime:
+                    assert np.array_equal(_bits(got[1]), _bits(ref[1])), (len(s), N[0])
+                else:
+                    assert got[1] is None
 
 
 class TestMpEngineProperty:
