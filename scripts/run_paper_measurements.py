@@ -16,13 +16,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from zetacontour.contour import Rectangle, decompose, integrate_rectangle, paper_total
+from zetacontour.contour import (Rectangle, decompose, decompose_height,
+                                 integrate_rectangle, paper_total)
+from zetacontour.precision import FLAG_RADIUS
 from zetacontour.reporting import ensure_table
 from zetacontour.telescope import s_n_direct
 from zetacontour.universality import SegmentK, scan
 
 ALPHA, BETA = 3.0 / 5.0, 4.0 / 5.0
-TABLE_HEIGHT = 5200.0  # tall enough for the 1/T^2 tail rule at T = 100
 
 
 def main() -> int:
@@ -38,7 +39,13 @@ def main() -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    table = ensure_table(args.zeros, TABLE_HEIGHT)
+    K = SegmentK(ALPHA, BETA, 0.0, 33)
+    # tall enough for decompose's 1/T^2 tail rule at every height, and for
+    # screening the scan's tallest shifted segment
+    height = max([decompose_height(Rectangle.paper_mode(ALPHA, BETA, T))
+                  for T in args.heights]
+                 + [K.t_offset + args.tau_hi + FLAG_RADIUS])
+    table = ensure_table(args.zeros, height)
     print(f"zero table {args.zeros}: {len(table.gammas)} zeros to "
           f"{table.max_height:g} ({time.perf_counter() - t0:.1f}s)")
 
@@ -73,7 +80,6 @@ def main() -> int:
         w.writeheader()
         w.writerows(rows)
 
-    K = SegmentK(ALPHA, BETA, 0.0, 33)
     t0 = time.perf_counter()
     summary = scan(0.0, args.tau_hi, args.tau_step, K, 0.0, -math.pi, 0.5,
                    table)

@@ -60,7 +60,7 @@ from zetacontour.precision import DEFAULT_CONFIG, FAST_CONFIG, PrecisionConfig  
 from zetacontour.special_functions import log_deriv_zeta, xi, zeta, zeta_prime  # noqa: E402
 from zetacontour.zero_finder import load_table  # noqa: E402
 
-TABLE_HEIGHT = 5200.0  # what run_paper_measurements.py asks for
+TABLE_HEIGHT = 5200.0  # at least what every command below asks for
 SRC = Path(zetacontour.__file__).resolve().parent.parent
 MEASURE = SRC.parent / "scripts" / "run_paper_measurements.py"
 TIMING = re.compile(r" \(\d+(\.\d+)?s\)")

@@ -757,7 +757,14 @@ class DecompositionReport:
 def decompose(rect: Rectangle, zeros: ZeroTable, *,
               eps2: Optional[float] = None,
               quad_tol: float = 1e-8) -> DecompositionReport:
-    """Four-term decomposition of the vertical-edge pair with residual."""
+    """Four-term decomposition of the vertical-edge pair with residual.
+
+    The zero sum runs over the table's ordinates, and its tail beyond the
+    table's height H is modelled (``zero_tail_estimate``) and bounded
+    (``_tail_fluctuation_bound``) as a sum over zeros on the critical line.
+    That model assumes every zero above H lies on the line. It is verified
+    up to 3e12 (Platt and Trudgian 2021, "The Riemann hypothesis is true up
+    to 3e12"), but not in general."""
     T = rect.T
     if eps2 is None:
         eps2 = 1.0 / (T * T)

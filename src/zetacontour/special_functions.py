@@ -75,9 +75,15 @@ _F64_MAX_T = 2.5e4  # desk-scale ceiling of |Im s| for the double engine
 # and the most the mpmath engine plans with
 F64_EM_TERMS = 14
 MP_EM_TERMS = 16
-# B_2k/(2k)! as floats, k = 0..F64_EM_TERMS: the double engine's coefficients
-_B2K_OVER_FACT = [float(mp.bernoulli(2 * k) / mp.factorial(2 * k))
-                  for k in range(F64_EM_TERMS + 1)]
+# B_2k/(2k)! correctly rounded to doubles, k = 0..F64_EM_TERMS: the double
+# engine's coefficients, written out so that they do not depend on mpmath's
+# precision at import
+_B2K_OVER_FACT = [
+    1.0, 0.08333333333333333, -0.001388888888888889, 3.306878306878307e-05,
+    -8.267195767195768e-07, 2.08767569878681e-08, -5.284190138687493e-10,
+    1.3382536530684679e-11, -3.3896802963225827e-13, 8.586062056277845e-15,
+    -2.174868698558062e-16, 5.5090028283602295e-18, -1.3954464685812522e-19,
+    3.534707039629467e-21, -8.953517427037546e-23]
 # what one Bernoulli term of the mpmath engine costs, in Dirichlet terms
 # (``_em_mp_plan``)
 _MP_TERM_COST = 0.65

@@ -9,25 +9,42 @@ expansion
 
     theta(t) ~ t/2 log(t/2pi) - t/2 - pi/8 + 1/(48t) + 7/(5760 t^3) + ...
 
-The search evaluates Z in double precision, per point by one of two engines
-(``_z``). From t = RS_MIN_T up it uses the Riemann-Siegel formula with
+The search evaluates Z per point (``_z``) on a ladder of three rungs, and
+reads each sign from the first rung whose declared error |Z| exceeds. From
+t = RS_MIN_T up the first two use the Riemann-Siegel formula with
 a = sqrt(t/2pi), N = floor(a), p = a - N,
 
     Z(t) = 2 sum_{n<=N} n^-1/2 cos(theta - t log n)
            + (-1)^(N-1) a^-1/2 sum_{k=0..4} C_k(p) a^-k + R(t),
 
 about a terms instead of Euler-Maclaurin's ~t/2. Its declared error is
-Gabcke's |R| <= 0.017 t^(-11/4) (t >= 200) plus the double-precision phase
-roundoff of the main sum. Below RS_MIN_T, and wherever |Z| does not exceed
-that declared error, the point is re-evaluated by Euler-Maclaurin
-(``zeta_batch``), so no sign is ever read from inside the Riemann-Siegel
-error. Every sign the search reads is this per-point Z: the grid scan at
-SCAN_STEP, then one refinement loop (``_refine_brackets``) that narrows
-each sign change by Illinois regula falsi to COARSE_WIDTH and then by
-probe pairs around a secant estimate to a bracket of width at most
-ORDINATE_ACCURACY/4, whose midpoint is the ordinate. ``hardy_z`` is the
-scalar front of the same Z for a double config, and the mpmath engine's Z
-otherwise.
+Gabcke's |R| <= 0.017 t^(-11/4) (t >= 200) plus the roundoff of the phases
+theta - t log n, which grows like t log t units of the precision they are
+formed in (``_rs_bound``):
+
+1. Riemann-Siegel with double phases: 2.9e-9 at t = 2.4e4.
+2. Riemann-Siegel with theta and t log n formed in long double and reduced
+   mod 2pi there, the cosine taken of the reduced double: 1.7e-12 at
+   t = 2.4e4 with the x87 80-bit long double, and mostly Gabcke's term up
+   to t ~ 5000. It runs where rung 1 fails but |Z| clears Gabcke's term,
+   below which no phase precision can certify a sign. Where the long
+   double is a double the two bounds are equal, the rung never runs, and
+   nothing is gained.
+3. Euler-Maclaurin (``zeta_batch``) below RS_MIN_T and everywhere else,
+   rotated by the long double theta reduced mod 2pi.
+
+So no sign is ever read from inside a Riemann-Siegel error. Every sign the
+search reads is this per-point Z: the grid scan at SCAN_STEP, then one
+refinement loop (``_refine_brackets``) that narrows each sign change by
+Illinois regula falsi to COARSE_WIDTH and then by probe pairs c -+ d
+around a secant estimate c to a bracket of width at most
+ORDINATE_ACCURACY/4, whose midpoint is the ordinate. d is as wide as that
+width test allows after rounding (``_PROBE_OFFSET``, 0.123
+ORDINATE_ACCURACY), so that the probes' |Z| is as large as it can be and
+Riemann-Siegel certifies more of them. A bracket closed by such a pair is
+2d wide up to an ulp of t, so its midpoint is within d (plus an ulp) of
+the zero, far inside the table's 1e-9. ``hardy_z`` is the scalar front of
+the same Z for a double config, and the mpmath engine's Z otherwise.
 
 Completeness is audited against the counting estimate
 
@@ -59,9 +76,10 @@ from .errors import (
     TableTooShort,
 )
 from .precision import DEFAULT_CONFIG, PrecisionConfig, as_mpc
-from .special_functions import _scalar_cfg, zeta, zeta_batch
+from .special_functions import _F64_MAX_T, _scalar_cfg, zeta, zeta_batch
 
 _TWO_PI = 2.0 * math.pi
+_PI = "3.14159265358979323846264338327950288"  # parsed to each phase dtype
 GAMMA_1 = 14.134725141734693  # first ordinate, for table sanity audits
 
 SCAN_STEP = 0.05        # grid step; smallest gap between desk-scale zeros is ~0.16
@@ -71,6 +89,12 @@ COUNT_SLACK = 3         # allowed |census - estimate| before a rescan
 RS_MIN_T = 200.0        # Riemann-Siegel from here up (Gabcke's bound needs t >= 200)
 COARSE_WIDTH = 1e-6     # regula falsi on the per-point Z stops at this width
 _MAX_STEPS = 100        # refinement steps before PrecisionExhausted
+# the final probes' offset d from the secant estimate c, as wide as keeps
+# [fl(c - d), fl(c + d)] at most ORDINATE_ACCURACY/4 wide at every double
+# c <= _F64_MAX_T: rounding moves each end by at most half an ulp of c, so
+# the bracket is at most 2d + ulp(_F64_MAX_T) wide. With ulp(2.5e4) = 2^-38,
+# d = 1.2318e-10, 0.123 ORDINATE_ACCURACY.
+_PROBE_OFFSET = 0.5 * (0.25 * ORDINATE_ACCURACY - float(np.spacing(_F64_MAX_T)))
 
 # theta asymptotic coefficients c_n = (1 - 2^(1-2n)) |B_2n| / (4n(2n-1))
 _THETA_C = [float((1 - mp.mpf(2) ** (1 - 2 * n)) * abs(mp.bernoulli(2 * n))
@@ -86,16 +110,33 @@ def backlund_count_bound(t: float) -> float:
 # rotation phase and Hardy Z
 # ---------------------------------------------------------------------------
 
-def _theta_f64(t):
-    """Asymptotic theta for t >= ~8, vectorized; error ~ c_6 / t^11."""
-    t = np.asarray(t, dtype=np.float64)
-    th = 0.5 * t * np.log(t / _TWO_PI) - 0.5 * t - math.pi / 8
+def _theta(t, dtype=np.float64):
+    """Asymptotic theta for t >= ~8, vectorized, formed in ``dtype``; error
+    ~ c_6 / t^11 plus that dtype's roundoff (pi is parsed to its precision;
+    the c_n are doubles, whose rounding weighs at most 1e-20 from
+    t = RS_MIN_T up)."""
+    t = np.asarray(t, dtype=dtype)
+    pi = dtype(_PI)
+    th = 0.5 * t * np.log(t / (2 * pi)) - 0.5 * t - pi / 8
     ti = 1.0 / t
     p = ti
     for c in _THETA_C:
         th = th + c * p
         p = p * ti * ti
     return th
+
+
+def _as_double_phase(x: np.ndarray) -> np.ndarray:
+    """A phase array as doubles with the same cosine and sine. A dtype no
+    finer than a double is cast as it is (cos and sin take a double
+    argument as it is). A finer one is reduced to [-pi, pi] in its own
+    precision first, so that its extra bits survive the rounding to a
+    double, which then adds at most 2^-52 pi/2 <= 2 units of double
+    roundoff."""
+    if np.finfo(x.dtype).eps >= np.finfo(np.float64).eps:
+        return x.astype(np.float64, copy=False)
+    two_pi = 2 * x.dtype.type(_PI)
+    return (x - two_pi * np.rint(x / two_pi)).astype(np.float64)
 
 
 def riemann_siegel_theta(t, cfg: PrecisionConfig = DEFAULT_CONFIG):
@@ -190,30 +231,54 @@ _RS_C = (
 _UNIT_ROUNDOFF = 2.0 ** -53
 
 
-def _rs_bound(t: np.ndarray, N: np.ndarray) -> np.ndarray:
-    """Declared error of ``_rs_z``: Gabcke's remainder bound after C_4 plus
-    the roundoff of the main sum. Each phase theta - t log n is formed from
-    numbers of size up to t/2 (log(t/2pi) + 1) + t log N, so it carries an
-    absolute error of a few units of roundoff times that; the weights sum to
-    2 sum n^-1/2 < 4 sqrt(N). The N + 4 covers the cosines, the summation
-    and the corrections."""
+def _gabcke(t: np.ndarray) -> np.ndarray:
+    """Gabcke's bound on the Riemann-Siegel remainder after C_4 (t >= 200):
+    below it no precision of the phases can certify a sign."""
+    return 0.017 * t ** -2.75
+
+
+def _rs_bound(t: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """Declared error of ``_rs_z`` with its phases formed in ``dtype``:
+    Gabcke's remainder bound plus the roundoff of the main sum, with
+    N = floor(sqrt(t/2pi)).
+
+    Each phase theta - t log n is formed in ``dtype`` from numbers of size
+    up to P = t/2 (log(t/2pi) + 1) + 1 + t log N, so it carries an absolute
+    error of a few units of that dtype's roundoff, u = eps/2, times P;
+    4 u P is declared. The cosine is taken of a double: the phase itself, or
+    for a finer dtype the phase reduced mod 2pi and rounded, which adds at
+    most 2 units of double roundoff u_64 (``_as_double_phase``). That, the
+    cosines, the summation in doubles and the corrections are covered by
+    (N + 4) u_64. The weights sum to 2 sum n^-1/2 < 4 sqrt(N), so
+
+        error <= 0.017 t^-2.75 + 4 sqrt(N) u_64 (4 P u/u_64 + N + 4).
+
+    The phase term dominates in doubles from t ~ 1000 up: 2.9e-9 at
+    t = 2.4e4, against 1.7e-12 in the x87 80-bit long double (u = 2^-64),
+    where Gabcke's term is most of the bound up to t ~ 5000. Where the long
+    double is a double, u/u_64 = 1 and the two bounds are the same
+    numbers."""
+    N = np.floor(np.sqrt(t / _TWO_PI))
     phase = 0.5 * t * (np.log(t / _TWO_PI) + 1.0) + 1.0 + t * np.log(N)
-    roundoff = 4.0 * np.sqrt(N) * _UNIT_ROUNDOFF * (4.0 * phase + N + 4.0)
-    return 0.017 * t ** -2.75 + roundoff
+    units = float(np.finfo(dtype).eps / np.finfo(np.float64).eps)  # u / u_64
+    roundoff = 4.0 * np.sqrt(N) * _UNIT_ROUNDOFF * (4.0 * phase * units + N + 4.0)
+    return _gabcke(t) + roundoff
 
 
-def _rs_z(t: np.ndarray):
-    """(Z, declared error) by Riemann-Siegel with C_0..C_4, for t >= RS_MIN_T."""
+def _rs_z(t: np.ndarray, dtype=np.float64):
+    """(Z, declared error) by Riemann-Siegel with C_0..C_4, for
+    t >= RS_MIN_T, with theta and t log n formed in ``dtype``."""
     a = np.sqrt(t / _TWO_PI)
     N = np.floor(a)
     Ni = N.astype(np.int64)
-    th = _theta_f64(t)
+    th = _theta(t, dtype)
     main = np.empty_like(t)
     for n_top in np.unique(Ni):
         idx = np.nonzero(Ni == n_top)[0]
         n = np.arange(1, n_top + 1, dtype=np.float64)
-        phases = th[idx, None] - np.multiply.outer(t[idx], np.log(n))
-        main[idx] = np.cos(phases) @ (1.0 / np.sqrt(n))
+        phases = th[idx, None] - np.multiply.outer(np.asarray(t[idx], dtype),
+                                                   np.log(np.asarray(n, dtype)))
+        main[idx] = np.cos(_as_double_phase(phases)) @ (1.0 / np.sqrt(n))
     z = 2.0 * (a - N) - 1.0
     w = z * z
     ainv = 1.0 / a
@@ -224,23 +289,38 @@ def _rs_z(t: np.ndarray):
             c = c * w + coef
         corr = corr * ainv + (c * z if k % 2 else c)
     sign = np.where(Ni % 2 == 1, 1.0, -1.0)
-    return 2.0 * main + sign * np.sqrt(ainv) * corr, _rs_bound(t, N)
+    return 2.0 * main + sign * np.sqrt(ainv) * corr, _rs_bound(t, dtype)
 
 
 def _z(ts: np.ndarray) -> np.ndarray:
-    """Z at each height: Riemann-Siegel where t >= RS_MIN_T and |Z| exceeds
-    its declared error, so that the sign is right; Euler-Maclaurin
-    (``zeta_batch`` on the double engine, t >= SCAN_START) elsewhere."""
+    """Z at each height, its sign read from the first rung of a three-rung
+    ladder whose declared error |Z| exceeds:
+
+    1. Riemann-Siegel with double phases, where t >= RS_MIN_T;
+    2. Riemann-Siegel with theta and t log n in long double, reduced mod 2pi
+       there, where rung 1 fails but |Z| exceeds Gabcke's term and the long
+       double bound is below the double one (never, where the long double
+       is a double);
+    3. Euler-Maclaurin (``zeta_batch`` on the double engine,
+       t >= SCAN_START) everywhere else, rotated by the long double theta
+       reduced mod 2pi."""
     ts = np.asarray(ts, dtype=np.float64)
     z = np.empty_like(ts)
     rs = np.nonzero(ts >= RS_MIN_T)[0]
     em = np.ones(len(ts), dtype=bool)
     if len(rs):
-        z[rs], err = _rs_z(ts[rs])
+        t = ts[rs]
+        z[rs], err = _rs_z(t)
         em[rs] = np.abs(z[rs]) <= err
+        ext = rs[em[rs] & (np.abs(z[rs]) > _gabcke(t))
+                 & (_rs_bound(t, np.longdouble) < err)]
+        if len(ext):
+            z[ext], err = _rs_z(ts[ext], np.longdouble)
+            em[ext] = np.abs(z[ext]) <= err
     if em.any():
         vals, _, _, _ = zeta_batch(0.5 + 1j * ts[em])
-        z[em] = (np.exp(1j * _theta_f64(ts[em])) * vals).real
+        th = _as_double_phase(_theta(ts[em], np.longdouble))
+        z[em] = (np.exp(1j * th) * vals).real
     return z
 
 
@@ -412,16 +492,17 @@ def _refine_brackets(lo, hi, zlo, zhi):
       zero and close the bracket (and stays out of the band where the
       Riemann-Siegel sign is not trusted).
     - wider than ORDINATE_ACCURACY/4, the probes x - d and x + d,
-      d = ORDINATE_ACCURACY/20, around the secant estimate x from the end
+      d = ``_PROBE_OFFSET``, around the secant estimate x from the end
       values. The bracket becomes whichever of [lo, x - d], [x - d, x + d]
       and [x + d, hi] holds the sign change; where the first pair
-      straddles the zero, that takes two points.
+      straddles the zero, that takes two points, and the bracket's
+      midpoint is within d of the zero, up to an ulp of x.
 
     Returns the brackets' midpoints."""
     lo, hi, zlo, zhi = lo.copy(), hi.copy(), zlo.copy(), zhi.copy()
     flo, fhi = zlo.copy(), zhi.copy()  # Illinois working values
     last = np.zeros(len(lo), dtype=np.int8)  # end replaced last: -1 lo, 1 hi
-    h, d = 0.5 * COARSE_WIDTH, 0.05 * ORDINATE_ACCURACY
+    h, d = 0.5 * COARSE_WIDTH, _PROBE_OFFSET
     for _ in range(_MAX_STEPS):
         width = hi - lo
         i = np.nonzero(width > COARSE_WIDTH)[0]
@@ -463,11 +544,12 @@ def _locate(T: float, step: float) -> ZeroTable:
 def find_zeros_up_to(T: float) -> ZeroTable:
     """All ordinates in (0, T] to 1e-9, complete to max_height = T.
 
-    Grid scan at SCAN_STEP on the signs of the per-point Z (Riemann-Siegel,
-    or Euler-Maclaurin below RS_MIN_T and inside its declared error), then
-    regula falsi and secant probes on the same Z down to brackets of width
-    ORDINATE_ACCURACY/4 (see the module docstring). The census is audited against the counting estimate and
-    rescanned at SCAN_STEP/5 once on disagreement before
+    Grid scan at SCAN_STEP on the signs of the per-point Z (Riemann-Siegel
+    in double, then in long double phases, and Euler-Maclaurin below
+    RS_MIN_T and inside both declared errors), then regula falsi and secant
+    probes on the same Z down to brackets of width ORDINATE_ACCURACY/4 (see
+    the module docstring). The census is audited against the counting
+    estimate and rescanned at SCAN_STEP/5 once on disagreement before
     MissedZeroSuspected is raised.
     """
     if not 10 <= T < math.inf:

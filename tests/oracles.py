@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Any, Callable
 
 import mpmath as mp
@@ -28,6 +29,7 @@ from zetacontour.precision import (
     PrecisionConfig,
     as_mpc,
 )
+from zetacontour.special_functions import F64_EM_TERMS
 from zetacontour.telescope import DEGENERATE_TOL
 
 
@@ -197,14 +199,20 @@ def em_closed_form(s, N: int, M: int, dps: int, NmS=None, lnN=None):
         return val, dval
 
 
-def em_tail_nest(s, N, acc, dacc, c):
+def b2k_over_fact(k: int) -> float:
+    """B_2k/(2k)! rounded once to a double, from the exact Bernoulli fraction."""
+    num, den = mp.bernfrac(2 * k)
+    return float(Fraction(int(num), int(den) * math.factorial(2 * k)))
+
+
+def em_tail_nest(s, N, acc, dacc):
     """The double engine's closed-form Euler-Maclaurin tail as whole-array
     complex expressions, dividing by N^2 cast to complex: the reference that
     ``special_functions._em_tail``, in place and blocked, must match bit for
-    bit. Same arguments and result as ``_em_tail``, with M = len(c) - 1 and
-    c[k] the float B_2k/(2k)! to use, so that only the arithmetic is
-    compared."""
-    M = len(c) - 1
+    bit. Same arguments and result as ``_em_tail``: M = ``F64_EM_TERMS`` and
+    c_k = B_2k/(2k)! correctly rounded (``b2k_over_fact``)."""
+    M = F64_EM_TERMS
+    c = [b2k_over_fact(k) for k in range(M + 1)]
     lo, hi = int(N.min()), int(N.max())
     if lo == hi:
         lnN, Nc, N2 = math.log(lo), lo, lo * lo

@@ -376,6 +376,35 @@ def test_measurement_script_starts():
     assert "--out-dir" in proc.stdout
 
 
+@pytest.mark.parametrize("tau_hi", [30.0, 500.0])
+def test_measurement_script_asks_for_the_tallest_table_it_needs(tmp_path, monkeypatch,
+                                                               tau_hi):
+    # the largest decompose_height over --heights, or the scan's tallest
+    # shift plus FLAG_RADIUS where that is taller
+    import importlib.util
+    from zetacontour.contour import Rectangle, decompose_height
+    from zetacontour.precision import FLAG_RADIUS
+    spec = importlib.util.spec_from_file_location(
+        "run_paper_measurements", ROOT / "scripts" / "run_paper_measurements.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    asked = []
+
+    def stop(path, height):
+        asked.append(height)
+        raise SystemExit(0)
+
+    monkeypatch.setattr(script, "ensure_table", stop)
+    monkeypatch.setattr(sys, "argv", [
+        "run_paper_measurements.py", "--out-dir", str(tmp_path), "--heights",
+        "20", "100", "50", "--tau-hi", str(tau_hi)])
+    with pytest.raises(SystemExit):
+        script.main()
+    tallest = decompose_height(Rectangle.paper_mode(0.6, 0.8, 100.0))
+    assert asked == [max(tallest, tau_hi + FLAG_RADIUS)]
+    assert asked[0] == (tallest if tau_hi == 30.0 else 500.0 + FLAG_RADIUS)
+
+
 def test_snapshot_script_starts():
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "snapshot_outputs.py"), "--help"],

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from oracles import (
     EulerMascheroni,
+    b2k_over_fact,
     digamma_asymptotic,
     digamma_asymptotic_remainder,
     digamma_weierstrass,
@@ -757,12 +758,18 @@ class TestEmTail:
             for acc in (main, 0.0):
                 dacc = -acc if want_prime else None
                 got = _em_tail(s, N, acc, dacc)
-                ref = em_tail_nest(s, N, acc, dacc, special_functions._B2K_OVER_FACT)
+                ref = em_tail_nest(s, N, acc, dacc)
                 assert np.array_equal(_bits(got[0]), _bits(ref[0])), (len(s), N[0])
                 if want_prime:
                     assert np.array_equal(_bits(got[1]), _bits(ref[1])), (len(s), N[0])
                 else:
                     assert got[1] is None
+
+    def test_double_engine_coefficients_are_correctly_rounded(self):
+        # B_2k/(2k)! rounded once from the exact fraction: the literals do not
+        # depend on mpmath's precision
+        assert special_functions._B2K_OVER_FACT == [
+            b2k_over_fact(k) for k in range(F64_EM_TERMS + 1)]
 
 
 class TestMpEngineProperty:

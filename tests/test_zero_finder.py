@@ -178,7 +178,7 @@ class TestFindZeros:
         # a Riemann-Siegel bound of infinity sends every point to the fallback
         table = find_zeros_up_to(600.0)
         monkeypatch.setattr(zero_finder, "_rs_bound",
-                            lambda t, N: np.full_like(t, np.inf))
+                            lambda t, dtype=np.float64: np.full_like(t, np.inf))
         heights = []
         batch = zero_finder.zeta_batch
         monkeypatch.setattr(zero_finder, "zeta_batch",
@@ -191,13 +191,71 @@ class TestFindZeros:
 
     def test_euler_maclaurin_points_per_zero(self, monkeypatch):
         # the scan below RS_MIN_T and the refinement's points below it or
-        # inside the Riemann-Siegel error: 5679 points for 649 zeros
+        # inside both Riemann-Siegel errors: 5332 points for 649 zeros
         counted = []
         batch = zero_finder.zeta_batch
         monkeypatch.setattr(zero_finder, "zeta_batch",
                             lambda s: counted.append(len(s)) or batch(s))
         table = find_zeros_up_to(1000.0)
-        assert sum(counted) <= 9.0 * len(table.gammas)
+        assert sum(counted) <= 8.3 * len(table.gammas)
+
+    def test_each_sign_comes_from_a_rung_outside_its_bound(self, big_table,
+                                                            monkeypatch):
+        # near-zero points, where each of the three rungs decides some
+        # (the long double one only where it is finer than a double):
+        # a Riemann-Siegel value is kept only where |Z| exceeds that rung's
+        # bound, the long double rung runs only where the double one failed
+        # and |Z| clears Gabcke's term, and the rest go to Euler-Maclaurin
+        rng = np.random.default_rng(26)
+        g = np.array(big_table.gammas)
+        g = g[g > zero_finder.RS_MIN_T]
+        offsets = np.exp(rng.uniform(math.log(1e-12), math.log(1e-8), 400))
+        ts = rng.choice(g, 400) + offsets * rng.choice([-1.0, 1.0], 400)
+        calls, em_heights = [], []
+        rs_z, batch = zero_finder._rs_z, zero_finder.zeta_batch
+
+        def spy_rs_z(t, dtype=np.float64):
+            z, err = rs_z(t, dtype)
+            calls.append((np.dtype(dtype), t, z, err))
+            return z, err
+
+        monkeypatch.setattr(zero_finder, "_rs_z", spy_rs_z)
+        monkeypatch.setattr(zero_finder, "zeta_batch",
+                            lambda s: em_heights.extend(np.imag(s)) or batch(s))
+        z = zero_finder._z(ts)
+        by_rs = {}
+        for dtype, t, zr, err in calls:
+            for x, zx, ex in zip(t, zr, err):
+                by_rs.setdefault(x, []).append((dtype, zx, ex))
+        em_heights = set(em_heights)
+        rungs = [0, 0, 0]
+        for x, zx in zip(ts, z):
+            seen = by_rs[x]
+            assert abs(seen[0][1]) <= seen[0][2] or len(seen) == 1
+            if len(seen) == 2:
+                assert seen[1][0] == np.longdouble
+                assert abs(seen[0][1]) > zero_finder._gabcke(np.array([x]))[0]
+            last = seen[-1]
+            if abs(last[1]) > last[2]:
+                assert x not in em_heights and zx == last[1]
+                rungs[len(seen) - 1] += 1
+            else:
+                assert x in em_heights
+                rungs[2] += 1
+        finer = np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
+        assert rungs[0] > 0 and rungs[2] > 0 and (rungs[1] > 0) == finer, rungs
+
+    @pytest.mark.parametrize("t", [2.5e4, 16384.0, 8192.0, 1000.0, 200.0])
+    def test_middle_bracket_passes_the_width_test(self, t):
+        # [fl(c - d), fl(c + d)] is at most ORDINATE_ACCURACY/4 wide for
+        # doubles c at and below t, binade edges included, and d is within
+        # half an ulp of 2.5e4 of the widest offset the bound 2d + ulp admits
+        d, width = zero_finder._PROBE_OFFSET, 0.25 * zero_finder.ORDINATE_ACCURACY
+        ulp, top = float(np.spacing(t)), float(np.spacing(2.5e4))
+        c = np.concatenate([t + ulp * np.arange(-2000, 1),
+                            t - np.random.default_rng(26).uniform(0.0, 1.0, 2000)])
+        assert np.all((c + d) - (c - d) <= width)
+        assert 2 * d + top <= width < 2 * d + 2 * top
 
 
 class TestRiemannSiegel:
@@ -224,6 +282,32 @@ class TestRiemannSiegel:
         z, bound = zero_finder._rs_z(ts)
         for t, zt, b in zip(ts, z, bound):
             assert abs(mp.mpf(float(zt)) - siegel_z(t)) < b, t
+
+    def test_extended_phase_bound_near_zeros(self):
+        # strict and seeded: two points 1e-10 to 1e-8 from each of 12
+        # ordinates at log-uniform t in [200, 2.5e4], each ordinate the
+        # table's moved by one Newton step on mpmath's Z at 30 digits
+        rng = np.random.default_rng(20261020)
+        gammas = np.array(find_zeros_up_to(2.5e4).gammas)
+        picks = np.searchsorted(gammas, np.exp(rng.uniform(math.log(200.0),
+                                                           math.log(2.5e4), 12)))
+        ts = []
+        for g in gammas[picks]:
+            with mp.workdps(30):
+                x = mp.mpf(float(g))
+                x -= mp.siegelz(x) / mp.siegelz(x, derivative=1)
+            assert abs(x - g) < 2e-10
+            offsets = np.exp(rng.uniform(math.log(1e-10), math.log(1e-8), 2))
+            ts.extend(float(x + d) for d in offsets * [-1.0, 1.0])
+        ts = np.array(ts)
+        z, bound = zero_finder._rs_z(ts, np.longdouble)
+        for t, zt, b in zip(ts, z, bound):
+            assert abs(mp.mpf(float(zt)) - siegel_z(t)) < b, t
+        # where the long double is finer than a double, it certifies more
+        z64, bound64 = zero_finder._rs_z(ts)
+        if np.finfo(np.longdouble).eps < np.finfo(np.float64).eps:
+            assert np.all(bound < bound64)
+            assert np.sum(np.abs(z) > bound) > np.sum(np.abs(z64) > bound64)
 
 
 class TestCounting:
