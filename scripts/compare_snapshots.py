@@ -9,6 +9,13 @@ identical, how many numeric tokens the file holds, and the largest absolute
 and relative change of a number, with the line it is on. Complex tokens such
 as ``-1.000e+00+5.743e-17j`` count as one number; ``nan`` and ``inf`` count
 as text. Numbers are paired in order only where the text is identical.
+
+A zero table (``*.zctab``) is compared as a table: both files are read with
+``load_table``, and it prints the census, accuracy and max_height on each
+side, how many ordinates moved and the largest move |dgamma|, with the
+line it is on. A table whose census, accuracy and max_height are equal and
+whose ordinates each moved by at most its accuracy changes in numbers only.
+
 Exit status 0 when no file is missing on either side and every differing
 file changes in numbers only; 1 otherwise.
 """
@@ -16,6 +23,11 @@ import argparse
 import re
 import sys
 from pathlib import Path
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
+
+from zetacontour.errors import ZetaContourError  # noqa: E402
+from zetacontour.zero_finder import load_table  # noqa: E402
 
 _REAL = r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
 NUMBER = re.compile(rf"(?<![\w.])[+-]?(?:{_REAL}[+-]{_REAL}j|{_REAL}j?)(?![\w.])")
@@ -60,6 +72,28 @@ def compare_file(a: Path, b: Path) -> bool:
     return True
 
 
+def compare_table(a: Path, b: Path) -> bool:
+    """Print the comparison of two differing zero tables; True if only
+    ordinates moved, each by at most the table's accuracy."""
+    try:
+        ta, tb = load_table(a), load_table(b)
+    except ZetaContourError as e:
+        print(f"  not a readable table: {e}")
+        return False
+    print(f"  census {len(ta)} vs {len(tb)}, accuracy {ta.accuracy!r} vs "
+          f"{tb.accuracy!r}, max_height {ta.max_height!r} vs {tb.max_height!r}")
+    if len(ta) != len(tb):
+        return False
+    moved = [(abs(x - y), i, x, y)
+             for i, (x, y) in enumerate(zip(ta.gammas, tb.gammas)) if x != y]
+    worst = max(moved, default=None)
+    print(f"  {len(moved)} of {len(ta)} ordinates moved" + (
+        f", largest |dgamma| {worst[0]:.3g} (line {worst[1] + 4}: "
+        f"{worst[2]!r} -> {worst[3]!r})" if worst else ""))
+    return (ta.accuracy == tb.accuracy and ta.max_height == tb.max_height
+            and (worst is None or worst[0] <= ta.accuracy))
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -81,7 +115,8 @@ def main() -> int:
             continue
         differ += 1
         print(f"{rel}:")
-        ok = compare_file(a, b) and ok
+        compare = compare_table if rel.suffix == ".zctab" else compare_file
+        ok = compare(a, b) and ok
     print(f"{same} files identical, {differ} differ")
     return 0 if ok else 1
 

@@ -15,18 +15,18 @@ t = RS_MIN_T up the first two use the Riemann-Siegel formula with
 a = sqrt(t/2pi), N = floor(a), p = a - N,
 
     Z(t) = 2 sum_{n<=N} n^-1/2 cos(theta - t log n)
-           + (-1)^(N-1) a^-1/2 sum_{k=0..4} C_k(p) a^-k + R(t),
+           + (-1)^(N-1) a^-1/2 sum_{k=0..6} C_k(p) a^-k + R(t),
 
 about a terms instead of Euler-Maclaurin's ~t/2. Its declared error is
-Gabcke's |R| <= 0.017 t^(-11/4) (t >= 200) plus the roundoff of the phases
+Gabcke's |R| <= 0.661 t^(-15/4) (t >= 200) plus the roundoff of the phases
 theta - t log n, which grows like t log t units of the precision they are
-formed in (``_rs_bound``):
+formed in (``_rs_bound``, which derives the count):
 
-1. Riemann-Siegel with double phases: 2.9e-9 at t = 2.4e4.
+1. Riemann-Siegel with double phases: 3.5e-9 at t = 2.4e4.
 2. Riemann-Siegel with theta and t log n formed in long double and reduced
-   mod 2pi there, the cosine taken of the reduced double: 1.7e-12 at
+   mod 2pi there, the cosine taken of the reduced double: 2.0e-12 at
    t = 2.4e4 with the x87 80-bit long double, and mostly Gabcke's term up
-   to t ~ 5000. It runs where rung 1 fails but |Z| clears Gabcke's term,
+   to t ~ 2400. It runs where rung 1 fails but |Z| clears Gabcke's term,
    below which no phase precision can certify a sign. Where the long
    double is a double the two bounds are equal, the rung never runs, and
    nothing is gained.
@@ -38,13 +38,15 @@ search reads is this per-point Z: the grid scan at SCAN_STEP, then one
 refinement loop (``_refine_brackets``) that narrows each sign change by
 Illinois regula falsi to COARSE_WIDTH and then by probe pairs c -+ d
 around a secant estimate c to a bracket of width at most
-ORDINATE_ACCURACY/4, whose midpoint is the ordinate. d is as wide as that
-width test allows after rounding (``_PROBE_OFFSET``, 0.123
-ORDINATE_ACCURACY), so that the probes' |Z| is as large as it can be and
-Riemann-Siegel certifies more of them. A bracket closed by such a pair is
-2d wide up to an ulp of t, so its midpoint is within d (plus an ulp) of
-the zero, far inside the table's 1e-9. ``hardy_z`` is the scalar front of
-the same Z for a double config, and the mpmath engine's Z otherwise.
+ORDINATE_ACCURACY/4. d is as wide as that width test allows after rounding
+(``_PROBE_OFFSET``, 0.123 ORDINATE_ACCURACY), so that the probes' |Z| is as
+large as it can be and Riemann-Siegel certifies more of them; where c lies
+within d of an end, that end is one of the pair and is not evaluated
+again. The ordinate is the secant root of the final bracket's end values,
+clipped into it: inside a bracket no wider than ORDINATE_ACCURACY/4 that
+holds the sign change, and in practice within about 1e-12 of the zero.
+``hardy_z`` is the scalar front of the same Z for a double config, and the
+mpmath engine's Z otherwise.
 
 Completeness is audited against the counting estimate
 
@@ -114,29 +116,28 @@ def _theta(t, dtype=np.float64):
     """Asymptotic theta for t >= ~8, vectorized, formed in ``dtype``; error
     ~ c_6 / t^11 plus that dtype's roundoff (pi is parsed to its precision;
     the c_n are doubles, whose rounding weighs at most 1e-20 from
-    t = RS_MIN_T up)."""
+    t = RS_MIN_T up). The small terms are summed first, so that only two
+    operations round at the size of theta (``_rs_bound``)."""
     t = np.asarray(t, dtype=dtype)
     pi = dtype(_PI)
-    th = 0.5 * t * np.log(t / (2 * pi)) - 0.5 * t - pi / 8
     ti = 1.0 / t
-    p = ti
-    for c in _THETA_C:
-        th = th + c * p
-        p = p * ti * ti
-    return th
+    w = ti * ti
+    series = np.zeros_like(t)
+    for c in _THETA_C[::-1]:
+        series = series * w + c
+    return 0.5 * t * (np.log(t / (2 * pi)) - 1.0) + (series * ti - pi / 8)
 
 
 def _as_double_phase(x: np.ndarray) -> np.ndarray:
     """A phase array as doubles with the same cosine and sine. A dtype no
     finer than a double is cast as it is (cos and sin take a double
-    argument as it is). A finer one is reduced to [-pi, pi] in its own
-    precision first, so that its extra bits survive the rounding to a
-    double, which then adds at most 2^-52 pi/2 <= 2 units of double
-    roundoff."""
+    argument as it is). A finer one is reduced mod 2pi in its own precision
+    first (fmod is exact; 2pi's rounding in that dtype costs its roundoff
+    times |x|), so that its extra bits survive the rounding to a double,
+    which then adds at most 2^-51, 4 units of double roundoff."""
     if np.finfo(x.dtype).eps >= np.finfo(np.float64).eps:
         return x.astype(np.float64, copy=False)
-    two_pi = 2 * x.dtype.type(_PI)
-    return (x - two_pi * np.rint(x / two_pi)).astype(np.float64)
+    return np.fmod(x, 2 * x.dtype.type(_PI)).astype(np.float64)
 
 
 def riemann_siegel_theta(t, cfg: PrecisionConfig = DEFAULT_CONFIG):
@@ -179,11 +180,11 @@ def hardy_z(t, cfg: PrecisionConfig = DEFAULT_CONFIG):
     return w.real
 
 
-# Riemann-Siegel corrections C_0..C_4 as Taylor polynomials in z = 2p - 1:
+# Riemann-Siegel corrections C_0..C_6 as Taylor polynomials in z = 2p - 1:
 # row k holds the coefficients of z^(2i) for even k and of z^(2i+1) for odd
-# k, i = 0, 1, ... (C_0, C_2, C_4 are even in z, C_1, C_3 odd). C_0 is
-# Psi(p) = cos(2 pi (p^2 - p - 1/16)) / cos(2 pi p), an entire function, and
-# C_1..C_4 are the usual combinations of its derivatives (Gabcke 1979).
+# k, i = 0, 1, ... (C_0, C_2, C_4, C_6 are even in z, C_1, C_3, C_5 odd).
+# C_0 is Psi(p) = cos(2 pi (p^2 - p - 1/16)) / cos(2 pi p), an entire
+# function, and C_k = sum_j d_j^(k) Psi^(3k-4j) / pi^(2k-2j) (Gabcke 1979).
 # Written out so that import does no mpmath work; each row stops where the
 # omitted terms, weighted by a^-k at t = RS_MIN_T, are below 1e-18.
 _RS_C = (
@@ -227,14 +228,31 @@ _RS_C = (
         -2.3915824767344323e-08, -7.505214207035756e-09, 1.3312279416258429e-10,
         1.344062675422562e-10, 3.513770042430486e-12, -1.519154453370392e-12,
         -8.915417681447087e-14, 1.1195891165228536e-14, 1.0516013329914816e-15]),
+    np.array([
+        0.00011343405922868681, 0.00013851558567147984, -0.0005068306017359404,
+        0.00041222682854677667, 5.0212503923893044e-05, -0.00018583330293362498,
+        2.750486803301064e-05, 3.156913243559333e-05, -4.2177259041220196e-06,
+        -2.9158997804790636e-06, 1.5653784955844681e-07, 1.4652135593176926e-07,
+        1.2200158650611429e-09, -4.161924475909784e-09, -2.0939812749734364e-10,
+        7.083955086672488e-11, 6.023001444442243e-12, -7.454153644214176e-13,
+        -9.432313173635468e-14]),
+    np.array([
+        3.369099840108094e-05, -0.00012182596819343517, 0.00021820650719505934,
+        -0.00016619033454413337, -3.110176899016765e-05, 0.00012085816038756387,
+        -4.51514678364552e-05, -1.8550769189257536e-05, 1.1616261484368335e-05,
+        1.5516054414965867e-06, -1.173183613638087e-06, -1.2201406611672693e-07,
+        5.938091048879949e-08, 7.0119971278102854e-09, -1.644509235965503e-09,
+        -2.413847792012177e-10, 2.588538684310006e-11, 5.11928726139503e-12,
+        -2.1541595758904304e-13, -7.134227452688869e-14]),
 )
 _UNIT_ROUNDOFF = 2.0 ** -53
 
 
 def _gabcke(t: np.ndarray) -> np.ndarray:
-    """Gabcke's bound on the Riemann-Siegel remainder after C_4 (t >= 200):
-    below it no precision of the phases can certify a sign."""
-    return 0.017 * t ** -2.75
+    """Gabcke's bound on the Riemann-Siegel remainder after C_6 (t >= 200,
+    Satz 4.2.3: d_6 t^(-15/4), d_6 = 0.661): below it no precision of the
+    phases can certify a sign."""
+    return 0.661 * t ** -3.75
 
 
 def _rs_bound(t: np.ndarray, dtype=np.float64) -> np.ndarray:
@@ -242,31 +260,59 @@ def _rs_bound(t: np.ndarray, dtype=np.float64) -> np.ndarray:
     Gabcke's remainder bound plus the roundoff of the main sum, with
     N = floor(sqrt(t/2pi)).
 
-    Each phase theta - t log n is formed in ``dtype`` from numbers of size
-    up to P = t/2 (log(t/2pi) + 1) + 1 + t log N, so it carries an absolute
-    error of a few units of that dtype's roundoff, u = eps/2, times P;
-    4 u P is declared. The cosine is taken of a double: the phase itself, or
-    for a finer dtype the phase reduced mod 2pi and rounded, which adds at
-    most 2 units of double roundoff u_64 (``_as_double_phase``). That, the
-    cosines, the summation in doubles and the corrections are covered by
-    (N + 4) u_64. The weights sum to 2 sum n^-1/2 < 4 sqrt(N), so
+    The phases are counted one rounding per operation, u = eps/2 of
+    ``dtype`` each, a log as one ulp (2u), to first order. With
+    A = t/2 log(t/2pi), M = t log N <= A and 0 < theta <= A (t >= RS_MIN_T):
 
-        error <= 0.017 t^-2.75 + 4 sqrt(N) u_64 (4 P u/u_64 + N + 4).
+    - ``_theta``: t/(2pi) (2u relative, pi parsed included), its log
+      (2u + 2u log), minus 1 (u log), the product with t/2 (u (t + 4A) in
+      all), the small terms -pi/8 + ... (u), their sum with it (u A):
+      u (5A + t + 1).
+    - theta - t log n: log n (2u log n), times t (3u M in all), the
+      difference (u A). For a dtype finer than a double, the reduction mod
+      2pi (``_as_double_phase``) is exact but for 2pi's own rounding, which
+      costs u |theta - t log n| <= u A.
 
-    The phase term dominates in doubles from t ~ 1000 up: 2.9e-9 at
-    t = 2.4e4, against 1.7e-12 in the x87 80-bit long double (u = 2^-64),
-    where Gabcke's term is most of the bound up to t ~ 5000. Where the long
+    So each phase is off by at most u (7A + 3M + t + 2), a count that holds
+    for both dtypes (a double spends A fewer units). The cosine is then
+    taken of a double: within an ulp (2 u_64, u_64 = 2^-53), after the
+    rounding of a reduced phase to a double (4 u_64), with weights n^-1/2
+    rounded twice (2 u_64); the dot product adds N u_64 of the sum of its
+    terms (Higham's gamma_N), and the corrections and the last additions a
+    few u_64 of |Z| <= 4 sqrt(N). The weights sum to
+    2 sum n^-1/2 < 4 sqrt(N), so
+
+        error <= 0.661 t^-3.75
+                 + 4 sqrt(N) u_64 ((7A + 3M + t + 2) u/u_64 + N + 12).
+
+    In doubles the phase term dominates from t ~ 630 up: 3.5e-9 at
+    t = 2.4e4, against 2.0e-12 in the x87 80-bit long double (u = 2^-64),
+    where Gabcke's term is most of the bound up to t ~ 2400. Where the long
     double is a double, u/u_64 = 1 and the two bounds are the same
     numbers."""
     N = np.floor(np.sqrt(t / _TWO_PI))
-    phase = 0.5 * t * (np.log(t / _TWO_PI) + 1.0) + 1.0 + t * np.log(N)
     units = float(np.finfo(dtype).eps / np.finfo(np.float64).eps)  # u / u_64
-    roundoff = 4.0 * np.sqrt(N) * _UNIT_ROUNDOFF * (4.0 * phase * units + N + 4.0)
+    roundoff = 4.0 * np.sqrt(N) * _UNIT_ROUNDOFF * (_phase_count(t) * units + N + 12.0)
     return _gabcke(t) + roundoff
 
 
+def _phase_count(t: np.ndarray) -> np.ndarray:
+    """7A + 3M + t + 2: the units of its dtype's roundoff by which each
+    phase of ``_rs_phases`` may be off (derived in ``_rs_bound``)."""
+    A = 0.5 * t * np.log(t / _TWO_PI)
+    M = t * np.log(np.floor(np.sqrt(t / _TWO_PI)))
+    return 7.0 * A + 3.0 * M + t + 2.0
+
+
+def _rs_phases(th: np.ndarray, t: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The main sum's phases theta(t) - t log n, t by n, formed in the dtype
+    of th = ``_theta(t, dtype)`` and given as doubles (``_as_double_phase``)."""
+    return _as_double_phase(th[:, None] - np.multiply.outer(
+        np.asarray(t, th.dtype), np.log(np.asarray(n, th.dtype))))
+
+
 def _rs_z(t: np.ndarray, dtype=np.float64):
-    """(Z, declared error) by Riemann-Siegel with C_0..C_4, for
+    """(Z, declared error) by Riemann-Siegel with C_0..C_6, for
     t >= RS_MIN_T, with theta and t log n formed in ``dtype``."""
     a = np.sqrt(t / _TWO_PI)
     N = np.floor(a)
@@ -276,14 +322,12 @@ def _rs_z(t: np.ndarray, dtype=np.float64):
     for n_top in np.unique(Ni):
         idx = np.nonzero(Ni == n_top)[0]
         n = np.arange(1, n_top + 1, dtype=np.float64)
-        phases = th[idx, None] - np.multiply.outer(np.asarray(t[idx], dtype),
-                                                   np.log(np.asarray(n, dtype)))
-        main[idx] = np.cos(_as_double_phase(phases)) @ (1.0 / np.sqrt(n))
+        main[idx] = np.cos(_rs_phases(th[idx], t[idx], n)) @ (1.0 / np.sqrt(n))
     z = 2.0 * (a - N) - 1.0
     w = z * z
     ainv = 1.0 / a
     corr = np.zeros_like(t)
-    for k in range(4, -1, -1):
+    for k in range(len(_RS_C) - 1, -1, -1):
         c = np.zeros_like(t)
         for coef in _RS_C[k][::-1]:
             c = c * w + coef
@@ -495,10 +539,14 @@ def _refine_brackets(lo, hi, zlo, zhi):
       d = ``_PROBE_OFFSET``, around the secant estimate x from the end
       values. The bracket becomes whichever of [lo, x - d], [x - d, x + d]
       and [x + d, hi] holds the sign change; where the first pair
-      straddles the zero, that takes two points, and the bracket's
-      midpoint is within d of the zero, up to an ulp of x.
+      straddles the zero, that takes two points. Where x lies within d of
+      an end, that end is one probe and the other sits 2d from it, so only
+      one new point is evaluated and no end is evaluated twice.
 
-    Returns the brackets' midpoints."""
+    Returns the secant root of each final bracket's end values, clipped
+    into the bracket: an ordinate inside a bracket no wider than
+    ORDINATE_ACCURACY/4 that holds the sign change, at no extra
+    evaluation."""
     lo, hi, zlo, zhi = lo.copy(), hi.copy(), zlo.copy(), zhi.copy()
     flo, fhi = zlo.copy(), zhi.copy()  # Illinois working values
     last = np.zeros(len(lo), dtype=np.int8)  # end replaced last: -1 lo, 1 hi
@@ -508,15 +556,18 @@ def _refine_brackets(lo, hi, zlo, zhi):
         i = np.nonzero(width > COARSE_WIDTH)[0]
         p = np.nonzero((width <= COARSE_WIDTH) & (width > 0.25 * ORDINATE_ACCURACY))[0]
         if not len(i) + len(p):
-            return 0.5 * (lo + hi)
+            return np.clip(lo - zlo * (hi - lo) / (zhi - zlo), lo, hi)
         x = hi[i] - fhi[i] * (hi[i] - lo[i]) / (fhi[i] - flo[i])
         x = np.where((last[i] == 1) & (x > hi[i] - h), hi[i] - h, x)
         x = np.where((last[i] == -1) & (x < lo[i] + h), lo[i] + h, x)
         c = lo[p] - zlo[p] * (hi[p] - lo[p]) / (zhi[p] - zlo[p])
-        c = np.clip(c, lo[p] + d, hi[p] - d)
-        a, b = c - d, c + d
-        fx, fa, fb = np.split(_z(np.concatenate([x, a, b])),
-                              [len(i), len(i) + len(p)])
+        at_lo, at_hi = c < lo[p] + d, c > hi[p] - d  # never both: width > 2d
+        a = np.where(at_lo, lo[p], np.where(at_hi, hi[p] - 2 * d, c - d))
+        b = np.where(at_hi, hi[p], np.where(at_lo, lo[p] + 2 * d, c + d))
+        fx, fa_new, fb_new = np.split(_z(np.concatenate([x, a[~at_lo], b[~at_hi]])),
+                                      [len(i), len(i) + np.count_nonzero(~at_lo)])
+        fa, fb = zlo[p].copy(), zhi[p].copy()
+        fa[~at_lo], fb[~at_hi] = fa_new, fb_new
 
         to_hi = np.signbit(fx) == np.signbit(fhi[i])
         j, k = i[to_hi], i[~to_hi]

@@ -4,7 +4,8 @@ Each shares no code with the library route it checks: the Weierstrass
 product and the bare asymptotic series for digamma, the harmonic-sum limit
 for Euler's constant, the generator h(k) behind a telescoped arctan sum, a
 brute-force scan for the fixed point of the limiting Riccati map, power-series
-arithmetic for the Riemann-Siegel corrections, mpmath's own zero routines, the
+arithmetic for the Riemann-Siegel corrections and the formula summed with
+them at exact phases, mpmath's own zero routines, the
 closed-form Euler-Maclaurin part summed term by term (and, as a bitwise
 reference, nested in whole-array complex expressions), the least
 Euler-Maclaurin truncation found by stepping N one at a time, the quadrature
@@ -111,16 +112,28 @@ def fixed_point_scan_residual(a: float, b: float, lo: float, hi: float,
     return best
 
 
+# Gabcke's coefficients d_k^(n), k = 0..3n/4, of the Riemann-Siegel
+# corrections C_n = sum_k d_k^(n) Psi^(3n-4k) / pi^(2n-2k) (Gabcke 1979)
+GABCKE_D = (
+    (Fraction(1),),
+    (Fraction(-1, 96),),
+    (Fraction(1, 18432), Fraction(1, 64)),
+    (Fraction(-1, 5308416), Fraction(-1, 3840), Fraction(-1, 64)),
+    (Fraction(1, 2038431744), Fraction(11, 5898240), Fraction(19, 24576),
+     Fraction(1, 128)),
+    (Fraction(-1, 978447237120), Fraction(-7, 849346560), Fraction(-901, 82575360),
+     Fraction(-5, 3072)),
+    (Fraction(1, 563585608581120), Fraction(17, 652298158080),
+     Fraction(18889, 237817036800), Fraction(367, 7864320), Fraction(5, 2048)),
+)
+
+
 def riemann_siegel_corrections(degree: int = 80, dps: int = 120):
-    """Taylor coefficients of C_0..C_4 in z = 2p - 1, as mpf lists indexed by
+    """Taylor coefficients of C_0..C_6 in z = 2p - 1, as mpf lists indexed by
     the power of z, from power-series arithmetic in x = p - 1/2:
 
         Psi = cos(2 pi (x^2 - 5/16)) / (-cos(2 pi x)),
-        C_0 = Psi,  C_1 = -Psi^(3)/(96 pi^2),
-        C_2 = Psi^(2)/(64 pi^2) + Psi^(6)/(18432 pi^4),
-        C_3 = -Psi^(1)/(64 pi^2) - Psi^(5)/(3840 pi^4) - Psi^(9)/(5308416 pi^6),
-        C_4 = Psi/(128 pi^2) + 19 Psi^(4)/(24576 pi^4)
-              + 11 Psi^(8)/(5898240 pi^6) + Psi^(12)/(2038431744 pi^8).
+        C_n = sum_k d_k^(n) Psi^(3n-4k) / pi^(2n-2k)   (``GABCKE_D``).
 
     The series division cancels heavily at high order, hence the digits.
     """
@@ -139,25 +152,38 @@ def riemann_siegel_corrections(degree: int = 80, dps: int = 120):
         for n in range(degree + 1):
             psi.append((num[n] - mp.fsum(den[k] * psi[n - k] for k in range(1, n + 1)))
                        / den[0])
-        size = degree - 12 + 1
-
-        def combo(*terms):
+        size = degree - 3 * (len(GABCKE_D) - 1) + 1
+        rows = []
+        for n, ds in enumerate(GABCKE_D):
             out = [mp.mpf(0)] * size
-            for coef, j in terms:
+            for k, d in enumerate(ds):
+                j = 3 * n - 4 * k
+                coef = mp.mpf(d.numerator) / d.denominator / mp.pi ** (2 * n - 2 * k)
                 for i in range(size):
                     out[i] += coef * psi[i + j] * mp.factorial(i + j) / mp.factorial(i)
-            return [v / mp.mpf(2) ** i for i, v in enumerate(out)]
+            rows.append([v / mp.mpf(2) ** i for i, v in enumerate(out)])
+        return rows
 
-        pi2 = mp.pi ** 2
-        return [
-            combo((1, 0)),
-            combo((-1 / (96 * pi2), 3)),
-            combo((1 / (64 * pi2), 2), (1 / (18432 * pi2 ** 2), 6)),
-            combo((-1 / (64 * pi2), 1), (-1 / (3840 * pi2 ** 2), 5),
-                  (-1 / (5308416 * pi2 ** 3), 9)),
-            combo((1 / (128 * pi2), 0), (19 / (24576 * pi2 ** 2), 4),
-                  (11 / (5898240 * pi2 ** 3), 8), (1 / (2038431744 * pi2 ** 4), 12)),
-        ]
+
+def riemann_siegel_series(t: float, rows, dps: int = 40) -> mp.mpf:
+    """The Riemann-Siegel formula with C_0..C_k, k = len(rows) - 1, at
+    ``dps`` digits with exact phases (``mp.siegeltheta``):
+
+        2 sum_{n<=N} n^-1/2 cos(theta - t log n)
+          + (-1)^(N-1) a^-1/2 sum_k C_k(p) a^-k,
+
+    a = sqrt(t/2pi), N = floor(a), p = a - N, each C_k summed from its
+    Taylor coefficients in z = 2p - 1 (``riemann_siegel_corrections``).
+    It differs from Z(t) by the truncation remainder alone."""
+    with mp.workdps(dps):
+        tm = mp.mpf(t)
+        a = mp.sqrt(tm / (2 * mp.pi))
+        N = int(mp.floor(a))
+        z = 2 * (a - N) - 1
+        th = mp.siegeltheta(tm)
+        main = 2 * mp.fsum(mp.cos(th - tm * mp.log(n)) / mp.sqrt(n) for n in range(1, N + 1))
+        corr = mp.fsum(mp.polyval(row[::-1], z) * a ** -k for k, row in enumerate(rows))
+        return main + (-1) ** (N - 1) * corr / mp.sqrt(a)
 
 
 def siegel_z(t: float, dps: int = 30) -> mp.mpf:

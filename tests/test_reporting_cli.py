@@ -448,3 +448,34 @@ def test_compare_snapshots_script_starts():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "DIR_A" in proc.stdout and "DIR_B" in proc.stdout
+
+
+def test_compare_snapshots_reads_zero_tables_as_tables(tmp_path, table120):
+    # two ordinates moved within the accuracy are a numbers-only change
+    # (exit 0), reported with the census and the largest move; a move past
+    # the accuracy or a different census is not (exit 1)
+    def compare(gammas):
+        a, b = tmp_path / "a", tmp_path / "b"
+        for d, g in ((a, table120.gammas), (b, gammas)):
+            d.mkdir(exist_ok=True)
+            save_table(zero_finder.ZeroTable(tuple(g), table120.accuracy,
+                                             table120.max_height), d / "z.zctab")
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "compare_snapshots.py"), str(a), str(b)],
+            capture_output=True, text=True, timeout=120)
+        return proc.returncode, proc.stdout
+
+    g = list(table120.gammas)
+    moved = g.copy()
+    moved[3] += 1e-10
+    moved[7] -= 5e-11
+    code, out = compare(moved)
+    assert code == 0, out
+    n = len(g)
+    assert f"census {n} vs {n}" in out
+    assert f"2 of {n} ordinates moved, largest |dgamma| 1e-10 (line 7:" in out
+    far = g.copy()
+    far[3] += 2e-9
+    assert compare(far)[0] == 1
+    code, out = compare(g[:-1])
+    assert code == 1 and f"census {n} vs {n - 1}" in out

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
@@ -7,7 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import riemann_siegel_corrections, siegel_z, zero_ordinate
+from oracles import (
+    GABCKE_D,
+    riemann_siegel_corrections,
+    riemann_siegel_series,
+    siegel_z,
+    zero_ordinate,
+)
 from zetacontour import errors, zero_finder
 from zetacontour.contour import Rectangle, integrate_rectangle
 from zetacontour.precision import PrecisionConfig, as_mpc
@@ -25,6 +32,22 @@ from zetacontour.zero_finder import (
 )
 
 FIRST_THREE = (14.134725, 21.022040, 25.010858)
+
+
+@pytest.fixture(scope="module")
+def table25k() -> ZeroTable:
+    return find_zeros_up_to(2.5e4)
+
+
+def _near_zeros(gammas, seed: int, count: int) -> np.ndarray:
+    """Two heights 1e-10 to 1e-8 from each of ``count`` ordinates picked at
+    log-uniform t in [RS_MIN_T, 2.5e4], one below and one above."""
+    rng = np.random.default_rng(seed)
+    g = np.asarray(gammas)
+    picks = np.searchsorted(g, np.exp(rng.uniform(math.log(zero_finder.RS_MIN_T),
+                                                  math.log(2.5e4), count)))
+    offsets = np.exp(rng.uniform(math.log(1e-10), math.log(1e-8), (count, 2)))
+    return (g[picks, None] + offsets * [-1.0, 1.0]).ravel()
 
 
 def _eta_hardy_z(t: float) -> float:
@@ -191,13 +214,13 @@ class TestFindZeros:
 
     def test_euler_maclaurin_points_per_zero(self, monkeypatch):
         # the scan below RS_MIN_T and the refinement's points below it or
-        # inside both Riemann-Siegel errors: 5332 points for 649 zeros
+        # inside both Riemann-Siegel errors: 4562 points for 649 zeros
         counted = []
         batch = zero_finder.zeta_batch
         monkeypatch.setattr(zero_finder, "zeta_batch",
                             lambda s: counted.append(len(s)) or batch(s))
         table = find_zeros_up_to(1000.0)
-        assert sum(counted) <= 8.3 * len(table.gammas)
+        assert sum(counted) <= 7.1 * len(table.gammas)
 
     def test_each_sign_comes_from_a_rung_outside_its_bound(self, big_table,
                                                             monkeypatch):
@@ -258,9 +281,28 @@ class TestFindZeros:
         assert 2 * d + top <= width < 2 * d + 2 * top
 
 
+    def test_ordinates_sit_far_inside_their_brackets(self, big_table):
+        # the secant root of the final bracket: 24 seeded ordinates against
+        # mpmath's zero (one Newton step on mp.siegelz at 30 digits) are
+        # within a hundredth of ORDINATE_ACCURACY, where the bracket
+        # midpoints were up to the probe offset d = 1.23e-10 away
+        rng = np.random.default_rng(27)
+        g = np.array(big_table.gammas)
+        picks = np.searchsorted(g, np.exp(rng.uniform(math.log(14.0),
+                                                      math.log(big_table.max_height), 24)))
+        worst = 0.0
+        for x0 in g[picks]:
+            with mp.workdps(30):
+                x = mp.mpf(float(x0))
+                x -= mp.siegelz(x) / mp.siegelz(x, derivative=1)
+                worst = max(worst, float(abs(x - x0)))
+        assert worst < 0.01 * zero_finder.ORDINATE_ACCURACY < zero_finder._PROBE_OFFSET
+
+
 class TestRiemannSiegel:
     def test_coefficients_regenerate(self):
         ref = riemann_siegel_corrections()
+        assert len(ref) == len(zero_finder._RS_C) == 7
         # the regenerated C_0 is Psi(p) itself
         with mp.workdps(30):
             for p in (mp.mpf("0.1"), mp.mpf("0.5"), mp.mpf("0.77")):
@@ -271,6 +313,48 @@ class TestRiemannSiegel:
             same_parity = [float(v) for v in ref[k][k % 2::2]]
             np.testing.assert_allclose(row, same_parity[:len(row)], rtol=1e-14, atol=0)
             assert sum(map(abs, same_parity[len(row):])) * a_min ** -k < 1e-17
+
+    def test_gabcke_leading_coefficients(self):
+        # a second route to the table: d_0^(n) = (-1/96)^n / n!, and
+        # C_n holds the derivatives Psi^(3n-4k) for k <= 3n/4 only
+        for n, ds in enumerate(GABCKE_D):
+            assert ds[0] == Fraction(-1, 96) ** n / math.factorial(n)
+            assert len(ds) == 3 * n // 4 + 1
+
+    def test_truncation_remainder_within_gabcke(self, table25k):
+        # strict and seeded: the C_0..C_6 series at exact phases differs from
+        # Z by at most Gabcke's 0.661 t^-3.75, at log-uniform heights in
+        # [200, 2.5e4] and 1e-10 to 1e-8 from 12 ordinates
+        rng = np.random.default_rng(27)
+        ts = np.concatenate([[200.0, 2.5e4],
+                             np.exp(rng.uniform(math.log(200.0), math.log(2.5e4), 8)),
+                             _near_zeros(table25k.gammas, 2027, 12)])
+        rows = riemann_siegel_corrections()
+        for t in ts:
+            rem = abs(riemann_siegel_series(t, rows) - siegel_z(t, dps=40))
+            assert rem < zero_finder._gabcke(t), t
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    def test_phase_error_within_derived_count(self, dtype):
+        # strict and seeded: every phase theta - t log n of the main sum, as
+        # the double the cosine is taken of, is within the derived count of
+        # units of its dtype's roundoff of the exact phase mod 2pi, plus the
+        # rounding of a reduced phase to a double (2^-51)
+        rng = np.random.default_rng(20261027)
+        ts = np.concatenate([[200.0, 2.5e4],
+                             np.exp(rng.uniform(math.log(200.0), math.log(2.5e4), 24))])
+        u = float(np.finfo(dtype).eps) / 2
+        for t in ts:
+            n = np.arange(1, math.floor(math.sqrt(t / (2 * math.pi))) + 1, dtype=np.float64)
+            t1 = np.array([t])
+            got = zero_finder._rs_phases(zero_finder._theta(t1, dtype), t1, n)[0]
+            bound = float(zero_finder._phase_count(t1)[0]) * u + 2.0 ** -51
+            with mp.workdps(40):
+                th = mp.siegeltheta(mp.mpf(t))
+                for k, x in zip(n, got):
+                    d = mp.mpf(float(x)) - (th - t * mp.log(int(k)))
+                    d -= 2 * mp.pi * mp.nint(d / (2 * mp.pi))
+                    assert abs(d) < bound, (t, k)
 
     def test_error_within_declared_bound(self):
         rng = np.random.default_rng(20261018)
@@ -283,12 +367,12 @@ class TestRiemannSiegel:
         for t, zt, b in zip(ts, z, bound):
             assert abs(mp.mpf(float(zt)) - siegel_z(t)) < b, t
 
-    def test_extended_phase_bound_near_zeros(self):
+    def test_extended_phase_bound_near_zeros(self, table25k):
         # strict and seeded: two points 1e-10 to 1e-8 from each of 12
         # ordinates at log-uniform t in [200, 2.5e4], each ordinate the
         # table's moved by one Newton step on mpmath's Z at 30 digits
         rng = np.random.default_rng(20261020)
-        gammas = np.array(find_zeros_up_to(2.5e4).gammas)
+        gammas = np.array(table25k.gammas)
         picks = np.searchsorted(gammas, np.exp(rng.uniform(math.log(200.0),
                                                            math.log(2.5e4), 12)))
         ts = []
