@@ -39,17 +39,6 @@ def table25k() -> ZeroTable:
     return find_zeros_up_to(2.5e4)
 
 
-def _near_zeros(gammas, seed: int, count: int) -> np.ndarray:
-    """Two heights 1e-10 to 1e-8 from each of ``count`` ordinates picked at
-    log-uniform t in [RS_MIN_T, 2.5e4], one below and one above."""
-    rng = np.random.default_rng(seed)
-    g = np.asarray(gammas)
-    picks = np.searchsorted(g, np.exp(rng.uniform(math.log(zero_finder.RS_MIN_T),
-                                                  math.log(2.5e4), count)))
-    offsets = np.exp(rng.uniform(math.log(1e-10), math.log(1e-8), (count, 2)))
-    return (g[picks, None] + offsets * [-1.0, 1.0]).ravel()
-
-
 def _eta_hardy_z(t: float) -> float:
     """Independent sign detector: eta-series zeta rotated by theta."""
     cfg = PrecisionConfig(working_digits=20, target_abs_tol=1e-14)
@@ -326,9 +315,12 @@ class TestRiemannSiegel:
         # Z by at most Gabcke's 0.661 t^-3.75, at log-uniform heights in
         # [200, 2.5e4] and 1e-10 to 1e-8 from 12 ordinates
         rng = np.random.default_rng(27)
+        g = np.array(table25k.gammas)
+        near = g[np.searchsorted(g, np.exp(rng.uniform(math.log(200.0), math.log(2.5e4), 12)))]
+        offsets = np.exp(rng.uniform(math.log(1e-10), math.log(1e-8), (12, 2)))
         ts = np.concatenate([[200.0, 2.5e4],
                              np.exp(rng.uniform(math.log(200.0), math.log(2.5e4), 8)),
-                             _near_zeros(table25k.gammas, 2027, 12)])
+                             (near[:, None] + offsets * [-1.0, 1.0]).ravel()])
         rows = riemann_siegel_corrections()
         for t in ts:
             rem = abs(riemann_siegel_series(t, rows) - siegel_z(t, dps=40))
