@@ -22,38 +22,52 @@ Gabcke's |R| <= 0.661 t^(-15/4) (t >= 200) plus the roundoff of the phases
 theta - t log n, which grows like t log t units of the precision they are
 formed in (``_rs_bound``, which derives the count):
 
-1. Riemann-Siegel with double phases: 3.5e-9 at t = 2.4e4.
+1. Riemann-Siegel with double phases: 3.2e-9 at t = 2.4e4.
 2. Riemann-Siegel with theta and t log n formed in long double and reduced
-   mod 2pi there, the cosine taken of the reduced double: 2.0e-12 at
-   t = 2.4e4 with the x87 80-bit long double, and mostly Gabcke's term up
-   to t ~ 2400. It runs where rung 1 fails but |Z| clears Gabcke's term,
-   below which no phase precision can certify a sign. Where the long
-   double is a double the two bounds are equal, the rung never runs, and
-   nothing is gained.
+   mod 2pi there (2pi split in two, Cody-Waite), the cosine taken of the
+   reduced double: 1.8e-12 at t = 2.4e4 with the x87 80-bit long double,
+   and mostly Gabcke's term up to t ~ 2400. It runs where rung 1 fails but
+   |Z| clears Gabcke's term, below which no phase precision can certify a
+   sign. Where the long double is a double the two bounds are equal, the
+   rung never runs, and nothing is gained.
 3. Euler-Maclaurin (``zeta_batch``) below RS_MIN_T and everywhere else,
-   rotated by the long double theta reduced mod 2pi.
+   rotated by the long double theta reduced mod 2pi, with ``zeta_batch``'s
+   declared error.
 
-So no sign is ever read from inside a Riemann-Siegel error. Every sign the
-search reads is this per-point Z: the grid scan at SCAN_STEP, then one
-refinement loop (``_refine_brackets``) that narrows each sign change by
-Illinois regula falsi to COARSE_WIDTH and then by probe pairs c -+ d
-around a secant estimate c to a bracket of width at most
-ORDINATE_ACCURACY/4. d is as wide as that width test allows after rounding
-(``_PROBE_OFFSET``, 0.123 ORDINATE_ACCURACY), so that the probes' |Z| is as
-large as it can be and Riemann-Siegel certifies more of them; where c lies
-within d of an end, that end is one of the pair and is not evaluated
-again. The ordinate is the secant root of the final bracket's end values,
-clipped into it: inside a bracket no wider than ORDINATE_ACCURACY/4 that
-holds the sign change, and in practice within about 1e-12 of the zero.
-``hardy_z`` is the scalar front of the same Z for a double config, and the
-mpmath engine's Z otherwise.
+``_z`` returns each value with the declared error of the rung that gave
+it, and the search reads no sign where |Z| is within that error.
 
-Completeness is audited against the counting estimate
+The search is driven by Gram points g_n, theta(g_n) = n pi, about one per
+zero (Brent, Math. Comp. 33, 1979; van de Lune, te Riele and Winter, Math.
+Comp. 46, 1986). Z is read at g_-1 = 9.67 up to the first good Gram point
+at or above T, good meaning (-1)^n Z(g_n) > 0. Consecutive good Gram points
+bound a Rosser block, and a block of k Gram intervals holds at least k
+zeros (Rosser's rule, true below g_13,999,525). A block that shows fewer
+sign changes has its subintervals halved until it shows k
+(``_block_brackets``), or raises MissedZeroSuspected. Each sign change
+then goes through one refinement loop (``_refine_brackets``): regula
+falsi with Anderson-Bjorck scaling to COARSE_WIDTH, a point that lands on
+a zero (|Z| within its error) being replaced by a pair around it; then
+probe pairs c -+ d around a secant estimate c to a bracket of width at
+most ORDINATE_ACCURACY/4. d is as wide as that width test allows after
+rounding (``_PROBE_OFFSET``, 0.123 ORDINATE_ACCURACY), so that the probes'
+|Z| is as large as it can be and Riemann-Siegel certifies more of them;
+where c lies within d of an end, that end is one of the pair and is not
+evaluated again. The ordinate is the secant root of the final bracket's
+end values, clipped into it: inside a bracket no wider than
+ORDINATE_ACCURACY/4 that holds the sign change, and in practice within
+about 1e-12 of the zero. Ordinates above T are dropped. ``hardy_z`` is
+the scalar front of the same Z for a double config, and the mpmath
+engine's Z otherwise.
+
+Completeness rests on Rosser's rule plus an audit of the census against
+the counting estimate
 
     N(T) ~ (T/2pi) log(T/2pi) - T/2pi + 7/8,
 
 whose O(log T) slack is covered by the classical explicit bound
-|N(T) - estimate| <= 0.137 log T + 0.443 log log T + 4.35 (Backlund).
+|N(T) - estimate| <= 0.137 log T + 0.443 log log T + 4.35 (Backlund),
+until an exact count N(T) by the argument principle replaces the audit.
 """
 from __future__ import annotations
 
@@ -82,21 +96,30 @@ from .special_functions import _F64_MAX_T, _scalar_cfg, zeta, zeta_batch
 
 _TWO_PI = 2.0 * math.pi
 _PI = "3.14159265358979323846264338327950288"  # parsed to each phase dtype
+# 2pi = _TWO_PI_HI + _TWO_PI_LO: the first is 2pi cut to 32 bits, the second
+# the rest to 36 digits, parsed to the phase dtype (``_as_double_phase``)
+_TWO_PI_HI = 6.2831853069365025
+_TWO_PI_LO = "2.43084020260247704059005768394338799e-10"
 GAMMA_1 = 14.134725141734693  # first ordinate, for table sanity audits
 
-SCAN_STEP = 0.05        # grid step; smallest gap between desk-scale zeros is ~0.16
 SCAN_START = 6.0        # no zeros below gamma_1 ~ 14.13
 ORDINATE_ACCURACY = 1e-9
-COUNT_SLACK = 3         # allowed |census - estimate| before a rescan
+COUNT_SLACK = 3         # allowed |census - estimate| in the audit
 RS_MIN_T = 200.0        # Riemann-Siegel from here up (Gabcke's bound needs t >= 200)
 COARSE_WIDTH = 1e-6     # regula falsi on the per-point Z stops at this width
 _MAX_STEPS = 100        # refinement steps before PrecisionExhausted
+_MAX_HALVINGS = 12      # Rosser block halvings before MissedZeroSuspected
+_GRAM_CHUNK = 8         # Gram points added per step while the last is bad
 # the final probes' offset d from the secant estimate c, as wide as keeps
 # [fl(c - d), fl(c + d)] at most ORDINATE_ACCURACY/4 wide at every double
 # c <= _F64_MAX_T: rounding moves each end by at most half an ulp of c, so
 # the bracket is at most 2d + ulp(_F64_MAX_T) wide. With ulp(2.5e4) = 2^-38,
 # d = 1.2318e-10, 0.123 ORDINATE_ACCURACY.
 _PROBE_OFFSET = 0.5 * (0.25 * ORDINATE_ACCURACY - float(np.spacing(_F64_MAX_T)))
+# likewise the half-width h of a regula falsi point's pair x -+ h, so that
+# the pair's bracket passes the COARSE_WIDTH test, and the least distance
+# of such a point from the end replaced last
+_PAIR_OFFSET = 0.5 * (COARSE_WIDTH - float(np.spacing(_F64_MAX_T)))
 
 # theta asymptotic coefficients c_n = (1 - 2^(1-2n)) |B_2n| / (4n(2n-1))
 _THETA_C = [float((1 - mp.mpf(2) ** (1 - 2 * n)) * abs(mp.bernoulli(2 * n))
@@ -132,12 +155,16 @@ def _as_double_phase(x: np.ndarray) -> np.ndarray:
     """A phase array as doubles with the same cosine and sine. A dtype no
     finer than a double is cast as it is (cos and sin take a double
     argument as it is). A finer one is reduced mod 2pi in its own precision
-    first (fmod is exact; 2pi's rounding in that dtype costs its roundoff
-    times |x|), so that its extra bits survive the rounding to a double,
+    first, with 2pi split in two (Cody-Waite): k = rint(x / _TWO_PI_HI),
+    then (x - k _TWO_PI_HI) - k _TWO_PI_LO. The first difference is exact
+    (k _TWO_PI_HI is, for |k| < 2^32), so 2pi's rounding no longer weighs
+    |x|: the reduction costs at most 5 units of that dtype's roundoff
+    (``_rs_bound``), and its extra bits survive the rounding to a double,
     which then adds at most 2^-51, 4 units of double roundoff."""
     if np.finfo(x.dtype).eps >= np.finfo(np.float64).eps:
         return x.astype(np.float64, copy=False)
-    return np.fmod(x, 2 * x.dtype.type(_PI)).astype(np.float64)
+    k = np.rint(x / _TWO_PI_HI)
+    return ((x - k * _TWO_PI_HI) - k * x.dtype.type(_TWO_PI_LO)).astype(np.float64)
 
 
 def riemann_siegel_theta(t, cfg: PrecisionConfig = DEFAULT_CONFIG):
@@ -156,16 +183,16 @@ def hardy_z(t, cfg: PrecisionConfig = DEFAULT_CONFIG):
     """Real rotated zeta Z(t); sign changes bracket critical-line zeros.
 
     With a double config from t = SCAN_START up this is the zero finder's
-    own per-point Z (``_z``). Otherwise exp(i theta) zeta(1/2+it) is formed
-    by the mpmath engine (a double config promoted to 25 digits), and an
-    imaginary residual above the combined zeta, theta and rounding bound
-    raises PrecisionExhausted.
+    own per-point Z (``_z``, its declared error dropped). Otherwise
+    exp(i theta) zeta(1/2+it) is formed by the mpmath engine (a double
+    config promoted to 25 digits), and an imaginary residual above the
+    combined zeta, theta and rounding bound raises PrecisionExhausted.
     """
     tf = float(t)
     if not 0 <= tf < math.inf:
         raise DomainError("hardy_z requires finite t >= 0")
     if cfg.uses_f64 and tf >= SCAN_START:
-        return float(_z(np.array([tf]))[0])
+        return float(_z(np.array([tf]))[0][0])
     cfg = _scalar_cfg(cfg)
     th = riemann_siegel_theta(tf, cfg)
     with mp.workdps(cfg.dps):
@@ -269,24 +296,28 @@ def _rs_bound(t: np.ndarray, dtype=np.float64) -> np.ndarray:
       all), the small terms -pi/8 + ... (u), their sum with it (u A):
       u (5A + t + 1).
     - theta - t log n: log n (2u log n), times t (3u M in all), the
-      difference (u A). For a dtype finer than a double, the reduction mod
-      2pi (``_as_double_phase``) is exact but for 2pi's own rounding, which
-      costs u |theta - t log n| <= u A.
+      difference (u A), and one unit spare: u (6A + 3M + t + 2) so far.
+    - For a dtype finer than a double, the reduction mod 2pi
+      (``_as_double_phase``): x - k _TWO_PI_HI is exact; _TWO_PI_LO < 2^-31
+      is rounded twice (parsed, then times k), less than u while
+      |k| < 2^30, far above t = 2.5e4; the last difference rounds at
+      |r| < 4, 4u.
 
-    So each phase is off by at most u (7A + 3M + t + 2), a count that holds
-    for both dtypes (a double spends A fewer units). The cosine is then
-    taken of a double: within an ulp (2 u_64, u_64 = 2^-53), after the
-    rounding of a reduced phase to a double (4 u_64), with weights n^-1/2
-    rounded twice (2 u_64); the dot product adds N u_64 of the sum of its
-    terms (Higham's gamma_N), and the corrections and the last additions a
-    few u_64 of |Z| <= 4 sqrt(N). The weights sum to
-    2 sum n^-1/2 < 4 sqrt(N), so
+    So each phase is off by at most u (6A + 3M + t + 7), a count that holds
+    for both dtypes (a double spends 5 fewer units); a reduction by fmod
+    with 2pi rounded to the dtype would cost u |theta - t log n| <= u A
+    instead. The cosine is then taken of a double: within an ulp (2 u_64,
+    u_64 = 2^-53), after the rounding of a reduced phase to a double
+    (4 u_64), with weights n^-1/2 rounded twice (2 u_64); the dot product
+    adds N u_64 of the sum of its terms (Higham's gamma_N), and the
+    corrections and the last additions a few u_64 of |Z| <= 4 sqrt(N). The
+    weights sum to 2 sum n^-1/2 < 4 sqrt(N), so
 
         error <= 0.661 t^-3.75
-                 + 4 sqrt(N) u_64 ((7A + 3M + t + 2) u/u_64 + N + 12).
+                 + 4 sqrt(N) u_64 ((6A + 3M + t + 7) u/u_64 + N + 12).
 
-    In doubles the phase term dominates from t ~ 630 up: 3.5e-9 at
-    t = 2.4e4, against 2.0e-12 in the x87 80-bit long double (u = 2^-64),
+    In doubles the phase term dominates from t ~ 630 up: 3.2e-9 at
+    t = 2.4e4, against 1.8e-12 in the x87 80-bit long double (u = 2^-64),
     where Gabcke's term is most of the bound up to t ~ 2400. Where the long
     double is a double, u/u_64 = 1 and the two bounds are the same
     numbers."""
@@ -297,11 +328,11 @@ def _rs_bound(t: np.ndarray, dtype=np.float64) -> np.ndarray:
 
 
 def _phase_count(t: np.ndarray) -> np.ndarray:
-    """7A + 3M + t + 2: the units of its dtype's roundoff by which each
+    """6A + 3M + t + 7: the units of its dtype's roundoff by which each
     phase of ``_rs_phases`` may be off (derived in ``_rs_bound``)."""
     A = 0.5 * t * np.log(t / _TWO_PI)
     M = t * np.log(np.floor(np.sqrt(t / _TWO_PI)))
-    return 7.0 * A + 3.0 * M + t + 2.0
+    return 6.0 * A + 3.0 * M + t + 7.0
 
 
 def _rs_phases(th: np.ndarray, t: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -336,9 +367,9 @@ def _rs_z(t: np.ndarray, dtype=np.float64):
     return 2.0 * main + sign * np.sqrt(ainv) * corr, _rs_bound(t, dtype)
 
 
-def _z(ts: np.ndarray) -> np.ndarray:
-    """Z at each height, its sign read from the first rung of a three-rung
-    ladder whose declared error |Z| exceeds:
+def _z(ts: np.ndarray):
+    """(Z, declared error) at each height, from the first rung of a
+    three-rung ladder whose declared error |Z| exceeds:
 
     1. Riemann-Siegel with double phases, where t >= RS_MIN_T;
     2. Riemann-Siegel with theta and t log n in long double, reduced mod 2pi
@@ -347,24 +378,41 @@ def _z(ts: np.ndarray) -> np.ndarray:
        is a double);
     3. Euler-Maclaurin (``zeta_batch`` on the double engine,
        t >= SCAN_START) everywhere else, rotated by the long double theta
-       reduced mod 2pi."""
+       reduced mod 2pi. Its error is ``zeta_batch``'s bound on zeta plus
+       8 u_64 |zeta| for the rotation's cosine, sine, two products and
+       difference; the phase's own error delta only scales Z by cos delta.
+
+    A point where |Z| is at or below the error of the last rung it reached
+    has no certified sign: the callers never read one."""
     ts = np.asarray(ts, dtype=np.float64)
-    z = np.empty_like(ts)
+    z, err = np.empty_like(ts), np.empty_like(ts)
     rs = np.nonzero(ts >= RS_MIN_T)[0]
     em = np.ones(len(ts), dtype=bool)
     if len(rs):
         t = ts[rs]
-        z[rs], err = _rs_z(t)
-        em[rs] = np.abs(z[rs]) <= err
+        z[rs], err[rs] = _rs_z(t)
+        em[rs] = np.abs(z[rs]) <= err[rs]
         ext = rs[em[rs] & (np.abs(z[rs]) > _gabcke(t))
-                 & (_rs_bound(t, np.longdouble) < err)]
+                 & (_rs_bound(t, np.longdouble) < err[rs])]
         if len(ext):
-            z[ext], err = _rs_z(ts[ext], np.longdouble)
-            em[ext] = np.abs(z[ext]) <= err
+            z[ext], err[ext] = _rs_z(ts[ext], np.longdouble)
+            em[ext] = np.abs(z[ext]) <= err[ext]
     if em.any():
-        vals, _, _, _ = zeta_batch(0.5 + 1j * ts[em])
+        vals, _, errs, _ = zeta_batch(0.5 + 1j * ts[em])
         th = _as_double_phase(_theta(ts[em], np.longdouble))
         z[em] = (np.exp(1j * th) * vals).real
+        err[em] = errs + 8.0 * _UNIT_ROUNDOFF * np.abs(vals)
+    return z, err
+
+
+def _certified_z(ts: np.ndarray) -> np.ndarray:
+    """Z at each height (``_z``); PrecisionExhausted where no rung
+    certifies its sign."""
+    z, err = _z(ts)
+    bad = np.abs(z) <= err
+    if bad.any():
+        raise PrecisionExhausted(
+            f"no rung certifies the sign of Z at t = {ts[bad][0]!r}")
     return z
 
 
@@ -516,25 +564,132 @@ def _header(lines, line: int, key: str) -> float:
 # search, count, estimate, zero-free bounds
 # ---------------------------------------------------------------------------
 
-def _scan_brackets(T: float, step: float):
-    ts = np.arange(SCAN_START, T, step)
-    ts = np.append(ts, T)
-    zv = _z(ts)
-    idx = np.nonzero(np.signbit(zv[1:]) != np.signbit(zv[:-1]))[0]
-    return ts[idx], ts[idx + 1], zv[idx], zv[idx + 1]
+def _gram_points(n: np.ndarray) -> np.ndarray:
+    """Gram points g_n, theta(g_n) = n pi, for integers n >= -1, as doubles.
+
+    Newton on ``_theta`` with theta' taken as its leading term
+    1/2 log(t/2pi), which exceeds theta' by 1/(48t^2) + ..., from
+    t = 2pi(n + 1/8 + e): above g_n, since the leading terms of theta put g_n
+    at 2pi e exp(W((n + 1/8)/e)) and exp(W(y)) <= 1 + y. theta is increasing
+    and convex there, so the iterates fall to g_n without overshooting. The
+    steps run in doubles until they are below 1e-6, then twice in long
+    double, whose theta at t = 2.5e4 is good to about 3e-14: within an ulp
+    of g_n after the rounding to a double."""
+    n = np.asarray(n)
+    t = _TWO_PI * (n + 0.125 + math.e)
+    for _ in range(_MAX_STEPS):
+        step = (_theta(t) - n * math.pi) / (0.5 * np.log(t / _TWO_PI))
+        t = t - step
+        if np.all(np.abs(step) < 1e-6):
+            break
+    ld = np.longdouble
+    t, target = t.astype(ld), n.astype(ld) * ld(_PI)
+    for _ in range(2):
+        t = t - (_theta(t, ld) - target) / (0.5 * np.log(t / (2 * ld(_PI))))
+    return t.astype(np.float64)
+
+
+def _gram_signs(T: float):
+    """Gram points g_n and certified Z(g_n) for n = -1, 0, ... up to the
+    first good Gram point at or above T, one where (-1)^n Z(g_n) > 0, and
+    whether each is good."""
+    n = np.arange(-1, math.ceil(float(_theta(T)) / math.pi) + 1)
+    g = _gram_points(n)
+    z = _certified_z(g)
+    while True:
+        good = np.signbit(z) == (n % 2 == 1)
+        top = np.nonzero(good & (g >= T))[0]
+        if len(top):
+            k = top[0] + 1
+            return g[:k], z[:k], good[:k]
+        more = np.arange(n[-1] + 1, n[-1] + 1 + _GRAM_CHUNK)
+        n, g = np.append(n, more), np.append(g, _gram_points(more))
+        z = np.append(z, _certified_z(g[-_GRAM_CHUNK:]))
+
+
+def _block_brackets(T: float):
+    """Brackets [lo, hi] with their end values, one per sign change of Z in
+    the Rosser blocks that cover (0, T], the ones with lo >= T left out.
+
+    A Rosser block runs between consecutive good Gram points g_a < g_b
+    (``_gram_signs``; g_-1 = 9.67 is good, as Z < 0 below gamma_1) and
+    spans b - a Gram intervals. Rosser's rule, that such a block holds at
+    least b - a zeros, holds below g_13,999,525 (the first exception). The
+    signs at the Gram points show one sign change per interval where Gram's
+    law holds; a block that shows fewer has every subinterval halved, all
+    short blocks in one ``_z`` call per round, until it shows one per Gram
+    interval. A block still short after _MAX_HALVINGS rounds raises
+    MissedZeroSuspected, and a point that no rung certifies
+    PrecisionExhausted."""
+    ts, zs, good = _gram_signs(T)
+    need = np.diff(np.nonzero(good)[0])  # Gram intervals per block
+    block = np.cumsum(good[:-1]) - 1     # the block of [ts[j], ts[j + 1]]
+    for halvings in range(_MAX_HALVINGS + 1):
+        change = np.signbit(zs[1:]) != np.signbit(zs[:-1])
+        short = np.bincount(block, weights=change, minlength=len(need)) < need
+        if not short.any():
+            j = np.nonzero(change & (ts[:-1] < T))[0]
+            return ts[j], ts[j + 1], zs[j], zs[j + 1]
+        if halvings == _MAX_HALVINGS:
+            break
+        j = np.nonzero(short[block])[0]
+        mid = 0.5 * (ts[j] + ts[j + 1])
+        ts = np.insert(ts, j + 1, mid)
+        zs = np.insert(zs, j + 1, _certified_z(mid))
+        block = np.insert(block, j + 1, block[j])
+    first = float(ts[np.searchsorted(block, np.argmax(short))])
+    raise MissedZeroSuspected(
+        f"{np.count_nonzero(short)} Rosser blocks show fewer sign changes "
+        f"than Gram intervals after {_MAX_HALVINGS} halvings, the first "
+        f"from t = {first!r}")
+
+
+def _pair(lo, hi, c, w):
+    """The pair c -+ w inside brackets [lo, hi] wider than 2w: where c lies
+    within w of an end, that end is one of the pair and the other sits 2w
+    from it. Returns the pair and, for each of its two points, whether it
+    is new (not an end)."""
+    at_lo, at_hi = c < lo + w, c > hi - w  # never both: width > 2w
+    a = np.where(at_lo, lo, np.where(at_hi, hi - 2 * w, c - w))
+    b = np.where(at_hi, hi, np.where(at_lo, lo + 2 * w, c + w))
+    return a, b, ~at_lo, ~at_hi
+
+
+def _narrow(lo, hi, zlo, zhi, j, a, b, fa, fb):
+    """Narrow brackets j in place to whichever of [lo, a], [a, b] and
+    [b, hi] holds their sign change, given Z at the pair a < b."""
+    left = np.signbit(fa) != np.signbit(zlo[j])
+    right = ~left & (np.signbit(fb) == np.signbit(fa))
+    mid = ~left & ~right
+    lo[j], zlo[j], hi[j], zhi[j] = (
+        np.where(left, lo[j], np.where(mid, a, b)),
+        np.where(left, zlo[j], np.where(mid, fa, fb)),
+        np.where(left, a, np.where(mid, b, hi[j])),
+        np.where(left, fa, np.where(mid, fb, zhi[j])))
+
+
+def _pair_values(zlo, zhi, new_a, new_b, z_new):
+    """Z at a pair from ``_pair``: the ends' values where a point is an end,
+    z_new (the new points, the a's first) elsewhere."""
+    fa, fb = zlo.copy(), zhi.copy()
+    fa[new_a], fb[new_b] = np.split(z_new, [np.count_nonzero(new_a)])
+    return fa, fb
 
 
 def _refine_brackets(lo, hi, zlo, zhi):
-    """Ordinates from the scan's brackets [lo, hi], whose ends carry the
-    per-point Z values zlo, zhi. Every round makes one ``_z`` call with a
-    point for each bracket still too wide:
+    """Ordinates from brackets [lo, hi] whose ends carry certified Z values
+    zlo, zhi. Every round makes one ``_z`` call with a point for each
+    bracket still too wide:
 
-    - wider than COARSE_WIDTH, an Illinois regula falsi point. It replaces
-      the end of its own sign, and an end kept twice in a row has its
-      working value halved. A point closer than COARSE_WIDTH/2 to the end
-      replaced last moves to that distance, so that it can land past the
-      zero and close the bracket (and stays out of the band where the
-      Riemann-Siegel sign is not trusted).
+    - wider than COARSE_WIDTH, an Anderson-Bjorck regula falsi point. It
+      replaces the end of its own sign; an end kept twice in a row has its
+      working value scaled by m = 1 - Z(x)/Z(replaced end), or by 1/2 where
+      m <= 0. A point closer than h = ``_PAIR_OFFSET`` (just under
+      COARSE_WIDTH/2) to the end replaced last moves to that distance, so
+      that it can land past the zero and close the bracket. A point whose
+      |Z| is within its declared error sits on a zero: it is replaced by
+      the pair x -+ h, evaluated in a second call, which brackets that zero
+      in a bracket that passes the COARSE_WIDTH test.
     - wider than ORDINATE_ACCURACY/4, the probes x - d and x + d,
       d = ``_PROBE_OFFSET``, around the secant estimate x from the end
       values. The bracket becomes whichever of [lo, x - d], [x - d, x + d]
@@ -543,14 +698,15 @@ def _refine_brackets(lo, hi, zlo, zhi):
       an end, that end is one probe and the other sits 2d from it, so only
       one new point is evaluated and no end is evaluated twice.
 
-    Returns the secant root of each final bracket's end values, clipped
-    into the bracket: an ordinate inside a bracket no wider than
-    ORDINATE_ACCURACY/4 that holds the sign change, at no extra
-    evaluation."""
+    Every sign read is certified (a probe or pair point that no rung
+    certifies raises PrecisionExhausted). Returns the secant root of each
+    final bracket's end values, clipped into the bracket: an ordinate
+    inside a bracket no wider than ORDINATE_ACCURACY/4 that holds the sign
+    change, at no extra evaluation."""
     lo, hi, zlo, zhi = lo.copy(), hi.copy(), zlo.copy(), zhi.copy()
-    flo, fhi = zlo.copy(), zhi.copy()  # Illinois working values
+    flo, fhi = zlo.copy(), zhi.copy()  # Anderson-Bjorck working values
     last = np.zeros(len(lo), dtype=np.int8)  # end replaced last: -1 lo, 1 hi
-    h, d = 0.5 * COARSE_WIDTH, _PROBE_OFFSET
+    h, d = _PAIR_OFFSET, _PROBE_OFFSET
     for _ in range(_MAX_STEPS):
         width = hi - lo
         i = np.nonzero(width > COARSE_WIDTH)[0]
@@ -561,61 +717,68 @@ def _refine_brackets(lo, hi, zlo, zhi):
         x = np.where((last[i] == 1) & (x > hi[i] - h), hi[i] - h, x)
         x = np.where((last[i] == -1) & (x < lo[i] + h), lo[i] + h, x)
         c = lo[p] - zlo[p] * (hi[p] - lo[p]) / (zhi[p] - zlo[p])
-        at_lo, at_hi = c < lo[p] + d, c > hi[p] - d  # never both: width > 2d
-        a = np.where(at_lo, lo[p], np.where(at_hi, hi[p] - 2 * d, c - d))
-        b = np.where(at_hi, hi[p], np.where(at_lo, lo[p] + 2 * d, c + d))
-        fx, fa_new, fb_new = np.split(_z(np.concatenate([x, a[~at_lo], b[~at_hi]])),
-                                      [len(i), len(i) + np.count_nonzero(~at_lo)])
-        fa, fb = zlo[p].copy(), zhi[p].copy()
-        fa[~at_lo], fb[~at_hi] = fa_new, fb_new
+        a, b, new_a, new_b = _pair(lo[p], hi[p], c, d)
+        z, err = _z(np.concatenate([x, a[new_a], b[new_b]]))
+        zx, ex, zp, ep = z[:len(i)], err[:len(i)], z[len(i):], err[len(i):]
+        if np.any(np.abs(zp) <= ep):
+            raise PrecisionExhausted("no rung certifies the sign of a probe")
+        _narrow(lo, hi, zlo, zhi, p, a, b,
+                *_pair_values(zlo[p], zhi[p], new_a, new_b, zp))
 
+        on_zero = np.abs(zx) <= ex
+        k = i[on_zero]
+        if len(k):
+            a, b, new_a, new_b = _pair(lo[k], hi[k], x[on_zero], h)
+            _narrow(lo, hi, zlo, zhi, k, a, b, *_pair_values(
+                zlo[k], zhi[k], new_a, new_b,
+                _certified_z(np.concatenate([a[new_a], b[new_b]]))))
+            flo[k], fhi[k], last[k] = zlo[k], zhi[k], 0
+
+        i, x, fx = i[~on_zero], x[~on_zero], zx[~on_zero]
         to_hi = np.signbit(fx) == np.signbit(fhi[i])
         j, k = i[to_hi], i[~to_hi]
-        flo[j[last[j] == 1]] *= 0.5
-        fhi[k[last[k] == -1]] *= 0.5
+        again_j, again_k = last[j] == 1, last[k] == -1
+        m = 1.0 - fx[to_hi][again_j] / fhi[j[again_j]]
+        flo[j[again_j]] *= np.where(m > 0, m, 0.5)
+        m = 1.0 - fx[~to_hi][again_k] / flo[k[again_k]]
+        fhi[k[again_k]] *= np.where(m > 0, m, 0.5)
         hi[j], zhi[j], fhi[j], last[j] = x[to_hi], fx[to_hi], fx[to_hi], 1
         lo[k], zlo[k], flo[k], last[k] = x[~to_hi], fx[~to_hi], fx[~to_hi], -1
-
-        left = np.signbit(fa) != np.signbit(zlo[p])
-        right = ~left & (np.signbit(fb) == np.signbit(fa))
-        mid = ~left & ~right
-        lo[p] = np.where(left, lo[p], np.where(mid, a, b))
-        zlo[p] = np.where(left, zlo[p], np.where(mid, fa, fb))
-        hi[p] = np.where(left, a, np.where(mid, b, hi[p]))
-        zhi[p] = np.where(left, fa, np.where(mid, fb, zhi[p]))
-    raise PrecisionExhausted(f"{len(i) + len(p)} brackets did not narrow to "
+    wide = np.count_nonzero(hi - lo > 0.25 * ORDINATE_ACCURACY)
+    raise PrecisionExhausted(f"{wide} brackets did not narrow to "
                              f"{0.25 * ORDINATE_ACCURACY:g}")
-
-
-def _locate(T: float, step: float) -> ZeroTable:
-    gammas = _refine_brackets(*_scan_brackets(T, step))
-    return ZeroTable(tuple(float(g) for g in gammas), ORDINATE_ACCURACY, float(T))
 
 
 def find_zeros_up_to(T: float) -> ZeroTable:
     """All ordinates in (0, T] to 1e-9, complete to max_height = T.
 
-    Grid scan at SCAN_STEP on the signs of the per-point Z (Riemann-Siegel
-    in double, then in long double phases, and Euler-Maclaurin below
-    RS_MIN_T and inside both declared errors), then regula falsi and secant
-    probes on the same Z down to brackets of width ORDINATE_ACCURACY/4 (see
-    the module docstring). The census is audited against the counting
-    estimate and rescanned at SCAN_STEP/5 once on disagreement before
-    MissedZeroSuspected is raised.
+    Z (Riemann-Siegel in double, then in long double phases, and
+    Euler-Maclaurin below RS_MIN_T and inside both declared errors) is read
+    at the Gram points up to the first good one at or above T, and each
+    Rosser block is searched until it shows one sign change per Gram
+    interval (``_block_brackets``). Regula falsi and secant probes on the
+    same Z then narrow each sign change to a bracket of width
+    ORDINATE_ACCURACY/4 (``_refine_brackets``), and ordinates above T are
+    dropped. Every sign read is certified by the rung that gave it.
+
+    Completeness rests on Rosser's rule, which holds below g_13,999,525,
+    far above the double engine's ceiling, plus the audit against the
+    counting estimate (MissedZeroSuspected), until an exact count N(T)
+    replaces that audit.
     """
     if not 10 <= T < math.inf:
         raise DomainError("find_zeros_up_to requires finite T >= 10")
-    table = _locate(T, SCAN_STEP)
-    try:
-        table.audit()
-    except MissedZeroSuspected:
-        table = _locate(T, SCAN_STEP / 5.0)
-        table.audit()  # raises if still inconsistent
+    gammas = _refine_brackets(*_block_brackets(T))
+    table = ZeroTable(tuple(float(g) for g in gammas if g <= T),
+                      ORDINATE_ACCURACY, float(T))
+    table.audit()
     return table
 
 
 def count_zeros(T: float, table: ZeroTable) -> int:
-    """Exact census N(T) of zeros with 0 < gamma < T.
+    """The table's census: how many of its ordinates lie in (0, T). It is
+    the zero count N(T) as far as the table is complete (``max_height``),
+    not a count by the argument principle.
 
     Raises TableTooShort when the table is not complete up to T, and
     AmbiguousHeight when T sits within table accuracy of an ordinate.

@@ -157,27 +157,91 @@ class TestFindZeros:
         with pytest.raises(errors.MissedZeroSuspected):
             broken.audit()
 
-    def test_failed_audit_rescans_once_at_a_fifth_of_the_step(self, monkeypatch):
-        steps, failures = [], [1]
-        locate, audit = zero_finder._locate, ZeroTable.audit
+    def test_failed_audit_propagates(self, monkeypatch):
+        # one block search, one audit, and its failure is the caller's
+        searches, audits = [], []
+        search = zero_finder._block_brackets
 
         def failing_audit(table):
-            if failures:
-                failures.pop()
-                raise errors.MissedZeroSuspected("forced")
-            audit(table)
+            audits.append(len(table.gammas))
+            raise errors.MissedZeroSuspected("forced")
 
-        monkeypatch.setattr(zero_finder, "_locate",
-                            lambda T, step: steps.append(step) or locate(T, step))
+        monkeypatch.setattr(zero_finder, "_block_brackets",
+                            lambda T: searches.append(T) or search(T))
         monkeypatch.setattr(ZeroTable, "audit", failing_audit)
-        table = find_zeros_up_to(40.0)
-        assert steps == [zero_finder.SCAN_STEP, zero_finder.SCAN_STEP / 5.0]
-        assert len(table.gammas) == 6
-        # a second failure, after the rescan, propagates
-        failures[:] = [1, 1]
-        with pytest.raises(errors.MissedZeroSuspected):
+        with pytest.raises(errors.MissedZeroSuspected, match="forced"):
             find_zeros_up_to(40.0)
-        assert steps[2:] == [zero_finder.SCAN_STEP, zero_finder.SCAN_STEP / 5.0]
+        assert searches == [40.0] and audits == [6]
+
+    def test_gram_points_against_mpmath(self):
+        # seeded n in [-1, 29000]: within an ulp of mpmath's g_n, and
+        # g_-1 = 9.67, where _theta's truncated series is off by about
+        # 5e-14, within 1e-12
+        rng = np.random.default_rng(28)
+        n = np.concatenate([[-1, 0, 29000], rng.integers(-1, 29001, 40)])
+        for k, g in zip(n, zero_finder._gram_points(n)):
+            with mp.workdps(30):
+                err = abs(mp.mpf(float(g)) - mp.grampoint(int(k)))
+            assert err <= (1e-12 if k == -1 else np.spacing(g)), k
+
+    def test_table_to_25000_holds_the_close_pair(self, table25k):
+        # gamma_27925 and gamma_27926 are 0.045 apart; a 0.05 grid missed
+        # both, and the census audit passed the table two short
+        assert len(table25k.gammas) == mp.nzeros(25000) == 29002
+        for k in (27925, 27926):
+            assert abs(table25k.gammas[k - 1] - zero_ordinate(k)) < 1e-9
+
+    def test_block_short_of_its_count_raises(self, monkeypatch):
+        # Z with its sign flipped between gamma_1 and gamma_2 has neither
+        # sign change: g_0 turns bad, and the block [g_-1, g_1] never shows
+        # the two its Gram intervals need
+        g1, g2 = 14.134725141734693, 21.022039638771555
+        z = zero_finder._z
+
+        def erased(ts):
+            v, err = z(ts)
+            return np.where((ts > g1) & (ts < g2), -v, v), err
+
+        monkeypatch.setattr(zero_finder, "_z", erased)
+        with pytest.raises(errors.MissedZeroSuspected):
+            find_zeros_up_to(30.0)
+
+    @pytest.mark.parametrize("T", [1000.0, 2.5e4])
+    def test_scan_stage_points_per_zero(self, T, table25k, monkeypatch):
+        # the Gram points and the block halvings: at most 2 per zero
+        # (1.12 at 1000, 1.33 at 2.5e4)
+        counted = []
+        z = zero_finder._z
+        monkeypatch.setattr(zero_finder, "_z",
+                            lambda ts: counted.append(len(ts)) or z(ts))
+        zero_finder._block_brackets(T)
+        assert sum(counted) <= 2 * table25k.count_below(T)
+
+    def test_uncertified_points(self, table120, monkeypatch):
+        # a regula falsi point whose |Z| is within its error is replaced by
+        # the pair x -+ h, and the table is the same; a Gram point that no
+        # rung certifies raises
+        lo, hi, zlo, zhi = zero_finder._block_brackets(100.0)
+        z, calls = zero_finder._z, []
+
+        def first_uncertain(ts):
+            v, err = z(ts)
+            calls.append(np.array(ts))
+            return v, (np.abs(v) if len(calls) == 1 else err)
+
+        monkeypatch.setattr(zero_finder, "_z", first_uncertain)
+        got = zero_finder._refine_brackets(lo, hi, zlo, zhi)
+        first, pairs = calls[0], calls[1]
+        h = zero_finder._PAIR_OFFSET
+        assert len(first) == len(lo) and len(pairs) == 2 * len(first)
+        np.testing.assert_allclose(
+            pairs, np.concatenate([first - h, first + h]), rtol=0, atol=1e-12)
+        want = table120.gammas[:table120.count_below(100.0)]
+        assert np.max(np.abs(got[:len(want)] - want)) <= 2.5e-10
+        monkeypatch.setattr(zero_finder, "_z",
+                            lambda ts: (z(ts)[0], np.full(len(ts), np.inf)))
+        with pytest.raises(errors.PrecisionExhausted):
+            find_zeros_up_to(30.0)
 
     def test_session_table_against_mpmath(self, big_table):
         assert len(big_table.gammas) == mp.nzeros(big_table.max_height) == 4680
@@ -196,20 +260,22 @@ class TestFindZeros:
         monkeypatch.setattr(zero_finder, "zeta_batch",
                             lambda s: heights.extend(np.imag(s)) or batch(s))
         em_only = find_zeros_up_to(600.0)
-        grid = np.arange(zero_finder.SCAN_START, 600.0, zero_finder.SCAN_STEP)
-        assert np.isin(grid, heights).all()
+        gram = zero_finder._gram_points(np.arange(-1, 400))
+        assert gram[-1] > 600.0
+        assert np.isin(gram[gram < 600.0], heights).all()
         assert len(em_only.gammas) == len(table.gammas)
         assert np.max(np.abs(np.subtract(em_only.gammas, table.gammas))) <= 2.5e-10
 
     def test_euler_maclaurin_points_per_zero(self, monkeypatch):
-        # the scan below RS_MIN_T and the refinement's points below it or
-        # inside both Riemann-Siegel errors: 4562 points for 649 zeros
+        # the Gram points below RS_MIN_T, the refinement's points below it
+        # and those inside both Riemann-Siegel errors: 813 points for 649
+        # zeros
         counted = []
         batch = zero_finder.zeta_batch
         monkeypatch.setattr(zero_finder, "zeta_batch",
                             lambda s: counted.append(len(s)) or batch(s))
         table = find_zeros_up_to(1000.0)
-        assert sum(counted) <= 7.1 * len(table.gammas)
+        assert sum(counted) <= 1.3 * len(table.gammas)
 
     def test_each_sign_comes_from_a_rung_outside_its_bound(self, big_table,
                                                             monkeypatch):
@@ -234,14 +300,14 @@ class TestFindZeros:
         monkeypatch.setattr(zero_finder, "_rs_z", spy_rs_z)
         monkeypatch.setattr(zero_finder, "zeta_batch",
                             lambda s: em_heights.extend(np.imag(s)) or batch(s))
-        z = zero_finder._z(ts)
+        z, z_err = zero_finder._z(ts)
         by_rs = {}
         for dtype, t, zr, err in calls:
             for x, zx, ex in zip(t, zr, err):
                 by_rs.setdefault(x, []).append((dtype, zx, ex))
         em_heights = set(em_heights)
         rungs = [0, 0, 0]
-        for x, zx in zip(ts, z):
+        for x, zx, ex in zip(ts, z, z_err):
             seen = by_rs[x]
             assert abs(seen[0][1]) <= seen[0][2] or len(seen) == 1
             if len(seen) == 2:
@@ -249,7 +315,7 @@ class TestFindZeros:
                 assert abs(seen[0][1]) > zero_finder._gabcke(np.array([x]))[0]
             last = seen[-1]
             if abs(last[1]) > last[2]:
-                assert x not in em_heights and zx == last[1]
+                assert x not in em_heights and (zx, ex) == last[1:]
                 rungs[len(seen) - 1] += 1
             else:
                 assert x in em_heights
@@ -347,6 +413,15 @@ class TestRiemannSiegel:
                     d = mp.mpf(float(x)) - (th - t * mp.log(int(k)))
                     d -= 2 * mp.pi * mp.nint(d / (2 * mp.pi))
                     assert abs(d) < bound, (t, k)
+
+    def test_two_pi_split(self):
+        # the long double reduction's 2pi: a 32-bit head, so that k times it
+        # is exact for |k| < 2^32, and a tail that makes it 2pi to 45 digits
+        hi = zero_finder._TWO_PI_HI
+        assert hi * 2 ** 29 == int(hi * 2 ** 29) < 2 ** 32
+        with mp.workdps(60):
+            gap = mp.mpf(hi) + mp.mpf(zero_finder._TWO_PI_LO) - 2 * mp.pi
+            assert abs(gap) < mp.mpf(10) ** -45
 
     def test_error_within_declared_bound(self):
         rng = np.random.default_rng(20261018)
