@@ -30,9 +30,9 @@ formed in (``_rs_bound``, which derives the count):
    |Z| clears Gabcke's term, below which no phase precision can certify a
    sign. Where the long double is a double the two bounds are equal, the
    rung never runs, and nothing is gained.
-3. Euler-Maclaurin (``zeta_batch``) below RS_MIN_T and everywhere else,
-   rotated by the long double theta reduced mod 2pi, with ``zeta_batch``'s
-   declared error.
+3. Euler-Maclaurin (``zeta_batch``) below RS_MIN_T and everywhere else
+   up to the double engine's ceiling _F64_MAX_T, rotated by the long double
+   theta reduced mod 2pi, with ``zeta_batch``'s declared error.
 
 ``_z`` returns each value with the declared error of the rung that gave
 it, and the search reads no sign where |Z| is within that error.
@@ -183,7 +183,9 @@ def hardy_z(t, cfg: PrecisionConfig = DEFAULT_CONFIG):
     """Real rotated zeta Z(t); sign changes bracket critical-line zeros.
 
     With a double config from t = SCAN_START up this is the zero finder's
-    own per-point Z (``_z``, its declared error dropped). Otherwise
+    own per-point Z (``_z``, its declared error dropped; above _F64_MAX_T,
+    where only Riemann-Siegel applies, PrecisionExhausted where that fails
+    to certify the sign). Otherwise
     exp(i theta) zeta(1/2+it) is formed by the mpmath engine (a double
     config promoted to 25 digits), and an imaginary residual above the
     combined zeta, theta and rounding bound raises PrecisionExhausted.
@@ -192,7 +194,10 @@ def hardy_z(t, cfg: PrecisionConfig = DEFAULT_CONFIG):
     if not 0 <= tf < math.inf:
         raise DomainError("hardy_z requires finite t >= 0")
     if cfg.uses_f64 and tf >= SCAN_START:
-        return float(_z(np.array([tf]))[0][0])
+        (z,), (err,) = _z(np.array([tf]))
+        if tf > _F64_MAX_T and abs(z) <= err:
+            raise PrecisionExhausted(f"no rung certifies Z({tf!r})")
+        return float(z)
     cfg = _scalar_cfg(cfg)
     th = riemann_siegel_theta(tf, cfg)
     with mp.workdps(cfg.dps):
@@ -377,13 +382,15 @@ def _z(ts: np.ndarray):
        double bound is below the double one (never, where the long double
        is a double);
     3. Euler-Maclaurin (``zeta_batch`` on the double engine,
-       t >= SCAN_START) everywhere else, rotated by the long double theta
-       reduced mod 2pi. Its error is ``zeta_batch``'s bound on zeta plus
-       8 u_64 |zeta| for the rotation's cosine, sine, two products and
-       difference; the phase's own error delta only scales Z by cos delta.
+       SCAN_START <= t <= _F64_MAX_T) everywhere else, rotated by the long
+       double theta reduced mod 2pi. Its error is ``zeta_batch``'s bound on
+       zeta plus 8 u_64 |zeta| for the rotation's cosine, sine, two products
+       and difference; the phase's own error delta only scales Z by
+       cos delta.
 
     A point where |Z| is at or below the error of the last rung it reached
-    has no certified sign: the callers never read one."""
+    (above _F64_MAX_T, a Riemann-Siegel one) has no certified sign: the
+    callers never read one."""
     ts = np.asarray(ts, dtype=np.float64)
     z, err = np.empty_like(ts), np.empty_like(ts)
     rs = np.nonzero(ts >= RS_MIN_T)[0]
@@ -397,6 +404,7 @@ def _z(ts: np.ndarray):
         if len(ext):
             z[ext], err[ext] = _rs_z(ts[ext], np.longdouble)
             em[ext] = np.abs(z[ext]) <= err[ext]
+    em &= ts <= _F64_MAX_T
     if em.any():
         vals, _, errs, _ = zeta_batch(0.5 + 1j * ts[em])
         th = _as_double_phase(_theta(ts[em], np.longdouble))

@@ -80,6 +80,19 @@ class TestHardyZ:
         for t in (12.0, 33.3, 90.0, 455.0, 5000.0):
             assert abs(hardy_z(t, fast_cfg) - siegel_z(t)) < 1e-9, t
 
+    def test_no_third_rung_above_the_double_ceiling(self, fast_cfg, monkeypatch):
+        # above _F64_MAX_T only Riemann-Siegel gives a sign: where it fails,
+        # _z returns the value as uncertified, not an error, and hardy_z
+        # refuses it
+        t = 25001.0
+        assert abs(hardy_z(t, fast_cfg) - siegel_z(t)) < 1e-9
+        monkeypatch.setattr(zero_finder, "_rs_bound",
+                            lambda t, dtype=np.float64: np.full_like(t, np.inf))
+        z, err = zero_finder._z(np.array([t, 100.0]))
+        assert err[0] == np.inf and abs(z[1]) > err[1]
+        with pytest.raises(errors.PrecisionExhausted):
+            hardy_z(t, fast_cfg)
+
     def test_realness_within_bound(self, mp_cfg, monkeypatch):
         for t in (10.0, 14.5, 60.0):
             _assert_real_rotation(t, mp_cfg)
