@@ -663,9 +663,13 @@ def _pair(lo, hi, c, w):
     return a, b, ~at_lo, ~at_hi
 
 
-def _narrow(lo, hi, zlo, zhi, j, a, b, fa, fb):
+def _narrow(lo, hi, zlo, zhi, j, a, b, new_a, new_b, z_new):
     """Narrow brackets j in place to whichever of [lo, a], [a, b] and
-    [b, hi] holds their sign change, given Z at the pair a < b."""
+    [b, hi] holds their sign change, given a pair a < b from ``_pair`` and
+    Z at its new points, z_new (the a's first); a point that is an end has
+    that end's value."""
+    fa, fb = zlo[j].copy(), zhi[j].copy()
+    fa[new_a], fb[new_b] = np.split(z_new, [np.count_nonzero(new_a)])
     left = np.signbit(fa) != np.signbit(zlo[j])
     right = ~left & (np.signbit(fb) == np.signbit(fa))
     mid = ~left & ~right
@@ -674,14 +678,6 @@ def _narrow(lo, hi, zlo, zhi, j, a, b, fa, fb):
         np.where(left, zlo[j], np.where(mid, fa, fb)),
         np.where(left, a, np.where(mid, b, hi[j])),
         np.where(left, fa, np.where(mid, fb, zhi[j])))
-
-
-def _pair_values(zlo, zhi, new_a, new_b, z_new):
-    """Z at a pair from ``_pair``: the ends' values where a point is an end,
-    z_new (the new points, the a's first) elsewhere."""
-    fa, fb = zlo.copy(), zhi.copy()
-    fa[new_a], fb[new_b] = np.split(z_new, [np.count_nonzero(new_a)])
-    return fa, fb
 
 
 def _refine_brackets(lo, hi, zlo, zhi):
@@ -730,16 +726,14 @@ def _refine_brackets(lo, hi, zlo, zhi):
         zx, ex, zp, ep = z[:len(i)], err[:len(i)], z[len(i):], err[len(i):]
         if np.any(np.abs(zp) <= ep):
             raise PrecisionExhausted("no rung certifies the sign of a probe")
-        _narrow(lo, hi, zlo, zhi, p, a, b,
-                *_pair_values(zlo[p], zhi[p], new_a, new_b, zp))
+        _narrow(lo, hi, zlo, zhi, p, a, b, new_a, new_b, zp)
 
         on_zero = np.abs(zx) <= ex
         k = i[on_zero]
         if len(k):
             a, b, new_a, new_b = _pair(lo[k], hi[k], x[on_zero], h)
-            _narrow(lo, hi, zlo, zhi, k, a, b, *_pair_values(
-                zlo[k], zhi[k], new_a, new_b,
-                _certified_z(np.concatenate([a[new_a], b[new_b]]))))
+            _narrow(lo, hi, zlo, zhi, k, a, b, new_a, new_b,
+                    _certified_z(np.concatenate([a[new_a], b[new_b]])))
             flo[k], fhi[k], last[k] = zlo[k], zhi[k], 0
 
         i, x, fx = i[~on_zero], x[~on_zero], zx[~on_zero]

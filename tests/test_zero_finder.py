@@ -198,8 +198,8 @@ class TestFindZeros:
             assert err <= (1e-12 if k == -1 else np.spacing(g)), k
 
     def test_table_to_25000_holds_the_close_pair(self, table25k):
-        # gamma_27925 and gamma_27926 are 0.045 apart; a 0.05 grid missed
-        # both, and the census audit passed the table two short
+        # gamma_27925 and gamma_27926 are 0.045 apart, a pair that a fixed
+        # scan step of 0.05 misses and the census audit cannot see
         assert len(table25k.gammas) == mp.nzeros(25000) == 29002
         for k in (27925, 27926):
             assert abs(table25k.gammas[k - 1] - zero_ordinate(k)) < 1e-9
