@@ -210,8 +210,8 @@ def _em_f64_plan(sigma, t, tol):
 
 
 def _em_tail(s, N, acc, dacc):
-    """The direct sums ``acc`` = sum_{n<N} n^-s and ``dacc`` (its derivative,
-    or None) completed by the closed-form part of Euler-Maclaurin,
+    """The direct sums ``acc`` = sum_{n<N} n^-s and ``dacc`` (its derivative)
+    completed by the closed-form part of Euler-Maclaurin,
 
         N^(1-s)/(s-1) + N^-s/2 + sum_{k=1..M} c_k (s)_{2k-1} N^(1-s-2k),
 
@@ -254,35 +254,32 @@ def _em_tail(s, N, acc, dacc):
         Nc, rN2 = N.astype(np.complex128), 1.0 / (N * N)
     NmS = np.exp(-s * lnN)
     acc = acc + Nc * NmS / (s - 1.0) + 0.5 * NmS
-    if dacc is not None:
-        dacc = dacc - lnN * Nc * NmS / (s - 1.0) - Nc * NmS / (s - 1.0) ** 2
-        dacc = dacc - 0.5 * lnN * NmS
+    dacc = dacc - lnN * Nc * NmS / (s - 1.0) - Nc * NmS / (s - 1.0) ** 2
+    dacc = dacc - 0.5 * lnN * NmS
     P = np.full_like(s, _B2K_OVER_FACT[F64_EM_TERMS])
-    dP = np.zeros_like(s) if dacc is not None else None
+    dP = np.zeros_like(s)
     a, b, q, w = (np.empty(min(len(s), _TAIL_BLOCK), dtype=np.complex128)
                   for _ in range(4))
     for start in range(0, len(s), _TAIL_BLOCK):
         blk = slice(start, start + _TAIL_BLOCK)
         sb, Pb, r = s[blk], P[blk], (rN2[blk] if np.ndim(rN2) else rN2)
-        dPb = dP[blk] if dP is not None else None
+        dPb = dP[blk]
         ab, bb, qb, wb = a[:len(sb)], b[:len(sb)], q[:len(sb)], w[:len(sb)]
         for k in range(F64_EM_TERMS - 1, 0, -1):
             np.add(sb, 2 * k - 1, out=ab)
             np.add(sb, 2 * k, out=bb)
             np.multiply(ab, bb, out=qb)
             np.multiply(qb, r, out=qb)  # q_k
-            if dPb is not None:
-                np.add(ab, bb, out=wb)
-                np.multiply(wb, r, out=wb)
-                np.multiply(wb, Pb, out=wb)
-                np.multiply(qb, dPb, out=dPb)
-                np.add(wb, dPb, out=dPb)  # q_k' P + q_k P'
+            np.add(ab, bb, out=wb)
+            np.multiply(wb, r, out=wb)
+            np.multiply(wb, Pb, out=wb)
+            np.multiply(qb, dPb, out=dPb)
+            np.add(wb, dPb, out=dPb)  # q_k' P + q_k P'
             np.multiply(qb, Pb, out=Pb)
             np.add(_B2K_OVER_FACT[k], Pb, out=Pb)  # c_k + q_k P
     Npow = NmS / Nc  # N^(-1-s)
     acc = acc + Npow * s * P
-    if dacc is not None:
-        dacc = dacc + Npow * (P + s * (dP - lnN * P))
+    dacc = dacc + Npow * (P + s * (dP - lnN * P))
     return acc, dacc
 
 
@@ -322,9 +319,9 @@ def _phase_table(ts, ln_n, N):
     return phase
 
 
-def _em_f64_group(s, N, want_prime):
-    """Euler-Maclaurin for a complex128 batch, each point at its own N (an
-    integer array), from tables that run to the largest, Nmax.
+def _em_f64_group(s, N):
+    """Euler-Maclaurin for zeta and zeta' at a complex128 batch, each point at
+    its own N (an integer array), from tables that run to the largest, Nmax.
 
     The main sum, sum_{n<N} n^-sigma (cos(t ln n) - i sin(t ln n)), and its
     zeta' twin with amplitude -ln n n^-sigma, are contracted from two tables:
@@ -342,9 +339,7 @@ def _em_f64_group(s, N, want_prime):
     instead contract their own phase column, cut at their own N, with their
     own amplitude row (``np.einsum``), ``_ROW_BLOCK`` table entries at a
     time, taken in order of height so that a block reads neighbouring
-    columns. The zeta' block is built even when only zeta is wanted: it
-    keeps the product matrix-matrix (a threaded dgemv may split the sum over
-    n). The last bits of a value can still depend on the BLAS thread count,
+    columns. The last bits of a value can depend on the BLAS thread count,
     through the columns each thread takes: on a 2048 x 33 lattice at
     t in [100, 202], 96 of its 270,336 real and imaginary parts of zeta and
     zeta' moved, by at most 1.8e-15, between one and two OpenBLAS threads.
@@ -404,7 +399,7 @@ def _em_f64_group(s, N, want_prime):
                     cols[Ns == Nv, :, :Nmax - Nv] = 0.0
             main[:, sl] = np.einsum("pcn,bpn->bpc", cols, amp[:, v[sl]])
     vals = main[0, :, 0] - 1j * main[0, :, 1]
-    dvals = main[1, :, 0] - 1j * main[1, :, 1] if want_prime else None
+    dvals = main[1, :, 0] - 1j * main[1, :, 1]
     del phase, amp, main  # the tables go before the tail's temporaries come
     return _em_tail(s, N, vals, dvals)
 
@@ -415,7 +410,18 @@ def _prime_lever(lnN, M, abs_s):
     return lnN + 2 * M + 2 + 1.0 / np.maximum(abs_s, 0.1)
 
 
-def _f64_errors(s, N, want_prime, trunc):
+def _f64_errors(s, N, trunc):
+    """The double engine's bounds (err, derr) on zeta and zeta' at the
+    points s, planned at N with truncation bound ``trunc``.
+
+    err is trunc plus the rounding allowance F64_ROUNDOFF (3 + S + edge),
+    with S the closed-form bound on sum_{n<N} n^-sigma below and
+    edge = N^(1-sigma)/|s - 1| the size of the tail's first term. derr is
+    trunc times the zeta' lever (``_prime_lever``) plus the allowance times
+    1 + ln N, which bounds the weights ln n of the derivative's terms.
+    Neither counts the rounding of the phase table or the order of the
+    summation (``_em_f64_group``), so the bounds are not yet proven.
+    """
     sigma = s.real
     # sum_{n<N} n^-sigma <= 1 + (N^(1-sigma) - 1)/(1 - sigma), 1 + ln N at
     # sigma = 1, where the quotient is 0/0 and is not formed
@@ -427,11 +433,8 @@ def _f64_errors(s, N, want_prime, trunc):
     sumabs = np.where(far, 1.0 + np.abs((Npow - 1.0) / np.where(far, d, 1.0)), 1.0 + lnN)
     edge = Npow / np.maximum(np.abs(s - 1.0), 1e-3)
     ro = F64_ROUNDOFF * (3.0 + sumabs + edge)
-    err = trunc + ro
-    if not want_prime:
-        return err, None
     derr = trunc * _prime_lever(lnN, F64_EM_TERMS, np.abs(s)) + ro * (1.0 + lnN)
-    return err, derr
+    return trunc + ro, derr
 
 
 def _em_f64_groups(N):
@@ -457,10 +460,10 @@ def _em_f64_groups(N):
     return groups
 
 
-def zeta_batch(s_arr, want_prime: bool = False):
-    """Vectorized zeta (and optionally zeta') for complex128 inputs, by the
-    double engine at its one tolerance ``F64_TOL`` (Re s >= -1).
-    Returns (vals, dvals_or_None, errs, derrs_or_None), in input order.
+def zeta_batch(s_arr):
+    """Vectorized zeta and zeta' for complex128 inputs, by the double engine
+    at its one tolerance ``F64_TOL`` (Re s >= -1). Returns
+    (vals, dvals, errs, derrs), in input order.
 
     zeta has real Dirichlet coefficients, so zeta(conj s) = conj zeta(s), and
     likewise zeta'. Each point is folded to sigma + i|t| and the folded
@@ -475,10 +478,6 @@ def zeta_batch(s_arr, want_prime: bool = False):
     (``_em_f64_group``, ``_em_tail``), never its bounds.
     """
     s = np.asarray(s_arr, dtype=np.complex128).ravel()
-    if s.size == 0:
-        z = np.empty(0, dtype=np.complex128)
-        f = np.empty(0, dtype=float)
-        return z, (z.copy() if want_prime else None), f, (f.copy() if want_prime else None)
     if not np.all(np.isfinite(s)):
         raise DomainError("batch points must be finite")
     if np.any(s.real < -1.0 - 1e-12):
@@ -514,29 +513,22 @@ def zeta_batch(s_arr, want_prime: bool = False):
     # raises the rounding allowance, so the quantum is per point and a bound
     # never depends on the batch; merged groups keep each point's own N.
     N = ((N.astype(np.int64) + 15) // 16) * 16
-    vals = np.empty_like(u)
-    dvals = np.empty_like(u) if want_prime else None
+    vals, dvals = np.empty_like(u), np.empty_like(u)
     for idx in _em_f64_groups(N):
-        v, dv = _em_f64_group(u[idx], N[idx], want_prime)
-        vals[idx] = v
-        if want_prime:
-            dvals[idx] = dv
-    errs, derrs = _f64_errors(u, N, want_prime, np.exp(log_bound(np.log(N))))
+        vals[idx], dvals[idx] = _em_f64_group(u[idx], N[idx])
+    errs, derrs = _f64_errors(u, N, np.exp(log_bound(np.log(N))))
     if inv is None:
         return vals, dvals, errs, derrs
-    vals, errs = vals[inv], errs[inv]
+    vals, dvals, errs, derrs = vals[inv], dvals[inv], errs[inv], derrs[inv]
     np.conjugate(vals, out=vals, where=flip)
-    if want_prime:
-        dvals, derrs = dvals[inv], derrs[inv]
-        np.conjugate(dvals, out=dvals, where=flip)
+    np.conjugate(dvals, out=dvals, where=flip)
     return vals, dvals, errs, derrs
 
 
 def log_deriv_batch(s_arr):
     """Vectorized zeta'/zeta with propagated error bounds (double engine);
     PrecisionExhausted where zeta's error bound reaches |zeta|."""
-    vals, dvals, errs, derrs = zeta_batch(s_arr, want_prime=True)
-    return _log_deriv(vals, dvals, errs, derrs)
+    return _log_deriv(*zeta_batch(s_arr))
 
 
 def _log_deriv(v, dv, e, de):
@@ -983,14 +975,12 @@ def _zeta_and_prime(s, cfg: PrecisionConfig, want_prime: bool):
     """(zeta, zeta' or None, err, derr or None) at one point s != 1.
 
     The one engine choice for the scalar operations: the double batch engine
-    for Re s > -1 with a double config, scalar mpmath at ``_scalar_cfg``
-    otherwise.
+    for Re s > -1 with a double config, which returns zeta' whatever
+    ``want_prime``, scalar mpmath at ``_scalar_cfg`` otherwise.
     """
     sc = _check_finite(s)
     if cfg.uses_f64 and sc.real > -1.0:
-        vals, dvals, errs, derrs = zeta_batch([sc], want_prime=want_prime)
-        if not want_prime:
-            return vals[0], None, float(errs[0]), None
+        vals, dvals, errs, derrs = zeta_batch([sc])
         return vals[0], dvals[0], float(errs[0]), float(derrs[0])
     return _zeta_scalar(as_mpc(s), _scalar_cfg(cfg), want_prime)
 

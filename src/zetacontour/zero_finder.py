@@ -112,9 +112,10 @@ _MAX_HALVINGS = 12      # Rosser block halvings before MissedZeroSuspected
 _GRAM_CHUNK = 8         # Gram points added per step while the last is bad
 # the final probes' offset d from the secant estimate c, as wide as keeps
 # [fl(c - d), fl(c + d)] at most ORDINATE_ACCURACY/4 wide at every double
-# c <= _F64_MAX_T: rounding moves each end by at most half an ulp of c, so
-# the bracket is at most 2d + ulp(_F64_MAX_T) wide. With ulp(2.5e4) = 2^-38,
-# d = 1.2318e-10, 0.123 ORDINATE_ACCURACY.
+# c < 32768, whose ulp is ulp(_F64_MAX_T): rounding moves each end by at most
+# half an ulp of c, so the bracket is at most 2d + ulp(_F64_MAX_T) wide.
+# With ulp(2.5e4) = 2^-38, d = 1.2318e-10, 0.123 ORDINATE_ACCURACY; above
+# 32768 a pair can come out wider and take another round.
 _PROBE_OFFSET = 0.5 * (0.25 * ORDINATE_ACCURACY - float(np.spacing(_F64_MAX_T)))
 # likewise the half-width h of a regula falsi point's pair x -+ h, so that
 # the pair's bracket passes the COARSE_WIDTH test, and the least distance

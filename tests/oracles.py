@@ -247,20 +247,17 @@ def em_tail_nest(s, N, acc, dacc):
         Nc, N2 = N.astype(np.complex128), (N * N).astype(np.complex128)
     NmS = np.exp(-s * lnN)
     acc = acc + Nc * NmS / (s - 1.0) + 0.5 * NmS
-    if dacc is not None:
-        dacc = dacc - lnN * Nc * NmS / (s - 1.0) - Nc * NmS / (s - 1.0) ** 2
-        dacc = dacc - 0.5 * lnN * NmS
+    dacc = dacc - lnN * Nc * NmS / (s - 1.0) - Nc * NmS / (s - 1.0) ** 2
+    dacc = dacc - 0.5 * lnN * NmS
     P, dP = c[M], 0
     for k in range(M - 1, 0, -1):
         a, b = s + (2 * k - 1), s + 2 * k
         q = a * b / N2
-        if dacc is not None:
-            dP = (a + b) / N2 * P + q * dP
+        dP = (a + b) / N2 * P + q * dP
         P = c[k] + q * P
     Npow = NmS / Nc  # N^(-1-s)
     acc = acc + Npow * s * P
-    if dacc is not None:
-        dacc = dacc + Npow * (P + s * (dP - lnN * P))
+    dacc = dacc + Npow * (P + s * (dP - lnN * P))
     return acc, dacc
 
 

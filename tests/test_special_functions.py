@@ -136,6 +136,14 @@ class TestZeta:
         vb, _, eb, _ = zeta_batch(np.conj(s))
         assert np.max(np.abs(vb - np.conj(va)) - (ea + eb)) <= 0.0
 
+    def test_empty_batch(self):
+        # an empty batch gets typed empty arrays, and no error
+        out = zeta_batch([])
+        assert [a.dtype for a in out] == [np.complex128, np.complex128, np.float64, np.float64]
+        ld = log_deriv_batch([])
+        assert [a.dtype for a in ld] == [np.complex128, np.float64]
+        assert all(a.shape == (0,) for a in (*out, *ld))
+
     @pytest.mark.parametrize("s", [complex(math.nan, 5.0), complex(math.inf, 1.0),
                                    complex(0.5, math.nan)])
     def test_non_finite_points_raise(self, s, fast_cfg, mp_cfg):
@@ -253,7 +261,7 @@ class TestDoubleEngineLattice:
         # references are the conjugates of the lattice's, since zeta and
         # zeta' are real on the real axis
         S = np.concatenate([self.S, self.S.conj()])
-        vals, dvals, errs, derrs = zeta_batch(S, want_prime=True)
+        vals, dvals, errs, derrs = zeta_batch(S)
         ld, lerr = log_deriv_batch(S)
         with mp.workdps(30):
             refs = [(mp.zeta(mp.mpc(s)), mp.zeta(mp.mpc(s), derivative=1)) for s in self.S]
@@ -273,9 +281,9 @@ class TestDoubleEngineLattice:
         einsum = np.einsum
         monkeypatch.setattr(np, "einsum",
                             lambda *a, **kw: einsum_calls.append(1) or einsum(*a, **kw))
-        grid = zeta_batch(self.S, want_prime=True)
+        grid = zeta_batch(self.S)
         assert not einsum_calls
-        rows = zeta_batch(np.concatenate([self.S, pad]), want_prime=True)
+        rows = zeta_batch(np.concatenate([self.S, pad]))
         assert einsum_calls
         n = self.S.size
         assert np.all(np.abs(grid[0] - rows[0][:n]) <= grid[2] + rows[2][:n])
@@ -291,7 +299,7 @@ class TestMergedGroups:
         calls = []
         group = special_functions._em_f64_group
         monkeypatch.setattr(special_functions, "_em_f64_group",
-                            lambda u, N, *a: calls.append(N) or group(u, N, *a))
+                            lambda u, N: calls.append(N) or group(u, N))
         return calls
 
     def test_scattered_heights_share_calls(self, monkeypatch):
@@ -300,13 +308,13 @@ class TestMergedGroups:
         rng = np.random.default_rng(21)
         s = 0.5 + 1j * rng.uniform(200.0, 2600.0, 600)
         calls = self._count_groups(monkeypatch)
-        vals, dvals, errs, derrs = zeta_batch(s, want_prime=True)
+        vals, dvals, errs, derrs = zeta_batch(s)
         quanta = len(np.unique(np.concatenate(calls)))
         assert quanta > 60
         assert len(calls) <= math.ceil(len(s) / special_functions._MERGE_BELOW) + 1
         assert any(len(np.unique(N)) > 1 for N in calls)
         for k in rng.choice(len(s), 12, replace=False):
-            v1, dv1, e1, de1 = zeta_batch(s[k:k + 1], want_prime=True)
+            v1, dv1, e1, de1 = zeta_batch(s[k:k + 1])
             assert (errs[k], derrs[k]) == (e1[0], de1[0])
             assert abs(vals[k] - v1[0]) <= errs[k] + e1[0]
             assert abs(dvals[k] - dv1[0]) <= derrs[k] + de1[0]
@@ -325,11 +333,11 @@ class TestMergedGroups:
         # one N per height: the grid contraction; then height 900 at two N:
         # point by point
         for pts, Ns, by_point in ((s[:3], N[:3], 0), (s, N, len(s))):
-            v, dv = group(pts, Ns, True)
+            v, dv = group(pts, Ns)
             assert sum(einsum_points) == by_point
-            ro, dro = _f64_errors(pts, Ns, True, 0.0)
+            ro, dro = _f64_errors(pts, Ns, 0.0)
             for k in range(len(pts)):
-                v1, dv1 = group(pts[k:k + 1], Ns[k:k + 1], True)
+                v1, dv1 = group(pts[k:k + 1], Ns[k:k + 1])
                 assert abs(v[k] - v1[0]) <= 2 * ro[k]
                 assert abs(dv[k] - dv1[0]) <= 2 * dro[k]
 
@@ -355,7 +363,7 @@ class TestSigmaOne:
         s = np.array([1.0 + 5.0j, 1.0 - 20.0j])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            vals, dvals, errs, derrs = zeta_batch(s, want_prime=True)
+            vals, dvals, errs, derrs = zeta_batch(s)
             ld, lerr = log_deriv_batch(s)
         with mp.workdps(30):
             for k, z in enumerate(s):
@@ -416,13 +424,13 @@ class TestConjugateFold:
         einsum = np.einsum
         monkeypatch.setattr(np, "einsum", lambda spec, cols, amp: (
             einsum_points.append(len(cols)) or einsum(spec, cols, amp)))
-        vals, dvals, errs, derrs = zeta_batch(s, want_prime=True)
+        vals, dvals, errs, derrs = zeta_batch(s)
         distinct = len({(z.real, abs(z.imag)) for z in s})
         # both contractions ran: some points went point by point, not all
         assert 0 < sum(einsum_points) < distinct
         for k, z in enumerate(s):
             # a batch of one is a grid of one cell: same bounds, values within them
-            v1, dv1, e1, de1 = zeta_batch(np.array([z]), want_prime=True)
+            v1, dv1, e1, de1 = zeta_batch(np.array([z]))
             assert (errs[k], derrs[k]) == (e1[0], de1[0])
             assert abs(vals[k] - v1[0]) <= errs[k] + e1[0]
             assert abs(dvals[k] - dv1[0]) <= derrs[k] + de1[0]
@@ -433,8 +441,8 @@ class TestConjugateFold:
         seen = []
         group = special_functions._em_f64_group
         monkeypatch.setattr(special_functions, "_em_f64_group",
-                            lambda u, *a: seen.extend(u) or group(u, *a))
-        zeta_batch(s, want_prime=True)
+                            lambda u, N: seen.extend(u) or group(u, N))
+        zeta_batch(s)
         assert len(seen) == len({(z.real, abs(z.imag)) for z in s})
         assert min(z.imag for z in seen) == 0.0
 
@@ -458,11 +466,11 @@ class TestFoldOrder:
         s = self.LATTICE
         n = len(s)
         lexsorts = self._count_lexsorts(monkeypatch)
-        ref = zeta_batch(s, want_prime=True)
+        ref = zeta_batch(s)
         assert not lexsorts  # the sigma-major lattice is taken as it is
         perm = np.random.default_rng(25).permutation(n)
-        shuffled = zeta_batch(s[perm], want_prime=True)
-        mirrored = zeta_batch(np.concatenate([s, s.conj()]), want_prime=True)
+        shuffled = zeta_batch(s[perm])
+        mirrored = zeta_batch(np.concatenate([s, s.conj()]))
         assert len(lexsorts) == 2
         for i, r in enumerate(ref):
             assert np.array_equal(_bits(shuffled[i]), _bits(r[perm]))
@@ -479,12 +487,12 @@ class TestFoldOrder:
              "minus-zero": np.concatenate([[complex(0.6, -0.0), complex(0.6, 0.0)], lat]),
              "conjugate": np.insert(lat, 41, lat[40].conjugate())}[case]
         lexsorts = self._count_lexsorts(monkeypatch)
-        out = zeta_batch(s, want_prime=True)
+        out = zeta_batch(s)
         assert lexsorts
         _assert_folded(s, *out)
         if case != "minus-zero":
             # the lattice's distinct folded points: the lattice's bits
-            ref = zeta_batch(lat, want_prime=True)
+            ref = zeta_batch(lat)
             keep = np.arange(len(s)) != 41
             for i, r in enumerate(ref):
                 assert np.array_equal(_bits(out[i][keep]), _bits(r))
@@ -712,33 +720,28 @@ class TestEmTail:
             for err, allowed in _fixed_tail_errors(s, cfg.dps, cfg.target_abs_tol):
                 assert err <= allowed, (s, err, allowed)
 
-    @pytest.mark.parametrize("want_prime", [False, True])
-    def test_double_engine(self, want_prime):
+    def test_double_engine(self):
         # the oracle reads the same rounded N^-s and ln N, so only the
         # tail's own arithmetic is measured against its rounding allowance
         rng = np.random.default_rng(17)
         s = rng.uniform(-1.0, 3.0, 40) + 1j * rng.uniform(-3000.0, 3000.0, 40)
         N = _em_f64_plan(s.real, np.abs(s.imag), 1e-11)[0].astype(np.int64)
-        ro, dro = _f64_errors(s, N, want_prime, 0.0)
+        ro, dro = _f64_errors(s, N, 0.0)
         # the whole batch, each point at its own N, as the point alone
-        v_all, dv_all = _em_tail(s, N, 0.0, 0.0 if want_prime else None)
+        v_all, dv_all = _em_tail(s, N, 0.0, 0.0)
         for k in range(len(s)):
             sk, Nk = s[k:k + 1], int(N[k])
-            v, dv = _em_tail(sk, N[k:k + 1], 0.0, 0.0 if want_prime else None)
-            assert v_all[k] == v[0] and (not want_prime or dv_all[k] == dv[0])
+            v, dv = _em_tail(sk, N[k:k + 1], 0.0, 0.0)
+            assert v_all[k] == v[0] and dv_all[k] == dv[0]
             # the N^-s and ln N that _em_tail forms
             lnN = math.log(Nk)
             NmS = np.exp(-sk * lnN)
             ref, dref = em_closed_form(s[k], Nk, F64_EM_TERMS, 30, NmS=complex(NmS[0]),
                                        lnN=lnN)
             assert abs(mp.mpc(v[0]) - ref) <= ro[k], (s[k], Nk)
-            if want_prime:
-                assert abs(mp.mpc(dv[0]) - dref) <= dro[k], (s[k], Nk)
-            else:
-                assert dv is None
+            assert abs(mp.mpc(dv[0]) - dref) <= dro[k], (s[k], Nk)
 
-    @pytest.mark.parametrize("want_prime", [False, True])
-    def test_double_engine_bits(self, want_prime):
+    def test_double_engine_bits(self):
         # the in-place, blocked nest against the whole-array expressions it
         # replaced (``em_tail_nest``), bit for bit
         rng = np.random.default_rng(25)
@@ -756,14 +759,10 @@ class TestEmTail:
         for s, N in cases:
             main = rng.standard_normal(len(s)) + 1j * rng.standard_normal(len(s))
             for acc in (main, 0.0):
-                dacc = -acc if want_prime else None
-                got = _em_tail(s, N, acc, dacc)
-                ref = em_tail_nest(s, N, acc, dacc)
-                assert np.array_equal(_bits(got[0]), _bits(ref[0])), (len(s), N[0])
-                if want_prime:
-                    assert np.array_equal(_bits(got[1]), _bits(ref[1])), (len(s), N[0])
-                else:
-                    assert got[1] is None
+                got = _em_tail(s, N, acc, -acc)
+                ref = em_tail_nest(s, N, acc, -acc)
+                for g, r in zip(got, ref):
+                    assert np.array_equal(_bits(g), _bits(r)), (len(s), N[0])
 
     def test_double_engine_coefficients_are_correctly_rounded(self):
         # B_2k/(2k)! rounded once from the exact fraction: the literals do not

@@ -204,6 +204,12 @@ class TestFindZeros:
         for k in (27925, 27926):
             assert abs(table25k.gammas[k - 1] - zero_ordinate(k)) < 1e-9
 
+    def test_census_above_the_double_ceiling(self):
+        # above _F64_MAX_T only Riemann-Siegel gives signs, and up to 26,000
+        # it certifies every one the search reads
+        assert zero_finder._F64_MAX_T < 26000.0
+        assert len(find_zeros_up_to(26000.0).gammas) == mp.nzeros(26000) == 30324
+
     def test_block_short_of_its_count_raises(self, monkeypatch):
         # Z with its sign flipped between gamma_1 and gamma_2 has neither
         # sign change: g_0 turns bad, and the block [g_-1, g_1] never shows
