@@ -57,7 +57,8 @@ import mpmath as mp  # noqa: E402
 
 import zetacontour  # noqa: E402
 from zetacontour.precision import DEFAULT_CONFIG, FAST_CONFIG, PrecisionConfig  # noqa: E402
-from zetacontour.special_functions import log_deriv_zeta, xi, zeta, zeta_prime  # noqa: E402
+from zetacontour.special_functions import (  # noqa: E402
+    _scalar_cfg, log_deriv_zeta, xi, zeta, zeta_prime)
 from zetacontour.zero_finder import load_table  # noqa: E402
 
 TABLE_HEIGHT = 5200.0  # at least what every command below asks for
@@ -109,8 +110,9 @@ def commands(table: str):
 
 def scalar_records():
     """One line per config, function and grid point: the value and its
-    ``abs_err`` (and flag), or the error raised. Values print at the
-    config's digits, so that every stored bit shows."""
+    ``abs_err`` (and flag), or the error raised. Values print at the digits
+    the mpmath engine runs the config at (a double config's Re s <= -1 at
+    the promoted config's), so that every stored bit shows."""
     for label, cfg in SCALAR_CONFIGS:
         for fn in (zeta, zeta_prime, log_deriv_zeta, xi):
             for s in SCALAR_GRID:
@@ -119,7 +121,7 @@ def scalar_records():
                 except zetacontour.errors.ZetaContourError as exc:
                     yield f"{label} {fn.__name__}({s}): {type(exc).__name__}"
                     continue
-                with mp.workdps(cfg.dps):
+                with mp.workdps(_scalar_cfg(cfg).dps):
                     yield (f"{label} {fn.__name__}({s}): {v.re!r} {v.im!r} "
                            f"abs_err={v.abs_err!r}" + (f" flag={v.flag!r}" if v.flag else ""))
 

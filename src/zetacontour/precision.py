@@ -14,8 +14,8 @@ Each engine's Euler-Maclaurin truncation is planned in ``special_functions``,
 not configured here: the direct-sum length N is the least, at or above a
 floor growing with |Im s|, at which the remainder bound meets a quarter of
 the tolerance (``F64_TOL`` or ``target_abs_tol``), with 14 Bernoulli terms
-in the double engine and, in the mpmath engine, the count from 4 to 16 that
-makes the call cheapest.
+in the double engine and, in the mpmath engine, 2 round(-log10(tol)/3) of
+them held within 4..16: about 1.5 digits per term.
 
 Within the mpmath engine, raising ``working_digits`` at a fixed
 ``target_abs_tol`` never increases a reported error estimate: the plan

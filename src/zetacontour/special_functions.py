@@ -12,7 +12,8 @@ with the classical remainder bound
 valid for sigma > -(2M+1). Both engines take the least N, at or above a floor
 growing with |Im s|, at which it meets a quarter of the tolerance: the
 double engine at M = F64_EM_TERMS over a batch (``_em_f64_plan``), the
-mpmath engine at one point with its cheapest M (``_em_mp_plan``). zeta' is
+mpmath engine at one point with M = 2 round(-log10(tol)/3), held within
+4..MP_EM_TERMS (``_em_mp_plan``). zeta' is
 the termwise derivative with an analogous bound. For sigma <= -1 both are
 continued through the functional equation.
 
@@ -31,7 +32,7 @@ else is shared; a test holds that table to ``mp.power(n, -s)``.
 
 Both engines of ``PrecisionConfig`` are implemented: scalar mpmath at
 configured digits, and a vectorized complex128 path (``*_batch``) at the one
-tolerance ``F64_TOL``, used by the quadrature, zero-scan, and universality
+tolerance ``F64_TOL``, used by the quadrature, zero-finder and universality
 modules and by the scalar operations at a double config.
 """
 from __future__ import annotations
@@ -84,14 +85,7 @@ _B2K_OVER_FACT = [
     1.3382536530684679e-11, -3.3896802963225827e-13, 8.586062056277845e-15,
     -2.174868698558062e-16, 5.5090028283602295e-18, -1.3954464685812522e-19,
     3.534707039629467e-21, -8.953517427037546e-23]
-# what one Bernoulli term of the mpmath engine costs, in Dirichlet terms
-# (``_em_mp_plan``)
-_MP_TERM_COST = 0.65
-# the mpmath engine's candidate M, largest first so that a tie keeps it
-_MP_EM_MS = tuple(range(MP_EM_TERMS, 3, -2))
-# j = 0..2 MP_EM_TERMS, the factors s + j of the longest Pochhammer symbol
-_MP_POCH_J = np.arange(2 * MP_EM_TERMS + 1.0)
-# an M whose least N passes this many times its floor is refused
+# an N that passes this many times its floor is refused (``_em_mp_plan``)
 _EM_MAX_GROWTH = 1.3 ** 40
 
 # The double engine contracts a batch over the grid of its distinct heights x
@@ -679,72 +673,51 @@ def _bernoulli_ratios(wp):
 
 
 def _em_mp_plan(sigma, t, tol, abs_s=None):
-    """(N, M, ln trunc) of the mpmath engine at one point, t = |Im s|: for
-    each M = 4, 6, ..., MP_EM_TERMS the least N at or above the floor
+    """(N, M, ln trunc) of the mpmath engine at one point, t = |Im s|, for
+    the planning tolerance tol: M = 2 round(-log10(tol)/3), held within
+    4..MP_EM_TERMS, and N the least at or above the floor
     max(ceil(0.55 (t + 2M)) + 8, ceil(1.1 (-log10 tol))) where the classical
     remainder bound, |B_{2M+2}|/(2M+2)! taken as 2.2 (2 pi)^-(2M+2), times
     the zeta' lever ``_prime_lever`` when ``abs_s`` = |s| is given, meets
-    tol/4; the M whose N + c M is least, a tie keeping the larger M; and
-    trunc the bound, without the lever, at that (N, M). c is
-    ``_MP_TERM_COST`` Dirichlet terms per Bernoulli term, twice that with
-    ``abs_s``. An M whose N passes ``_EM_MAX_GROWTH`` times its floor is
-    refused; PrecisionExhausted where every M is.
+    tol/4; trunc is the bound without the lever at (N, M). PrecisionExhausted
+    where that N lies past ``_EM_MAX_GROWTH`` times its floor.
+
+    M follows from the digits wanted, as the double engine's 14 terms do
+    (Edwards, Riemann's Zeta Function, 1974, ch. 6): one more Bernoulli
+    term multiplies the bound by about |(s + 2M + 1)(s + 2M + 2)| / (2 pi N)^2,
+    at t = 0, where the floor is N ~ 1.1 M + 8, by
+    (2M + 1.5)^2 / (2 pi (1.1 M + 8))^2, 10^-1.7 to 10^-1.4 for M = 6..16.
+    Each term thus gains about 1.5 digits, d digits take about 2d/3 terms,
+    and where they fall short N rises above its floor. Because M depends
+    on tol alone, so does the plan.
 
     The lever grows with ln N, so N is stepped from the floor, never past
     the least N, until it stops; without it the first step is the closed
     form. One check of the inequality as written adds 1 where rounding left
-    N short. The M are tried from the largest down, and an M stops as soon
-    as its floor, or a step of N, costs at least the best cost found: about
-    25 us warm. numpy's log, exp and hypot stand where math's could round
+    N short. numpy's log, exp and hypot stand where math's could round
     differently.
-
-    c is measured, as slopes over N = 40..160 and M = 2..16 at three points
-    (2 shared vCPUs, Python 3.11, mpmath 1.3.0), medians of five: at 40
-    digits a Dirichlet term (``_dirichlet_terms`` and its sums) costs
-    2.4-2.5 us, 2.5-2.7 us with zeta', and a Bernoulli term of ``_em_fixed``
-    1.5-1.8 us, 3.0-3.4 us with zeta': ratios 0.59-0.75 and 1.2-1.3; at 60
-    digits 0.67-0.70 and 1.2-1.3.
     """
-    c = _MP_TERM_COST * (1 if abs_s is None else 2)
-    x = _MP_POCH_J + sigma
-    x *= x
-    x += t * t
-    np.log(np.maximum(x, 1e-300, out=x), out=x)
-    x *= 0.5
-    lp = np.add.accumulate(x, out=x).tolist()  # lp[j] = ln |(s)_{j+1}|
+    M = min(max(2 * round(-math.log10(tol) / 3), 4), MP_EM_TERMS)
+    rows = 2 * M
+    # ln |(s)_{2M+1}|, the logs of |s + j| summed in order of j
+    x = np.arange(rows + 1.0) + sigma
+    lp = 0.5 * float(np.cumsum(np.log(np.maximum(x * x + t * t, 1e-300)))[rows])
+    base = math.log(2.2) - (rows + 2) * math.log(_TWO_PI) + lp
+    k = sigma + rows + 1
+    tail = float(np.log(np.hypot(k, t) / k))
     logtol = math.log(0.25 * tol)
-    floor = math.ceil(1.1 * (-math.log10(tol)))
-    inv = None if abs_s is None else 1.0 / max(abs_s, 0.1)  # as in _prime_lever
-    cost, M_best, N_best, log_trunc = math.inf, 0, math.inf, 0.0
-    for M in _MP_EM_MS:
-        N0 = float(max(math.ceil(0.55 * (t + 2 * M)) + 8, floor))
-        if N0 + c * M >= cost:
-            continue
-        rows = 2 * M
-        base = math.log(2.2) - (rows + 2) * math.log(_TWO_PI) + lp[rows]
-        k = sigma + rows + 1
-        tail = float(np.log(np.hypot(k, t) / k))
-        excess = base + tail - logtol
-        top = _EM_MAX_GROWTH * N0
-        N, lever = N0, 0.0
-        while True:
-            if inv is not None:
-                lever = float(np.log(float(np.log(N)) + rows + 2 + inv))
-            e = float(np.exp((excess + lever) / k))
-            step = float(max(N0, math.ceil(e))) if e <= top else math.inf
-            if step + c * M >= cost or step > top:
-                N = math.inf
-                break
-            if inv is None or not step > N:
-                N = step + (base - k * float(np.log(step)) + tail + lever > logtol)
-                break
-            N = step
-        if N <= top and N + c * M < cost:
-            cost, M_best, N_best = N + c * M, M, N
-            log_trunc = base - k * math.log(N) + tail
-    if not N_best < math.inf:
-        raise PrecisionExhausted(f"Euler-Maclaurin bound stuck above tol={tol:g}")
-    return int(N_best), M_best, log_trunc
+    N0 = float(max(math.ceil(0.55 * (t + rows)) + 8, math.ceil(1.1 * (-math.log10(tol)))))
+    N, step, lever = 0.0, N0, 0.0
+    while step > N:
+        N = step
+        if abs_s is not None:
+            lever = float(np.log(_prime_lever(float(np.log(N)), M, abs_s)))
+        e = float(np.exp((base + tail - logtol + lever) / k))
+        if not e <= _EM_MAX_GROWTH * N0:
+            raise PrecisionExhausted(f"Euler-Maclaurin bound stuck above tol={tol:g}")
+        step = float(max(N0, math.ceil(e)))
+    N += base - k * float(np.log(N)) + tail + lever > logtol
+    return int(N), M, base - k * math.log(N) + tail
 
 
 def _em_fixed(s, N, M, want_prime):
@@ -825,11 +798,11 @@ def _em_mp(s: mp.mpc, cfg: PrecisionConfig, want_prime: bool, scale: float = 1.0
     """Scalar Euler-Maclaurin in mpmath at cfg.dps digits; (zeta, zeta' or
     None, err, derr or None).
 
-    (N, M) is planned (``_em_mp_plan``) so that the remainder bound, times
-    the zeta' lever ln N + 2M + 2 + 1/|s| when ``want_prime`` and times
-    ``scale`` when that exceeds 1 (the reflected branch of ``_zeta_scalar``
-    multiplies this engine's bounds by it), meets tol/4: the bound that is
-    checked.
+    M is fixed by the tolerance and N planned (``_em_mp_plan``) so that the
+    remainder bound, times the zeta' lever ln N + 2M + 2 + 1/|s| when
+    ``want_prime`` and times ``scale`` when that exceeds 1 (the reflected
+    branch of ``_zeta_scalar`` multiplies this engine's bounds by it),
+    meets tol/4: the bound that is checked.
 
     The whole sum runs in fixed point (``_em_fixed``) and is rounded once to
     prec = mp.prec. Its wp bits are ``_kernel_bits`` for n <= N, so
@@ -899,13 +872,20 @@ def _em_mp(s: mp.mpc, cfg: PrecisionConfig, want_prime: bool, scale: float = 1.0
         return acc, None, err, None
 
 
-def _chi_mp(s) -> mp.mpc:
-    """chi(s) = pi^(s-1/2) Gamma((1-s)/2) / Gamma(s/2), zeta(s) = chi zeta(1-s).
+def _chi_mp(s, want_prime: bool):
+    """(chi(s), chi'(s) or None), zeta(s) = chi(s) zeta(1-s), for Re s <= -1:
 
-    The reciprocal gamma keeps this entire across the trivial zeros s = -2k,
-    where 1/Gamma(s/2) vanishes."""
-    return mp.power(mp.pi, s - mp.mpf(1) / 2) * mp.gamma((1 - s) / 2) \
-        * mp.rgamma(s / 2)
+        chi  = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s),
+        chi' = chi (log 2pi - psi(1-s)) + 2^s pi^(s-1) (pi/2) cos(pi s/2) Gamma(1-s).
+
+    Gamma(1-s) and psi(1-s) have no pole there, and sinpi vanishes exactly
+    at the trivial zeros s = -2k, so one formula holds on and beside them."""
+    a = mp.power(2 * mp.pi, s) / mp.pi * mp.gamma(1 - s)
+    chi = a * mp.sinpi(s / 2)
+    if not want_prime:
+        return chi, None
+    return chi, chi * (mp.log(2 * mp.pi) - mp.digamma(1 - s)) \
+        + a * mp.pi / 2 * mp.cospi(s / 2)
 
 
 def _zeta_scalar(s: mp.mpc, cfg: PrecisionConfig, want_prime: bool):
@@ -917,19 +897,8 @@ def _zeta_scalar(s: mp.mpc, cfg: PrecisionConfig, want_prime: bool):
     if float(mp.re(s)) > -1.0:
         return _em_mp(s, cfg, want_prime)
     with mp.workdps(cfg.dps):
-        chi = _chi_mp(s)
+        chi, dchi = _chi_mp(s, want_prime)
         scale = float(abs(chi))
-        dchi = None
-        if want_prime:
-            half = s / 2
-            near_trivial = abs(half - mp.nint(half)) < 0.01 and float(mp.re(half)) < 0.25
-            if near_trivial:
-                # log-derivative form degenerates at the Gamma pole; chi is
-                # entire, so differentiate it directly
-                dchi = mp.diff(_chi_mp, s)
-            else:
-                dchi = chi * (mp.log(mp.pi) - mp.digamma((1 - s) / 2) / 2
-                              - mp.digamma(s / 2) / 2)
         v1, d1, e1, de1 = _em_mp(
             1 - s, cfg, want_prime,
             scale + float(abs(dchi)) if want_prime else scale)
@@ -1165,9 +1134,9 @@ def xi(s, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ComplexValue:
     """Completed zeta, xi(s) = 1/2 s(s-1) pi^(-s/2) Gamma(s/2) zeta(s).
 
     The pi^(-s/2) factor makes the reflection xi(s) = xi(1-s) exact; entire,
-    so the pole of zeta and the Gamma poles are removable and handled via
-    the Stieltjes expansion of (s-1) zeta(s) near s = 1 (and symmetry near
-    s = 0).
+    so the pole of zeta and the Gamma poles are removable: within 1e-4 of a
+    pole 0, -2, -4, ... of Gamma(s/2) xi is evaluated at 1 - s, and near
+    s = 1 through the Stieltjes expansion of (s-1) zeta(s).
 
     Error: 10^-(dps-6) (1 + |xi|) for the rounding, plus zeta's own bound
     times its prefactor; near s = 1, instead of zeta's bound, the omitted
@@ -1178,7 +1147,8 @@ def xi(s, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ComplexValue:
     """
     with mp.workdps(cfg.dps):
         sm = as_mpc(s)
-        if abs(complex(s)) < 1e-4:
+        k = min(0, round(complex(s).real / 2))  # a pole 0, -2, -4, ... of Gamma(s/2)
+        if abs(complex(s) - 2 * k) < 1e-4:
             return xi(1 - sm, cfg)
         if abs(complex(sm - 1)) < 1e-4:
             u = sm - 1

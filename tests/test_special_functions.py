@@ -26,7 +26,6 @@ from zetacontour.precision import (
     PrecisionConfig,
 )
 from zetacontour.special_functions import (
-    _MP_TERM_COST,
     F64_EM_TERMS,
     MP_EM_TERMS,
     _dirichlet_terms,
@@ -569,10 +568,23 @@ class TestMpEnginePlan:
         with mp.workdps(60):
             assert abs(mp.mpc(v.re, v.im) - mp.zeta(mp.mpc(s))) <= v.abs_err
 
-    def test_refuses_an_M_far_past_its_floor(self):
-        # at 1e-300 every M's least N is more than 1.3^40 times its floor
+    def test_refuses_an_N_far_past_its_floor(self):
+        # at 1e-300 the least N for M = 16 is more than 1.3^40 times its floor
         with pytest.raises(errors.PrecisionExhausted):
             zeta(complex(0.5, 10.0), PrecisionConfig(400, 1e-300))
+
+    def test_more_digits_never_raise_the_bound(self):
+        # at a fixed tolerance the plan is fixed and the rounding allowance
+        # falls with the digits, so no reported abs_err rises with them; the
+        # points cover the strip, s = 1's neighbourhood and the reflection
+        for tol in (1e-16, 1e-18):
+            for s in (complex(0.6, 30.0), complex(1.0 + 2e-6, 0.0),
+                      complex(-2.96, 66.12), complex(-4.01, 0.0)):
+                errs = [(f(s, PrecisionConfig(d, tol)).abs_err for f in
+                         (zeta, zeta_prime, log_deriv_zeta))
+                        for d in (25, 30, 40, 60)]
+                for lo, hi in zip(errs, errs[1:]):
+                    assert all(b <= a for a, b in zip(lo, hi)), (tol, s, lo, hi)
 
     @staticmethod
     def _plans(cfg, seed):
@@ -594,24 +606,29 @@ class TestMpEnginePlan:
         return 2.2 / (2 * math.pi) ** (2 * M + 2)
 
     @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, PrecisionConfig(40, 1e-30)])
-    def test_plan_is_the_cheapest_candidate(self, cfg):
-        # the chosen N is the least for its M, stepped one at a time, and no
-        # other M's least N costs less (or as much, with a larger M); the
+    def test_plan_takes_the_least_N_at_the_rule_M(self, cfg):
+        # M = 2 round(-log10(tol)/3) within 4..16, 12 at 1e-18 and 16 at
+        # 1e-30, and N the least for that M, stepped one at a time; the
         # sample holds points where the zeta' lever lifts N above the least
         # N for zeta alone, so that N was stepped past its floor
         tol = cfg.target_abs_tol
         stepped = 0
-        for sigma, t, prime, (N, M, _) in self._plans(cfg, 1313):
-            assert N == em_least_N(sigma, t, M, tol, prime, self._majorant(M)), \
-                (sigma, t, prime, M)
-            stepped += prime and N > em_least_N(sigma, t, M, tol, False, self._majorant(M))
-            c = _MP_TERM_COST * (2 if prime else 1)
-            for Mc in range(4, MP_EM_TERMS + 1, 2):
-                if Mc != M:
-                    stop = N + c * (M - Mc) - (Mc < M)
-                    assert em_least_N(sigma, t, Mc, tol, prime, self._majorant(Mc),
-                                      stop) is None, (sigma, t, prime, Mc)
+        for seed in (1313, 1515):
+            for sigma, t, prime, (N, M, _) in self._plans(cfg, seed):
+                assert M == {1e-18: 12, 1e-30: 16}[tol], (sigma, t, prime, M)
+                assert N == em_least_N(sigma, t, M, tol, prime, self._majorant(M)), \
+                    (sigma, t, prime, M)
+                stepped += prime and N > em_least_N(sigma, t, M, tol, False,
+                                                    self._majorant(M))
         assert stepped
+
+    def test_bernoulli_count_follows_the_tolerance(self):
+        # about 1.5 digits per Bernoulli term, held within 4..MP_EM_TERMS,
+        # whatever the point and with or without the zeta' lever
+        for tol, M in ((1e-8, 6), (1e-16, 10), (1e-18, 12), (1e-30, 16), (1e-48, MP_EM_TERMS)):
+            for s in (complex(0.5, 0.0), complex(-0.9, 76.5), complex(3.0, 400.0)):
+                assert _em_mp_plan(s.real, s.imag, tol)[1] == M, (tol, s)
+                assert _em_mp_plan(s.real, s.imag, tol, abs(s))[1] == M, (tol, s)
 
     def test_plan_takes_the_least_N(self):
         # N - 1 misses the bound unless N is the floor: for zeta' at
@@ -657,16 +674,6 @@ class TestMpEnginePlan:
                 if prime:
                     bound *= math.log(N) + 2 * M + 2 + 1 / max(abs(s), 0.1)
                 assert bound <= tol / 4, (sigma, t, prime, N, M)
-
-    def test_default_plan_takes_fewer_terms_below_height_76(self):
-        # near t = 76 the floor N >= 0.55 (t + 2M) + 8 can make M = 16 the
-        # cheapest for zeta': at -0.9 + 76.5i it costs N + 1.3 M = 88.8 with
-        # M = 16 at its floor N = 68, 89.2 with M = 14 at N = 71, three past
-        # its floor, and 109.6 with M = 12 at N = 94; at -0.9 + 75i M = 14
-        # still wins, 87.2 against 87.8 (least N from ``em_least_N``)
-        for sigma, t, prime, (N, M, _) in self._plans(DEFAULT_CONFIG, 1515):
-            if t <= 76.0:
-                assert M < MP_EM_TERMS, (sigma, t, prime, N)
 
 
 def _fixed_tail_errors(s, dps, tol):
@@ -895,6 +902,18 @@ class TestXi:
         assert _dist(xi(0.0, mp_cfg), 0.5) < 1e-12
         assert _dist(xi(1.0, mp_cfg), 0.5) < 1e-12
 
+    @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, FAST_CONFIG], ids=["30", "fast"])
+    def test_gamma_poles_reflect(self, cfg):
+        # xi is entire and xi(-2k) = xi(1 + 2k): at and beside the poles of
+        # Gamma(s/2) the value is that of xi(1 - s), within its bound
+        for s in (-2.0, -4.0, complex(-2.0, 5e-5), -4.0 + 8e-5):
+            v = xi(s, cfg)
+            with mp.workdps(50):
+                w = 1 - mp.mpc(s)
+                ref = w * (w - 1) / 2 * mp.power(mp.pi, -w / 2) * mp.gamma(w / 2) \
+                    * mp.zeta(w)
+                assert abs(mp.mpc(v.re, v.im) - ref) <= v.abs_err, s
+
     def test_bound_holds_beside_the_removable_singularities(self, mp_cfg):
         # the Stieltjes branch near s = 1, reached by reflection near s = 0
         for s in (1 + 9e-5, complex(1, 9e-5), complex(0.99994, 6e-5), 9e-5,
@@ -960,3 +979,26 @@ class TestFunctionalEquation:
                 rhs = mp.power(mp.pi, -(1 - sm) / 2) * mp.gamma((1 - sm) / 2) \
                     * mp.mpc(zb.re, zb.im)
                 assert abs(lhs - rhs) < 1e-10
+
+    @pytest.mark.parametrize("cfg", [PrecisionConfig(25, 1e-16), DEFAULT_CONFIG,
+                                     PrecisionConfig(40, 1e-30), PrecisionConfig(60, 1e-48)],
+                             ids=["25", "30", "40", "60"])
+    def test_strict_beside_the_trivial_zeros(self, cfg):
+        # chi and chi' come from one entire formula: zeta, zeta' and zeta'/zeta
+        # at seeded points within 0.02 of -2k, k = 1..10, and zeta, zeta' at
+        # -2k itself, each within its bound of mpmath at 20 more digits
+        rng = np.random.default_rng(2 * cfg.working_digits)
+        for k in range(1, 11):
+            pts = -2.0 * k + 0.02 * np.sqrt(rng.uniform(size=2)) \
+                * np.exp(2j * np.pi * rng.uniform(size=2))
+            for s in [complex(-2 * k, 0.0), *pts]:
+                with mp.workdps(cfg.working_digits + 20):
+                    sm = mp.mpc(s)
+                    z, dz = mp.zeta(sm), mp.zeta(sm, derivative=1)
+                    checks = [(zeta, z), (zeta_prime, dz)]
+                    if s.real != -2 * k:
+                        checks.append((log_deriv_zeta, dz / z))
+                    for f, ref in checks:
+                        v = f(s, cfg)
+                        assert abs(mp.mpc(v.re, v.im) - ref) <= v.abs_err, \
+                            (f.__name__, s)
