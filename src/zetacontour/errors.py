@@ -43,7 +43,7 @@ class NearSingularity(ZetaContourError):
 
 
 class MissedZeroSuspected(ZetaContourError):
-    """Sign-change census disagrees with the zero-count audit."""
+    """A Rosser block short, a count off Turing's N(g_n), or a faulty table."""
 
 
 class AmbiguousHeight(ZetaContourError):

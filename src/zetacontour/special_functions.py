@@ -85,6 +85,11 @@ _B2K_OVER_FACT = [
     1.3382536530684679e-11, -3.3896802963225827e-13, 8.586062056277845e-15,
     -2.174868698558062e-16, 5.5090028283602295e-18, -1.3954464685812522e-19,
     3.534707039629467e-21, -8.953517427037546e-23]
+# B_2n/(2n) correctly rounded, n = 1..8: ``digamma_batch``'s coefficients
+_B2N_OVER_2N = [
+    0.08333333333333333, -0.008333333333333333, 0.003968253968253968,
+    -0.004166666666666667, 0.007575757575757576, -0.021092796092796094,
+    0.08333333333333333, -0.4432598039215686]
 # an N that passes this many times its floor is refused (``_em_mp_plan``)
 _EM_MAX_GROWTH = 1.3 ** 40
 
@@ -569,8 +574,8 @@ def digamma_batch(z_arr):
     val = val + np.log(w) - 0.5 * r
     r2 = r * r
     p = r2
-    for n in range(1, 9):
-        val = val - (float(mp.bernoulli(2 * n)) / (2 * n)) * p
+    for c in _B2N_OVER_2N:
+        val = val - c * p
         p = p * r2
     err = np.full(z.shape, 5e-14) * (1.0 + np.abs(val))
     if left.any():

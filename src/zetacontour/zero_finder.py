@@ -39,8 +39,8 @@ it, and the search reads no sign where |Z| is within that error.
 
 The search is driven by Gram points g_n, theta(g_n) = n pi, about one per
 zero (Brent, Math. Comp. 33, 1979; van de Lune, te Riele and Winter, Math.
-Comp. 46, 1986). Z is read at g_-1 = 9.67 up to the first good Gram point
-at or above T, good meaning (-1)^n Z(g_n) > 0. Consecutive good Gram points
+Comp. 46, 1986), from g_-1 = 9.67 to past T (for the count, below), good
+ones being those with (-1)^n Z(g_n) > 0. Consecutive good Gram points
 bound a Rosser block, and a block of k Gram intervals holds at least k
 zeros (Rosser's rule, true below g_13,999,525). A block that shows fewer
 sign changes has its subintervals halved until it shows k
@@ -60,14 +60,18 @@ about 1e-12 of the zero. Ordinates above T are dropped. ``hardy_z`` is
 the scalar front of the same Z for a double config, and the mpmath
 engine's Z otherwise.
 
-Completeness rests on Rosser's rule plus an audit of the census against
-the counting estimate
-
-    N(T) ~ (T/2pi) log(T/2pi) - T/2pi + 7/8,
-
-whose O(log T) slack is covered by the classical explicit bound
-|N(T) - estimate| <= 0.137 log T + 0.443 log log T + 4.35 (Backlund),
-until an exact count N(T) by the argument principle replaces the audit.
+Completeness is Turing's method in Brent's form, with Trudgian's constants
+(Math. Comp. 80, 2011). Z is read up to the first good Gram point g_n at
+or above max(T, 168 pi) and on to g_p (``_gram_signs``): if the K Rosser
+blocks in [g_n, g_p) show their quota, K >= min(0.0061 L^2 + 0.08 L,
+0.0031 L^2 + 0.11 L), L = log g_p (1 below g_p = 2512, 2 up to 5.6e5),
+then N(g_n) <= n + 1. Lehman's and Trudgian's bounds on the integral of
+S(t) behind it need g_n > 168 pi. The search raises MissedZeroSuspected
+unless it finds exactly n + 1 sign changes below g_n, so every zero below
+g_n is on the line, simple and in the table, as far as the signs read
+hold: the Riemann-Siegel bounds, and where those decide nothing (all
+points below RS_MIN_T) the not yet proven Euler-Maclaurin bound of
+``zeta_batch``.
 """
 from __future__ import annotations
 
@@ -104,7 +108,6 @@ GAMMA_1 = 14.134725141734693  # first ordinate, for table sanity audits
 
 SCAN_START = 6.0        # no zeros below gamma_1 ~ 14.13
 ORDINATE_ACCURACY = 1e-9
-COUNT_SLACK = 3         # allowed |census - estimate| in the audit
 RS_MIN_T = 200.0        # Riemann-Siegel from here up (Gabcke's bound needs t >= 200)
 COARSE_WIDTH = 1e-6     # regula falsi on the per-point Z stops at this width
 _MAX_STEPS = 100        # refinement steps before PrecisionExhausted
@@ -122,9 +125,10 @@ _PROBE_OFFSET = 0.5 * (0.25 * ORDINATE_ACCURACY - float(np.spacing(_F64_MAX_T)))
 # of such a point from the end replaced last
 _PAIR_OFFSET = 0.5 * (COARSE_WIDTH - float(np.spacing(_F64_MAX_T)))
 
-# theta asymptotic coefficients c_n = (1 - 2^(1-2n)) |B_2n| / (4n(2n-1))
-_THETA_C = [float((1 - mp.mpf(2) ** (1 - 2 * n)) * abs(mp.bernoulli(2 * n))
-                  / (4 * n * (2 * n - 1))) for n in range(1, 6)]
+# theta asymptotic coefficients c_n = (1 - 2^(1-2n)) |B_2n| / (4n(2n-1)),
+# n = 1..5, correctly rounded: literals do not move with mpmath's precision
+_THETA_C = [0.020833333333333332, 0.0012152777777777778, 0.00038442460317460316,
+            0.0002952938988095238, 0.0004200533985690236]
 
 
 def backlund_count_bound(t: float) -> float:
@@ -482,19 +486,13 @@ class ZeroTable:
         return float(near) if near.ndim == 0 else near
 
     def audit(self) -> None:
-        """Completeness and sanity audit; raises MissedZeroSuspected."""
+        """First-ordinate and spacing audit; raises MissedZeroSuspected."""
         if self.max_height >= 15 and (
                 not self.gammas or abs(self.gammas[0] - GAMMA_1) > 1e-3):
             raise MissedZeroSuspected("first ordinate does not match gamma_1")
         for a, b in zip(self.gammas, self.gammas[1:]):
             if b - a <= 10 * self.accuracy:
                 raise MissedZeroSuspected(f"ordinates {a} and {b} inside accuracy")
-        if self.max_height > _TWO_PI + 1:
-            est = mangoldt_estimate(self.max_height)
-            if abs(len(self.gammas) - est) > COUNT_SLACK:
-                raise MissedZeroSuspected(
-                    f"census {len(self.gammas)} vs estimate {est:.2f} at "
-                    f"T={self.max_height}")
 
 
 def _table_fault(gammas, accuracy, max_height) -> Optional[Tuple[int, str]]:
@@ -599,18 +597,23 @@ def _gram_points(n: np.ndarray) -> np.ndarray:
 
 
 def _gram_signs(T: float):
-    """Gram points g_n and certified Z(g_n) for n = -1, 0, ... up to the
-    first good Gram point at or above T, one where (-1)^n Z(g_n) > 0, and
-    whether each is good."""
-    n = np.arange(-1, math.ceil(float(_theta(T)) / math.pi) + 1)
+    """Gram points g_m, certified Z(g_m) and whether each is good,
+    (-1)^m Z(g_m) > 0, for m = -1, 0, ... up to g_p, the top of the K Rosser
+    blocks that Turing's method needs above g_n, the first good Gram point
+    at or above max(T, 168 pi) (module docstring); and n."""
+    floor = max(T, 168.0 * math.pi)
+    n = np.arange(-1, math.ceil(float(_theta(floor)) / math.pi) + 1)
     g = _gram_points(n)
     z = _certified_z(g)
     while True:
         good = np.signbit(z) == (n % 2 == 1)
-        top = np.nonzero(good & (g >= T))[0]
-        if len(top):
-            k = top[0] + 1
-            return g[:k], z[:k], good[:k]
+        top = np.nonzero(good & (g >= floor))[0]
+        L = np.log(g[top[1:]])
+        need = np.minimum(0.0061 * L * L + 0.08 * L, 0.0031 * L * L + 0.11 * L)
+        enough = np.nonzero(np.arange(1, len(top)) >= np.ceil(need))[0]
+        if len(enough):
+            k = top[enough[0] + 1] + 1
+            return g[:k], z[:k], good[:k], int(n[top[0]])
         more = np.arange(n[-1] + 1, n[-1] + 1 + _GRAM_CHUNK)
         n, g = np.append(n, more), np.append(g, _gram_points(more))
         z = np.append(z, _certified_z(g[-_GRAM_CHUNK:]))
@@ -627,16 +630,22 @@ def _block_brackets(T: float):
     signs at the Gram points show one sign change per interval where Gram's
     law holds; a block that shows fewer has every subinterval halved, all
     short blocks in one ``_z`` call per round, until it shows one per Gram
-    interval. A block still short after _MAX_HALVINGS rounds raises
-    MissedZeroSuspected, and a point that no rung certifies
-    PrecisionExhausted."""
-    ts, zs, good = _gram_signs(T)
+    interval. A block still short after _MAX_HALVINGS rounds or a count
+    other than n + 1 below g_n raises MissedZeroSuspected, and a point that
+    no rung certifies PrecisionExhausted."""
+    ts, zs, good, n = _gram_signs(T)
+    g_n = float(ts[n + 1])
     need = np.diff(np.nonzero(good)[0])  # Gram intervals per block
     block = np.cumsum(good[:-1]) - 1     # the block of [ts[j], ts[j + 1]]
     for halvings in range(_MAX_HALVINGS + 1):
         change = np.signbit(zs[1:]) != np.signbit(zs[:-1])
         short = np.bincount(block, weights=change, minlength=len(need)) < need
         if not short.any():
+            found = np.count_nonzero(change & (ts[:-1] < g_n))
+            if found != n + 1:
+                raise MissedZeroSuspected(
+                    f"{found} sign changes of Z below g_{n} = {g_n!r}, where "
+                    f"Turing's method certifies N(g_{n}) = {n + 1}")
             j = np.nonzero(change & (ts[:-1] < T))[0]
             return ts[j], ts[j + 1], zs[j], zs[j + 1]
         if halvings == _MAX_HALVINGS:
@@ -757,17 +766,17 @@ def find_zeros_up_to(T: float) -> ZeroTable:
 
     Z (Riemann-Siegel in double, then in long double phases, and
     Euler-Maclaurin below RS_MIN_T and inside both declared errors) is read
-    at the Gram points up to the first good one at or above T, and each
-    Rosser block is searched until it shows one sign change per Gram
-    interval (``_block_brackets``). Regula falsi and secant probes on the
-    same Z then narrow each sign change to a bracket of width
+    at the Gram points up to the top g_p of the K Rosser blocks above g_n
+    (``_gram_signs``), and each block is searched until it shows one sign
+    change per Gram interval (``_block_brackets``). Regula falsi and secant
+    probes on the same Z then narrow each sign change to a bracket of width
     ORDINATE_ACCURACY/4 (``_refine_brackets``), and ordinates above T are
     dropped. Every sign read is certified by the rung that gave it.
 
-    Completeness rests on Rosser's rule, which holds below g_13,999,525,
-    far above the double engine's ceiling, plus the audit against the
-    counting estimate (MissedZeroSuspected), until an exact count N(T)
-    replaces that audit.
+    Completeness is Turing's method (module docstring): the search raises
+    MissedZeroSuspected unless it finds exactly N(g_n) = n + 1 sign changes
+    below g_n, and the table then holds every zero up to T, as far as the
+    declared errors of the signs it read hold.
     """
     if not 10 <= T < math.inf:
         raise DomainError("find_zeros_up_to requires finite T >= 10")
@@ -781,7 +790,7 @@ def find_zeros_up_to(T: float) -> ZeroTable:
 def count_zeros(T: float, table: ZeroTable) -> int:
     """The table's census: how many of its ordinates lie in (0, T). It is
     the zero count N(T) as far as the table is complete (``max_height``),
-    not a count by the argument principle.
+    which ``find_zeros_up_to`` certifies and a loaded table is trusted for.
 
     Raises TableTooShort when the table is not complete up to T, and
     AmbiguousHeight when T sits within table accuracy of an ordinate.

@@ -225,10 +225,15 @@ def em_closed_form(s, N: int, M: int, dps: int, NmS=None, lnN=None):
         return val, dval
 
 
+def bernoulli(k: int) -> Fraction:
+    """The Bernoulli number B_k as an exact fraction."""
+    num, den = mp.bernfrac(k)
+    return Fraction(int(num), int(den))
+
+
 def b2k_over_fact(k: int) -> float:
     """B_2k/(2k)! rounded once to a double, from the exact Bernoulli fraction."""
-    num, den = mp.bernfrac(2 * k)
-    return float(Fraction(int(num), int(den) * math.factorial(2 * k)))
+    return float(bernoulli(2 * k) / math.factorial(2 * k))
 
 
 def em_tail_nest(s, N, acc, dacc):

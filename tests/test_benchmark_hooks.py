@@ -24,6 +24,9 @@ table = zero_finder.find_zeros_up_to(300.0)
 m = tracer.layer_metrics()
 assert m["special_functions.batch_points.zero_finder"] > 0, m
 assert m["zero_finder.zeros_found"] == len(table.gammas), m
+# one audit per build, so that the benchmark's audit span cannot vanish
+# silently
+assert m["zero_finder.audit_calls"] == 1, m
 # the suite workload counts shifts and their points through the wrapped
 # universality.scan and universality.log_deriv_batch, and quadrature nodes
 # through the wrapped reporting.integrate_edge

@@ -35,24 +35,10 @@ def table_path(tmp_path, table500):
 
 
 class TestRunConfig:
-    def test_round_trip_and_hash(self):
+    def test_hash(self):
         cfg = RunConfig(zero_table_path="x.zctab")
-        back = RunConfig.from_json_dict(cfg.to_json_dict())
-        assert back == cfg
-        assert back.config_hash() == cfg.config_hash()
-        # a config written when RunConfig still had ``threads`` reads the same
-        legacy = RunConfig.from_json_dict(dict(cfg.to_json_dict(), threads=2))
-        assert legacy == cfg
-        assert legacy.config_hash() == cfg.config_hash() == (
+        assert cfg.config_hash() == (
             "b9b19d1609a683de8453aec9d66c9cc784e4c1731c3a5fdb6bfc7227832beaf8")
-
-    def test_legacy_truncation_and_params_keys_ignored(self):
-        cfg = RunConfig(precision=FAST_CONFIG, zero_table_path="x.zctab")
-        legacy = {"precision": {"working_digits": 15, "target_abs_tol": 1e-11,
-                                "euler_maclaurin_terms": 14, "cutoff_N": 16},
-                  "zero_table_path": "x.zctab", "params": {"T": "30"},
-                  "threads": 2}
-        assert RunConfig.from_json_dict(legacy) == cfg
 
 
 class TestTableResolution:

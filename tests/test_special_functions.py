@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from oracles import (
     EulerMascheroni,
     b2k_over_fact,
+    bernoulli,
     digamma_asymptotic,
     digamma_asymptotic_remainder,
     digamma_weierstrass,
@@ -776,6 +777,11 @@ class TestEmTail:
         # depend on mpmath's precision
         assert special_functions._B2K_OVER_FACT == [
             b2k_over_fact(k) for k in range(F64_EM_TERMS + 1)]
+
+    def test_digamma_coefficients_are_correctly_rounded(self):
+        # B_2n/(2n) rounded once from the exact fraction
+        assert special_functions._B2N_OVER_2N == [
+            float(bernoulli(2 * n) / (2 * n)) for n in range(1, 9)]
 
 
 class TestMpEngineProperty:

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     GABCKE_D,
+    bernoulli,
     riemann_siegel_corrections,
     riemann_siegel_series,
     siegel_z,
@@ -186,6 +187,13 @@ class TestFindZeros:
             find_zeros_up_to(40.0)
         assert searches == [40.0] and audits == [6]
 
+    def test_theta_coefficients_are_correctly_rounded(self):
+        # c_n = (1 - 2^(1-2n)) |B_2n| / (4n(2n-1)) rounded once from the
+        # exact fraction
+        assert zero_finder._THETA_C == [
+            float((1 - Fraction(1, 2 ** (2 * n - 1))) * abs(bernoulli(2 * n))
+                  / (4 * n * (2 * n - 1))) for n in range(1, 6)]
+
     def test_gram_points_against_mpmath(self):
         # seeded n in [-1, 29000]: within an ulp of mpmath's g_n, and
         # g_-1 = 9.67, where _theta's truncated series is off by about
@@ -199,7 +207,7 @@ class TestFindZeros:
 
     def test_table_to_25000_holds_the_close_pair(self, table25k):
         # gamma_27925 and gamma_27926 are 0.045 apart, a pair that a fixed
-        # scan step of 0.05 misses and the census audit cannot see
+        # scan step of 0.05 misses
         assert len(table25k.gammas) == mp.nzeros(25000) == 29002
         for k in (27925, 27926):
             assert abs(table25k.gammas[k - 1] - zero_ordinate(k)) < 1e-9
@@ -224,6 +232,35 @@ class TestFindZeros:
         monkeypatch.setattr(zero_finder, "_z", erased)
         with pytest.raises(errors.MissedZeroSuspected):
             find_zeros_up_to(30.0)
+
+    def test_turing_count_matches_mpmath(self):
+        # at a seeded subset of good Gram points g_n up to 5200, the search
+        # up to g_n itself certifies n + 1 sign changes below it: mpmath's
+        # N(g_n), through K Rosser blocks above g_n, g_n at least 168 pi
+        rng = np.random.default_rng(31)
+        for T in np.concatenate([[10.0, 527.0], rng.uniform(20.0, 5200.0, 8)]):
+            ts, _, good, n = zero_finder._gram_signs(float(T))
+            g_n = float(ts[n + 1])
+            assert good[n + 1] and g_n >= max(T, 168 * math.pi)
+            blocks = np.count_nonzero(good[n + 2:])  # Rosser blocks above g_n
+            assert good[-1] and blocks == (1 if ts[-1] < 2512 else 2), T
+            lo = zero_finder._block_brackets(g_n)[0]
+            assert len(lo) == n + 1 == mp.nzeros(g_n), T
+
+    def test_extra_sign_changes_raise(self, monkeypatch):
+        # Z with its sign flipped within 1e-3 of g_40 = 126.1 shows two sign
+        # changes that are not zeros; Rosser's rule alone passes 343
+        # ordinates up to 600, and the Turing count refuses them
+        g40 = float(zero_finder._gram_points(np.array([40]))[0])
+        z = zero_finder._z
+
+        def flipped(ts):
+            v, err = z(ts)
+            return np.where(np.abs(ts - g40) < 1e-3, -v, v), err
+
+        monkeypatch.setattr(zero_finder, "_z", flipped)
+        with pytest.raises(errors.MissedZeroSuspected, match="certifies N"):
+            find_zeros_up_to(600.0)
 
     @pytest.mark.parametrize("T", [1000.0, 2.5e4])
     def test_scan_stage_points_per_zero(self, T, table25k, monkeypatch):
