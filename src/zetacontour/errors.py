@@ -43,11 +43,11 @@ class NearSingularity(ZetaContourError):
 
 
 class MissedZeroSuspected(ZetaContourError):
-    """A Rosser block short, a count off Turing's N(g_n), or a faulty table."""
+    """A Rosser block short, close ordinates, or a count off Turing's N(g_n)."""
 
 
 class AmbiguousHeight(ZetaContourError):
-    """count_zeros(T) called with T within table accuracy of an ordinate."""
+    """A height within table accuracy of an ordinate, or where Z has no sure sign."""
 
 
 class FormatError(ZetaContourError):

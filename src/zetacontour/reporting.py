@@ -143,11 +143,12 @@ def load_report_json(path) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 def ensure_table(path, min_height: float) -> ZeroTable:
-    """The zero table covering ``min_height``: the one at ``path`` when that
-    file exists and is tall enough, otherwise a table built to
-    max(min_height, 10) and, when ``path`` is given, saved there."""
+    """The zero table covering ``min_height``: the file at ``path`` if it
+    exists, passes ``ZeroTable.audit`` (or raises) and is tall enough; else
+    a table built to max(min_height, 10), saved at ``path`` when given."""
     if path and Path(path).exists():
         table = load_table(path)
+        table.audit()
         if table.max_height >= min_height:
             return table
     table = find_zeros_up_to(max(min_height, 10.0))

@@ -28,8 +28,7 @@ formed in (``_rs_bound``, which derives the count):
    reduced double: 1.8e-12 at t = 2.4e4 with the x87 80-bit long double,
    and mostly Gabcke's term up to t ~ 2400. It runs where rung 1 fails but
    |Z| clears Gabcke's term, below which no phase precision can certify a
-   sign. Where the long double is a double the two bounds are equal, the
-   rung never runs, and nothing is gained.
+   sign, and only where the long double is finer than a double.
 3. Euler-Maclaurin (``zeta_batch``) below RS_MIN_T and everywhere else
    up to the double engine's ceiling _F64_MAX_T, rotated by the long double
    theta reduced mod 2pi, with ``zeta_batch``'s declared error.
@@ -61,17 +60,17 @@ the scalar front of the same Z for a double config, and the mpmath
 engine's Z otherwise.
 
 Completeness is Turing's method in Brent's form, with Trudgian's constants
-(Math. Comp. 80, 2011). Z is read up to the first good Gram point g_n at
-or above max(T, 168 pi) and on to g_p (``_gram_signs``): if the K Rosser
-blocks in [g_n, g_p) show their quota, K >= min(0.0061 L^2 + 0.08 L,
-0.0031 L^2 + 0.11 L), L = log g_p (1 below g_p = 2512, 2 up to 5.6e5),
-then N(g_n) <= n + 1. Lehman's and Trudgian's bounds on the integral of
-S(t) behind it need g_n > 168 pi. The search raises MissedZeroSuspected
-unless it finds exactly n + 1 sign changes below g_n, so every zero below
-g_n is on the line, simple and in the table, as far as the signs read
-hold: the Riemann-Siegel bounds, and where those decide nothing (all
-points below RS_MIN_T) the not yet proven Euler-Maclaurin bound of
-``zeta_batch``.
+(Math. Comp. 80, 2011), in ``ZeroTable.audit`` alone: for h = max_height,
+Z is read from the last good Gram point at or below h, at h, and up to
+g_p (``_gram_signs``), past the first good one g_n >= max(h, 168 pi). If
+the K Rosser blocks in [g_n, g_p) show their quota, K >= min(0.0061 L^2 +
+0.08 L, 0.0031 L^2 + 0.11 L), L = log g_p (1 below 2512, 2 up to 5.6e5),
+then N(g_n) <= n + 1 (Lehman's and Trudgian's bounds on the integral of
+S(t) need g_n > 168 pi). Unless the ordinates and the sign changes in
+(h, g_n) number n + 1 the audit raises MissedZeroSuspected, so every zero
+up to h is on the line, simple and in the table, as far as the ordinates
+are distinct zeros and the signs read hold: the Riemann-Siegel bounds, and
+below RS_MIN_T the not yet proven Euler-Maclaurin bound of ``zeta_batch``.
 """
 from __future__ import annotations
 
@@ -104,7 +103,6 @@ _PI = "3.14159265358979323846264338327950288"  # parsed to each phase dtype
 # the rest to 36 digits, parsed to the phase dtype (``_as_double_phase``)
 _TWO_PI_HI = 6.2831853069365025
 _TWO_PI_LO = "2.43084020260247704059005768394338799e-10"
-GAMMA_1 = 14.134725141734693  # first ordinate, for table sanity audits
 
 SCAN_START = 6.0        # no zeros below gamma_1 ~ 14.13
 ORDINATE_ACCURACY = 1e-9
@@ -283,6 +281,9 @@ _RS_C = (
         -2.1541595758904304e-13, -7.134227452688869e-14]),
 )
 _UNIT_ROUNDOFF = 2.0 ** -53
+# rung 2 of ``_z`` certifies more than rung 1 only with a long double finer
+# than a double (x87, binary128): ``_rs_bound`` scales with the dtype's eps
+_EXTENDED_LONG_DOUBLE = bool(np.finfo(np.longdouble).eps < np.finfo(np.float64).eps)
 
 
 def _gabcke(t: np.ndarray) -> np.ndarray:
@@ -383,9 +384,10 @@ def _z(ts: np.ndarray):
 
     1. Riemann-Siegel with double phases, where t >= RS_MIN_T;
     2. Riemann-Siegel with theta and t log n in long double, reduced mod 2pi
-       there, where rung 1 fails but |Z| exceeds Gabcke's term and the long
-       double bound is below the double one (never, where the long double
-       is a double);
+       there, where rung 1 fails but |Z| exceeds Gabcke's term, if the long
+       double is finer than a double (if not, probes above _F64_MAX_T that
+       only this rung certifies make the search raise PrecisionExhausted,
+       at T = 26,000 for one);
     3. Euler-Maclaurin (``zeta_batch`` on the double engine,
        SCAN_START <= t <= _F64_MAX_T) everywhere else, rotated by the long
        double theta reduced mod 2pi. Its error is ``zeta_batch``'s bound on
@@ -404,9 +406,8 @@ def _z(ts: np.ndarray):
         t = ts[rs]
         z[rs], err[rs] = _rs_z(t)
         em[rs] = np.abs(z[rs]) <= err[rs]
-        ext = rs[em[rs] & (np.abs(z[rs]) > _gabcke(t))
-                 & (_rs_bound(t, np.longdouble) < err[rs])]
-        if len(ext):
+        ext = rs[em[rs] & (np.abs(z[rs]) > _gabcke(t))]
+        if _EXTENDED_LONG_DOUBLE and len(ext):
             z[ext], err[ext] = _rs_z(ts[ext], np.longdouble)
             em[ext] = np.abs(z[ext]) <= err[ext]
     em &= ts <= _F64_MAX_T
@@ -437,9 +438,9 @@ def _certified_z(ts: np.ndarray) -> np.ndarray:
 class ZeroTable:
     """Sorted positive ordinates of critical-line zeros.
 
-    ``max_height`` is a completeness guarantee: every zero with
-    0 < gamma <= max_height is present. ``accuracy`` is the per-ordinate
-    absolute error.
+    ``max_height`` claims completeness: every zero with 0 < gamma <=
+    max_height is present, which ``audit`` proves by Turing's method.
+    ``accuracy`` is the per-ordinate absolute error.
     """
 
     gammas: Tuple[float, ...]
@@ -486,13 +487,21 @@ class ZeroTable:
         return float(near) if near.ndim == 0 else near
 
     def audit(self) -> None:
-        """First-ordinate and spacing audit; raises MissedZeroSuspected."""
-        if self.max_height >= 15 and (
-                not self.gammas or abs(self.gammas[0] - GAMMA_1) > 1e-3):
-            raise MissedZeroSuspected("first ordinate does not match gamma_1")
-        for a, b in zip(self.gammas, self.gammas[1:]):
-            if b - a <= 10 * self.accuracy:
-                raise MissedZeroSuspected(f"ordinates {a} and {b} inside accuracy")
+        """Turing's count (module docstring) to h = max_height:
+        MissedZeroSuspected unless the ordinates and the sign changes in
+        (h, g_n) number n + 1 and no two lie within 10 accuracies;
+        AmbiguousHeight if Z(h) has no certified sign."""
+        g, h = self._ordinates, self.max_height
+        close = np.nonzero(np.diff(g) <= 10 * self.accuracy)[0]
+        if len(close):
+            a, b = g[close[0]:close[0] + 2]
+            raise MissedZeroSuspected(f"ordinates {a} and {b} inside accuracy")
+        (lo, *_), g_n, n = _block_brackets(h, h)
+        above = np.count_nonzero((lo >= h) & (lo < g_n))
+        if len(g) + above != n + 1:
+            raise MissedZeroSuspected(
+                f"{len(g) + above} zeros below g_{n} = {g_n!r} ({above} above "
+                f"{h!r}), where Turing's method certifies N(g_{n}) = {n + 1}")
 
 
 def _table_fault(gammas, accuracy, max_height) -> Optional[Tuple[int, str]]:
@@ -596,58 +605,66 @@ def _gram_points(n: np.ndarray) -> np.ndarray:
     return t.astype(np.float64)
 
 
-def _gram_signs(T: float):
+def _gram_signs(T: float, start: float = SCAN_START):
     """Gram points g_m, certified Z(g_m) and whether each is good,
-    (-1)^m Z(g_m) > 0, for m = -1, 0, ... up to g_p, the top of the K Rosser
-    blocks that Turing's method needs above g_n, the first good Gram point
-    at or above max(T, 168 pi) (module docstring); and n."""
+    (-1)^m Z(g_m) > 0, from the last good one at or below ``start`` (or g_-1,
+    good as Z < 0 below gamma_1) up to g_p, the top of the K Rosser blocks
+    that Turing's method needs above g_n, the first good Gram point at or
+    above max(T, 168 pi) (module docstring); then g_n and n."""
     floor = max(T, 168.0 * math.pi)
-    n = np.arange(-1, math.ceil(float(_theta(floor)) / math.pi) + 1)
+    first = math.floor(float(_theta(max(start, SCAN_START))) / math.pi)
+    n = np.arange(max(-1, first), math.ceil(float(_theta(floor)) / math.pi) + 1)
     g = _gram_points(n)
     z = _certified_z(g)
     while True:
         good = np.signbit(z) == (n % 2 == 1)
+        base = np.nonzero(good & ((g <= start) | (n == -1)))[0]
         top = np.nonzero(good & (g >= floor))[0]
         L = np.log(g[top[1:]])
         need = np.minimum(0.0061 * L * L + 0.08 * L, 0.0031 * L * L + 0.11 * L)
         enough = np.nonzero(np.arange(1, len(top)) >= np.ceil(need))[0]
-        if len(enough):
-            k = top[enough[0] + 1] + 1
-            return g[:k], z[:k], good[:k], int(n[top[0]])
-        more = np.arange(n[-1] + 1, n[-1] + 1 + _GRAM_CHUNK)
-        n, g = np.append(n, more), np.append(g, _gram_points(more))
-        z = np.append(z, _certified_z(g[-_GRAM_CHUNK:]))
+        if len(base) and len(enough):
+            i, k = base[-1], top[enough[0] + 1] + 1
+            return g[i:k], z[i:k], good[i:k], float(g[top[0]]), int(n[top[0]])
+        more = (np.arange(n[-1] + 1, n[-1] + 1 + _GRAM_CHUNK) if len(base)
+                else np.arange(max(-1, n[0] - _GRAM_CHUNK), n[0]))
+        g_more = _gram_points(more)
+        order = np.argsort(np.append(n, more))
+        n, g = np.append(n, more)[order], np.append(g, g_more)[order]
+        z = np.append(z, _certified_z(g_more))[order]
 
 
-def _block_brackets(T: float):
-    """Brackets [lo, hi] with their end values, one per sign change of Z in
-    the Rosser blocks that cover (0, T], the ones with lo >= T left out.
+def _block_brackets(T: float, start: float = SCAN_START):
+    """Brackets (lo, hi, Z(lo), Z(hi)), one per sign change of Z in the
+    Rosser blocks read by ``_gram_signs(T, start)``, then g_n and n.
 
     A Rosser block runs between consecutive good Gram points g_a < g_b
-    (``_gram_signs``; g_-1 = 9.67 is good, as Z < 0 below gamma_1) and
-    spans b - a Gram intervals. Rosser's rule, that such a block holds at
-    least b - a zeros, holds below g_13,999,525 (the first exception). The
-    signs at the Gram points show one sign change per interval where Gram's
-    law holds; a block that shows fewer has every subinterval halved, all
-    short blocks in one ``_z`` call per round, until it shows one per Gram
-    interval. A block still short after _MAX_HALVINGS rounds or a count
-    other than n + 1 below g_n raises MissedZeroSuspected, and a point that
-    no rung certifies PrecisionExhausted."""
-    ts, zs, good, n = _gram_signs(T)
-    g_n = float(ts[n + 1])
+    and spans b - a Gram intervals. Rosser's rule, that such a block holds
+    at least b - a zeros, holds below g_13,999,525 (the first exception).
+    The signs at the Gram points show one sign change per interval where
+    Gram's law holds; a block that shows fewer has every subinterval
+    halved, all short blocks in one ``_z`` call per round, until it shows
+    one per Gram interval. ``start``, where it lies between two points
+    read, is read too, so that no bracket straddles it; AmbiguousHeight
+    where no rung certifies its sign. A block still short after
+    _MAX_HALVINGS rounds raises MissedZeroSuspected, and a point that no
+    rung certifies PrecisionExhausted."""
+    ts, zs, good, g_n, n = _gram_signs(T, start)
     need = np.diff(np.nonzero(good)[0])  # Gram intervals per block
     block = np.cumsum(good[:-1]) - 1     # the block of [ts[j], ts[j + 1]]
+    i = np.searchsorted(ts, start)
+    if ts[0] < start < ts[i]:
+        z, err = _z(np.array([start]))
+        if abs(z[0]) <= err[0]:
+            raise AmbiguousHeight(f"no rung certifies the sign of Z({start!r})")
+        ts, zs, block = (np.insert(ts, i, start), np.insert(zs, i, z),
+                         np.insert(block, i, block[i - 1]))
     for halvings in range(_MAX_HALVINGS + 1):
         change = np.signbit(zs[1:]) != np.signbit(zs[:-1])
         short = np.bincount(block, weights=change, minlength=len(need)) < need
         if not short.any():
-            found = np.count_nonzero(change & (ts[:-1] < g_n))
-            if found != n + 1:
-                raise MissedZeroSuspected(
-                    f"{found} sign changes of Z below g_{n} = {g_n!r}, where "
-                    f"Turing's method certifies N(g_{n}) = {n + 1}")
-            j = np.nonzero(change & (ts[:-1] < T))[0]
-            return ts[j], ts[j + 1], zs[j], zs[j + 1]
+            j = np.nonzero(change)[0]
+            return (ts[j], ts[j + 1], zs[j], zs[j + 1]), g_n, n
         if halvings == _MAX_HALVINGS:
             break
         j = np.nonzero(short[block])[0]
@@ -769,18 +786,15 @@ def find_zeros_up_to(T: float) -> ZeroTable:
     at the Gram points up to the top g_p of the K Rosser blocks above g_n
     (``_gram_signs``), and each block is searched until it shows one sign
     change per Gram interval (``_block_brackets``). Regula falsi and secant
-    probes on the same Z then narrow each sign change to a bracket of width
-    ORDINATE_ACCURACY/4 (``_refine_brackets``), and ordinates above T are
-    dropped. Every sign read is certified by the rung that gave it.
-
-    Completeness is Turing's method (module docstring): the search raises
-    MissedZeroSuspected unless it finds exactly N(g_n) = n + 1 sign changes
-    below g_n, and the table then holds every zero up to T, as far as the
-    declared errors of the signs it read hold.
+    probes on the same Z then narrow each sign change below T to a bracket
+    of width ORDINATE_ACCURACY/4 (``_refine_brackets``), and ordinates
+    above T are dropped. Every sign read is certified by the rung that gave
+    it, and the table is audited once (``ZeroTable.audit``, Turing's count).
     """
     if not 10 <= T < math.inf:
         raise DomainError("find_zeros_up_to requires finite T >= 10")
-    gammas = _refine_brackets(*_block_brackets(T))
+    brackets, _, _ = _block_brackets(T)
+    gammas = _refine_brackets(*(a[brackets[0] < T] for a in brackets))
     table = ZeroTable(tuple(float(g) for g in gammas if g <= T),
                       ORDINATE_ACCURACY, float(T))
     table.audit()
@@ -789,8 +803,8 @@ def find_zeros_up_to(T: float) -> ZeroTable:
 
 def count_zeros(T: float, table: ZeroTable) -> int:
     """The table's census: how many of its ordinates lie in (0, T). It is
-    the zero count N(T) as far as the table is complete (``max_height``),
-    which ``find_zeros_up_to`` certifies and a loaded table is trusted for.
+    the zero count N(T) as far as ``max_height`` holds, which
+    ``ZeroTable.audit`` proves on every build and ``ensure_table`` read.
 
     Raises TableTooShort when the table is not complete up to T, and
     AmbiguousHeight when T sits within table accuracy of an ordinate.

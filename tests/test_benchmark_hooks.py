@@ -10,6 +10,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 SCRIPT = """
 import math
+import os
+import tempfile
 import hostclock
 import tracing
 from zetacontour import reporting, universality, zero_finder
@@ -27,6 +29,14 @@ assert m["zero_finder.zeros_found"] == len(table.gammas), m
 # one audit per build, so that the benchmark's audit span cannot vanish
 # silently
 assert m["zero_finder.audit_calls"] == 1, m
+# the suite workload reads its table through reporting.ensure_table, which
+# audits every file it loads: the hook sees that audit too
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "t.zctab")
+    zero_finder.save_table(table, path)
+    reporting.ensure_table(path, 300.0)
+m = tracer.layer_metrics()
+assert m["zero_finder.audit_calls"] == 2, m
 # the suite workload counts shifts and their points through the wrapped
 # universality.scan and universality.log_deriv_batch, and quadrature nodes
 # through the wrapped reporting.integrate_edge

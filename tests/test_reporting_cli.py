@@ -11,7 +11,7 @@ import pytest
 import zetacontour.reporting as reporting
 from zetacontour import zero_finder
 from zetacontour.cli import build_parser, main
-from zetacontour.errors import DomainError
+from zetacontour.errors import DomainError, MissedZeroSuspected
 from zetacontour.precision import FAST_CONFIG
 from zetacontour.reporting import (
     SUITES,
@@ -21,7 +21,7 @@ from zetacontour.reporting import (
     load_report_json,
     run_suite,
 )
-from zetacontour.zero_finder import load_table, save_table
+from zetacontour.zero_finder import ZeroTable, load_table, save_table
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -48,6 +48,19 @@ class TestTableResolution:
         table = ensure_table(str(path), 130.0)
         assert table.max_height >= 130.0
         assert load_table(path) == table
+
+    def test_doctored_file_raises_and_stays(self, tmp_path, big_table):
+        # the 5150 table without gamma_2001 and gamma_2002 is refused whether
+        # it is tall enough or not, and is not rebuilt over
+        g = big_table.gammas
+        path = tmp_path / "doctored.zctab"
+        save_table(ZeroTable(g[:2000] + g[2002:], big_table.accuracy,
+                             big_table.max_height), path)
+        before = path.read_bytes()
+        for height in (100.0, 6000.0):
+            with pytest.raises(MissedZeroSuspected, match="certifies N"):
+                ensure_table(str(path), height)
+        assert path.read_bytes() == before
 
     def test_no_path_writes_nothing(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -226,6 +239,25 @@ class TestCli:
                        "--zeros", str(p)])
             assert rc == 2
             assert f"error: line {line}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_doctored_table_exits_2_with_the_count(self, via, tmp_path, table500,
+                                                   monkeypatch, capsys):
+        # the 510 table without gamma_2, through --zeros or ZC_ZERO_TABLE
+        g = table500.gammas
+        path = tmp_path / "doctored.zctab"
+        save_table(ZeroTable(g[:1] + g[2:], table500.accuracy,
+                             table500.max_height), path)
+        argv = ["integrate", "--general", "0.4", "0.6", "14", "14.3"]
+        monkeypatch.delenv("ZC_ZERO_TABLE", raising=False)
+        if via == "flag":
+            argv += ["--zeros", str(path)]
+        else:
+            monkeypatch.setenv("ZC_ZERO_TABLE", str(path))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "289 zeros below g_289" in err and "N(g_289) = 290" in err, err
 
     def test_suite_exit_code_and_export(self, tmp_path):
         out = tmp_path / "suite.json"

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -214,9 +215,21 @@ class TestFindZeros:
 
     def test_census_above_the_double_ceiling(self):
         # above _F64_MAX_T only Riemann-Siegel gives signs, and up to 26,000
-        # it certifies every one the search reads
+        # it certifies every one the search reads, given a long double finer
+        # than a double (the next test forces the other case)
         assert zero_finder._F64_MAX_T < 26000.0
         assert len(find_zeros_up_to(26000.0).gammas) == mp.nzeros(26000) == 30324
+
+    def test_long_double_as_a_double_refuses_above_the_ceiling(self, monkeypatch):
+        # with the long double rung off, as where the long double is a
+        # double: up to 5200 Euler-Maclaurin decides what the double rung
+        # does not, and the table is complete (mpmath's N(5200) = 4734);
+        # above _F64_MAX_T some probe goes uncertified, and the search
+        # raises rather than return a short table
+        monkeypatch.setattr(zero_finder, "_EXTENDED_LONG_DOUBLE", False)
+        assert len(find_zeros_up_to(5200.0).gammas) == 4734
+        with pytest.raises(errors.PrecisionExhausted):
+            find_zeros_up_to(26000.0)
 
     def test_block_short_of_its_count_raises(self, monkeypatch):
         # Z with its sign flipped between gamma_1 and gamma_2 has neither
@@ -234,18 +247,18 @@ class TestFindZeros:
             find_zeros_up_to(30.0)
 
     def test_turing_count_matches_mpmath(self):
-        # at a seeded subset of good Gram points g_n up to 5200, the search
-        # up to g_n itself certifies n + 1 sign changes below it: mpmath's
+        # at a seeded subset of good Gram points g_n up to 5200, the blocks
+        # read up to g_n itself show n + 1 sign changes below it: mpmath's
         # N(g_n), through K Rosser blocks above g_n, g_n at least 168 pi
         rng = np.random.default_rng(31)
         for T in np.concatenate([[10.0, 527.0], rng.uniform(20.0, 5200.0, 8)]):
-            ts, _, good, n = zero_finder._gram_signs(float(T))
-            g_n = float(ts[n + 1])
-            assert good[n + 1] and g_n >= max(T, 168 * math.pi)
+            ts, _, good, g_n, n = zero_finder._gram_signs(float(T))
+            assert ts[n + 1] == g_n and good[n + 1] and g_n >= max(T, 168 * math.pi)
             blocks = np.count_nonzero(good[n + 2:])  # Rosser blocks above g_n
             assert good[-1] and blocks == (1 if ts[-1] < 2512 else 2), T
-            lo = zero_finder._block_brackets(g_n)[0]
-            assert len(lo) == n + 1 == mp.nzeros(g_n), T
+            (lo, *_), *count = zero_finder._block_brackets(g_n)
+            assert count == [g_n, n], T
+            assert np.count_nonzero(lo < g_n) == n + 1 == mp.nzeros(g_n), T
 
     def test_extra_sign_changes_raise(self, monkeypatch):
         # Z with its sign flipped within 1e-3 of g_40 = 126.1 shows two sign
@@ -277,7 +290,8 @@ class TestFindZeros:
         # a regula falsi point whose |Z| is within its error is replaced by
         # the pair x -+ h, and the table is the same; a Gram point that no
         # rung certifies raises
-        lo, hi, zlo, zhi = zero_finder._block_brackets(100.0)
+        brackets, _, _ = zero_finder._block_brackets(100.0)
+        lo, hi, zlo, zhi = (a[brackets[0] < 100.0] for a in brackets)
         z, calls = zero_finder._z, []
 
         def first_uncertain(ts):
@@ -408,6 +422,53 @@ class TestFindZeros:
                 x -= mp.siegelz(x) / mp.siegelz(x, derivative=1)
                 worst = max(worst, float(abs(x - x0)))
         assert worst < 0.01 * zero_finder.ORDINATE_ACCURACY < zero_finder._PROBE_OFFSET
+
+
+class TestAudit:
+    """``ZeroTable.audit``: Turing's count, on built and loaded tables."""
+
+    def test_intact_tables_pass(self, big_table, table500, table120, table25k):
+        # cut from the session's file at 5150, 510 and 120, and built to
+        # 25,000; find_zeros_up_to audits its own, here to a Gram point
+        # (g_4733 = 5200.4, read once) and just above the first bad one,
+        # g_126 = 282.45, which the audit reads back past to g_125
+        for table in (big_table, table500, table120, table25k):
+            table.audit()
+        g_n = float(zero_finder._gram_points(np.array([4733]))[0])
+        assert len(find_zeros_up_to(g_n).gammas) == 4734
+        ts, _, good, _, _ = zero_finder._gram_signs(282.5, 282.5)
+        assert list(ts[:2]) == list(zero_finder._gram_points(np.array([125, 126])))
+        assert good[0] and not good[1]
+        assert len(find_zeros_up_to(282.5).gammas) == 127
+
+    def test_missing_close_pair_raises_fast(self, table25k):
+        # gamma_27925 and gamma_27926, 0.045 apart, deleted
+        g = table25k.gammas
+        broken = ZeroTable(g[:27924] + g[27926:], table25k.accuracy,
+                           table25k.max_height)
+        start = time.perf_counter()
+        with pytest.raises(errors.MissedZeroSuspected,
+                           match=r"29000 zeros below g_29001 .* certifies N\(g_29001\) = 29002"):
+            broken.audit()
+        assert time.perf_counter() - start < 1.0
+
+    def test_relabelled_height_raises(self, big_table):
+        # the 5150 table claiming completeness to 5300
+        taller = ZeroTable(big_table.gammas, big_table.accuracy, 5300.0)
+        with pytest.raises(errors.MissedZeroSuspected, match="certifies N"):
+            taller.audit()
+
+    def test_close_ordinates_raise(self, table120):
+        g = table120.gammas
+        doubled = ZeroTable(g[:5] + (g[4] + 5e-9,) + g[5:], table120.accuracy,
+                            table120.max_height)
+        with pytest.raises(errors.MissedZeroSuspected, match="inside accuracy"):
+            doubled.audit()
+
+    def test_height_on_a_zero_is_ambiguous(self):
+        # gamma_1 to 17 digits: no rung certifies the sign of Z there
+        with pytest.raises(errors.AmbiguousHeight):
+            find_zeros_up_to(14.134725141734693)
 
 
 class TestRiemannSiegel:
