@@ -30,6 +30,12 @@ and round once, when the sum becomes an mpc; the Euler-Maclaurin path also
 computes its closed-form terms in those integers (``_em_fixed``). Nothing
 else is shared; a test holds that table to ``mp.power(n, -s)``.
 
+psi has one route per engine: ``digamma_batch`` (reflection, recurrence
+and eight Bernoulli terms in complex128) and, at an mpmath config,
+``mp.digamma``, which ``digamma`` and the reflected zeta' (``_chi_mp``) both
+call. xi has one formula, (s-1) pi^(-s/2) Gamma(s/2+1) zeta(s), and one
+reflection, xi(s) = xi(1-s), at its removable points.
+
 Both engines of ``PrecisionConfig`` are implemented: scalar mpmath at
 configured digits, and a vectorized complex128 path (``*_batch``) at the one
 tolerance ``F64_TOL``, used by the quadrature, zero-finder and universality
@@ -378,7 +384,7 @@ def _em_f64_group(s, N):
         Nh[h] = N  # each height's N, if its points share one
         on_grid = np.array_equal(Nh[h], N)
         if on_grid:
-            for Nv in np.unique(Nh)[:-1].tolist():
+            for Nv in set(Nh.tolist()) - {Nmax}:
                 phase[:Nmax - Nv, Nh == Nv] = 0.0
     # main[b, point, c]: amplitude b (n^-sigma, -ln n n^-sigma) times cos (c = 0)
     # or sin (c = 1)
@@ -394,7 +400,7 @@ def _em_f64_group(s, N):
             cols = phase[:, h[sl]].transpose(1, 2, 0).copy()  # n contiguous, as amp
             if merged:
                 Ns = N[sl]
-                for Nv in np.unique(Ns[Ns < Nmax]).tolist():
+                for Nv in set(Ns[Ns < Nmax].tolist()):
                     cols[Ns == Nv, :, :Nmax - Nv] = 0.0
             main[:, sl] = np.einsum("pcn,bpn->bpc", cols, amp[:, v[sl]])
     vals = main[0, :, 0] - 1j * main[0, :, 1]
@@ -1082,12 +1088,10 @@ def log_deriv_zeta(s, cfg: PrecisionConfig = DEFAULT_CONFIG,
 
 
 def digamma(s, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ComplexValue:
-    """psi(s) for every s but the poles 0, -1, -2, ...: reflection
-    psi(s) = psi(1-s) - pi cot(pi s) for Re s < 1/2, then upward recurrence
-    psi(w+1) = psi(w) + 1/w into the regime where the asymptotic series
-    psi(w) ~ log w - 1/2w - sum B_2n/(2n w^2n) (A&S 6.3.18) meets the
-    tolerance. PrecisionExhausted where the final bound, rounding and
-    reflection included, exceeds cfg.target_abs_tol."""
+    """psi(s) for every s but the poles 0, -1, -2, ...: ``digamma_batch`` at a
+    double config, else ``mp.digamma`` at cfg.dps, the route by which
+    ``_chi_mp`` takes psi(1-s), allowing 10^-(dps-3) (1 + |psi|) for its
+    rounding. PrecisionExhausted where the bound exceeds cfg.target_abs_tol."""
     sc = _check_finite(s)
     near = round(sc.real)
     if near <= 0 and abs(sc - near) < EXCLUSION_RADIUS:
@@ -1095,87 +1099,30 @@ def digamma(s, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ComplexValue:
     if cfg.uses_f64:
         v, e = digamma_batch(np.array([sc]))
         return _within_tol(v[0], float(e[0]), cfg)
-    R = max(10.0, 0.9 * cfg.working_digits)
     with mp.workdps(cfg.dps):
-        sm = as_mpc(s)
-        left = sc.real < 0.5
-        w = 1 - sm if left else sm
-        acc = mp.mpc(0)
-        while abs(w) < R:
-            acc -= 1 / w
-            w += 1
-        r = 1 / w
-        acc += mp.log(w) - r / 2
-        r2 = r * r
-        p = r2
-        tol = cfg.target_abs_tol
-        err = None
-        last = float("inf")
-        for n in range(1, 64):
-            term = (mp.bernoulli(2 * n) / (2 * n)) * p
-            tmag = float(abs(term))
-            if tmag > last:
-                err = 2 * last
-                break
-            acc -= term
-            p = p * r2
-            last = tmag
-            if tmag < tol / 8:
-                err = 2 * tmag
-                break
-        if err is None:
-            raise PrecisionExhausted("digamma asymptotic series stalled above tolerance")
-        err += 10.0 ** (-(cfg.dps - 3)) * (1 + float(abs(acc)))
-        if left:
-            d = sm - mp.nint(sm.real)
-            cot = mp.pi * mp.cot(mp.pi * d)
-            acc -= cot
-            err += _reflection_err(abs(sc), float(abs(d)), float(abs(cot)),
-                                   10.0 ** (-(cfg.dps - 2)))
-        return _within_tol(acc, err, cfg)
+        v = mp.digamma(as_mpc(s))
+        return _within_tol(v, 10.0 ** (-(cfg.dps - 3)) * (1 + float(abs(v))), cfg)
 
 
 def xi(s, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ComplexValue:
-    """Completed zeta, xi(s) = 1/2 s(s-1) pi^(-s/2) Gamma(s/2) zeta(s).
+    """Completed zeta, xi(s) = 1/2 s(s-1) pi^(-s/2) Gamma(s/2) zeta(s),
+    evaluated as (s-1) pi^(-s/2) Gamma(s/2+1) zeta(s), which is regular at
+    s = 0. The pi^(-s/2) factor makes the reflection xi(s) = xi(1-s) exact;
+    xi is entire, so within 1e-4 of s = 1 or of a pole -2, -4, ... of
+    Gamma(s/2+1) it is evaluated at 1 - s.
 
-    The pi^(-s/2) factor makes the reflection xi(s) = xi(1-s) exact; entire,
-    so the pole of zeta and the Gamma poles are removable: within 1e-4 of a
-    pole 0, -2, -4, ... of Gamma(s/2) xi is evaluated at 1 - s, and near
-    s = 1 through the Stieltjes expansion of (s-1) zeta(s).
-
-    Error: 10^-(dps-6) (1 + |xi|) for the rounding, plus zeta's own bound
-    times its prefactor; near s = 1, instead of zeta's bound, the omitted
-    Stieltjes terms n >= 4. With Berndt's |gamma_n| <= 4 (n-1)! / pi^n
-    (B. C. Berndt, "On the Hurwitz zeta-function", Rocky Mountain J. Math. 2
-    (1972)), that tail is at most
-    4|u| sum_{n>=4} (|u|/pi)^n / n <= |u| (|u|/pi)^4 / (1 - |u|/pi), u = s - 1.
+    Error: zeta's own bound times |(s-1) pi^(-s/2) Gamma(s/2+1)|, plus
+    10^-(dps-6) (1 + |xi|) for the rounding.
     """
     with mp.workdps(cfg.dps):
         sm = as_mpc(s)
-        k = min(0, round(complex(s).real / 2))  # a pole 0, -2, -4, ... of Gamma(s/2)
-        if abs(complex(s) - 2 * k) < 1e-4:
+        k = min(-1, round(complex(s).real / 2))  # a pole -2, -4, ... of Gamma(s/2+1)
+        if abs(complex(s) - 1) < 1e-4 or abs(complex(s) - 2 * k) < 1e-4:
             return xi(1 - sm, cfg)
-        if abs(complex(sm - 1)) < 1e-4:
-            u = sm - 1
-            # (s-1) zeta(s) = 1 + sum (-1)^n gamma_n u^(n+1) / n!
-            reg = mp.mpf(1)
-            fac = mp.mpf(1)
-            up = u
-            for n_ in range(0, 4):
-                reg += (-1) ** n_ * mp.stieltjes(n_) * up / fac
-                up *= u
-                fac *= n_ + 1
-            pre = mp.power(mp.pi, -sm / 2) * mp.gamma(sm / 2 + 1)
-            val = pre * reg
-            au = float(abs(u))
-            inner = au * (au / math.pi) ** 4 / (1.0 - au / math.pi)
-        else:
-            z = zeta(sm, cfg)
-            pre = mp.mpf(1) / 2 * sm * (sm - 1) * mp.power(mp.pi, -sm / 2) \
-                * mp.gamma(sm / 2)
-            val = pre * mp.mpc(z.re, z.im)
-            inner = z.abs_err
-        err = float(abs(pre)) * inner + 10.0 ** (-(cfg.dps - 6)) * (1 + float(abs(val)))
+        z = zeta(sm, cfg)
+        pre = (sm - 1) * mp.power(mp.pi, -sm / 2) * mp.gamma(sm / 2 + 1)
+        val = pre * mp.mpc(z.re, z.im)
+        err = float(abs(pre)) * z.abs_err + 10.0 ** (-(cfg.dps - 6)) * (1 + float(abs(val)))
         return ComplexValue(val.real, val.imag, err)
 
 

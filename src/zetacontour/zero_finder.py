@@ -361,7 +361,7 @@ def _rs_z(t: np.ndarray, dtype=np.float64):
     Ni = N.astype(np.int64)
     th = _theta(t, dtype)
     main = np.empty_like(t)
-    for n_top in np.unique(Ni):
+    for n_top in set(Ni.tolist()):
         idx = np.nonzero(Ni == n_top)[0]
         n = np.arange(1, n_top + 1, dtype=np.float64)
         main[idx] = np.cos(_rs_phases(th[idx], t[idx], n)) @ (1.0 / np.sqrt(n))

@@ -921,14 +921,15 @@ class TestXi:
                 assert abs(mp.mpc(v.re, v.im) - ref) <= v.abs_err, s
 
     def test_bound_holds_beside_the_removable_singularities(self, mp_cfg):
-        # the Stieltjes branch near s = 1, reached by reflection near s = 0
+        # s = 0 and s beside it take the one formula, regular there; s at
+        # and near 1, and beside the pole -6 of Gamma(s/2+1), reflect to 1 - s
         for s in (1 + 9e-5, complex(1, 9e-5), complex(0.99994, 6e-5), 9e-5,
-                  1e-6, 1 + 1e-6):
+                  1e-6, 1 + 1e-6, 0.0, 1.0, -6 + 3e-5, complex(1, -5e-5)):
             v = xi(s, mp_cfg)
             with mp.workdps(80):
                 sm = mp.mpc(s)
                 ref = (sm - 1) * mp.zeta(sm) * mp.power(mp.pi, -sm / 2) \
-                    * mp.gamma(sm / 2 + 1)
+                    * mp.gamma(sm / 2 + 1) if s != 1 else mp.mpf(1) / 2
                 assert abs(mp.mpc(v.re, v.im) - ref) <= v.abs_err, s
 
 
